@@ -14,11 +14,12 @@ filter, and the forcing-style condition on quasi-proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .bco import find_top, opca_to_bco, tv_least
 from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit
-from .report import FAIL, PASS, Report
+from .report import Report
 from .terms import Const, Var, app, lam
 
 __all__ = [
@@ -110,51 +111,35 @@ def biorthogonal_closure(aks, subset, sort="stacks"):
 def check_aks(aks):
     """Structure clauses plus the five pole rules, each with a counterexample."""
     rep = Report(aks.name)
-    missing = next(((x,) for x in (aks.K, aks.S, aks.cc) if x not in aks.qp), None)
-    rep.add("aks.qp_has_basis", FAIL if missing else PASS, counterexample=missing)
+    rep.verdict("aks.qp_has_basis",
+                next(((x,) for x in (aks.K, aks.S, aks.cc) if x not in aks.qp), None))
     ordered_qp = [t for t in aks.terms if t in aks.qp]
-    bad = next(((t, s) for t in ordered_qp for s in ordered_qp
-                if aks.app_dot(t, s) not in aks.qp), None)
-    rep.add("aks.qp_dot_closed", FAIL if bad else PASS, counterexample=bad)
-
-    bad = next(((t, s, pi) for t in aks.terms for s in aks.terms for pi in aks.stacks
-                if aks.in_pole(t, aks.app_push(s, pi))
-                and not aks.in_pole(aks.app_dot(t, s), pi)), None)
-    rep.add("aks.s1_dot", FAIL if bad else PASS, counterexample=bad)
-
-    bad = next(((t, s, pi) for t in aks.terms for pi in aks.stacks for s in aks.terms
-                if aks.in_pole(t, pi)
-                and not aks.in_pole(aks.K, aks.app_push(t, aks.app_push(s, pi)))), None)
-    rep.add("aks.s2_K", FAIL if bad else PASS, counterexample=bad)
-
-    bad = None
-    for t in aks.terms:
-        for s in aks.terms:
-            for u in aks.terms:
-                combined = aks.app_dot(aks.app_dot(t, u), aks.app_dot(s, u))
-                for pi in aks.stacks:
-                    if aks.in_pole(combined, pi) and not aks.in_pole(
-                            aks.S,
-                            aks.app_push(t, aks.app_push(s, aks.app_push(u, pi)))):
-                        bad = (t, s, u, pi)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("aks.s3_S", FAIL if bad else PASS, counterexample=bad)
-
-    bad = next(((t, pi) for t in aks.terms for pi in aks.stacks
-                if aks.in_pole(t, aks.app_push(aks.kof[pi], pi))
-                and not aks.in_pole(aks.cc, aks.app_push(t, pi))), None)
-    rep.add("aks.s4_cc", FAIL if bad else PASS, counterexample=bad)
-
-    bad = next(((t, pi, pi2) for t in aks.terms for pi in aks.stacks for pi2 in aks.stacks
-                if aks.in_pole(t, pi)
-                and not aks.in_pole(aks.kof[pi], aks.app_push(t, pi2))), None)
-    rep.add("aks.s5_kof", FAIL if bad else PASS, counterexample=bad)
+    rep.verdict("aks.qp_dot_closed",
+                next(((t, s) for t in ordered_qp for s in ordered_qp
+                      if aks.app_dot(t, s) not in aks.qp), None))
+    rep.verdict("aks.s1_dot",
+                next(((t, s, pi) for t in aks.terms for s in aks.terms for pi in aks.stacks
+                      if aks.in_pole(t, aks.app_push(s, pi))
+                      and not aks.in_pole(aks.app_dot(t, s), pi)), None))
+    rep.verdict("aks.s2_K",
+                next(((t, s, pi) for t in aks.terms for pi in aks.stacks for s in aks.terms
+                      if aks.in_pole(t, pi)
+                      and not aks.in_pole(aks.K, aks.app_push(t, aks.app_push(s, pi)))), None))
+    rep.verdict("aks.s3_S",
+                next(((t, s, u, pi) for t in aks.terms for s in aks.terms for u in aks.terms
+                      for combined in [aks.app_dot(aks.app_dot(t, u), aks.app_dot(s, u))]
+                      for pi in aks.stacks
+                      if aks.in_pole(combined, pi)
+                      and not aks.in_pole(
+                          aks.S, aks.app_push(t, aks.app_push(s, aks.app_push(u, pi))))), None))
+    rep.verdict("aks.s4_cc",
+                next(((t, pi) for t in aks.terms for pi in aks.stacks
+                      if aks.in_pole(t, aks.app_push(aks.kof[pi], pi))
+                      and not aks.in_pole(aks.cc, aks.app_push(t, pi))), None))
+    rep.verdict("aks.s5_kof",
+                next(((t, pi, pi2) for t in aks.terms for pi in aks.stacks for pi2 in aks.stacks
+                      if aks.in_pole(t, pi)
+                      and not aks.in_pole(aks.kof[pi], aks.app_push(t, pi2))), None))
     return rep
 
 
@@ -199,9 +184,8 @@ def build_aks(opca, max_len=3, U=None, name=None):
 
     # stacks: values of short codes, then closed under push = d-application
     canonical = {}
-    from itertools import product as iproduct
     for length in range(max_len + 1):
-        for seq in iproduct(opca.elements, repeat=length):
+        for seq in product(opca.elements, repeat=length):
             value = kit.seq_value(seq)
             canonical.setdefault(value, seq)
     frontier = list(canonical)
@@ -358,10 +342,9 @@ def check_order_ca(aks, cap=1 << 12):
     oca = order_ca(aks, cap=cap)
     rep = check_opca_axioms(oca.opca)
     rep.extend(check_filter(oca.opca, oca.opca.filter))
-    up_bad = next(((a, b) for a in oca.opca.filter for b in oca.opca.elements
-                   if oca.opca.leq(a, b) and b not in oca.opca.filter), None)
-    rep.add("orderca.filter_upward_closed", FAIL if up_bad else PASS,
-            counterexample=up_bad)
+    rep.verdict("orderca.filter_upward_closed",
+                next(((a, b) for a in oca.opca.filter for b in oca.opca.elements
+                      if oca.opca.leq(a, b) and b not in oca.opca.filter), None))
     return oca, rep
 
 
@@ -371,22 +354,10 @@ def check_kr(aks):
     witness in QP order, else None."""
     everywhere = orthogonal_terms(aks, frozenset(aks.stacks))
     ordered_qp = [t for t in aks.terms if t in aks.qp]
-    for a in ordered_qp:
-        ok = True
-        for s in everywhere:
-            for t in aks.terms:
-                for pi in aks.stacks:
-                    if not aks.in_pole(a, aks.app_push(t, aks.app_push(s, pi))) or \
-                       not aks.in_pole(a, aks.app_push(s, aks.app_push(t, pi))):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return a
-    return None
+    return next((a for a in ordered_qp
+                 if all(aks.in_pole(a, aks.app_push(t, aks.app_push(s, pi)))
+                        and aks.in_pole(a, aks.app_push(s, aks.app_push(t, pi)))
+                        for s in everywhere for t in aks.terms for pi in aks.stacks)), None)
 
 
 def tv_least_of_aks(aks, cap=1 << 12):

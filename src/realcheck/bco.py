@@ -4,6 +4,8 @@ A BCO is a finite poset with a list of named partial endofunctions subject
 to three clauses: downward-closed monotone domains, a total sub-identity,
 and composition closure up to <=.  Ordered pcas with a filter give the
 canonical examples (functions are left-application by filter elements).
+``FiniteBco`` extends the poset core in ``poset.py``; every search for a
+function in F below a list of pairs goes through its ``tracker``.
 
 On top of that this module provides: morphisms and their preorder, the
 downset construction with unit/multiplication, internal finite meets and
@@ -14,12 +16,13 @@ and the two constructions trading a sup map against implication/infima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
-from .errors import CapExceeded, ConstructionError, StructureError
-from .opca import FiniteOpca, skk_element, transitive_reflexive_closure
-from .report import FAIL, PASS, Report
+from .errors import ConstructionError, StructureError
+from .opca import FiniteOpca, skk_element
+from .poset import Poset, downsets_of_poset
+from .report import Report
 from .terms import Const, Var, app, lam
 
 __all__ = [
@@ -41,57 +44,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class FiniteBco:
+class FiniteBco(Poset):
     """Finite poset plus named partial endofunctions (insertion order fixed)."""
 
-    elements: tuple
-    leq_pairs: frozenset
     functions: dict  # name -> {elem: elem}
     name: str = "bco"
     origin_opca: FiniteOpca | None = None
     fn_element: dict | None = None  # name -> filter element, for opca views
-    element_set: frozenset = field(init=False)
-    _index: dict = field(init=False)
 
     def __post_init__(self):
-        element_set = frozenset(self.elements)
+        super().__post_init__()
         for fname, table in self.functions.items():
             for a, b in table.items():
-                if a not in element_set or b not in element_set:
+                if a not in self.element_set or b not in self.element_set:
                     raise StructureError(f"function {fname!r} escapes carrier",
                                          source=self.name, field="functions")
         object.__setattr__(self, "functions",
                            {n: dict(t) for n, t in self.functions.items()})
-        object.__setattr__(self, "leq_pairs",
-                           transitive_reflexive_closure(self.elements, self.leq_pairs))
-        object.__setattr__(self, "element_set", element_set)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
-
-    def leq(self, a, b):
-        return (a, b) in self.leq_pairs
 
     def apply(self, fname, a):
         return self.functions[fname].get(a)
-
-    def index(self, a):
-        return self._index[a]
-
-    def ordered(self, subset):
-        return sorted(subset, key=self._index.__getitem__)
-
-    def down(self, a):
-        return frozenset(b for b in self.elements if self.leq(b, a))
-
-    def downward_closure(self, subset):
-        return frozenset(b for b in self.elements
-                         if any(self.leq(b, a) for a in subset))
-
-    def downsets(self, cap=1 << 16):
-        return downsets_of_poset(self.elements, self.leq, cap=cap,
-                                 what=f"downsets of {self.name}")
-
-    def subset_key(self, subset):
-        return tuple(sorted(self._index[e] for e in subset))
 
 
 def opca_to_bco(opca, use_filter=True):
@@ -114,47 +86,27 @@ def opca_to_bco(opca, use_filter=True):
 def check_bco(bco):
     """Clause-by-clause verdicts for the three BCO requirements."""
     rep = Report(bco.name)
+    els = bco.elements
+    rep.verdict("bco.domains_monotone",
+                next(((fname, a, b) if b not in table else (fname, b, a)
+                      for fname, table in bco.functions.items()
+                      for a in table for b in els
+                      if bco.leq(b, a) and (b not in table
+                                            or not bco.leq(table[b], table[a]))), None))
 
-    bad = None
-    for fname, table in bco.functions.items():
-        for a in table:
-            for b in bco.elements:
-                if bco.leq(b, a) and b not in table:
-                    bad = (fname, a, b)
-                    break
-                if bco.leq(b, a) and b in table and not bco.leq(table[b], table[a]):
-                    bad = (fname, b, a)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("bco.domains_monotone", FAIL if bad else PASS, counterexample=bad)
+    rep.found("bco.sub_identity", "i",
+              bco.tracker(bco.functions, bco.apply, [(a, a) for a in els]),
+              "no total sub-identity")
 
-    ident = next((fname for fname, table in bco.functions.items()
-                  if all(a in table and bco.leq(table[a], a) for a in bco.elements)),
-                 None)
-    rep.add("bco.sub_identity", PASS if ident else FAIL,
-            witnesses={"i": ident} if ident else {},
-            counterexample=None if ident else ("no total sub-identity",))
+    def composite(ftab, gtab):
+        return bco.tracker(bco.functions, bco.apply,
+                           [(a, gtab[ftab[a]]) for a in ftab if ftab[a] in gtab])
 
-    bad = None
-    comp_witness = {}
-    for fname, ftab in bco.functions.items():
-        for gname, gtab in bco.functions.items():
-            h = next((hname for hname, htab in bco.functions.items()
-                      if all(a in htab and bco.leq(htab[a], gtab[ftab[a]])
-                             for a in ftab if ftab[a] in gtab)),
-                     None)
-            if h is None:
-                bad = (fname, gname)
-                break
-            comp_witness[(fname, gname)] = h
-        if bad:
-            break
-    rep.add("bco.composition_closed", FAIL if bad else PASS,
-            witnesses={} if bad else {"pairs": len(comp_witness)},
-            counterexample=bad)
+    rep.verdict("bco.composition_closed",
+                next(((fname, gname) for fname, ftab in bco.functions.items()
+                      for gname, gtab in bco.functions.items()
+                      if composite(ftab, gtab) is None), None),
+                {"pairs": len(bco.functions) ** 2})
     return rep
 
 
@@ -184,28 +136,19 @@ def check_bco_morphism(m):
     """Searches the order-tracking witness and a tracker per source function."""
     rep = Report(m.name)
     src, dst, phi = m.source, m.target, m.mapping
-
-    u = next((uname for uname, utab in dst.functions.items()
-              if all(phi[a] in utab and dst.leq(utab[phi[a]], phi[b])
-                     for (a, b) in src.leq_pairs)),
-             None)
-    rep.add("morphism.order_tracking", PASS if u else FAIL,
-            witnesses={"u": u} if u else {},
-            counterexample=None if u else ("no order-tracking witness",))
-
+    rep.found("morphism.order_tracking", "u",
+              dst.tracker(dst.functions, dst.apply,
+                          [(phi[a], phi[b]) for (a, b) in src.leq_pairs]),
+              "no order-tracking witness")
     trackers = {}
-    bad = None
     for fname, ftab in src.functions.items():
-        g = next((gname for gname, gtab in dst.functions.items()
-                  if all(phi[a] in gtab and dst.leq(gtab[phi[a]], phi[ftab[a]])
-                         for a in ftab)),
-                 None)
-        if g is None:
-            bad = (fname,)
+        trackers[fname] = dst.tracker(dst.functions, dst.apply,
+                                      [(phi[a], phi[ftab[a]]) for a in ftab])
+        if trackers[fname] is None:
             break
-        trackers[fname] = g
-    rep.add("morphism.function_tracking", FAIL if bad else PASS,
-            witnesses={} if bad else {"trackers": trackers}, counterexample=bad)
+    rep.verdict("morphism.function_tracking",
+                next(((fname,) for fname, g in trackers.items() if g is None), None),
+                {"trackers": trackers})
     return rep
 
 
@@ -213,11 +156,8 @@ def morphism_leq(phi, psi, target):
     """First g in F_target with g(phi(a)) <= psi(a) for all a, else None."""
     phi_map = phi.mapping if isinstance(phi, BcoMorphism) else phi
     psi_map = psi.mapping if isinstance(psi, BcoMorphism) else psi
-    for gname, gtab in target.functions.items():
-        if all(phi_map[a] in gtab and target.leq(gtab[phi_map[a]], psi_map[a])
-               for a in phi_map):
-            return gname
-    return None
+    return target.tracker(target.functions, target.apply,
+                          [(phi_map[a], psi_map[a]) for a in phi_map])
 
 
 def product_bco(left, right):
@@ -239,42 +179,6 @@ def product_bco(left, right):
 # ---------------------------------------------------------------------------
 # Downsets
 # ---------------------------------------------------------------------------
-
-def downsets_of_poset(elements, leq, cap=1 << 16, what="downsets"):
-    """All downward closed subsets, generated along a linear extension.
-
-    Deterministic output order: by (size, element indexes).  Refuses with
-    CapExceeded once more than ``cap`` downsets appear.
-    """
-    elements = list(elements)
-    order = []
-    remaining = list(elements)
-    while remaining:  # linear extension (Kahn); tolerate broken antisymmetry
-        nxt = next((e for e in remaining
-                    if all(not leq(x, e) for x in remaining if x is not e and x != e)),
-                   remaining[0])
-        order.append(nxt)
-        remaining.remove(nxt)
-    below = {e: [x for x in order if x != e and leq(x, e)] for e in order}
-    out = []
-
-    def extend(i, current):
-        if i == len(order):
-            out.append(frozenset(current))
-            if len(out) > cap:
-                raise CapExceeded(what, len(out), cap)
-            return
-        e = order[i]
-        extend(i + 1, current)
-        if all(x in current for x in below[e]):
-            current.add(e)
-            extend(i + 1, current)
-            current.discard(e)
-
-    extend(0, set())
-    index = {e: i for i, e in enumerate(elements)}
-    return sorted(out, key=lambda d: (len(d), tuple(sorted(index[e] for e in d))))
-
 
 def downset_bco(bco, cap=1 << 16):
     """The downset BCO: inclusion order, one lifted function per f in F."""
@@ -328,24 +232,13 @@ def downset_opca(opca, cap=1 << 16):
     """
     if opca.filter is None:
         raise StructureError("downset_opca needs a filtered opca", source=opca.name)
-    downs = downsets_of_poset(opca.elements, opca.leq, cap=cap,
-                              what=f"downsets of {opca.name}")
+    downs = opca.downsets(cap=cap)
     leq = frozenset((a, b) for a in downs for b in downs if a <= b)
     table = {}
     for alpha in downs:
         for beta in downs:
-            prods = []
-            ok = True
-            for a in alpha:
-                for b in beta:
-                    ab = opca.app(a, b)
-                    if ab is None:
-                        ok = False
-                        break
-                    prods.append(ab)
-                if not ok:
-                    break
-            if ok:
+            prods = opca.products(alpha, beta)
+            if prods is not None:
                 table[(alpha, beta)] = opca.downward_closure(prods)
     filt = frozenset(alpha for alpha in downs if alpha & opca.filter)
     return FiniteOpca(
@@ -381,8 +274,7 @@ def _meet_candidates(bco, enumeration_cap):
             total = True
             for a in bco.elements:
                 for b in bco.elements:
-                    pa = host.app(p, a)
-                    pab = None if pa is None else host.app(pa, b)
+                    pab = host.app_app(p, a, b)
                     if pab is None:
                         total = False
                         break
@@ -391,18 +283,9 @@ def _meet_candidates(bco, enumeration_cap):
                     break
             if total:
                 candidates.append(("pairing", table))
-    meets = {}
-    for a in bco.elements:
-        for b in bco.elements:
-            lower = [x for x in bco.elements if bco.leq(x, a) and bco.leq(x, b)]
-            m = next((x for x in lower if all(bco.leq(y, x) for y in lower)), None)
-            if m is None:
-                meets = None
-                break
-            meets[(a, b)] = m
-        if meets is None:
-            break
-    if meets:
+    meets = {(a, b): bco.greatest(bco.down(a) & bco.down(b))
+             for a in bco.elements for b in bco.elements}
+    if None not in meets.values():
         candidates.append(("poset-meet", meets))
     n = len(bco.elements)
     if n ** (n * n) <= enumeration_cap:
@@ -428,31 +311,22 @@ def internal_meets_failure(bco, enumeration_cap=20000):
 
 
 def _internal_meets_impl(bco, enumeration_cap):
-    top = None
-    top_witness = None
-    for cand in bco.elements:
-        for gname, gtab in bco.functions.items():
-            if all(a in gtab and bco.leq(gtab[a], cand) for a in bco.elements):
-                top, top_witness = cand, gname
-                break
-        if top is not None:
-            break
-    if top is None:
+    found = find_top(bco)
+    if found is None:
         return None, "top"
+    top, top_witness = found
 
+    def witness(pairs):
+        return bco.tracker(bco.functions, bco.apply, pairs)
+
+    els = bco.elements
     prod = product_bco(bco, bco)
     for label, table in _meet_candidates(bco, enumeration_cap):
-        unit = next((gname for gname, gtab in bco.functions.items()
-                     if all(a in gtab and bco.leq(gtab[a], table[(a, a)])
-                            for a in bco.elements)), None)
+        unit = witness([(a, table[(a, a)]) for a in els])
         if unit is None:
             continue
-        g1 = next((gname for gname, gtab in bco.functions.items()
-                   if all(table[(a, b)] in gtab and bco.leq(gtab[table[(a, b)]], a)
-                          for a in bco.elements for b in bco.elements)), None)
-        g2 = next((gname for gname, gtab in bco.functions.items()
-                   if all(table[(a, b)] in gtab and bco.leq(gtab[table[(a, b)]], b)
-                          for a in bco.elements for b in bco.elements)), None)
+        g1 = witness([(table[(a, b)], a) for a in els for b in els])
+        g2 = witness([(table[(a, b)], b) for a in els for b in els])
         if g1 is None or g2 is None:
             continue
         morphism = BcoMorphism(prod, bco, {(a, b): table[(a, b)] for (a, b) in prod.elements},
@@ -468,9 +342,9 @@ def _internal_meets_impl(bco, enumeration_cap):
 def find_top(bco):
     """First element admitting a total g in F with g(a) <= it, with g."""
     for cand in bco.elements:
-        for gname, gtab in bco.functions.items():
-            if all(a in gtab and bco.leq(gtab[a], cand) for a in bco.elements):
-                return cand, gname
+        g = bco.tracker(bco.functions, bco.apply, [(a, cand) for a in bco.elements])
+        if g is not None:
+            return cand, g
     return None
 
 
@@ -486,20 +360,13 @@ def truth_values(bco, meets=None, top=None):
         if meets is None:
             raise StructureError("truth values need internal meets", source=bco.name)
         top = meets.top
-    tv = set()
-    for a in bco.elements:
-        for gname, gtab in bco.functions.items():
-            if top in gtab and bco.leq(gtab[top], a):
-                tv.add(a)
-                break
-    return frozenset(tv)
+    return frozenset(a for a in bco.elements
+                     if bco.tracker(bco.functions, bco.apply, [(top, a)]) is not None)
 
 
 def tv_least(bco, meets=None, top=None):
     """The least designated truth value under the carrier order, or None."""
-    tv = truth_values(bco, meets=meets, top=top)
-    return next((a for a in bco.ordered(tv)
-                 if all(bco.leq(a, b) for b in tv)), None)
+    return bco.least(truth_values(bco, meets=meets, top=top))
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +400,7 @@ def join_sup(opca):
     """sup as the poset least upper bound of each downset (the locale case)."""
     sup = {}
     for alpha in opca.downsets():
-        ub = [x for x in opca.elements
-              if all(opca.leq(a, x) for a in alpha)]
-        lub = next((x for x in ub if all(opca.leq(x, y) for y in ub)), None)
+        lub = opca.least([x for x in opca.elements if all(opca.leq(a, x) for a in alpha)])
         if lub is None:
             raise StructureError(f"no least upper bound for {sorted(map(str, alpha))}",
                                  source=opca.name)
@@ -552,94 +417,44 @@ def check_pseudo_d_algebra(alg, witnesses=None, cap=1 << 16):
     """
     host = alg.host
     rep = Report(alg.name)
-    downs = downsets_of_poset(host.elements, host.leq, cap=cap,
-                              what=f"downsets of {host.name}")
+    downs = host.downsets(cap=cap)
     filt = host.ordered(host.filter)
     witnesses = witnesses or {}
 
-    def candidates(key):
-        if key in witnesses:
-            return [witnesses[key]]
-        return filt
-
-    def app2(f, x, y):
-        fx = host.app(f, x)
-        return None if fx is None else host.app(fx, y)
+    def search(key, pairs):
+        return host.tracker([witnesses[key]] if key in witnesses else filt, host.app, pairs)
 
     # clause 1: u(sup alpha) <= sup alpha' for alpha <= alpha'
-    incl = [(a, b) for a in downs for b in downs if a <= b]
-    u = next((c for c in candidates("u")
-              if all(host.app(c, alg.value(a)) is not None
-                     and host.leq(host.app(c, alg.value(a)), alg.value(b))
-                     for (a, b) in incl)), None)
-    rep.add("sup.monotone_u", PASS if u is not None else FAIL,
-            witnesses={"u": u} if u is not None else {},
-            counterexample=None if u is not None else ("no uniform u",))
+    rep.found("sup.monotone_u", "u",
+              search("u", [(alg.value(a), alg.value(b))
+                           for a in downs for b in downs if a <= b]),
+              "no uniform u")
 
     # clause 2: per filter element f, g2(sup alpha) <= sup(down f[alpha])
     g2 = {}
-    bad = None
     for fel in filt:
-        pool = [witnesses["g2"][fel]] if "g2" in witnesses else filt
-        found = None
-        for c in pool:
-            ok = True
-            for alpha in downs:
-                if any(host.app(fel, x) is None for x in alpha):
-                    continue
-                target = alg.value(host.downward_closure(
-                    {host.app(fel, x) for x in alpha}))
-                got = host.app(c, alg.value(alpha))
-                if got is None or not host.leq(got, target):
-                    ok = False
-                    break
-            if ok:
-                found = c
-                break
-        if found is None:
-            bad = (fel,)
+        g2[fel] = host.tracker(
+            [witnesses["g2"][fel]] if "g2" in witnesses else filt, host.app,
+            [(alg.value(alpha), alg.value(host.downward_closure(prods))) for alpha in downs
+             if (prods := host.products((fel,), alpha)) is not None])
+        if g2[fel] is None:
             break
-        g2[fel] = found
-    rep.add("sup.image_g2", FAIL if bad else PASS,
-            witnesses={} if bad else {"g2": g2}, counterexample=bad)
+    rep.verdict("sup.image_g2", next(((fel,) for fel, c in g2.items() if c is None), None),
+                {"g2": g2})
 
     # clause 3: flattening both ways over families of downsets
-    dindex = {d: i for i, d in enumerate(downs)}
     families = downsets_of_poset(downs, lambda a, b: a <= b, cap=cap,
                                  what=f"double downsets of {host.name}")
-    pairs3 = []
-    for fam in families:
-        union = frozenset().union(*fam) if fam else frozenset()
-        nested = host.downward_closure({alg.value(a) for a in fam})
-        pairs3.append((alg.value(nested), alg.value(union)))
-    g3 = next((c for c in candidates("g3")
-               if all(host.app(c, x) is not None and host.leq(host.app(c, x), y)
-                      for (x, y) in pairs3)), None)
-    h3 = next((c for c in candidates("h3")
-               if all(host.app(c, y) is not None and host.leq(host.app(c, y), x)
-                      for (x, y) in pairs3)), None)
-    rep.add("sup.flatten_g3", PASS if g3 is not None else FAIL,
-            witnesses={"g3": g3} if g3 is not None else {},
-            counterexample=None if g3 is not None else ("no g3",))
-    rep.add("sup.flatten_h3", PASS if h3 is not None else FAIL,
-            witnesses={"h3": h3} if h3 is not None else {},
-            counterexample=None if h3 is not None else ("no h3",))
+    pairs3 = [(alg.value(host.downward_closure({alg.value(a) for a in fam})),
+               alg.value(frozenset().union(*fam)))
+              for fam in families]
+    rep.found("sup.flatten_g3", "g3", search("g3", pairs3), "no g3")
+    rep.found("sup.flatten_h3", "h3", search("h3", [(y, x) for (x, y) in pairs3]), "no h3")
 
     # clause 4: principal downsets collapse both ways
-    g4 = next((c for c in candidates("g4")
-               if all(host.app(c, alg.value(host.down(a))) is not None
-                      and host.leq(host.app(c, alg.value(host.down(a))), a)
-                      for a in host.elements)), None)
-    h4 = next((c for c in candidates("h4")
-               if all(host.app(c, a) is not None
-                      and host.leq(host.app(c, a), alg.value(host.down(a)))
-                      for a in host.elements)), None)
-    rep.add("sup.principal_g4", PASS if g4 is not None else FAIL,
-            witnesses={"g4": g4} if g4 is not None else {},
-            counterexample=None if g4 is not None else ("no g4",))
-    rep.add("sup.principal_h4", PASS if h4 is not None else FAIL,
-            witnesses={"h4": h4} if h4 is not None else {},
-            counterexample=None if h4 is not None else ("no h4",))
+    pairs4 = [(alg.value(host.down(a)), a) for a in host.elements]
+    rep.found("sup.principal_g4", "g4", search("g4", pairs4), "no g4")
+    rep.found("sup.principal_h4", "h4", search("h4", [(y, x) for (x, y) in pairs4]), "no h4")
     return rep
 
 
@@ -649,34 +464,16 @@ def check_star(alg, v=None, cap=1 << 16):
     Returns the first filter element that works (or verifies ``v``), else None.
     """
     host = alg.host
-    downs = downsets_of_poset(host.elements, host.leq, cap=cap,
-                              what=f"downsets of {host.name}")
     pool = [v] if v is not None else host.ordered(host.filter)
-
-    def works(cand):
-        for alpha in downs:
-            va = host.app(cand, alg.value(alpha))
-            for b in host.elements:
-                prods = []
-                defined = True
-                for a in alpha:
-                    ab = host.app(a, b)
-                    if ab is None:
-                        defined = False
-                        break
-                    prods.append(ab)
-                if not defined:
-                    continue
-                bounds = [c for c in host.elements
+    pairs = []
+    for alpha in host.downsets(cap=cap):
+        sup = alg.value(alpha)
+        for b in host.elements:
+            prods = host.products(alpha, (b,))
+            if prods is not None:
+                pairs += [((sup, b), c) for c in host.elements
                           if all(host.leq(p, c) for p in prods)]
-                if not bounds:
-                    continue
-                vab = None if va is None else host.app(va, b)
-                if vab is None or not all(host.leq(vab, c) for c in bounds):
-                    return False
-        return True
-
-    return next((cand for cand in pool if works(cand)), None)
+    return host.tracker(pool, lambda cand, xb: host.app_app(cand, *xb), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -693,16 +490,13 @@ def preserves_finite_meets(fmap, src_bco, dst_bco, src_meets=None, dst_meets=Non
     dst_meets = dst_meets or internal_meets(dst_bco)
     if src_meets is None or dst_meets is None:
         return None
-    g_top = next((g for g, gtab in dst_bco.functions.items()
-                  if dst_meets.top in gtab
-                  and dst_bco.leq(gtab[dst_meets.top], fmap[src_meets.top])), None)
+    g_top = dst_bco.tracker(dst_bco.functions, dst_bco.apply,
+                            [(dst_meets.top, fmap[src_meets.top])])
     if g_top is None:
         return None
-    g_bin = next((g for g, gtab in dst_bco.functions.items()
-                  if all(dst_meets.meet[(fmap[a], fmap[b])] in gtab
-                         and dst_bco.leq(gtab[dst_meets.meet[(fmap[a], fmap[b])]],
-                                         fmap[src_meets.meet[(a, b)]])
-                         for a in src_bco.elements for b in src_bco.elements)), None)
+    g_bin = dst_bco.tracker(dst_bco.functions, dst_bco.apply,
+                            [(dst_meets.meet[(fmap[a], fmap[b])], fmap[src_meets.meet[(a, b)]])
+                             for a in src_bco.elements for b in src_bco.elements])
     if g_bin is None:
         return None
     return {"top": g_top, "binary": g_bin}
@@ -722,38 +516,25 @@ def check_applicative_morphism(fmap, src, dst, crosscheck=True):
         if fmap.get(a) not in dst.element_set:
             raise StructureError(f"map not total / escapes target at {a!r}")
     rep = Report(f"{src.name}->{dst.name}")
-
-    bad = next(((a,) for a in src.ordered(src.filter)
-                if not any(dst.leq(b, fmap[a]) for b in dst.filter)), None)
-    rep.add("applicative.filter_up", FAIL if bad else PASS,
-            witnesses={} if bad else {
-                a: next(b for b in dst.ordered(dst.filter) if dst.leq(b, fmap[a]))
-                for a in src.ordered(src.filter)},
-            counterexample=bad)
-
-    def app2(f, x, y):
-        fx = dst.app(f, x)
-        return None if fx is None else dst.app(fx, y)
+    dst_filter = dst.ordered(dst.filter)
+    rep.verdict("applicative.filter_up",
+                next(((a,) for a in src.ordered(src.filter)
+                      if not any(dst.leq(b, fmap[a]) for b in dst.filter)), None),
+                {a: next((b for b in dst_filter if dst.leq(b, fmap[a])), None)
+                 for a in src.ordered(src.filter)})
 
     # Tracking is required over all defined applications, not only filter
     # functions: the appl=fpp and sup-characterization equivalences need r
     # at arbitrary first arguments (and fail otherwise, e.g. on M3 joins).
-    r = next((c for c in dst.ordered(dst.filter)
-              if all(app2(c, fmap[a1], fmap[a]) is not None
-                     and dst.leq(app2(c, fmap[a1], fmap[a]), fmap[src.app(a1, a)])
-                     for a1 in src.elements for a in src.elements
-                     if src.app(a1, a) is not None)), None)
-    rep.add("applicative.app_tracking", PASS if r is not None else FAIL,
-            witnesses={"r": r} if r is not None else {},
-            counterexample=None if r is not None else ("no tracking r",))
-
-    u = next((c for c in dst.ordered(dst.filter)
-              if all(dst.app(c, fmap[x]) is not None
-                     and dst.leq(dst.app(c, fmap[x]), fmap[y])
-                     for (x, y) in src.leq_pairs)), None)
-    rep.add("applicative.order_tracking", PASS if u is not None else FAIL,
-            witnesses={"u": u} if u is not None else {},
-            counterexample=None if u is not None else ("no order u",))
+    rep.found("applicative.app_tracking", "r",
+              dst.tracker(dst_filter, lambda c, xy: dst.app_app(c, *xy),
+                          [((fmap[a1], fmap[a]), fmap[a1a])
+                           for a1 in src.elements for a in src.elements
+                           if (a1a := src.app(a1, a)) is not None]),
+              "no tracking r")
+    rep.found("applicative.order_tracking", "u",
+              dst.tracker(dst_filter, dst.app, [(fmap[x], fmap[y]) for (x, y) in src.leq_pairs]),
+              "no order u")
 
     applicative_ok = rep.passed
     if not crosscheck:
@@ -763,14 +544,11 @@ def check_applicative_morphism(fmap, src, dst, crosscheck=True):
     morphism = BcoMorphism(src_bco, dst_bco, dict(fmap), name="fpp-view")
     bco_ok = check_bco_morphism(morphism).passed
     fpp = preserves_finite_meets(fmap, src_bco, dst_bco) if bco_ok else None
-    rep.add("crosscheck.bco_morphism", PASS if bco_ok else FAIL,
-            counterexample=None if bco_ok else ("not a bco morphism",))
-    rep.add("crosscheck.meet_preserving", PASS if fpp else FAIL,
-            witnesses=fpp or {},
-            counterexample=None if fpp else ("comparison not invertible",))
+    rep.verdict("crosscheck.bco_morphism", None if bco_ok else ("not a bco morphism",))
+    rep.found("crosscheck.meet_preserving", None, fpp, "comparison not invertible")
     agree = applicative_ok == (bco_ok and fpp is not None)
-    rep.add("crosscheck.appl_equals_fpp", PASS if agree else FAIL,
-            counterexample=None if agree else (applicative_ok, bco_ok, fpp is not None))
+    rep.verdict("crosscheck.appl_equals_fpp",
+                None if agree else (applicative_ok, bco_ok, fpp is not None))
     return rep
 
 
@@ -797,57 +575,33 @@ def check_density(fmap, src, dst):
     defined and m·f(a'·a) <= b'·f(a).  simple: (h, t) with t·f(h(b')) <= b'.
     The two families co-exist for applicative morphisms; ``agree`` reports it.
     """
-    def app2(f, x, y):
-        fx = dst.app(f, x)
-        return None if fx is None else dst.app(fx, y)
+    src_filter, dst_filter = src.ordered(src.filter), dst.ordered(dst.filter)
 
-    cd = None
-    for m in dst.ordered(dst.filter):
-        g = {}
-        ok = True
-        for bp in dst.ordered(dst.filter):
-            choice = None
-            for ap in src.ordered(src.filter):
-                good = True
-                for a in src.elements:
-                    bfa = dst.app(bp, fmap[a])
-                    if bfa is None:
-                        continue
-                    apa = src.app(ap, a)
-                    if apa is None:
-                        good = False
-                        break
-                    mfa = dst.app(m, fmap[apa])
-                    if mfa is None or not dst.leq(mfa, bfa):
-                        good = False
-                        break
-                if good:
-                    choice = ap
+    def cd_choice(m, bp):
+        return next((ap for ap in src_filter
+                     if all((apa := src.app(ap, a)) is not None
+                            and (mfa := dst.app(m, fmap[apa])) is not None
+                            and dst.leq(mfa, bfa)
+                            for a in src.elements
+                            if (bfa := dst.app(bp, fmap[a])) is not None)), None)
+
+    def family(choice):
+        """First m in the filter with a choice for every b', as (m, {b': a'})."""
+        for m in dst_filter:
+            chosen = {}
+            for bp in dst_filter:
+                chosen[bp] = choice(m, bp)
+                if chosen[bp] is None:
                     break
-            if choice is None:
-                ok = False
-                break
-            g[bp] = choice
-        if ok:
-            cd = (m, g)
-            break
+            else:
+                return m, chosen
+        return None
 
-    simple = None
-    for t in dst.ordered(dst.filter):
-        h = {}
-        ok = True
-        for bp in dst.ordered(dst.filter):
-            choice = next((ap for ap in src.ordered(src.filter)
-                           if dst.app(t, fmap[ap]) is not None
-                           and dst.leq(dst.app(t, fmap[ap]), bp)), None)
-            if choice is None:
-                ok = False
-                break
-            h[bp] = choice
-        if ok:
-            simple = (t, h)
-            break
-    return DensityWitnesses(cd=cd, simple=simple)
+    return DensityWitnesses(
+        cd=family(cd_choice),
+        simple=family(lambda t, bp: next(
+            (ap for ap in src_filter
+             if (tfa := dst.app(t, fmap[ap])) is not None and dst.leq(tfa, bp)), None)))
 
 
 def find_right_adjoint(fmap, src, dst):
@@ -903,82 +657,56 @@ def check_implicative(kit, mode="pre-implicative"):
     if mode not in ("pre-implicative", "ioca"):
         raise ValueError(mode)
 
+    els = host.elements
     if mode == "ioca":
-        bad = next(((a, b) for a in host.elements for b in host.elements
-                    if host.app(a, b) is None), None)
-        rep.add("ioca.total_application", FAIL if bad else PASS, counterexample=bad)
-        bad = None
-        for subset in _all_subsets(host.elements):
-            lower = [x for x in host.elements
-                     if all(host.leq(x, a) for a in subset)]
-            if not any(all(host.leq(y, x) for y in lower) for x in lower):
-                bad = (tuple(sorted(map(str, subset))),)
-                break
-        rep.add("ioca.poset_has_infima", FAIL if bad else PASS, counterexample=bad)
-        bad = next(((a, b, c) for a in host.elements for b in host.elements
-                    for c in host.elements
-                    if host.app(a, b) is not None
-                    and (host.leq(a, kit.imp_of(b, c)) != host.leq(host.app(a, b), c))),
-                   None)
-        rep.add("ioca.imp_adjunction", FAIL if bad else PASS, counterexample=bad)
+        rep.verdict("ioca.total_application",
+                    next(((a, b) for a in els for b in els if host.app(a, b) is None), None))
+        rep.verdict("ioca.poset_has_infima",
+                    next(((tuple(sorted(map(str, subset))),) for subset in _all_subsets(els)
+                          if host.greatest([x for x in els if all(host.leq(x, a) for a in subset)])
+                          is None), None))
+        rep.verdict("ioca.imp_adjunction",
+                    next(((a, b, c) for a in els for b in els for c in els
+                          if host.app(a, b) is not None
+                          and (host.leq(a, kit.imp_of(b, c)) != host.leq(host.app(a, b), c))),
+                         None))
         # antitone in the first argument, monotone in the second
-        bad = None
-        for a in host.elements:
-            for a2 in host.elements:
-                if not host.leq(a, a2):
-                    continue
-                for b in host.elements:
-                    if not host.leq(kit.imp_of(a2, b), kit.imp_of(a, b)) \
-                            or not host.leq(kit.imp_of(b, a), kit.imp_of(b, a2)):
-                        bad = (a, a2, b)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        rep.add("ioca.imp_variance", FAIL if bad else PASS, counterexample=bad)
+        rep.verdict("ioca.imp_variance",
+                    next(((a, a2, b) for a in els for a2 in els if host.leq(a, a2)
+                          for b in els
+                          if not host.leq(kit.imp_of(a2, b), kit.imp_of(a, b))
+                          or not host.leq(kit.imp_of(b, a), kit.imp_of(b, a2))), None))
 
-    bad = None
-    for subset in _all_subsets(host.elements):
+    def inf_failure(subset):
+        """(a,) when i·inf(subset) is not below some a in it, ("i'", b) when
+        i'·b is not below inf(subset) for a lower bound b, else None."""
         inf_v = kit.inf_of(subset)
-        for a in subset:
-            got = host.app(kit.i, inf_v)
-            if got is None or not host.leq(got, a):
-                bad = (tuple(sorted(map(str, subset))), a)
-                break
-        if bad:
-            break
-        for b in host.elements:
-            if all(host.leq(b, a) for a in subset):
-                got = host.app(kit.i_prime, b)
-                if got is None or not host.leq(got, inf_v):
-                    bad = (tuple(sorted(map(str, subset))), "i'", b)
-                    break
-        if bad:
-            break
-    rep.add("implicative.inf_witnessed", FAIL if bad else PASS, counterexample=bad)
+        got = host.app(kit.i, inf_v)
+        return next(((a,) for a in subset if got is None or not host.leq(got, a)), None) \
+            or next((("i'", b) for b in els
+                     if all(host.leq(b, a) for a in subset)
+                     and ((ib := host.app(kit.i_prime, b)) is None or not host.leq(ib, inf_v))),
+                    None)
 
-    bad = None
-    for a in host.elements:
-        for b in host.elements:
-            ab = host.app(a, b)
-            for c in host.elements:
-                if ab is not None and host.leq(ab, c):
-                    got = host.app(kit.e, a)
-                    if got is None or not host.leq(got, kit.imp_of(b, c)):
-                        bad = (a, b, c, "e")
-                        break
-                if host.leq(a, kit.imp_of(b, c)):
-                    ea = host.app(kit.e_prime, a)
-                    eab = None if ea is None else host.app(ea, b)
-                    if eab is None or not host.leq(eab, c):
-                        bad = (a, b, c, "e'")
-                        break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("implicative.imp_witnessed", FAIL if bad else PASS, counterexample=bad)
+    rep.verdict("implicative.inf_witnessed",
+                next(((tuple(sorted(map(str, subset))),) + bad for subset in _all_subsets(els)
+                      if (bad := inf_failure(subset)) is not None), None))
+
+    def imp_failure(a, b, c):
+        ab = host.app(a, b)
+        if ab is not None and host.leq(ab, c):
+            got = host.app(kit.e, a)
+            if got is None or not host.leq(got, kit.imp_of(b, c)):
+                return (a, b, c, "e")
+        if host.leq(a, kit.imp_of(b, c)):
+            eab = host.app_app(kit.e_prime, a, b)
+            if eab is None or not host.leq(eab, c):
+                return (a, b, c, "e'")
+        return None
+
+    rep.verdict("implicative.imp_witnessed",
+                next((bad for a in els for b in els for c in els
+                      if (bad := imp_failure(a, b, c)) is not None), None))
     return rep
 
 
@@ -1022,8 +750,7 @@ def sup_from_implication(kit, verify=True):
             outer.add(kit.imp_of(inner, b))
         return kit.inf_of(frozenset(outer))
 
-    downs = downsets_of_poset(host.elements, host.leq,
-                              what=f"downsets of {host.name}")
+    downs = host.downsets()
     sup = {alpha: sup_of(alpha) for alpha in downs}
 
     I, IP = Const(kit.i), Const(kit.i_prime)
@@ -1069,9 +796,7 @@ def sup_from_implication(kit, verify=True):
         failed = ", ".join(r.check for r in rep.failures)
         raise ConstructionError(f"derived sup breaks {failed}")
     star_ok = check_star(alg, v=star)
-    rep.add("sup.star", PASS if star_ok is not None else FAIL,
-            witnesses={"v": star} if star_ok is not None else {},
-            counterexample=None if star_ok is not None else ("derived v fails",))
+    rep.found("sup.star", "v", star_ok, "derived v fails")
     if verify and star_ok is None:
         raise ConstructionError("derived sup breaks the uniform bound condition")
     return DerivedSupAlgebra(algebra=alg, combinators=combinators,
@@ -1125,21 +850,13 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
     # (d) P turns a pointwise bound into a bound on the sup
     for f in host.elements:
         for alpha in downs:
-            prods = {}
-            defined = True
-            for a in alpha:
-                fa = host.app(f, a)
-                if fa is None:
-                    defined = False
-                    break
-                prods[a] = fa
-            if not defined:
+            prods = host.products((f,), alpha)
+            if prods is None:
                 continue
             for b in host.elements:
-                if not all(host.leq(v, b) for v in prods.values()):
+                if not all(host.leq(v, b) for v in prods):
                     continue
-                pf = host.app(P, f)
-                got = None if pf is None else host.app(pf, sup[alpha])
+                got = host.app_app(P, f, sup[alpha])
                 if got is None or not host.leq(got, b):
                     fail("d", (f, sorted(map(str, alpha)), b))
 

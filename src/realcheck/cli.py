@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from itertools import product
+from time import perf_counter
 
 from . import aks as aksmod
 from . import bco as bcomod
@@ -19,11 +19,10 @@ from . import tripos as triposmod
 from .errors import CapExceeded, ConstructionError, StructureError
 from .formats import load_aks, load_map, load_opca, save_aks
 from .opca import check_filter, check_opca_axioms
-from .report import FAIL, PASS, REFUSED, Report
+from .report import REFUSED, Report
 
 
-def _emit(report, fmt, t0):
-    report.elapsed_ms = (time.time() - t0) * 1000.0
+def _emit(report, fmt):
     if fmt == "machine":
         print(report.render_machine())
     else:
@@ -35,7 +34,6 @@ def _emit(report, fmt, t0):
 
 
 def _cmd_check_opca(args):
-    t0 = time.time()
     opca, _ = load_opca(args.file)
     rep = check_opca_axioms(opca, search_ks=args.search_ks)
     if opca.filter is not None:
@@ -49,77 +47,58 @@ def _cmd_check_opca(args):
             value = opca.eval(term)
         except ValueError as e:
             raise StructureError(str(e), source="--eval-term")
-        rep.add("term.value", PASS if value is not None else FAIL,
-                witnesses={"value": value} if value is not None else {},
-                counterexample=None if value is not None else ("undefined",),
-                detail=args.eval_term)
-    return _emit(rep, args.format, t0)
+        rep.found("term.value", "value", value, "undefined", detail=args.eval_term)
+    return rep
 
 
 def _cmd_check_bco(args):
-    t0 = time.time()
     from .formats import load_bco
-    return _emit(bcomod.check_bco(load_bco(args.file)), args.format, t0)
+    return bcomod.check_bco(load_bco(args.file))
 
 
 def _cmd_check_filter(args):
-    t0 = time.time()
     opca, _ = load_opca(args.file)
     subset = frozenset(args.subset) if args.subset else opca.filter
     if subset is None:
         raise StructureError("no filter in file and none given", source=args.file)
-    return _emit(check_filter(opca, subset), args.format, t0)
+    return check_filter(opca, subset)
 
 
 def _cmd_build_aks(args):
-    t0 = time.time()
     opca, _ = load_opca(args.file)
     U = frozenset(args.U) if args.U else opca.U
     built = aksmod.build_aks(opca, max_len=args.max_len, U=U)
     rep = aksmod.check_aks(built.aks)
     if args.out:
         save_aks(args.out, built.aks)
-        rep.add("aks.saved", PASS, witnesses={"path": args.out})
-    return _emit(rep, args.format, t0)
+        rep.verdict("aks.saved", witnesses={"path": args.out})
+    return rep
 
 
 def _cmd_check_aks(args):
-    t0 = time.time()
-    return _emit(aksmod.check_aks(load_aks(args.file)), args.format, t0)
+    return aksmod.check_aks(load_aks(args.file))
 
 
 def _cmd_check_order_ca(args):
-    t0 = time.time()
-    aks = load_aks(args.file)
-    _, rep = aksmod.check_order_ca(aks)
-    return _emit(rep, args.format, t0)
+    return aksmod.check_order_ca(load_aks(args.file))[1]
 
 
 def _cmd_check_localic(args):
-    t0 = time.time()
     opca, _ = load_opca(args.file)
     rep = Report(opca.name)
     witness = triposmod.localic_criterion(opca)
-    rep.add("localic.criterion", PASS if witness is not None else FAIL,
-            witnesses={"e": witness} if witness is not None else {},
-            counterexample=None if witness is not None else ("no uniform witness",))
+    rep.found("localic.criterion", "e", witness, "no uniform witness")
     built = aksmod.build_aks(opca, max_len=args.max_len)
     kr = aksmod.check_kr(built.aks)
-    rep.add("localic.kr", PASS if kr is not None else FAIL,
-            witnesses={"a": kr} if kr is not None else {},
-            counterexample=None if kr is not None else ("no quasi-proof satisfies it",))
+    rep.found("localic.kr", "a", kr, "no quasi-proof satisfies it")
     least = aksmod.tv_least_of_aks(built.aks)
-    rep.add("localic.tv_least", PASS if least is not None else FAIL,
-            witnesses={"least": least} if least is not None else {},
-            counterexample=None if least is not None else ("no least truth value",))
+    rep.found("localic.tv_least", "least", least, "no least truth value")
     agree = (witness is None) == (kr is None) == (least is None)
-    rep.add("localic.triangulation", PASS if agree else FAIL,
-            counterexample=None if agree else (witness, kr, least))
-    return _emit(rep, args.format, t0)
+    rep.verdict("localic.triangulation", None if agree else (witness, kr, least))
+    return rep
 
 
 def _cmd_check_density(args):
-    t0 = time.time()
     src, _ = load_opca(args.src)
     dst, _ = load_opca(args.dst)
     fmap = load_map(args.mapfile)
@@ -128,19 +107,16 @@ def _cmd_check_density(args):
             raise StructureError(f"map misses {a!r}", source=args.mapfile, field="map")
     rep = bcomod.check_applicative_morphism(fmap, src, dst)
     dens = bcomod.check_density(fmap, src, dst)
-    rep.add("density.cd_sk", PASS if dens.cd else FAIL,
-            witnesses={"m": dens.cd[0], "g": dens.cd[1]} if dens.cd else {},
-            counterexample=None if dens.cd else ("no (m, g) family",))
-    rep.add("density.simple", PASS if dens.simple else FAIL,
-            witnesses={"t": dens.simple[0], "h": dens.simple[1]} if dens.simple else {},
-            counterexample=None if dens.simple else ("no (h, t) family",))
-    rep.add("density.agreement", PASS if dens.agree else FAIL,
-            counterexample=None if dens.agree else (bool(dens.cd), bool(dens.simple)))
-    return _emit(rep, args.format, t0)
+    rep.found("density.cd_sk", None, dens.cd and {"m": dens.cd[0], "g": dens.cd[1]},
+              "no (m, g) family")
+    rep.found("density.simple", None, dens.simple and {"t": dens.simple[0], "h": dens.simple[1]},
+              "no (h, t) family")
+    rep.verdict("density.agreement",
+                None if dens.agree else (bool(dens.cd), bool(dens.simple)))
+    return rep
 
 
 def _cmd_check_tripos(args):
-    t0 = time.time()
     opca, sup = load_opca(args.file)
     rep = Report(opca.name)
     if opca.filter is None:
@@ -149,7 +125,7 @@ def _cmd_check_tripos(args):
     if sup is None:
         try:
             sup = bcomod.join_sup(opca)
-            rep.add("tripos.sup_source", PASS, witnesses={"derived": "poset joins"})
+            rep.verdict("tripos.sup_source", witnesses={"derived": "poset joins"})
         except StructureError:
             rep.add("tripos.sup_source", REFUSED,
                     detail="no sup table in file and poset joins incomplete")
@@ -159,18 +135,14 @@ def _cmd_check_tripos(args):
         alg_rep = bcomod.check_pseudo_d_algebra(alg)
         rep.extend(alg_rep)
         star = bcomod.check_star(alg)
-        rep.add("tripos.star", PASS if star is not None else FAIL,
-                witnesses={"v": star} if star is not None else {},
-                counterexample=None if star is not None else ("no uniform bound",))
+        rep.found("tripos.star", "v", star, "no uniform bound")
         DA = bcomod.downset_opca(opca)
         sup_map = {d: alg.value(d) for d in DA.elements}
         appl = bcomod.check_applicative_morphism(sup_map, DA, opca)
         appl_ok = bcomod.applicative_verdict(appl)
-        rep.add("tripos.sup_applicative", PASS if appl_ok else FAIL,
-                counterexample=None if appl_ok else ("sup not applicative",))
+        rep.verdict("tripos.sup_applicative", None if appl_ok else ("sup not applicative",))
         agree = appl_ok == (star is not None)
-        rep.add("tripos.star_equals_applicative", PASS if agree else FAIL,
-                counterexample=None if agree else (appl_ok, star))
+        rep.verdict("tripos.star_equals_applicative", None if agree else (appl_ok, star))
         if alg_rep.passed and star is not None:
             kit = bcomod.implication_from_sup(alg, report=alg_rep)
             kit_rep = bcomod.check_implicative(kit, mode="pre-implicative")
@@ -178,9 +150,9 @@ def _cmd_check_tripos(args):
             if kit_rep.passed:
                 try:
                     bcomod.sup_from_implication(kit)
-                    rep.add("tripos.roundtrip_sup", PASS)
+                    rep.verdict("tripos.roundtrip_sup")
                 except ConstructionError as e:
-                    rep.add("tripos.roundtrip_sup", FAIL, counterexample=(str(e),))
+                    rep.verdict("tripos.roundtrip_sup", (str(e),))
 
     if opca.U is not None:
         downs = opca.downsets()
@@ -192,19 +164,19 @@ def _cmd_check_tripos(args):
             index = tuple(f"i{n}" for n in range(size))
             preds = [triposmod.Predicate(index, dict(zip(index, vals)))
                      for vals in product(downs, repeat=size)]
-            bad = None
-            for phi in preds:
+
+            def unstable(phi):
                 notnot = phi.map_values(
                     lambda a: triposmod.arrow_U(triposmod.arrow_U(a, opca), opca))
                 fwd = triposmod.boolean_leq(phi, notnot, opca)
                 back = triposmod.boolean_leq(notnot, phi, opca)
-                if not (fwd.holds and back.holds):
-                    bad = tuple(sorted(map(str, phi(i))) for i in index)
-                    break
-            rep.add("tripos.booleanization", FAIL if bad else PASS,
-                    witnesses={} if bad else {"predicates": len(preds)},
-                    counterexample=bad)
-    return _emit(rep, args.format, t0)
+                return not (fwd.holds and back.holds)
+
+            rep.verdict("tripos.booleanization",
+                        next((tuple(sorted(map(str, phi(i))) for i in index)
+                              for phi in preds if unstable(phi)), None),
+                        {"predicates": len(preds)})
+    return rep
 
 
 def _parse_k2_elems(spec_str):
@@ -212,30 +184,23 @@ def _parse_k2_elems(spec_str):
 
 
 def _cmd_k2(args):
-    t0 = time.time()
     rep = Report("k2")
     if args.k2_command == "apply":
         alpha = k2mod.from_expr(args.alpha)
         beta = k2mod.from_expr(args.beta)
         value = k2mod.k2_apply(alpha, beta, args.n, args.fuel)
-        rep.add("k2.apply", PASS if value is not None else FAIL,
-                witnesses={"value": value} if value is not None else {},
-                counterexample=None if value is not None else ("undefined-at-fuel",),
-                detail=f"n={args.n} fuel={args.fuel}")
+        rep.found("k2.apply", "value", value, "undefined-at-fuel",
+                  detail=f"n={args.n} fuel={args.fuel}")
     elif args.k2_command == "tau":
         alpha = k2mod.from_expr(args.alpha)
         prefix = [int(x) for x in args.prefix.split(",") if x.strip() != ""]
         value = k2mod.tau_extract(alpha, prefix, args.nprime, args.j, args.fuel)
-        rep.add("k2.tau", PASS if value is not None else FAIL,
-                witnesses={"value": value} if value is not None else {},
-                counterexample=None if value is not None else ("undefined-at-fuel",))
+        rep.found("k2.tau", "value", value, "undefined-at-fuel")
     elif args.k2_command == "discrete":
         elems = _parse_k2_elems(args.elems)
         result = k2mod.is_discrete(elems, args.depth)
-        rep.add("k2.discrete", PASS if result.discrete else FAIL,
-                witnesses={"prefixes": result.prefixes} if result.discrete else {},
-                counterexample=result.witness)
-    return _emit(rep, args.format, t0)
+        rep.verdict("k2.discrete", result.witness, {"prefixes": result.prefixes})
+    return rep
 
 
 def build_parser():
@@ -322,14 +287,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = perf_counter()
     try:
-        return args.fn(args)
+        report = args.fn(args)
     except StructureError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except (ConstructionError, CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    report.elapsed_ms = (perf_counter() - start) * 1000.0
+    return _emit(report, args.format)
 
 
 if __name__ == "__main__":

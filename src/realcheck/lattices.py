@@ -4,7 +4,8 @@ A finite meet-semilattice with top is an opca: application is the meet,
 any element of the filter can serve as k and s.  These are the workhorse
 fixtures, so this module also enumerates all isomorphism types of lattices
 with up to a handful of elements (a finite meet-semilattice with top is
-automatically a lattice).
+automatically a lattice).  Meets and tops come from the poset core in
+``poset.py``.
 """
 
 from __future__ import annotations
@@ -13,41 +14,16 @@ from itertools import permutations
 
 from .errors import StructureError
 from .opca import FiniteOpca
+from .poset import Poset
 
 __all__ = [
-    "meet", "join", "semilattice_opca", "enumerate_lattices",
+    "semilattice_opca", "enumerate_lattices",
     "chain", "L2", "L3", "VEE", "DIAMOND", "M3", "N5",
 ]
 
 
-def _leq_closure(elements, pairs):
-    leq = {(a, a) for a in elements}
-    leq.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for c in elements:
-                if (b, c) in leq and (a, c) not in leq:
-                    leq.add((a, c))
-                    changed = True
-    return leq
-
-
-def meet(elements, leq, a, b):
-    lower = [x for x in elements if (x, a) in leq and (x, b) in leq]
-    for x in lower:
-        if all((y, x) in leq for y in lower):
-            return x
-    return None
-
-
-def join(elements, leq, a, b):
-    upper = [x for x in elements if (a, x) in leq and (b, x) in leq]
-    for x in upper:
-        if all((x, y) in leq for y in upper):
-            return x
-    return None
+def _meet(poset, a, b):
+    return poset.greatest(poset.down(a) & poset.down(b))
 
 
 def semilattice_opca(elements, cover_pairs, *, filter=None, U=None, name="semilattice"):
@@ -56,25 +32,23 @@ def semilattice_opca(elements, cover_pairs, *, filter=None, U=None, name="semila
     ``cover_pairs`` may be any generating relation; its reflexive-transitive
     closure must give every pair a meet.
     """
-    elements = tuple(elements)
-    leq = _leq_closure(elements, set(cover_pairs))
+    poset = Poset(tuple(elements), frozenset(cover_pairs))
     table = {}
-    for a in elements:
-        for b in elements:
-            m = meet(elements, leq, a, b)
-            if m is None:
+    for a in poset.elements:
+        for b in poset.elements:
+            table[(a, b)] = _meet(poset, a, b)
+            if table[(a, b)] is None:
                 raise StructureError(f"no meet for ({a!r},{b!r})", source=name)
-            table[(a, b)] = m
     if filter is None:
-        top = next((t for t in elements if all((x, t) in leq for x in elements)), None)
+        top = poset.greatest(poset.elements)
         if top is None:
             raise StructureError("no top element; pass an explicit filter", source=name)
         filter = frozenset((top,))
     else:
         filter = frozenset(filter)
-    ks = max(filter, key=lambda e: sum((x, e) in leq for x in elements))
+    ks = max(filter, key=lambda e: len(poset.down(e)))
     return FiniteOpca(
-        elements=elements, leq_pairs=frozenset(leq), table=table,
+        elements=poset.elements, leq_pairs=poset.leq_pairs, table=table,
         k=ks, s=ks, filter=filter,
         U=None if U is None else frozenset(U), name=name,
     )
@@ -141,11 +115,11 @@ def enumerate_lattices(max_n=5):
             if not _is_transitive(n, strict):
                 continue
             leq = [[i == j or strict[i][j] for j in range(n)] for i in range(n)]
-            els = list(range(n))
-            rel = {(i, j) for i in range(n) for j in range(n) if leq[i][j]}
-            if not all(meet(els, rel, a, b) is not None for a in els for b in els):
+            poset = Poset(tuple(range(n)),
+                          frozenset((i, j) for i in range(n) for j in range(n) if leq[i][j]))
+            if poset.greatest(poset.elements) is None:
                 continue
-            if not any(all(leq[x][t] for x in els) for t in els):
+            if any(_meet(poset, a, b) is None for a in range(n) for b in range(a + 1, n)):
                 continue
             key = _canonical(n, leq)
             if key in seen:

@@ -1,5 +1,9 @@
 """Finite ordered partial combinatory algebras.
 
+``FiniteOpca`` extends the poset core in ``poset.py`` (carrier checks, the
+closed order, downsets, least/greatest elements, the tracker search) with
+the application table and designated k/s.
+
 Carries the axiom checkers for the order/application laws and designated
 k/s, filter verification, the derived sequence/numeral coding machinery
 (pairing, case-analyzable numerals, and the list combinators used by the
@@ -8,11 +12,12 @@ Krivine-structure construction), and the Turing-style reducibility search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import ConstructionError, StructureError
-from .report import FAIL, PASS, Report
+from .poset import Poset
+from .report import Report
 from .terms import App, Const, K, S, Var, app, eval_in_opca, lam
 
 __all__ = [
@@ -21,101 +26,55 @@ __all__ = [
 ]
 
 
-def transitive_reflexive_closure(elements, pairs):
-    leq = {(a, a) for a in elements}
-    leq.update(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for (c, d) in list(leq):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
-    return frozenset(leq)
-
-
 @dataclass(frozen=True, eq=False)
-class FiniteOpca:
+class FiniteOpca(Poset):
     """Finite carrier, partial order, partial application table, designated k/s.
 
-    ``leq_pairs`` is closed reflexively/transitively at construction; the
-    table is a dict (a, b) -> c with absent entries meaning undefined.
-    ``filter`` and ``U`` are optional subsets.  Instances are immutable;
-    all operations on them are pure.
+    The carrier and its order come from ``Poset``: ``leq_pairs`` is closed
+    reflexively/transitively at construction.  The table is a dict
+    (a, b) -> c with absent entries meaning undefined.  ``filter`` and ``U``
+    are optional subsets.  Instances are immutable; all operations on them
+    are pure.
     """
 
-    elements: tuple
-    leq_pairs: frozenset
     table: dict
     k: object
     s: object
     filter: frozenset | None = None
     U: frozenset | None = None
     name: str = "opca"
-    element_set: frozenset = field(init=False)
-    _index: dict = field(init=False)
 
     def __post_init__(self):
-        element_set = frozenset(self.elements)
-        if len(self.elements) != len(element_set):
-            raise StructureError("duplicate carrier elements", source=self.name)
-        if not element_set:
+        super().__post_init__()
+        if not self.element_set:
             raise StructureError("empty carrier", source=self.name)
         for (a, b), c in self.table.items():
             for x in (a, b, c):
-                if x not in element_set:
+                if x not in self.element_set:
                     raise StructureError(f"app entry {x!r} outside carrier",
                                          source=self.name, field="app")
-        for (a, b) in self.leq_pairs:
-            if a not in element_set or b not in element_set:
-                raise StructureError(f"leq entry ({a!r},{b!r}) outside carrier",
-                                     source=self.name, field="leq")
         for which, v in (("k", self.k), ("s", self.s)):
-            if v not in element_set:
+            if v not in self.element_set:
                 raise StructureError(f"designated {which}={v!r} outside carrier",
                                      source=self.name, field=which)
         for fname, sub in (("filter", self.filter), ("U", self.U)):
-            if sub is not None and not sub <= element_set:
+            if sub is not None and not sub <= self.element_set:
                 raise StructureError("subset escapes carrier", source=self.name, field=fname)
         object.__setattr__(self, "table", dict(self.table))
-        object.__setattr__(self, "leq_pairs",
-                           transitive_reflexive_closure(self.elements, self.leq_pairs))
-        object.__setattr__(self, "element_set", element_set)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
-
-    # -- basic queries ----------------------------------------------------
-
-    def leq(self, a, b):
-        return (a, b) in self.leq_pairs
 
     def app(self, a, b):
         return self.table.get((a, b))
 
-    def index(self, a):
-        return self._index[a]
+    def app_app(self, a, b, c):
+        """(a·b)·c, or None when either application is undefined."""
+        ab = self.table.get((a, b))
+        return None if ab is None else self.table.get((ab, c))
 
-    def ordered(self, subset):
-        """Deterministic iteration order for a subset of the carrier."""
-        return sorted(subset, key=self._index.__getitem__)
-
-    def down(self, a):
-        return frozenset(b for b in self.elements if self.leq(b, a))
-
-    def downward_closure(self, subset):
-        return frozenset(b for b in self.elements
-                         if any(self.leq(b, a) for a in subset))
-
-    def is_downward_closed(self, subset):
-        return subset == self.downward_closure(subset)
-
-    def downsets(self):
-        """All downward closed subsets, smallest first (deterministic)."""
-        out = set()
-        for mask in range(1 << len(self.elements)):
-            seed = frozenset(e for i, e in enumerate(self.elements) if mask >> i & 1)
-            out.add(self.downward_closure(seed))
-        return sorted(out, key=lambda d: (len(d), tuple(self._index[e] for e in self.ordered(d))))
+    def products(self, left, right):
+        """Every a·b for a in ``left`` and b in ``right``, or None when one is
+        undefined."""
+        prods = [self.table.get((a, b)) for a in left for b in right]
+        return None if None in prods else prods
 
     def eval(self, term, env=None):
         return eval_in_opca(term, env, self)
@@ -142,32 +101,19 @@ def check_opca_axioms(opca, search_ks=False):
     rep = Report(opca.name)
     els = opca.elements
 
-    bad = next(((a,) for a in els if not opca.leq(a, a)), None)
-    rep.add("order.reflexive", FAIL if bad else PASS, counterexample=bad)
-    bad = next(((a, b) for a in els for b in els
-                if a != b and opca.leq(a, b) and opca.leq(b, a)), None)
-    rep.add("order.antisymmetric", FAIL if bad else PASS, counterexample=bad)
-    bad = next(((a, b, c) for a in els for b in els for c in els
-                if opca.leq(a, b) and opca.leq(b, c) and not opca.leq(a, c)), None)
-    rep.add("order.transitive", FAIL if bad else PASS, counterexample=bad)
-
-    bad = None
-    for (a, b), ab in opca.table.items():
-        for a2 in els:
-            if not opca.leq(a2, a):
-                continue
-            for b2 in els:
-                if not opca.leq(b2, b):
-                    continue
-                ab2 = opca.app(a2, b2)
-                if ab2 is None or not opca.leq(ab2, ab):
-                    bad = (a, b, a2, b2)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("app.downward_compatible", FAIL if bad else PASS, counterexample=bad)
+    rep.verdict("order.reflexive",
+                next(((a,) for a in els if not opca.leq(a, a)), None))
+    rep.verdict("order.antisymmetric",
+                next(((a, b) for a in els for b in els
+                      if a != b and opca.leq(a, b) and opca.leq(b, a)), None))
+    rep.verdict("order.transitive",
+                next(((a, b, c) for a in els for b in els for c in els
+                      if opca.leq(a, b) and opca.leq(b, c) and not opca.leq(a, c)), None))
+    rep.verdict("app.downward_compatible",
+                next(((a, b, a2, b2) for (a, b), ab in opca.table.items()
+                      for a2 in els if opca.leq(a2, a)
+                      for b2 in els if opca.leq(b2, b)
+                      if (ab2 := opca.app(a2, b2)) is None or not opca.leq(ab2, ab)), None))
 
     def k_law(k):
         for x in els:
@@ -202,17 +148,13 @@ def check_opca_axioms(opca, search_ks=False):
                         return (s, x, y, z)
         return None
 
-    bad = k_law(opca.k)
-    rep.add("k.law", FAIL if bad else PASS, counterexample=bad)
-    bad = s_law(opca.s)
-    rep.add("s.law", FAIL if bad else PASS, counterexample=bad)
-
+    rep.verdict("k.law", k_law(opca.k))
+    rep.verdict("s.law", s_law(opca.s))
     if search_ks:
-        found = next((((k, s)) for k in els for s in els
-                      if k_law(k) is None and s_law(s) is None), None)
-        rep.add("ks.search", PASS if found else FAIL,
-                witnesses={"k": found[0], "s": found[1]} if found else {},
-                counterexample=None if found else ("no (k,s) pair",))
+        rep.found("ks.search", None,
+                  next(({"k": k, "s": s} for k in els for s in els
+                        if k_law(k) is None and s_law(s) is None), None),
+                  "no (k,s) pair")
     return rep
 
 
@@ -222,14 +164,11 @@ def check_filter(opca, subset):
     subset = frozenset(subset)
     if not subset <= opca.element_set:
         raise StructureError("filter subset escapes carrier", source=opca.name, field="filter")
-    bad = next(((a, b, opca.app(a, b)) for a in opca.ordered(subset)
-                for b in opca.ordered(subset)
-                if opca.app(a, b) is not None and opca.app(a, b) not in subset), None)
-    rep.add("filter.app_closed", FAIL if bad else PASS, counterexample=bad)
-    rep.add("filter.has_k", PASS if opca.k in subset else FAIL,
-            counterexample=None if opca.k in subset else (opca.k,))
-    rep.add("filter.has_s", PASS if opca.s in subset else FAIL,
-            counterexample=None if opca.s in subset else (opca.s,))
+    rep.verdict("filter.app_closed",
+                next(((a, b, ab) for a in opca.ordered(subset) for b in opca.ordered(subset)
+                      if (ab := opca.app(a, b)) is not None and ab not in subset), None))
+    rep.verdict("filter.has_k", None if opca.k in subset else (opca.k,))
+    rep.verdict("filter.has_s", None if opca.s in subset else (opca.s,))
     return rep
 
 
@@ -390,8 +329,7 @@ def _verify_kit(kit):
         return code_cache[seq]
 
     def apply2(f, x, y, what):
-        fx = opca.app(f, x)
-        fxy = None if fx is None else opca.app(fx, y)
+        fxy = opca.app_app(f, x, y)
         if fxy is None:
             raise ConstructionError(f"{what} undefined")
         return fxy
@@ -431,8 +369,4 @@ def turing_leq(opca, a1, a2):
     """
     if opca.filter is None:
         raise StructureError("turing_leq needs a filtered opca", source=opca.name)
-    for b in opca.ordered(opca.filter):
-        ba2 = opca.app(b, a2)
-        if ba2 is not None and opca.leq(ba2, a1):
-            return b
-    return None
+    return opca.tracker(opca.ordered(opca.filter), opca.app, [(a2, a1)])

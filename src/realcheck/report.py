@@ -33,10 +33,10 @@ class CheckRecord:
     detail: str = ""
 
     def __post_init__(self):
-        # fail => counterexample present is the format invariant; a missing tuple
-        # still renders, but checkers are expected to supply one.
         if self.verdict not in (PASS, FAIL, REFUSED):
             raise ValueError(f"bad verdict {self.verdict!r}")
+        if self.verdict == FAIL and self.counterexample is None:
+            raise ValueError(f"{self.check}: a fail needs a counterexample")
 
     @property
     def passed(self):
@@ -48,7 +48,7 @@ class CheckRecord:
             "check": self.check,
             "verdict": self.verdict,
             "witnesses": _show(self.witnesses),
-            "counterexample": _show(self.counterexample) if self.counterexample else None,
+            "counterexample": _show(self.counterexample),
         }
         if self.detail:
             rec["detail"] = self.detail
@@ -70,11 +70,21 @@ class Report:
         )
         return self
 
-    def ok(self, check, **witnesses):
-        return self.add(check, PASS, witnesses=witnesses)
+    def verdict(self, check, counterexample=None, witnesses=None, detail=""):
+        """Record the outcome of a counterexample search: pass with
+        ``witnesses`` when ``counterexample`` is None, else fail with it."""
+        if counterexample is None:
+            return self.add(check, PASS, witnesses=witnesses, detail=detail)
+        return self.add(check, FAIL, counterexample=counterexample, detail=detail)
 
-    def fail(self, check, counterexample, detail=""):
-        return self.add(check, FAIL, counterexample=tuple(counterexample), detail=detail)
+    def found(self, check, name, value, missing, detail=""):
+        """Record the outcome of a witness search: pass with {name: value}
+        (or the dict ``value`` itself when ``name`` is None) when ``value``
+        is not None, else fail with the counterexample (missing,)."""
+        if value is None:
+            return self.verdict(check, (missing,), detail=detail)
+        return self.verdict(check, witnesses=value if name is None else {name: value},
+                            detail=detail)
 
     def extend(self, other):
         self.records.extend(other.records)
@@ -100,7 +110,7 @@ class Report:
             line = f"[{r.verdict:>7}] {r.subject} :: {r.check}"
             if r.witnesses:
                 line += f"  witnesses={_show(r.witnesses)}"
-            if r.counterexample:
+            if r.counterexample is not None:
                 line += f"  counterexample={_show(r.counterexample)}"
             if r.detail:
                 line += f"  ({r.detail})"

@@ -42,10 +42,7 @@ def predicate_leq(phi, psi, bco):
     """First function name f with f(phi(i)) defined and <= psi(i) for all i."""
     if phi.index != psi.index:
         raise StructureError("predicates over different index sets")
-    for fname, ftab in bco.functions.items():
-        if all(phi(i) in ftab and bco.leq(ftab[phi(i)], psi(i)) for i in phi.index):
-            return fname
-    return None
+    return bco.tracker(bco.functions, bco.apply, [(phi(i), psi(i)) for i in phi.index])
 
 
 def arrow_U(alpha, opca, U=None):

@@ -55,6 +55,13 @@ def test_missing_sub_identity_fails():
     assert check_bco(bco).record("bco.sub_identity").verdict == "fail"
 
 
+def test_witness_named_empty_string_counts():
+    bco = FiniteBco(elements=("x",), leq_pairs=frozenset(), functions={"": {"x": "x"}})
+    assert check_bco(bco).record("bco.sub_identity").witnesses == {"i": ""}
+    rep = check_bco_morphism(BcoMorphism(bco, bco, {"x": "x"}))
+    assert rep.passed and rep.record("morphism.order_tracking").witnesses == {"u": ""}
+
+
 def test_composition_closure_fails_when_composite_missing():
     # f maps both to 1, g maps both to 0: g∘f = const 0 needs some h <= it
     bco = FiniteBco(elements=("0", "1"), leq_pairs=frozenset({("0", "1")}),

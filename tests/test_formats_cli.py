@@ -201,3 +201,25 @@ def test_eval_term_flag(capsys):
     code, _, err = run(capsys, "check-opca", str(FIXTURES / "l3.json"),
                        "--eval-term", r"\x. y (")
     assert code == 2
+
+
+def test_check_bco_accepts_identity_named_empty_string(capsys, tmp_path):
+    path = write(tmp_path, "bco.json", {"elements": ["x"], "leq": [],
+                                        "functions": {"": [["x", "x"]]}})
+    code, out, _ = run(capsys, "--format", "machine", "check-bco", path)
+    records = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert code == 0
+    assert records["bco.sub_identity"]["witnesses"] == {"i": ""}
+
+
+def test_check_tripos_on_a_preorder(capsys, tmp_path):
+    # a and b are below each other and c below both; application is meet
+    rank = {"a": 1, "b": 1, "c": 0}
+    app = [[x, y, "c" if min(rank[x], rank[y]) == 0 else x] for x in rank for y in rank]
+    path = write(tmp_path, "cycle.json", {
+        "elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "a"], ["c", "a"]],
+        "app": app, "k": "a", "s": "a", "filter": ["a", "b"], "U": ["c"]})
+    code, out, err = run(capsys, "--format", "machine", "check-tripos", path)
+    assert code != 2, err
+    checks = {json.loads(line)["check"] for line in out.splitlines()}
+    assert {"tripos.sup_applicative", "tripos.booleanization"} <= checks

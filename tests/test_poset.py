@@ -1,0 +1,97 @@
+import pytest
+
+from realcheck.bco import FiniteBco, opca_to_bco
+from realcheck.errors import CapExceeded, StructureError
+from realcheck.formats import load_opca
+from realcheck.lattices import chain, enumerate_lattices
+from realcheck.opca import FiniteOpca
+from realcheck.poset import Poset, reflexive_transitive_closure
+
+from conftest import FIXTURES, STANDARD_OPCAS
+
+OPCA_FILES = ("diamond", "l2", "l3", "m3", "vee")
+
+# a ~ b form an order cycle, c sits below both, d is incomparable to all
+PREORDER = Poset(("a", "b", "c", "d"),
+                 frozenset({("a", "b"), ("b", "a"), ("c", "a")}))
+
+
+def brute_downsets(poset):
+    """Reference: every subset of the carrier by bitmask, kept when closed."""
+    els = poset.elements
+    out = []
+    for mask in range(1 << len(els)):
+        sub = frozenset(e for i, e in enumerate(els) if mask >> i & 1)
+        if all(b in sub for a in sub for b in els if (b, a) in poset.leq_pairs):
+            out.append(sub)
+    return sorted(out, key=lambda d: (len(d), sorted(els.index(e) for e in d)))
+
+
+def posets_under_test():
+    yield PREORDER
+    yield Poset(("x", "y", "z"), frozenset({("x", "y"), ("y", "z"), ("z", "x")}))
+    yield from STANDARD_OPCAS
+    for name in OPCA_FILES:
+        yield load_opca(FIXTURES / f"{name}.json")[0]
+    yield from enumerate_lattices(4)
+
+
+@pytest.mark.parametrize("poset", list(posets_under_test()),
+                         ids=lambda p: p.name if p.name != "poset" else str(p.elements))
+def test_downsets_match_brute_force(poset):
+    assert poset.downsets() == brute_downsets(poset)
+
+
+def test_preorder_downsets_keep_order_cycles():
+    got = PREORDER.downsets()
+    assert frozenset({"a", "b"}) not in got  # c is below a
+    assert frozenset({"a", "b", "c"}) in got
+    assert [set(d) for d in got[:3]] == [set(), {"c"}, {"d"}]
+    opca = FiniteOpca(elements=("a", "b", "c"),
+                      leq_pairs=frozenset({("a", "b"), ("b", "a")}),
+                      table={}, k="a", s="a")
+    assert opca.downsets() == [frozenset(), frozenset({"c"}), frozenset({"a", "b"}),
+                               frozenset({"a", "b", "c"})]
+
+
+def test_bco_and_opca_downsets_agree():
+    for opca in STANDARD_OPCAS:
+        assert opca_to_bco(opca).downsets() == opca.downsets()
+
+
+def test_opca_downsets_refuse_above_the_cap():
+    els = tuple(f"e{i}" for i in range(17))
+    antichain = FiniteOpca(elements=els, leq_pairs=frozenset(), table={}, k="e0", s="e0")
+    with pytest.raises(CapExceeded):
+        antichain.downsets()
+
+
+def test_closure_is_reflexive_and_transitive():
+    closed = reflexive_transitive_closure(("a", "b", "c", "d"),
+                                          {("a", "b"), ("b", "c"), ("c", "a")})
+    assert {(x, y) for x in "abc" for y in "abc"} <= closed
+    assert ("d", "d") in closed and not any(("d", x) in closed for x in "abc")
+    assert chain(5).leq("c0", "c4")
+
+
+def test_least_and_greatest_follow_carrier_order():
+    l3 = STANDARD_OPCAS[1]
+    assert l3.least(l3.element_set) == "0" and l3.greatest(l3.element_set) == "1"
+    assert PREORDER.greatest({"a", "b", "c"}) == "a"  # a and b tie; a comes first
+    assert PREORDER.least({"c", "d"}) is None
+
+
+def test_bco_gets_the_carrier_checks():
+    with pytest.raises(StructureError, match="duplicate"):
+        FiniteBco(elements=("x", "x"), leq_pairs=frozenset(), functions={})
+    with pytest.raises(StructureError, match="leq entry"):
+        FiniteBco(elements=("x",), leq_pairs=frozenset({("x", "y")}), functions={})
+
+
+def test_null_is_no_element():
+    # None is what app/apply return for an undefined application
+    with pytest.raises(StructureError, match="null"):
+        FiniteBco(elements=(None, "x"), leq_pairs=frozenset(),
+                  functions={"i": {None: None, "x": "x"}})
+    with pytest.raises(StructureError, match="null"):
+        FiniteOpca(elements=(None,), leq_pairs=frozenset(), table={}, k=None, s=None)
