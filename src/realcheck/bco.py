@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import ConstructionError, StructureError
-from .opca import FiniteOpca, skk_element
+from .opca import PAIR, FiniteOpca, skk_element
 from .poset import Poset, downsets_of_poset
 from .report import Report
 from .terms import Const, Var, app, lam
@@ -268,7 +268,7 @@ def _meet_candidates(bco, enumeration_cap):
     candidates = []
     host = bco.origin_opca
     if host is not None:
-        p = host.eval(lam("x y z", app(Var("z"), Var("x"), Var("y"))))
+        p = host.eval(PAIR)
         if p is not None:
             table = {}
             total = True
@@ -861,20 +861,23 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
                     fail("d", (f, sorted(map(str, alpha)), b))
 
 
-def implication_from_sup(alg, report=None):
+def implication_from_sup(alg, report=None, v=None):
     """Recover an implicative kit from a sup-algebra with the bound condition.
 
     imp(b,c) = sup of {a | a·b' defined and below c for all b' <= b};
     inf(alpha) = sup of the lower bounds of alpha.  The constants come from
     the clause witnesses: e = <x> u (h4 x), e' = the bound witness, i = the
     clause-2 witness for s·k·k (strengthened through g4∘u when the bare
-    witness does not verify), i' = e.
+    witness does not verify), i' = e.  A caller that already ran
+    ``check_pseudo_d_algebra`` or ``check_star`` hands over their results as
+    ``report`` and ``v`` instead of having them searched again.
     """
     host = alg.host
     rep = report if report is not None else check_pseudo_d_algebra(alg)
     if not rep.passed:
         raise ConstructionError("implication_from_sup needs a passing algebra")
-    v = check_star(alg)
+    if v is None:
+        v = check_star(alg)
     if v is None:
         raise ConstructionError("implication_from_sup needs the uniform bound witness")
 

@@ -22,6 +22,17 @@ from .opca import check_filter, check_opca_axioms
 from .report import REFUSED, Report
 
 
+def _non_negative_int(text):
+    """argparse type for counts and lengths: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _emit(report, fmt):
     if fmt == "machine":
         print(report.render_machine())
@@ -144,7 +155,7 @@ def _cmd_check_tripos(args):
         agree = appl_ok == (star is not None)
         rep.verdict("tripos.star_equals_applicative", None if agree else (appl_ok, star))
         if alg_rep.passed and star is not None:
-            kit = bcomod.implication_from_sup(alg, report=alg_rep)
+            kit = bcomod.implication_from_sup(alg, report=alg_rep, v=star)
             kit_rep = bcomod.check_implicative(kit, mode="pre-implicative")
             rep.extend(kit_rep)
             if kit_rep.passed:
@@ -231,7 +242,7 @@ def build_parser():
     p = sub.add_parser("build-aks", help="Krivine structure from a filtered opca + U")
     p.add_argument("file")
     p.add_argument("--U", nargs="*", help="downset elements (default: file's U)")
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--max-len", type=_non_negative_int, default=3)
     p.add_argument("--out", help="write the built structure to this file")
     p.set_defaults(fn=_cmd_build_aks)
 
@@ -246,14 +257,14 @@ def build_parser():
     p = sub.add_parser("check-tripos",
                        help="sup-algebra, pre-implicative, Booleanization suites")
     p.add_argument("file")
-    p.add_argument("--index-size", type=int, default=1)
+    p.add_argument("--index-size", type=_non_negative_int, default=1)
     p.add_argument("--predicate-cap", type=int, default=4096)
     p.set_defaults(fn=_cmd_check_tripos)
 
     p = sub.add_parser("check-localic",
                        help="localic criterion + least truth value + (Kr)")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--max-len", type=_non_negative_int, default=3)
     p.set_defaults(fn=_cmd_check_localic)
 
     p = sub.add_parser("check-density", help="computational density of a map")

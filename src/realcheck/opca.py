@@ -13,6 +13,7 @@ Krivine-structure construction), and the Turing-style reducibility search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import ConstructionError, StructureError
@@ -196,6 +197,16 @@ def skk_element(opca):
 #   (iv)  t a           <=  [a]
 # and all four evaluate into the filter.  Index-driven recursion is unrolled
 # to a fixed depth, which is why the kit takes max_len.
+#
+# These terms do not depend on the opca, so each is built once per process
+# (``numeral`` and ``_kit_terms`` keep the most recently used; terms are
+# immutable, so sharing them is safe).  A kit evaluates p, and each
+# numeral it needs, once; ``SequenceKit.seq_value`` then folds a code through
+# the application table instead of evaluating ``seq_term``.  The two agree
+# because ``eval_in_opca`` is strictly bottom-up: the value of App(M, N) is
+# val(M)·val(N), with M evaluated before N and the first undefined step (or
+# the first constant outside the carrier) ending the evaluation.  The fold
+# takes the same steps in the same order.
 
 PAIR = lam("x y z", app(Var("z"), Var("x"), Var("y")))
 FST = lam("t", app(Var("t"), lam("x y", Var("x"))))
@@ -207,6 +218,7 @@ PRED = lam("n", app(Var("n"), IDENT, ZERO))
 NIL = ZERO
 
 
+@lru_cache(maxsize=64)
 def numeral(n):
     # Built so that succ·(numeral n) weakly reduces to exactly numeral (n+1).
     t = ZERO
@@ -248,9 +260,29 @@ def seq_term(items):
     return app(PAIR, numeral(len(items)), payload)
 
 
+@lru_cache(maxsize=8)
+def _kit_terms(max_len):
+    """The closed terms b, c, d, t of a kit for sequences of length <= max_len."""
+    depth = max_len + 1
+    return (
+        lam("n l", app(_nth_recursor(depth), Var("n"), app(SND, Var("l")))),
+        lam("n l", app(PAIR,
+                       app(_minus_recursor(depth), app(FST, Var("l")), Var("n")),
+                       app(_drop_recursor(depth), Var("n"), app(SND, Var("l"))))),
+        lam("a l", app(PAIR,
+                       app(SUCC, app(FST, Var("l"))),
+                       app(PAIR, Var("a"), app(SND, Var("l"))))),
+        lam("a", app(PAIR, app(SUCC, ZERO), app(PAIR, Var("a"), NIL))),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SequenceKit:
-    """Closed k,s-terms for pairing, numerals, and sequence management."""
+    """Closed k,s-terms for pairing, numerals, and sequence management.
+
+    The value of PAIR in ``opca`` is evaluated once, at construction, and
+    the value of each numeral on first use; the kit keeps them.
+    """
 
     opca: FiniteOpca
     max_len: int
@@ -262,6 +294,16 @@ class SequenceKit:
     d: object
     t: object
 
+    def __post_init__(self):
+        object.__setattr__(self, "_pair", self.opca.eval(PAIR))
+        object.__setattr__(self, "_numerals", {})
+
+    def _numeral(self, n):
+        """Value of numeral(n) in the opca (None when undefined)."""
+        if n not in self._numerals:
+            self._numerals[n] = self.opca.eval(numeral(n))
+        return self._numerals[n]
+
     def numeral(self, n):
         return numeral(n)
 
@@ -269,13 +311,46 @@ class SequenceKit:
         return seq_term([Const(e) for e in elements])
 
     def seq_value(self, elements):
-        value = self.opca.eval(self.seq_term(elements))
+        items = tuple(elements)
+        value = self._fold(items)
         if value is None:
-            raise ConstructionError(f"sequence code for {list(elements)!r} undefined")
+            raise ConstructionError(f"sequence code for {list(items)!r} undefined")
         return value
 
+    def _fold(self, items):
+        """The value of ``seq_term(items)``: p·n·(p·a0·(…·(p·ak·nil))).
+
+        Takes the steps of ``eval_in_opca`` on that term in its order, so it
+        returns the same value, None at the same undefined step, or raises
+        the same ValueError for an item outside the carrier.
+        """
+        opca = self.opca
+        p = self._pair
+        if p is None:
+            return None
+        num = self._numeral(len(items))
+        if num is None:
+            return None
+        head = opca.app(p, num)
+        if head is None:
+            return None
+        heads = []
+        for e in items:
+            if e not in opca.element_set:
+                raise ValueError(f"constant {e!r} outside the carrier")
+            pe = opca.app(p, e)
+            if pe is None:
+                return None
+            heads.append(pe)
+        value = self._numeral(0)  # nil
+        for pe in reversed(heads):
+            if value is None:
+                return None
+            value = opca.app(pe, value)
+        return None if value is None else opca.app(head, value)
+
     def numeral_value(self, n):
-        value = self.opca.eval(numeral(n))
+        value = self._numeral(n)
         if value is None:
             raise ConstructionError(f"numeral {n} undefined")
         return value
@@ -295,19 +370,9 @@ def derive_sequence_kit(opca, max_len=3, verify=True):
     """
     if opca.filter is None:
         raise StructureError("sequence kit needs a filtered opca", source=opca.name)
-    depth = max_len + 1
-    kit = SequenceKit(
-        opca=opca, max_len=max_len,
-        p=PAIR, p0=FST, p1=SND,
-        b=lam("n l", app(_nth_recursor(depth), Var("n"), app(SND, Var("l")))),
-        c=lam("n l", app(PAIR,
-                         app(_minus_recursor(depth), app(FST, Var("l")), Var("n")),
-                         app(_drop_recursor(depth), Var("n"), app(SND, Var("l"))))),
-        d=lam("a l", app(PAIR,
-                         app(SUCC, app(FST, Var("l"))),
-                         app(PAIR, Var("a"), app(SND, Var("l"))))),
-        t=lam("a", app(PAIR, app(SUCC, ZERO), app(PAIR, Var("a"), NIL))),
-    )
+    b, c, d, t = _kit_terms(max_len)
+    kit = SequenceKit(opca=opca, max_len=max_len, p=PAIR, p0=FST, p1=SND,
+                      b=b, c=c, d=d, t=t)
     if verify:
         _verify_kit(kit)
     return kit

@@ -95,13 +95,26 @@ def bracket(name, body):
 
     <x>x = S·K·K; <x>M = K·M when x is not free in M;
     <x>(M·N) = S·(<x>M)·(<x>N) otherwise.  The result contains no
-    occurrence of ``name``.
+    occurrence of ``name``.  One bottom-up pass decides freeness and builds
+    the abstraction together, so the cost is linear in the size of ``body``
+    (testing ``free_vars`` at every level would make it quadratic).
     """
-    if name not in free_vars(body):
-        return App(K, body)
-    if isinstance(body, Var):  # body == Var(name) by the test above
-        return _SKK
-    return App(App(S, bracket(name, body.fn)), bracket(name, body.arg))
+    out = _abstract(name, body)
+    return App(K, body) if out is None else out
+
+
+def _abstract(name, body):
+    """<name>body, or None when ``name`` is not free in ``body``."""
+    if isinstance(body, Var):
+        return _SKK if body.name == name else None
+    if not isinstance(body, App):
+        return None
+    fn = _abstract(name, body.fn)
+    arg = _abstract(name, body.arg)
+    if fn is None and arg is None:
+        return None
+    return App(App(S, App(K, body.fn) if fn is None else fn),
+               App(K, body.arg) if arg is None else arg)
 
 
 def lam(names, body):
@@ -158,7 +171,10 @@ def eval_in_opca(term, env, opca):
     """Interpret a term bottom-up in ``opca``; None means undefined.
 
     Every free variable must be bound in ``env`` and every Const / env value
-    must lie in the carrier.  Undefined table entries propagate strictly.
+    must lie in the carrier.  Undefined table entries propagate strictly:
+    App(M, N) evaluates M, then N, and stops at the first None.  Callers may
+    rely on that order; ``SequenceKit.seq_value`` folds sequence codes
+    through the table step for step instead of evaluating ``seq_term``.
     """
     if isinstance(term, Var):
         if env is None or term.name not in env:

@@ -223,3 +223,44 @@ def test_check_tripos_on_a_preorder(capsys, tmp_path):
     assert code != 2, err
     checks = {json.loads(line)["check"] for line in out.splitlines()}
     assert {"tripos.sup_applicative", "tripos.booleanization"} <= checks
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-tripos", "l3.json", "--index-size", "-1"),
+    ("build-aks", "l3.json", "--max-len", "-1"),
+    ("check-localic", "l3.json", "--max-len", "-2"),
+])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    command, fixture, flag, value = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(FIXTURES / fixture), flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: must not be negative, got {value}" in err
+    assert "Traceback" not in err
+
+
+def test_non_integer_count_keeps_the_argparse_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build-aks", str(FIXTURES / "l3.json"), "--max-len", "x"])
+    assert exc.value.code == 2
+    assert "argument --max-len: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_check_tripos_searches_the_uniform_bound_once(capsys, monkeypatch):
+    # one unpinned search for tripos.star, one pinned re-check of the found
+    # witness in sup_from_implication; implication_from_sup reuses the first
+    from realcheck import bco
+
+    calls = []
+    original = bco.check_star
+
+    def counting(alg, v=None, **kw):
+        calls.append(v)
+        return original(alg, v=v, **kw)
+
+    monkeypatch.setattr(bco, "check_star", counting)
+    code, out, _ = run(capsys, "--format", "machine", "check-tripos",
+                       str(FIXTURES / "l3.json"))
+    assert code == 0 and "tripos.roundtrip_sup" in out
+    assert len(calls) == 2 and calls[0] is None and calls[1] is not None

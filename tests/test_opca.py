@@ -1,15 +1,20 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realcheck.errors import ConstructionError, StructureError
 from realcheck.lattices import DIAMOND, L2, L3, VEE, semilattice_opca
-from realcheck.opca import (FiniteOpca, check_filter, check_opca_axioms,
+from realcheck import opca as opcamod
+from realcheck.formats import load_opca
+from realcheck.opca import (FST, PAIR, SND, FiniteOpca, SequenceKit, _kit_terms,
+                            check_filter, check_opca_axioms,
                             derive_sequence_kit, numeral, seq_term,
                             skk_element, turing_leq)
 from realcheck.terms import Const, app, reduce_term
 
-from conftest import FUEL, STANDARD_OPCAS, read_numeral
+from conftest import FIXTURES, FUEL, STANDARD_OPCAS, read_numeral
 
 
 # -- axiom checks ------------------------------------------------------------
@@ -132,6 +137,80 @@ def test_prepend_clause_on_empty_sequence():
         da = L3.app(d, a)
         got = L3.app(da, empty)
         assert got is not None and L3.leq(got, kit.seq_value((a,)))
+
+
+# -- folded codes against the term route ----------------------------------------
+
+OUTSIDE = "zz"
+
+
+@st.composite
+def partial_opcas(draw):
+    """Any application table on 2-4 elements, total or partial; no axioms."""
+    els = tuple("abcd"[:draw(st.integers(min_value=2, max_value=4))])
+    values = els if draw(st.booleans()) else els + (None,)
+    table = {}
+    for a in els:
+        for b in els:
+            c = draw(st.sampled_from(values))
+            if c is not None:
+                table[(a, b)] = c
+    return FiniteOpca(elements=els, leq_pairs=frozenset(), table=table,
+                      k=draw(st.sampled_from(els)), s=draw(st.sampled_from(els)),
+                      name="random")
+
+
+def term_route(opca, term):
+    try:
+        value = opca.eval(term)
+    except ValueError as e:
+        return ("outside", str(e))
+    return ("undefined",) if value is None else ("value", value)
+
+
+def kit_route(call, *args):
+    try:
+        return ("value", call(*args))
+    except ConstructionError:
+        return ("undefined",)
+    except ValueError as e:
+        return ("outside", str(e))
+
+
+@given(partial_opcas(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_folded_codes_match_term_evaluation_on_any_table(opca, data):
+    # a kit built directly, so nothing is evaluated before the first call
+    kit = SequenceKit(opca, 3, PAIR, FST, SND, *_kit_terms(3))
+    items = st.sampled_from(opca.elements + (OUTSIDE,))
+    calls = data.draw(st.lists(
+        st.one_of(st.lists(items, max_size=4).map(tuple),
+                  st.integers(min_value=0, max_value=5)),
+        min_size=1, max_size=8))
+    for call in calls:
+        if isinstance(call, int):
+            assert kit_route(kit.numeral_value, call) == term_route(opca, numeral(call))
+        else:
+            assert kit_route(kit.seq_value, call) == term_route(opca, kit.seq_term(call))
+
+
+def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
+    opca, _ = load_opca(str(FIXTURES / "l3.json"))
+    kit = derive_sequence_kit(opca, max_len=3)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kw):
+            calls.append(fn.__name__)
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(opcamod, "lam", counting(opcamod.lam))
+    monkeypatch.setattr(opcamod, "eval_in_opca", counting(opcamod.eval_in_opca))
+    for length in range(4):
+        for seq in product(opca.elements, repeat=length):
+            kit.seq_value(seq)
+    assert calls == []
 
 
 # -- term-model spot checks ----------------------------------------------------

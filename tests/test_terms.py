@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realcheck.lattices import L2
-from realcheck.opca import FiniteOpca
+from realcheck.opca import PAIR, FiniteOpca, _kit_terms, derive_sequence_kit, numeral
 from realcheck.terms import (App, Const, Diverged, K, S, Var, app, bracket,
                              eval_in_opca, free_vars, lam, parse_term,
                              reduce_term, subst, term_str)
@@ -42,6 +42,46 @@ def test_two_variable_projection_reduces_to_first():
     # fuel-bounded reduction is the oracle here
     proj = lam("x y", Var("x"))
     assert reduce_term(app(proj, Const("a"), Const("b")), 100) == Const("a")
+
+
+def reference_bracket(name, body):
+    """The classic algorithm as first written: a free_vars test at every level."""
+    if name not in free_vars(body):
+        return App(K, body)
+    if isinstance(body, Var):
+        return I
+    return App(App(S, reference_bracket(name, body.fn)),
+               reference_bracket(name, body.arg))
+
+
+def reference_lam(names, body):
+    for name in reversed(names.split()):
+        body = reference_bracket(name, body)
+    return body
+
+
+THREE_VAR_LEAVES = CLOSED_LEAVES + [Var("x"), Var("y"), Var("z")]
+
+
+@given(terms_strategy(THREE_VAR_LEAVES, max_leaves=12))
+@settings(max_examples=300)
+def test_bracket_matches_the_reference_algorithm(body):
+    for name in ("x", "y", "z", "w"):
+        assert bracket(name, body) == reference_bracket(name, body)
+    for names in ("x", "y x", "x y z", "z w"):
+        assert lam(names, body) == reference_lam(names, body)
+
+
+def test_pairing_term_matches_the_reference_algorithm():
+    assert PAIR == reference_lam("x y z", app(Var("z"), Var("x"), Var("y")))
+
+
+def test_memoized_kit_terms_equal_fresh_ones():
+    for max_len in range(4):
+        kit = derive_sequence_kit(L2, max_len=max_len, verify=False)
+        assert (kit.b, kit.c, kit.d, kit.t) == _kit_terms.__wrapped__(max_len)
+    for n in range(6):
+        assert numeral(n) == numeral.__wrapped__(n)
 
 
 @given(terms_strategy(OPEN_LEAVES))
