@@ -18,7 +18,8 @@ from itertools import product
 
 from .bco import find_top, opca_to_bco, tv_least
 from .errors import CapExceeded, ConstructionError, StructureError
-from .opca import FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit
+from .opca import (FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit,
+                   k_law, s_law)
 from .report import Report
 from .terms import Const, Var, app, lam
 
@@ -52,18 +53,24 @@ class Aks:
         term_set, stack_set = frozenset(self.terms), frozenset(self.stacks)
         if not term_set or not stack_set:
             raise StructureError("aks needs nonempty terms and stacks", source=self.name)
-        for t in self.terms:
-            for s in self.terms:
-                if self.dot.get((t, s)) not in term_set:
-                    raise StructureError(f"dot not total at ({t!r},{s!r})",
-                                         source=self.name, field="dot")
-            for pi in self.stacks:
-                if self.push.get((t, pi)) not in stack_set:
-                    raise StructureError(f"push not total at ({t!r},{pi!r})",
-                                         source=self.name, field="push")
-        for pi in self.stacks:
-            if self.kof.get(pi) not in term_set:
-                raise StructureError(f"kOf not total at {pi!r}", source=self.name, field="kOf")
+        for where, names, unique in (("terms", self.terms, term_set),
+                                     ("stacks", self.stacks, stack_set)):
+            if len(names) != len(unique):
+                raise StructureError(f"duplicate {where}", source=self.name, field=where)
+        for where, table, keys, values in (
+                ("dot", self.dot, product(self.terms, self.terms), term_set),
+                ("push", self.push, product(self.terms, self.stacks), stack_set),
+                ("kOf", self.kof, self.stacks, term_set)):
+            keys = list(keys)
+            allowed = frozenset(keys)
+            stray = [key for key in table if key not in allowed]
+            if stray:
+                raise StructureError(f"{where} entry {stray[0]!r} outside carrier",
+                                     source=self.name, field=where)
+            gaps = [key for key in keys if table.get(key) not in values]
+            if gaps:
+                raise StructureError(f"{where} not total at {gaps[0]!r}",
+                                     source=self.name, field=where)
         for x, where in ((self.K, "K"), (self.S, "S"), (self.cc, "cc")):
             if x not in term_set:
                 raise StructureError("distinguished term outside carrier",
@@ -99,13 +106,9 @@ def orthogonal_terms(aks, stack_subset):
                      if all(aks.in_pole(t, pi) for pi in stack_subset))
 
 
-def biorthogonal_closure(aks, subset, sort="stacks"):
-    """Orthogonal twice; a closure operator on either sort."""
-    if sort == "stacks":
-        return orthogonal_stacks(aks, orthogonal_terms(aks, subset))
-    if sort == "terms":
-        return orthogonal_terms(aks, orthogonal_stacks(aks, subset))
-    raise ValueError(sort)
+def biorthogonal_closure(aks, subset):
+    """Orthogonal twice; a closure operator on stack sets."""
+    return orthogonal_stacks(aks, orthogonal_terms(aks, subset))
 
 
 def check_aks(aks):
@@ -166,6 +169,8 @@ def build_aks(opca, max_len=3, U=None, name=None):
     U = frozenset(U) if U is not None else opca.U
     if opca.filter is None or U is None:
         raise StructureError("build_aks needs a filter and a downset U", source=opca.name)
+    if not U <= opca.element_set:
+        raise StructureError("subset escapes carrier", source=opca.name, field="U")
     if not opca.is_downward_closed(U):
         raise StructureError("U is not downward closed", source=opca.name, field="U")
     if U & opca.filter:
@@ -258,7 +263,7 @@ def closed_stack_sets(aks, cap=1 << 12):
     out = set()
     for mask in range(1 << len(aks.stacks)):
         seed = frozenset(pi for i, pi in enumerate(aks.stacks) if mask >> i & 1)
-        out.add(biorthogonal_closure(aks, seed, sort="stacks"))
+        out.add(biorthogonal_closure(aks, seed))
     return sorted(out, key=lambda s: (len(s), tuple(sorted(index[pi] for pi in s))))
 
 
@@ -268,14 +273,14 @@ def aks_apply(aks, alpha, beta):
     tb = orthogonal_terms(aks, beta)
     base = frozenset(pi for pi in aks.stacks
                      if all(aks.in_pole(t, aks.app_push(s, pi)) for t in ta for s in tb))
-    return biorthogonal_closure(aks, base, sort="stacks")
+    return biorthogonal_closure(aks, base)
 
 
 def aks_imp(aks, alpha, beta):
     """alpha => beta: close {t.pi | t in |alpha|, pi in beta}."""
     ta = orthogonal_terms(aks, alpha)
     base = frozenset(aks.app_push(t, pi) for t in ta for pi in beta)
-    return biorthogonal_closure(aks, base, sort="stacks")
+    return biorthogonal_closure(aks, base)
 
 
 def cc_element(aks):
@@ -315,26 +320,14 @@ def order_ca(aks, cap=1 << 12):
             candidates.append(alpha)
     candidates.extend(alpha for alpha in carrier if alpha not in candidates)
 
-    def k_ok(k):
-        return all(table[(table[(k, a)], b)] >= a for a in carrier for b in carrier)
-
-    def s_ok(s):
-        for a in carrier:
-            for b in carrier:
-                sab = table[(table[(s, a)], b)]
-                for c in carrier:
-                    rhs = table[(table[(a, c)], table[(b, c)])]
-                    if not table[(sab, c)] >= rhs:
-                        return False
-        return True
-
-    k = next((cand for cand in candidates if k_ok(cand)), None)
-    s = next((cand for cand in candidates if s_ok(cand)), None)
+    # the laws do not read the designated k and s, so a draft carries any
+    draft = FiniteOpca(elements=tuple(carrier), leq_pairs=leq, table=table,
+                       k=carrier[0], s=carrier[0], filter=filt, name=f"P({aks.name})")
+    k = next((cand for cand in candidates if k_law(draft, cand) is None), None)
+    s = next((cand for cand in candidates if s_law(draft, cand) is None), None)
     if k is None or s is None:
         raise ConstructionError(f"no k/s pair for the order-ca of {aks.name}")
-    opca = FiniteOpca(elements=tuple(carrier), leq_pairs=leq, table=table,
-                      k=k, s=s, filter=filt, name=f"P({aks.name})")
-    return OrderCa(aks=aks, opca=opca)
+    return OrderCa(aks=aks, opca=draft.replace(k=k, s=s))
 
 
 def check_order_ca(aks, cap=1 << 12):

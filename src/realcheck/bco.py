@@ -66,14 +66,13 @@ class FiniteBco(Poset):
         return self.functions[fname].get(a)
 
 
-def opca_to_bco(opca, use_filter=True):
-    """BCO view: functions are b |-> a·b for a in the filter (or the carrier)."""
-    if use_filter and opca.filter is None:
+def opca_to_bco(opca):
+    """BCO view: functions are b |-> a·b for a in the filter."""
+    if opca.filter is None:
         raise StructureError("opca has no filter", source=opca.name)
-    indices = opca.ordered(opca.filter) if use_filter else list(opca.elements)
     functions = {}
     fn_element = {}
-    for a in indices:
+    for a in opca.ordered(opca.filter):
         table = {b: opca.app(a, b) for b in opca.elements if opca.app(a, b) is not None}
         fname = f"ap[{a}]"
         functions[fname] = table
@@ -259,7 +258,6 @@ class InternalMeets:
     meet: dict                  # (a, b) -> a /\ b
     unit_witness: str           # g(a) <= a /\ a
     counit_witnesses: tuple     # (g1, g2): g1(a /\ b) <= a, g2(a /\ b) <= b
-    morphism_ok: bool
 
 
 def _meet_candidates(bco, enumeration_cap):
@@ -334,8 +332,7 @@ def _internal_meets_impl(bco, enumeration_cap):
         if not check_bco_morphism(morphism).passed:
             continue
         return InternalMeets(top=top, top_witness=top_witness, meet=dict(table),
-                             unit_witness=unit, counit_witnesses=(g1, g2),
-                             morphism_ok=True), None
+                             unit_witness=unit, counit_witnesses=(g1, g2)), None
     return None, "meet"
 
 
@@ -480,14 +477,14 @@ def check_star(alg, v=None, cap=1 << 16):
 # Applicative morphisms, meet preservation, density
 # ---------------------------------------------------------------------------
 
-def preserves_finite_meets(fmap, src_bco, dst_bco, src_meets=None, dst_meets=None):
+def preserves_finite_meets(fmap, src_bco, dst_bco):
     """Witnesses that the comparison maps into f's image are invertible.
 
     Returns {"top": g, "binary": g'} or None; the lax directions hold for
     any BCO morphism, so only the two interesting inequalities are searched.
     """
-    src_meets = src_meets or internal_meets(src_bco)
-    dst_meets = dst_meets or internal_meets(dst_bco)
+    src_meets = internal_meets(src_bco)
+    dst_meets = internal_meets(dst_bco)
     if src_meets is None or dst_meets is None:
         return None
     g_top = dst_bco.tracker(dst_bco.functions, dst_bco.apply,
@@ -730,7 +727,7 @@ def _eval_or_fail(host, term, what):
     return value
 
 
-def sup_from_implication(kit, verify=True):
+def sup_from_implication(kit):
     """Build a sup map from witnessed infima and implication.
 
     sup alpha = inf over b of ((inf over a in alpha of (a => b)) => b).
@@ -769,8 +766,7 @@ def sup_from_implication(kit, verify=True):
         if el not in host.filter:
             raise ConstructionError(f"derived combinator {n} lands outside the filter")
 
-    if verify:
-        _verify_derivation_facts(kit, sup, combinators, downs)
+    _verify_derivation_facts(kit, sup, combinators, downs)
 
     g2_terms = {
         fel: _eval_or_fail(
@@ -792,12 +788,12 @@ def sup_from_implication(kit, verify=True):
 
     alg = PseudoDAlgebra(host=host, sup=sup, name=f"sup({kit.name})")
     rep = check_pseudo_d_algebra(alg, witnesses=witnesses)
-    if verify and not rep.passed:
+    if not rep.passed:
         failed = ", ".join(r.check for r in rep.failures)
         raise ConstructionError(f"derived sup breaks {failed}")
     star_ok = check_star(alg, v=star)
     rep.found("sup.star", "v", star_ok, "derived v fails")
-    if verify and star_ok is None:
+    if star_ok is None:
         raise ConstructionError("derived sup breaks the uniform bound condition")
     return DerivedSupAlgebra(algebra=alg, combinators=combinators,
                              witnesses=witnesses, star=star, report=rep)

@@ -33,6 +33,11 @@ def _non_negative_int(text):
     return value
 
 
+def _non_negative_ints(text):
+    """argparse type for a comma-separated list of ints >= 0, maybe empty."""
+    return [_non_negative_int(item) for item in text.split(",") if item.strip()]
+
+
 def _emit(report, fmt):
     if fmt == "machine":
         print(report.render_machine())
@@ -204,8 +209,7 @@ def _cmd_k2(args):
                   detail=f"n={args.n} fuel={args.fuel}")
     elif args.k2_command == "tau":
         alpha = k2mod.from_expr(args.alpha)
-        prefix = [int(x) for x in args.prefix.split(",") if x.strip() != ""]
-        value = k2mod.tau_extract(alpha, prefix, args.nprime, args.j, args.fuel)
+        value = k2mod.tau_extract(alpha, args.prefix, args.nprime, args.j, args.fuel)
         rep.found("k2.tau", "value", value, "undefined-at-fuel")
     elif args.k2_command == "discrete":
         elems = _parse_k2_elems(args.elems)
@@ -258,7 +262,7 @@ def build_parser():
                        help="sup-algebra, pre-implicative, Booleanization suites")
     p.add_argument("file")
     p.add_argument("--index-size", type=_non_negative_int, default=1)
-    p.add_argument("--predicate-cap", type=int, default=4096)
+    p.add_argument("--predicate-cap", type=_non_negative_int, default=4096)
     p.set_defaults(fn=_cmd_check_tripos)
 
     p = sub.add_parser("check-localic",
@@ -278,19 +282,20 @@ def build_parser():
     q = k2sub.add_parser("apply")
     q.add_argument("--alpha", required=True, help="generator expression")
     q.add_argument("--beta", required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--fuel", type=int, default=10**5)
+    q.add_argument("--n", type=_non_negative_int, required=True)
+    q.add_argument("--fuel", type=_non_negative_int, default=10**5)
     q.set_defaults(fn=_cmd_k2)
     q = k2sub.add_parser("tau")
     q.add_argument("--alpha", required=True)
-    q.add_argument("--prefix", required=True, help="comma-separated values")
-    q.add_argument("--nprime", type=int, required=True)
-    q.add_argument("--j", type=int, required=True)
-    q.add_argument("--fuel", type=int, default=8)
+    q.add_argument("--prefix", type=_non_negative_ints, required=True,
+                   help="comma-separated values")
+    q.add_argument("--nprime", type=_non_negative_int, required=True)
+    q.add_argument("--j", type=_non_negative_int, required=True)
+    q.add_argument("--fuel", type=_non_negative_int, default=8)
     q.set_defaults(fn=_cmd_k2)
     q = k2sub.add_parser("discrete")
     q.add_argument("--elems", required=True, help="semicolon-separated expressions")
-    q.add_argument("--depth", type=int, required=True)
+    q.add_argument("--depth", type=_non_negative_int, required=True)
     q.set_defaults(fn=_cmd_k2)
     return parser
 

@@ -1,10 +1,12 @@
 """Structure files: JSON with the field layout fixed per structure kind.
 
-Opca files carry elements, leq pairs (reflexive-transitive closure is
-computed on load), an application triple list, designated k and s, and
-optional filter / U / sup fields.  BCO files carry named function graphs;
-aks files carry the full tables.  Errors name the file, the line when the
-JSON itself is broken, and the offending field otherwise.
+Opca files carry elements, leq pairs (closed reflexively and transitively
+on load), an application triple list, designated k and s, and optional
+filter / U / sup fields.  BCO files carry named function graphs; aks files
+carry the full tables.  Loading checks JSON shape only (names are JSON
+strings, a table key given twice is an error); carrier membership is
+checked by the structure constructors, except for the sup table, which no
+constructor sees.  Errors name the file, and the line or the field.
 """
 
 from __future__ import annotations
@@ -21,156 +23,124 @@ __all__ = [
     "opca_to_dict", "aks_to_dict", "save_aks", "load_json",
 ]
 
+# A shape is str (a name: a JSON string), [shape] (a list), a tuple of
+# shapes (one row) or {str: shape} (an object whose values have the shape).
+NAMES = [str]
+PAIRS = [(str, str)]
+TRIPLES = [(str, str, str)]
+
 
 def load_json(path):
+    """The JSON object in ``path``, with no key given twice."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise StructureError("file not found", source=str(path))
+            data = json.load(fh, object_pairs_hook=lambda pairs: _table(pairs, path, None))
     except json.JSONDecodeError as e:
         raise StructureError(f"line {e.lineno}: {e.msg}", source=str(path))
+    except (OSError, UnicodeError, RecursionError) as e:
+        raise StructureError(f"cannot read the file ({type(e).__name__})", source=str(path))
+    if not isinstance(data, dict):
+        raise StructureError("expected a JSON object", source=str(path))
+    return data
 
 
-def _field(data, name, path, required=True, default=None):
-    if name not in data:
-        if required:
+def _fits(value, shape):
+    if shape is str:
+        return isinstance(value, str)
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_fits(v, shape[str]) for v in value.values())
+    return (isinstance(value, list) and len(value) == len(shape)
+            and all(_fits(v, s) for v, s in zip(value, shape)))
+
+
+def _describe(shape):
+    if isinstance(shape, list):
+        return f"[{_describe(shape[0])}, ...]"
+    if isinstance(shape, tuple):
+        return "[" + ", ".join(map(_describe, shape)) + "]"
+    return "name" if shape is str else f"{{name: {_describe(shape[str])}, ...}}"
+
+
+def _reader(data, path):
+    """``read(name, shape)``: the field, checked against ``shape``.  An
+    optional field that is absent or null reads as None."""
+
+    def read(name, shape, required=True):
+        if not required and data.get(name) is None:
+            return None
+        if name not in data:
             raise StructureError("missing field", source=str(path), field=name)
-        return default
-    return data[name]
+        if not _fits(data[name], shape):
+            raise StructureError(f"expected {_describe(shape)}, a name being a JSON string",
+                                 source=str(path), field=name)
+        return data[name]
+
+    return read
 
 
-def _pairs(raw, path, field):
-    try:
-        return [(a, b) for (a, b) in raw]
-    except (TypeError, ValueError):
-        raise StructureError("expected a list of pairs", source=str(path), field=field)
+def _table(rows, path, field):
+    """{key: value} from rows (*key, value); a key given twice is an error."""
+    table = {}
+    for *key, value in rows:
+        key = key[0] if len(key) == 1 else tuple(key)
+        if key in table:
+            raise StructureError(f"key {key!r} given twice", source=str(path), field=field)
+        table[key] = value
+    return table
 
 
-def _check_members(values, elements, path, field):
-    for v in values:
-        if v not in elements:
-            raise StructureError(f"unknown element {v!r}", source=str(path), field=field)
+def _poset_fields(read):
+    return {"elements": tuple(read("elements", NAMES)),
+            "leq_pairs": frozenset(map(tuple, read("leq", PAIRS, required=False) or ()))}
+
+
+def _subset(names):
+    return None if names is None else frozenset(names)
 
 
 def load_opca(path):
-    data = load_json(path)
-    elements = tuple(_field(data, "elements", path))
-    element_set = set(elements)
-    leq = _pairs(_field(data, "leq", path, required=False, default=[]), path, "leq")
-    for (a, b) in leq:
-        _check_members((a, b), element_set, path, "leq")
-    table = {}
-    for entry in _field(data, "app", path):
-        try:
-            a, b, c = entry
-        except (TypeError, ValueError):
-            raise StructureError("expected triples", source=str(path), field="app")
-        _check_members((a, b, c), element_set, path, "app")
-        table[(a, b)] = c
-    k = _field(data, "k", path)
-    s = _field(data, "s", path)
-    _check_members((k, s), element_set, path, "k/s")
-    filt = _field(data, "filter", path, required=False)
-    U = _field(data, "U", path, required=False)
-    for fname, sub in (("filter", filt), ("U", U)):
-        if sub is not None:
-            _check_members(sub, element_set, path, fname)
+    read = _reader(load_json(path), path)
     opca = FiniteOpca(
-        elements=elements, leq_pairs=frozenset(leq), table=table, k=k, s=s,
-        filter=None if filt is None else frozenset(filt),
-        U=None if U is None else frozenset(U), name=str(path))
-    sup_raw = _field(data, "sup", path, required=False)
-    sup = None
-    if sup_raw is not None:
-        sup = {}
-        for entry in sup_raw:
-            try:
-                downset, value = entry
-            except (TypeError, ValueError):
-                raise StructureError("expected [downset, element] pairs",
-                                     source=str(path), field="sup")
-            _check_members(list(downset) + [value], element_set, path, "sup")
-            sup[frozenset(downset)] = value
-    return opca, sup
+        **_poset_fields(read), table=_table(read("app", TRIPLES), path, "app"),
+        k=read("k", str), s=read("s", str),
+        filter=_subset(read("filter", NAMES, required=False)),
+        U=_subset(read("U", NAMES, required=False)), name=str(path))
+    rows = read("sup", [(NAMES, str)], required=False)
+    if rows is None:
+        return opca, None
+    sup = _table([(tuple(sorted(set(d))), v) for d, v in rows], path, "sup")
+    stray = [x for d, v in sup.items() for x in (*d, v) if x not in opca.element_set]
+    if stray:
+        raise StructureError(f"unknown element {stray[0]!r}", source=str(path), field="sup")
+    return opca, {frozenset(d): v for d, v in sup.items()}
 
 
 def load_bco(path):
-    data = load_json(path)
-    elements = tuple(_field(data, "elements", path))
-    element_set = set(elements)
-    leq = _pairs(_field(data, "leq", path, required=False, default=[]), path, "leq")
-    for (a, b) in leq:
-        _check_members((a, b), element_set, path, "leq")
-    functions = {}
-    raw_fns = _field(data, "functions", path)
-    if not isinstance(raw_fns, dict):
-        raise StructureError("expected name -> pair-list mapping",
-                             source=str(path), field="functions")
-    for fname, graph in raw_fns.items():
-        table = {}
-        for (a, b) in _pairs(graph, path, f"functions.{fname}"):
-            _check_members((a, b), element_set, path, f"functions.{fname}")
-            table[a] = b
-        functions[fname] = table
-    return FiniteBco(elements=elements, leq_pairs=frozenset(leq),
-                     functions=functions, name=str(path))
+    read = _reader(load_json(path), path)
+    functions = {fname: _table(graph, path, f"functions.{fname}")
+                 for fname, graph in read("functions", {str: PAIRS}).items()}
+    return FiniteBco(**_poset_fields(read), functions=functions, name=str(path))
 
 
 def load_aks(path):
-    data = load_json(path)
-    terms = tuple(_field(data, "terms", path))
-    stacks = tuple(_field(data, "stacks", path))
-    term_set, stack_set = set(terms), set(stacks)
-
-    def triple_table(field):
-        out = {}
-        for entry in _field(data, field, path):
-            try:
-                a, b, c = entry
-            except (TypeError, ValueError):
-                raise StructureError("expected triples", source=str(path), field=field)
-            out[(a, b)] = c
-        return out
-
-    dot = triple_table("dot")
-    push = triple_table("push")
-    kof = {}
-    for entry in _field(data, "kOf", path):
-        try:
-            pi, t = entry
-        except (TypeError, ValueError):
-            raise StructureError("expected pairs", source=str(path), field="kOf")
-        kof[pi] = t
-    pole = set()
-    for entry in _field(data, "pole", path):
-        try:
-            t, pi = entry
-        except (TypeError, ValueError):
-            raise StructureError("expected pairs", source=str(path), field="pole")
-        if t not in term_set or pi not in stack_set:
-            raise StructureError(f"unknown pole entry {entry!r}",
-                                 source=str(path), field="pole")
-        pole.add((t, pi))
-    qp = _field(data, "QP", path)
-    _check_members(qp, term_set, path, "QP")
-    try:
-        return Aks(terms=terms, stacks=stacks, dot=dot, push=push, kof=kof,
-                   K=_field(data, "K", path), S=_field(data, "S", path),
-                   cc=_field(data, "cc", path), qp=frozenset(qp),
-                   pole=frozenset(pole), name=str(path))
-    except StructureError:
-        raise
-    except Exception as e:  # totality violations raise StructureError already
-        raise StructureError(str(e), source=str(path))
+    read = _reader(load_json(path), path)
+    return Aks(terms=tuple(read("terms", NAMES)), stacks=tuple(read("stacks", NAMES)),
+               dot=_table(read("dot", TRIPLES), path, "dot"),
+               push=_table(read("push", TRIPLES), path, "push"),
+               kof=_table(read("kOf", PAIRS), path, "kOf"),
+               K=read("K", str), S=read("S", str), cc=read("cc", str),
+               qp=frozenset(read("QP", NAMES)),
+               pole=frozenset(map(tuple, read("pole", PAIRS))), name=str(path))
 
 
 def load_map(path):
     data = load_json(path)
-    raw = _field(data, "map", path)
-    if isinstance(raw, dict):
-        return dict(raw)
-    return {a: b for (a, b) in _pairs(raw, path, "map")}
+    read = _reader(data, path)
+    if isinstance(data.get("map"), dict):
+        return dict(read("map", {str: str}))
+    return _table(read("map", PAIRS), path, "map")
 
 
 def opca_to_dict(opca):

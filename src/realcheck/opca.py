@@ -22,7 +22,7 @@ from .report import Report
 from .terms import App, Const, K, S, Var, app, eval_in_opca, lam
 
 __all__ = [
-    "FiniteOpca", "check_opca_axioms", "check_filter",
+    "FiniteOpca", "k_law", "s_law", "check_opca_axioms", "check_filter",
     "SequenceKit", "derive_sequence_kit", "turing_leq", "skk_element",
 ]
 
@@ -91,6 +91,46 @@ class FiniteOpca(Poset):
 # Axiom checks
 # ---------------------------------------------------------------------------
 
+def k_law(opca, k):
+    """First counterexample to "k·x·y defined and <= x" for candidate k, else None."""
+    els = opca.elements
+    for x in els:
+        kx = opca.app(k, x)
+        if kx is None:
+            return (k, x)
+        for y in els:
+            kxy = opca.app(kx, y)
+            if kxy is None or not opca.leq(kxy, x):
+                return (k, x, y)
+    return None
+
+
+def s_law(opca, s):
+    """First counterexample to "s·x·y defined, and s·x·y·z defined and
+    <= (x·z)·(y·z) whenever the latter is" for candidate s, else None."""
+    els = opca.elements
+    for x in els:
+        sx = opca.app(s, x)
+        if sx is None:
+            return (s, x)
+        for y in els:
+            sxy = opca.app(sx, y)
+            if sxy is None:
+                return (s, x, y)
+            for z in els:
+                xz = opca.app(x, z)
+                yz = opca.app(y, z)
+                if xz is None or yz is None:
+                    continue
+                rhs = opca.app(xz, yz)
+                if rhs is None:
+                    continue
+                sxyz = opca.app(sxy, z)
+                if sxyz is None or not opca.leq(sxyz, rhs):
+                    return (s, x, y, z)
+    return None
+
+
 def check_opca_axioms(opca, search_ks=False):
     """Clause-by-clause verification; first counterexample per failed clause.
 
@@ -116,45 +156,12 @@ def check_opca_axioms(opca, search_ks=False):
                       for b2 in els if opca.leq(b2, b)
                       if (ab2 := opca.app(a2, b2)) is None or not opca.leq(ab2, ab)), None))
 
-    def k_law(k):
-        for x in els:
-            kx = opca.app(k, x)
-            if kx is None:
-                return (k, x)
-            for y in els:
-                kxy = opca.app(kx, y)
-                if kxy is None or not opca.leq(kxy, x):
-                    return (k, x, y)
-        return None
-
-    def s_law(s):
-        for x in els:
-            sx = opca.app(s, x)
-            if sx is None:
-                return (s, x)
-            for y in els:
-                sxy = opca.app(sx, y)
-                if sxy is None:
-                    return (s, x, y)
-                for z in els:
-                    xz = opca.app(x, z)
-                    yz = opca.app(y, z)
-                    if xz is None or yz is None:
-                        continue
-                    rhs = opca.app(xz, yz)
-                    if rhs is None:
-                        continue
-                    sxyz = opca.app(sxy, z)
-                    if sxyz is None or not opca.leq(sxyz, rhs):
-                        return (s, x, y, z)
-        return None
-
-    rep.verdict("k.law", k_law(opca.k))
-    rep.verdict("s.law", s_law(opca.s))
+    rep.verdict("k.law", k_law(opca, opca.k))
+    rep.verdict("s.law", s_law(opca, opca.s))
     if search_ks:
         rep.found("ks.search", None,
                   next(({"k": k, "s": s} for k in els for s in els
-                        if k_law(k) is None and s_law(s) is None), None),
+                        if k_law(opca, k) is None and s_law(opca, s) is None), None),
                   "no (k,s) pair")
     return rep
 

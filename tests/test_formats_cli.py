@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from realcheck.cli import main
 from realcheck.errors import StructureError
@@ -264,3 +266,199 @@ def test_check_tripos_searches_the_uniform_bound_once(capsys, monkeypatch):
                        str(FIXTURES / "l3.json"))
     assert code == 0 and "tripos.roundtrip_sup" in out
     assert len(calls) == 2 and calls[0] is None and calls[1] is not None
+
+
+# -- malformed inputs ----------------------------------------------------------------
+
+L2_PATH = str(FIXTURES / "l2.json")
+
+
+def variant(fixture, **changes):
+    data = json.loads((FIXTURES / fixture).read_text())
+    data.update(changes)
+    return data
+
+
+def appended(fixture, field, *rows):
+    data = json.loads((FIXTURES / fixture).read_text())
+    return variant(fixture, **{field: data[field] + list(rows)})
+
+
+AKS_TERM = variant("aks_mid0.json")["terms"][0]
+BCO = {"elements": ["a"], "leq": [], "functions": {"f": [["a", "a"]]}}
+
+# (argv with "FILE" standing for the written payload, payload, field named)
+MALFORMED = {
+    "elements-as-string": (["check-opca", "FILE"], variant("l2.json", elements="ab"),
+                           "elements"),
+    "element-list-name": (["check-opca", "FILE"],
+                          variant("l2.json", elements=["0", "1", ["x"]]), "elements"),
+    "element-int-name": (["check-opca", "FILE"], variant("l2.json", elements=[1, "1"]),
+                         "elements"),
+    "k-as-list": (["check-opca", "FILE"], variant("l2.json", k=["1"]), "k"),
+    "sup-int-downset": (["check-opca", "FILE"], variant("l2.json", sup=[[5, "1"]]), "sup"),
+    "sup-int-downset-tripos": (["check-tripos", "FILE"], variant("l2.json", sup=[[5, "1"]]),
+                               "sup"),
+    "sup-string-downset": (["check-opca", "FILE"], variant("l2.json", sup=[["1", "1"]]),
+                           "sup"),
+    "sup-unknown-element": (["check-opca", "FILE"], variant("l2.json", sup=[[["zz"], "1"]]),
+                            "sup"),
+    "sup-downset-twice": (["check-tripos", "FILE"],
+                          variant("l2.json", sup=[[["0", "1"], "1"], [["1", "0"], "0"]]),
+                          "sup"),
+    "pole-list-stack": (["check-aks", "FILE"],
+                        variant("aks_mid0.json", pole=[[AKS_TERM, ["p0"]]]), "pole"),
+    "bco-list-value": (["check-bco", "FILE"],
+                       dict(BCO, functions={"f": [["a", ["a"]]]}), "functions"),
+    "bco-key-twice": (["check-bco", "FILE"],
+                      dict(BCO, functions={"f": [["a", "a"], ["a", "a"]]}), "functions.f"),
+    "map-list-value": (["check-density", L2_PATH, L2_PATH, "FILE"], {"map": {"0": ["1"]}},
+                       "map"),
+    "map-key-twice": (["check-density", L2_PATH, L2_PATH, "FILE"],
+                      {"map": [["0", "0"], ["1", "1"], ["0", "1"]]}, "map"),
+    "app-key-twice": (["check-opca", "FILE"],
+                      appended("l2.json", "app", ["1", "1", "0"]), "app"),
+    "top-level-string": (["check-opca", "FILE"], "elements", None),
+    "top-level-number": (["check-opca", "FILE"], 5, None),
+    "leq-as-string": (["check-opca", "FILE"], variant("l2.json", leq="01"), "leq"),
+    "app-as-string": (["check-opca", "FILE"], variant("l2.json", app="001"), "app"),
+    "aks-dot-outside-carrier": (["check-aks", "FILE"],
+                                appended("aks_mid0.json", "dot", ["zz", AKS_TERM, AKS_TERM]),
+                                "dot"),
+    "aks-kof-outside-carrier": (["check-aks", "FILE"],
+                                appended("aks_mid0.json", "kOf", ["nowhere", AKS_TERM]),
+                                "kOf"),
+    "aks-term-twice": (["check-aks", "FILE"], appended("aks_mid0.json", "terms", AKS_TERM),
+                       "terms"),
+    "build-aks-U-outside-carrier": (["build-aks", str(FIXTURES / "l3.json"), "--U", "zz"],
+                                    None, "U"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two_naming_file_and_field(capsys, tmp_path, case):
+    argv, payload, field = MALFORMED[case]
+    path = argv[1] if payload is None else write(tmp_path, "input.json", payload)
+    code, out, err = run(capsys, *(path if a == "FILE" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {path}: "), err
+    if field is not None:
+        assert f"field {field!r}" in err, err
+    if case == "build-aks-U-outside-carrier":
+        assert "subset escapes carrier" in err
+
+
+def test_duplicate_json_object_key_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text('{"map": {"0": "0", "1": "1", "0": "1"}}')
+    code, _, err = run(capsys, "check-density", L2_PATH, L2_PATH, str(path))
+    assert code == 2 and "key '0' given twice" in err
+
+
+def test_unreadable_files_are_input_errors(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"elements": ' + "[" * 100000 + "]" * 100000 + "}")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"elements": ["\xe9"]}')
+    for path in (deep, latin, tmp_path):
+        code, _, err = run(capsys, "check-opca", str(path))
+        assert code == 2 and err.startswith(f"input error: {path}: cannot read the file")
+
+
+def test_optional_null_fields_read_as_absent(tmp_path):
+    payload = variant("l2.json", leq=None, filter=None, U=None, sup=None)
+    opca, sup = load_opca(write(tmp_path, "nulls.json", payload))
+    assert opca.filter is None and opca.U is None and sup is None
+    assert opca.leq_pairs == {("0", "0"), ("1", "1")}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["k2", "tau", "--alpha", "0", "--prefix", "a,b", "--nprime", "1", "--j", "0",
+      "--fuel", "2"], "--prefix"),
+    (["k2", "tau", "--alpha", "0", "--prefix", "1,-2", "--nprime", "1", "--j", "0",
+      "--fuel", "1"], "--prefix"),
+    (["k2", "apply", "--alpha", "1", "--beta", "n", "--n", "-1", "--fuel", "3"], "--n"),
+    (["k2", "apply", "--alpha", "1", "--beta", "n", "--n", "0", "--fuel", "-1"], "--fuel"),
+    (["k2", "tau", "--alpha", "0", "--prefix", "1", "--nprime", "-1", "--j", "0",
+      "--fuel", "1"], "--nprime"),
+    (["k2", "tau", "--alpha", "0", "--prefix", "1", "--nprime", "0", "--j", "-3",
+      "--fuel", "1"], "--j"),
+    (["k2", "discrete", "--elems", "n", "--depth", "-1"], "--depth"),
+    (["check-tripos", L2_PATH, "--predicate-cap", "-5"], "--predicate-cap"),
+])
+def test_k2_and_cap_integers_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in err and "Traceback" not in err
+
+
+def test_k2_tau_takes_an_empty_prefix(capsys):
+    code, _, err = run(capsys, "k2", "tau", "--alpha", "0", "--prefix", "", "--nprime", "0",
+                       "--j", "0", "--fuel", "1")
+    assert code == 2 and "prefix length 0 != nprime+1 = 1" in err
+
+
+# -- fuzzing: any document or argv ends in exit 0, 1 or 2 --------------------------
+
+NAMES = ["0", "1", "m", "t0", "t1", "p0", "zz", ""]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(NAMES),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(NAMES), inner, max_size=3)),
+    max_leaves=10)
+
+FUZZED_FILES = [
+    (["check-opca", "FILE"], variant(f"{name}.json"), ["sup"])
+    for name in ("l2", "l3", "m3", "diamond", "vee")
+] + [
+    (["check-aks", "FILE"], variant(f"{name}.json"), [])
+    for name in ("aks_broken", "aks_mid0", "aks_mid1", "aks_point_empty", "aks_point_full")
+] + [
+    (["check-density", L2_PATH, L2_PATH, "FILE"], variant("l2_identity.map.json"), []),
+    (["check-bco", "FILE"], BCO, []),
+]
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse usage errors
+        return e.code
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(FUZZED_FILES), data=st.data())
+def test_fuzzed_structure_files_exit_zero_one_or_two(capsys, tmp_path, case, data):
+    argv, payload, extra = case
+    field = data.draw(st.sampled_from(sorted(payload) + extra))
+    payload = dict(payload)
+    if data.draw(st.booleans()):
+        payload[field] = data.draw(json_values)
+    else:
+        payload.pop(field, None)
+    path = write(tmp_path, "fuzzed.json", payload)
+    assert exit_code([path if a == "FILE" else a for a in argv]) in (0, 1, 2)
+    capsys.readouterr()
+
+
+K2_VALUES = ["0", "1", "2", "-1", "x", "", "1,2", "0,,3", "n", "n+1", "eq(n,1)", "(", "n*2"]
+K2_FLAGS = {"apply": ("--alpha", "--beta", "--n"),
+            "tau": ("--alpha", "--prefix", "--nprime", "--j"),
+            "discrete": ("--elems", "--depth")}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sub=st.sampled_from(sorted(K2_FLAGS)), data=st.data())
+def test_fuzzed_k2_argv_exits_zero_one_or_two(capsys, sub, data):
+    argv = ["k2", sub]
+    for flag in K2_FLAGS[sub]:
+        if data.draw(st.integers(0, 9)):  # mostly present
+            argv += [flag, data.draw(st.sampled_from(K2_VALUES))]
+    if sub != "discrete":  # the default fuel is far too large for a test
+        argv += ["--fuel", data.draw(st.sampled_from(["0", "1", "2", "-1", "x"]))]
+    assert exit_code(argv) in (0, 1, 2)
+    capsys.readouterr()
