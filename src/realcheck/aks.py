@@ -176,15 +176,17 @@ def build_aks(opca, max_len=3, U=None, name=None):
     if U & opca.filter:
         raise StructureError("U meets the filter", source=opca.name, field="U")
 
+    # b, c, d and the sequence codes are the kit's: evaluated and verified once
     kit = derive_sequence_kit(opca, max_len=max_len)
     b_el = kit.element(kit.b)
     c_el = kit.element(kit.c)
     d_el = kit.element(kit.d)
 
-    def apply_or_die(f, x, what):
+    def apply_or_die(f, x, what, *args):
+        """f·x; ``what`` is formatted with ``args`` only when it is undefined."""
         out = opca.app(f, x)
         if out is None:
-            raise ConstructionError(f"{what} undefined during aks construction")
+            raise ConstructionError(f"{what.format(*args)} undefined during aks construction")
         return out
 
     # stacks: values of short codes, then closed under push = d-application
@@ -197,8 +199,8 @@ def build_aks(opca, max_len=3, U=None, name=None):
     while frontier:
         pi = frontier.pop()
         for a in opca.elements:
-            da = apply_or_die(d_el, a, f"d·{a}")
-            v = apply_or_die(da, pi, f"d·{a}·{pi}")
+            da = apply_or_die(d_el, a, "d·{}", a)
+            v = apply_or_die(da, pi, "d·{}·{}", a, pi)
             if v not in canonical:
                 canonical[v] = (a,) + canonical[pi]
                 frontier.append(v)
@@ -233,15 +235,15 @@ def build_aks(opca, max_len=3, U=None, name=None):
 
     dot = {}
     for t in opca.elements:
-        dt = apply_or_die(dot_el, t, f"dot·{t}")
+        dt = apply_or_die(dot_el, t, "dot·{}", t)
         for s in opca.elements:
-            dot[(t, s)] = apply_or_die(dt, s, f"dot·{t}·{s}")
+            dot[(t, s)] = apply_or_die(dt, s, "dot·{}·{}", t, s)
     push = {}
     for t in opca.elements:
-        dt = apply_or_die(d_el, t, f"d·{t}")
+        dt = apply_or_die(d_el, t, "d·{}", t)
         for pi in stacks:
-            push[(t, pi)] = apply_or_die(dt, pi, f"push {t}.{pi}")
-    kof = {pi: apply_or_die(kof_el, pi, f"kOf({pi})") for pi in stacks}
+            push[(t, pi)] = apply_or_die(dt, pi, "push {}.{}", t, pi)
+    kof = {pi: apply_or_die(kof_el, pi, "kOf({})", pi) for pi in stacks}
     pole = frozenset((t, pi) for t in opca.elements for pi in stacks
                      if opca.app(t, pi) is not None and opca.app(t, pi) in U)
 

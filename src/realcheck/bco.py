@@ -880,7 +880,10 @@ def implication_from_sup(alg, report=None, v=None):
     u = rep.record("sup.monotone_u").witnesses["u"]
     h4 = rep.record("sup.principal_h4").witnesses["h4"]
     g4 = rep.record("sup.principal_g4").witnesses["g4"]
-    g2_skk = rep.record("sup.image_g2").witnesses["g2"][skk_element(host)]
+    g2, skk = rep.record("sup.image_g2").witnesses["g2"], skk_element(host)
+    if skk not in g2:  # g2 has a witness per filter element
+        raise ConstructionError(f"s·k·k = {skk!r} lies outside the filter")
+    g2_skk = g2[skk]
 
     def I_set(alpha, beta):
         return frozenset(

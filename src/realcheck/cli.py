@@ -16,7 +16,7 @@ from . import aks as aksmod
 from . import bco as bcomod
 from . import k2 as k2mod
 from . import tripos as triposmod
-from .errors import CapExceeded, ConstructionError, StructureError
+from .errors import CapExceeded, ConstructionError, InvariantViolation, StructureError
 from .formats import load_aks, load_map, load_opca, save_aks
 from .opca import check_filter, check_opca_axioms
 from .report import REFUSED, Report
@@ -188,10 +188,14 @@ def _cmd_check_tripos(args):
                 back = triposmod.boolean_leq(notnot, phi, opca)
                 return not (fwd.holds and back.holds)
 
-            rep.verdict("tripos.booleanization",
-                        next((tuple(sorted(map(str, phi(i))) for i in index)
-                              for phi in preds if unstable(phi)), None),
-                        {"predicates": len(preds)})
+            try:
+                unstable_phi = next((tuple(sorted(map(str, phi(i))) for i in index)
+                                     for phi in preds if unstable(phi)), None)
+            except InvariantViolation as e:  # the two forms agree only on an opca
+                rep.add("tripos.booleanization", REFUSED, detail=str(e))
+            else:
+                rep.verdict("tripos.booleanization", unstable_phi,
+                            {"predicates": len(preds)})
     return rep
 
 

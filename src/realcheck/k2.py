@@ -346,6 +346,10 @@ def tau_extract(alpha, prefix, nprime, j, fuel):
 # Everything is total on the naturals; composition is expression nesting.
 
 _FUNCTIONS = ("eq", "lt", "le", "mu")
+_DIGITS = "0123456789"
+# Deepest nesting of parentheses, function calls and operators accepted; the
+# parser and the evaluator recurse through every level.
+_MAX_DEPTH = 100
 
 
 def _tokenize_expr(src):
@@ -358,9 +362,9 @@ def _tokenize_expr(src):
         elif c in "+-*(),":
             out.append(c)
             i += 1
-        elif c.isdigit():
+        elif c in _DIGITS:  # str.isdigit also accepts digits int() refuses
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             out.append(int(src[i:j]))
             i = j
@@ -379,9 +383,16 @@ def parse_generator(src):
     """Parse an expression; returns an AST of nested tuples."""
     tokens = _tokenize_expr(src)
     pos = 0
+    nesting = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
+
+    def nest(step):
+        nonlocal nesting
+        nesting += step
+        if nesting > _MAX_DEPTH:
+            raise StructureError(f"generator expression nests deeper than {_MAX_DEPTH}")
 
     def eat(tok):
         nonlocal pos
@@ -412,7 +423,9 @@ def parse_generator(src):
             return ("nat", tok)
         if tok == "(":
             eat("(")
+            nest(1)
             node = parse_expr()
+            nest(-1)
             eat(")")
             return node
         if isinstance(tok, str) and tok not in ("+", "-", "*", "(", ")", ","):
@@ -421,10 +434,12 @@ def parse_generator(src):
                 if tok not in _FUNCTIONS:
                     raise StructureError(f"unknown function {tok!r}")
                 eat("(")
+                nest(1)
                 args = [parse_expr()]
                 while peek() == ",":
                     eat(",")
                     args.append(parse_expr())
+                nest(-1)
                 eat(")")
                 if tok == "mu":
                     if len(args) != 3 or args[0][0] != "var":
@@ -439,7 +454,19 @@ def parse_generator(src):
     node = parse_expr()
     if pos != len(tokens):
         raise StructureError(f"trailing tokens {tokens[pos:]!r}")
+    if _depth(node) > _MAX_DEPTH:  # a long operator chain nests without parentheses
+        raise StructureError(f"generator expression nests deeper than {_MAX_DEPTH}")
     return node
+
+
+def _depth(node):
+    """Levels of nested tuples in an AST, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in node[1:] if isinstance(child, tuple))
+    return deepest
 
 
 def _eval_ast(node, env):

@@ -207,13 +207,21 @@ def skk_element(opca):
 #
 # These terms do not depend on the opca, so each is built once per process
 # (``numeral`` and ``_kit_terms`` keep the most recently used; terms are
-# immutable, so sharing them is safe).  A kit evaluates p, and each
-# numeral it needs, once; ``SequenceKit.seq_value`` then folds a code through
-# the application table instead of evaluating ``seq_term``.  The two agree
-# because ``eval_in_opca`` is strictly bottom-up: the value of App(M, N) is
-# val(M)·val(N), with M evaluated before N and the first undefined step (or
-# the first constant outside the carrier) ending the evaluation.  The fold
-# takes the same steps in the same order.
+# immutable, so sharing them is safe).  ``_kit_program`` compiles PAIR, b,
+# c, d, t and the numerals 0..max_len+1 into one straight-line program over
+# their distinct subterms, and a kit runs it once in its opca.  Closed K/S
+# terms contain no constants, so a step's value is the table entry of its
+# two children's values, undefined when either is; running every step gives
+# each root the value ``eval_in_opca`` gives it.
+#
+# ``SequenceKit.seq_value`` then reads a code table instead of evaluating
+# ``seq_term``.  The code of a0..ak is (p·n)·inner(a0..ak) with
+# inner(a::s) = (p·a)·inner(s) and inner([]) = nil, so sequences that share
+# a suffix share its inner value.  The two agree because ``eval_in_opca`` is
+# strictly bottom-up: the value of App(M, N) is val(M)·val(N), with M
+# evaluated before N and the first undefined step (or the first constant
+# outside the carrier) ending the evaluation.  A sequence that may hold
+# other items is checked in that order before it is folded.
 
 PAIR = lam("x y z", app(Var("z"), Var("x"), Var("y")))
 FST = lam("t", app(Var("t"), lam("x y", Var("x"))))
@@ -283,12 +291,59 @@ def _kit_terms(max_len):
     )
 
 
+@lru_cache(maxsize=8)
+def _kit_program(max_len):
+    """PAIR, b, c, d, t and numeral(0..max_len+1) as one straight-line program.
+
+    Returns (roots, steps, outputs).  Steps 0 and 1 are K and S; every later
+    step is a pair (fn step, arg step) of earlier steps, and no pair occurs
+    twice.  ``outputs[i]`` is the step of ``roots[i]``.  Subterms are shared
+    objects, so each object is visited once (keyed by id; the roots keep
+    them alive); keying on term equality would hash whole trees.
+    """
+    roots = (PAIR, *_kit_terms(max_len), *(numeral(n) for n in range(max_len + 2)))
+    steps = []
+    step_of_pair = {}
+    step_of_term = {id(K): 0, id(S): 1}
+
+    def visit(term):
+        step = step_of_term.get(id(term))
+        if step is None:
+            pair = (visit(term.fn), visit(term.arg))
+            step = step_of_pair.get(pair)
+            if step is None:
+                step = step_of_pair[pair] = len(steps) + 2
+                steps.append(pair)
+            step_of_term[id(term)] = step
+        return step
+
+    outputs = tuple(visit(term) for term in roots)
+    return roots, tuple(steps), outputs
+
+
+def _run_program(steps, opca):
+    """The value of every step in ``opca``, None where undefined.  None is
+    never a carrier element, so a step with an undefined child finds no
+    table entry and is undefined too."""
+    table = opca.table
+    values = [opca.k, opca.s]
+    for fn, arg in steps:
+        values.append(table.get((values[fn], values[arg])))
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class SequenceKit:
     """Closed k,s-terms for pairing, numerals, and sequence management.
 
-    The value of PAIR in ``opca`` is evaluated once, at construction, and
-    the value of each numeral on first use; the kit keeps them.
+    At construction the kit runs ``_kit_program(max_len)`` in ``opca`` and
+    keeps the values of PAIR, b, c, d, t and the numerals 0..max_len+1
+    (``element`` and ``numeral_value`` read them; other terms and numerals
+    are evaluated on first use).  It also keeps one table of sequence codes,
+    which ``seq_value``, the kit check and ``build_aks`` read: the check
+    enters every carrier sequence up to length max_len+1, sharing each
+    suffix's inner value, and ``seq_value`` adds any other sequence it is
+    asked for.
     """
 
     opca: FiniteOpca
@@ -302,8 +357,19 @@ class SequenceKit:
     t: object
 
     def __post_init__(self):
-        object.__setattr__(self, "_pair", self.opca.eval(PAIR))
-        object.__setattr__(self, "_numerals", {})
+        roots, steps, outputs = _kit_program(self.max_len)
+        values = _run_program(steps, self.opca)
+        # id -> (term, value); the entry pins the term, so its id stays unique
+        closed = {id(term): (term, values[step]) for term, step in zip(roots, outputs)}
+        numerals = {n: values[step] for n, step in enumerate(outputs[5:])}  # after PAIR, b..t
+        pair = closed[id(PAIR)][1]
+        table = self.opca.table
+        object.__setattr__(self, "_closed", closed)
+        object.__setattr__(self, "_pair", pair)
+        object.__setattr__(self, "_numerals", numerals)
+        # carrier element a -> p·a, None when undefined
+        object.__setattr__(self, "_pa", {a: table.get((pair, a)) for a in self.opca.elements})
+        object.__setattr__(self, "_codes", {})  # sequence -> its code, None when undefined
 
     def _numeral(self, n):
         """Value of numeral(n) in the opca (None when undefined)."""
@@ -311,50 +377,61 @@ class SequenceKit:
             self._numerals[n] = self.opca.eval(numeral(n))
         return self._numerals[n]
 
-    def numeral(self, n):
-        return numeral(n)
-
     def seq_term(self, elements):
         return seq_term([Const(e) for e in elements])
 
     def seq_value(self, elements):
         items = tuple(elements)
-        value = self._fold(items)
+        value = self._code(items)
         if value is None:
             raise ConstructionError(f"sequence code for {list(items)!r} undefined")
         return value
 
-    def _fold(self, items):
-        """The value of ``seq_term(items)``: p·n·(p·a0·(…·(p·ak·nil))).
+    def _code(self, items):
+        """The value of ``seq_term(items)``: (p·n)·inner(items), or None.
 
-        Takes the steps of ``eval_in_opca`` on that term in its order, so it
-        returns the same value, None at the same undefined step, or raises
-        the same ValueError for an item outside the carrier.
+        A sequence not yet in the table is first checked in the order
+        ``eval_in_opca`` takes that term: p, the numeral, p·n, then per item
+        its carrier membership (a ValueError) and p·a.  So the result, the
+        undefined step and the error are the same as the term route's.
         """
-        opca = self.opca
-        p = self._pair
-        if p is None:
-            return None
-        num = self._numeral(len(items))
-        if num is None:
-            return None
-        head = opca.app(p, num)
+        codes = self._codes
+        if items in codes:
+            return codes[items]
+        p, pa, table = self._pair, self._pa, self.opca.table
+        head = None if p is None else table.get((p, self._numeral(len(items))))
         if head is None:
             return None
-        heads = []
         for e in items:
-            if e not in opca.element_set:
+            if e not in pa:
                 raise ValueError(f"constant {e!r} outside the carrier")
-            pe = opca.app(p, e)
-            if pe is None:
+            if pa[e] is None:
                 return None
-            heads.append(pe)
         value = self._numeral(0)  # nil
-        for pe in reversed(heads):
-            if value is None:
-                return None
-            value = opca.app(pe, value)
-        return None if value is None else opca.app(head, value)
+        for e in reversed(items):
+            value = table.get((pa[e], value))
+        code = codes[items] = table.get((head, value))
+        return code
+
+    def _fill(self, length):
+        """Enter every carrier sequence of length <= ``length`` in the code
+        table and return the table.  Level n+1 extends level n by one item in
+        front, so each code costs two table reads: inner(a::s) =
+        (p·a)·inner(s), code = (p·n)·inner.  Carrier items raise no
+        ValueError, so every failure is an undefined step and the order of
+        the checks cannot show: a code is None exactly when ``_code`` says so.
+        """
+        codes, pa, table = self._codes, self._pa, self.opca.table
+        level, inner = [()], {(): self._numeral(0)}
+        for n in range(length + 1):
+            if n:
+                level = [(a,) + rest for a in self.opca.elements for rest in level]
+                for items in level:
+                    inner[items] = table.get((pa[items[0]], inner[items[1:]]))
+            head = table.get((self._pair, self._numeral(n)))
+            for items in level:
+                codes[items] = table.get((head, inner[items]))
+        return codes
 
     def numeral_value(self, n):
         value = self._numeral(n)
@@ -363,7 +440,8 @@ class SequenceKit:
         return value
 
     def element(self, term):
-        value = self.opca.eval(term)
+        known = self._closed.get(id(term))
+        value = self.opca.eval(term) if known is None else known[1]
         if value is None:
             raise ConstructionError(f"kit term undefined: {term!r}")
         return value
@@ -387,41 +465,45 @@ def derive_sequence_kit(opca, max_len=3, verify=True):
 
 def _verify_kit(kit):
     opca = kit.opca
+    table, leq = opca.table, opca.leq_pairs
     b_el, c_el, d_el, t_el = (kit.element(t) for t in (kit.b, kit.c, kit.d, kit.t))
     for label, el in (("b", b_el), ("c", c_el), ("d", d_el), ("t", t_el)):
         if el not in opca.filter:
             raise ConstructionError(f"kit term {label} evaluates outside the filter")
     nums = [kit.numeral_value(n) for n in range(kit.max_len + 1)]
-
-    code_cache = {}
+    codes = kit._fill(kit.max_len + 1)
+    # the first factors of d·a·code, b·n·code and c·n·code; None when undefined
+    d_row = [(a, table.get((d_el, a))) for a in opca.elements]
+    b_row = [table.get((b_el, num)) for num in nums]
+    c_row = [table.get((c_el, num)) for num in nums]
 
     def code_of(seq):
-        if seq not in code_cache:
-            code_cache[seq] = kit.seq_value(seq)
-        return code_cache[seq]
+        code = codes[seq]
+        if code is None:
+            raise ConstructionError(f"sequence code for {list(seq)!r} undefined")
+        return code
 
-    def apply2(f, x, y, what):
-        fxy = opca.app_app(f, x, y)
-        if fxy is None:
-            raise ConstructionError(f"{what} undefined")
-        return fxy
-
+    # (None is never a carrier element, so an undefined factor finds no entry)
     for length in range(kit.max_len + 1):
         for seq in product(opca.elements, repeat=length):
             code = code_of(seq)
             # (iii) and (iv)
-            for a in opca.elements:
-                lhs = apply2(d_el, a, code, f"d·{a}·{list(seq)}")
-                rhs = code_of((a,) + seq)
-                if not opca.leq(lhs, rhs):
+            for a, da in d_row:
+                lhs = table.get((da, code))
+                if lhs is None:
+                    raise ConstructionError(f"d·{a}·{list(seq)} undefined")
+                if (lhs, code_of((a,) + seq)) not in leq:
                     raise ConstructionError(f"clause (iii) fails at {a!r}, {list(seq)!r}")
             for n in range(length):
-                lhs = apply2(b_el, nums[n], code, f"b·{n}·{list(seq)}")
-                if not opca.leq(lhs, seq[n]):
+                lhs = table.get((b_row[n], code))
+                if lhs is None:
+                    raise ConstructionError(f"b·{n}·{list(seq)} undefined")
+                if (lhs, seq[n]) not in leq:
                     raise ConstructionError(f"clause (i) fails at n={n}, {list(seq)!r}")
-                lhs = apply2(c_el, nums[n], code, f"c·{n}·{list(seq)}")
-                rhs = code_of(seq[n:])
-                if not opca.leq(lhs, rhs):
+                lhs = table.get((c_row[n], code))
+                if lhs is None:
+                    raise ConstructionError(f"c·{n}·{list(seq)} undefined")
+                if (lhs, code_of(seq[n:])) not in leq:
                     raise ConstructionError(f"clause (ii) fails at n={n}, {list(seq)!r}")
     for a in opca.elements:
         ta = opca.app(t_el, a)

@@ -184,10 +184,42 @@ def test_k2_subcommands(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("\u00b2", "bad character"),
+    ("(" * 2000 + "n" + ")" * 2000, "nests deeper than 100"),
+])
+def test_k2_expressions_that_are_input_errors(capsys, alpha, message):
+    code, _, err = run(capsys, "k2", "apply", "--alpha", alpha, "--beta", "n",
+                       "--n", "0", "--fuel", "1")
+    assert code == 2 and "input error: " in err and message in err
+    assert "Traceback" not in err
+
+
 def test_check_tripos_exit_zero_on_lattice(capsys):
     code, out, _ = run(capsys, "check-tripos", str(FIXTURES / "diamond.json"),
                        "--index-size", "1")
     assert code == 0 and "tripos.star_equals_applicative" in out
+
+
+def test_check_tripos_refuses_booleanization_on_a_broken_table(capsys, tmp_path):
+    # with no application the two Booleanization forms disagree; the
+    # cross-check assumes an opca, so the disagreement is a refusal
+    path = write(tmp_path, "l2.json", variant("l2.json", app=[]))
+    code, out, err = run(capsys, "--format", "machine", "check-tripos", path)
+    records = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert code == 1 and "Traceback" not in err
+    booleanization = records["tripos.booleanization"]
+    assert booleanization["verdict"] == "refused"
+    assert booleanization["detail"].startswith("Booleanization forms disagree on ")
+    assert "contravariant=None double-negation='1'" in booleanization["detail"]
+
+
+def test_check_tripos_with_k_outside_the_filter_is_an_error(capsys, tmp_path):
+    # s·k·k then lies outside the filter, so no implicative kit is recovered
+    path = write(tmp_path, "l2.json", variant("l2.json", k="0"))
+    code, _, err = run(capsys, "check-tripos", path)
+    assert code == 1 and "error: s·k·k = '0' lies outside the filter" in err
+    assert "Traceback" not in err
 
 
 def test_check_tripos_refuses_without_joins(capsys):
@@ -410,7 +442,8 @@ json_values = st.recursive(
     max_leaves=10)
 
 FUZZED_FILES = [
-    (["check-opca", "FILE"], variant(f"{name}.json"), ["sup"])
+    ([command, "FILE"], variant(f"{name}.json"), ["sup"])
+    for command in ("check-opca", "check-tripos")
     for name in ("l2", "l3", "m3", "diamond", "vee")
 ] + [
     (["check-aks", "FILE"], variant(f"{name}.json"), [])
@@ -444,7 +477,8 @@ def test_fuzzed_structure_files_exit_zero_one_or_two(capsys, tmp_path, case, dat
     capsys.readouterr()
 
 
-K2_VALUES = ["0", "1", "2", "-1", "x", "", "1,2", "0,,3", "n", "n+1", "eq(n,1)", "(", "n*2"]
+K2_VALUES = ["0", "1", "2", "-1", "x", "", "1,2", "0,,3", "n", "n+1", "eq(n,1)", "(", "n*2",
+             "\u00b2", "1\u0663", "(" * 500 + "n" + ")" * 500, "n+" * 500 + "1"]
 K2_FLAGS = {"apply": ("--alpha", "--beta", "--n"),
             "tau": ("--alpha", "--prefix", "--nprime", "--j"),
             "discrete": ("--elems", "--depth")}

@@ -1,4 +1,5 @@
-"""The benchmark's recorded CLI output as a byte-identity oracle, and its self-test."""
+"""The benchmark's recorded CLI output and witness digests as byte-identity
+oracles, and its self-test."""
 
 import json
 import subprocess
@@ -12,12 +13,19 @@ ROOT = FIXTURES.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def cli_groups():
+def perfbench_modules():
+    """The benchmark's ``workloads`` and ``canon`` modules, imported as they are."""
     sys.path.insert(0, str(PERFBENCH))
     try:
+        import canon
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
+    return workloads, canon
+
+
+def cli_groups():
+    workloads, _ = perfbench_modules()
     return workloads.cli_groups(), workloads.cli_id
 
 
@@ -40,6 +48,24 @@ def test_cli_replays_golden_machine_output(capsys, tmp_path, monkeypatch):
                 mismatches.append(cli_id(argv))
     assert calls == len(golden) == 49
     assert mismatches == []
+
+
+def test_krivine_sweep_matches_the_oracles_and_golden_digests():
+    # every item of the benchmark's krivine_sweep, in-process and in setup order
+    workloads, canon = perfbench_modules()
+    golden = workloads.load_digests()["krivine_sweep"]
+    items = [item for group in workloads.krivine_setup(0, None) for item in group]
+    problems = {}
+    for item in items:
+        result = item.run(None)
+        bad = item.check(result)
+        got = canon.digest(item.digest(result))
+        if got != golden[item.id]:
+            bad.append(f"witness digest {got} != golden {golden[item.id]}")
+        if bad:
+            problems[item.id] = bad
+    assert len(items) == len(golden) == 48
+    assert problems == {}
 
 
 def test_benchmark_selftest_passes():

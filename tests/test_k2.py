@@ -256,6 +256,23 @@ def test_parse_errors_name_the_problem():
             parse_generator(bad)
 
 
+def test_only_ascii_digits_are_numerals():
+    assert from_expr("12")(0) == 12
+    for bad in ("\u00b2", "1\u0663", "\uff11"):  # superscript two, Arabic-Indic three, fullwidth one
+        with pytest.raises(StructureError, match="bad character"):
+            parse_generator(bad)
+
+
+def test_nesting_is_bounded():
+    at_limit = "(" * 100 + "n" + ")" * 100
+    assert from_expr(at_limit)(3) == 3
+    assert from_expr("1+" * 99 + "1")(0) == 100
+    for deep in ("(" * 2000 + "n" + ")" * 2000, "eq(" * 101 + "n" + ",1)" * 101,
+                 "n+" * 2000 + "1", "(" * 101 + "n" + ")" * 101):
+        with pytest.raises(StructureError, match="nests deeper than 100"):
+            parse_generator(deep)
+
+
 def test_unbound_variable_rejected_at_evaluation():
     e = from_expr("q + 1")
     with pytest.raises(StructureError):

@@ -1,15 +1,16 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcheck.errors import ConstructionError, StructureError
 from realcheck.lattices import DIAMOND, L2, L3, VEE, semilattice_opca
 from realcheck import opca as opcamod
 from realcheck.formats import load_opca
-from realcheck.opca import (FST, PAIR, SND, FiniteOpca, SequenceKit, _kit_terms,
-                            check_filter, check_opca_axioms,
+from realcheck.aks import build_aks
+from realcheck.opca import (FST, PAIR, SND, FiniteOpca, SequenceKit, _kit_program,
+                            _kit_terms, _run_program, check_filter, check_opca_axioms,
                             derive_sequence_kit, numeral, seq_term,
                             skk_element, turing_leq)
 from realcheck.terms import Const, app, reduce_term
@@ -196,21 +197,157 @@ def test_folded_codes_match_term_evaluation_on_any_table(opca, data):
 
 def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
     opca, _ = load_opca(str(FIXTURES / "l3.json"))
-    kit = derive_sequence_kit(opca, max_len=3)
+    derive_sequence_kit(opca, max_len=3)  # the closed kit terms are built once per process
     calls = []
 
     def counting(fn):
         def wrapper(*args, **kw):
-            calls.append(fn.__name__)
+            calls.append((fn.__name__, args[0]))
             return fn(*args, **kw)
         return wrapper
 
     monkeypatch.setattr(opcamod, "lam", counting(opcamod.lam))
     monkeypatch.setattr(opcamod, "eval_in_opca", counting(opcamod.eval_in_opca))
+    built = build_aks(opca, max_len=3)
+    # only the five terms that name elements of this opca: dot, kOf, K, S, cc
+    kit = built.kit
+    kit_terms = [PAIR, kit.b, kit.c, kit.d, kit.t] + [numeral(n) for n in range(5)]
+    assert [name for name, _ in calls] == ["eval_in_opca"] * 5
+    assert not any(term is kit_term for _, term in calls for kit_term in kit_terms)
+    calls.clear()
     for length in range(4):
         for seq in product(opca.elements, repeat=length):
             kit.seq_value(seq)
     assert calls == []
+
+
+# -- the shared program and the kit check against the term route ------------------
+
+def test_kit_program_shares_every_subterm():
+    roots, steps, outputs = _kit_program(3)
+    assert roots == (PAIR, *_kit_terms(3), *(numeral(n) for n in range(5)))
+    # steps 0 and 1 are K and S; every other step applies two earlier ones
+    assert len(set(steps)) == len(steps) == 242
+    assert all(fn < step and arg < step for step, (fn, arg) in enumerate(steps, 2))
+    assert len(set(outputs)) == len(roots)
+
+
+def outcome(call, *args):
+    try:
+        call(*args)
+    except ConstructionError as e:
+        return ("error", str(e))
+    return ("pass",)
+
+
+@given(partial_opcas(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=200, deadline=None)
+def test_kit_program_matches_term_evaluation(opca, max_len):
+    roots, steps, outputs = _kit_program(max_len)
+    values = _run_program(steps, opca)
+    for term, step in zip(roots, outputs):
+        value = values[step]
+        assert term_route(opca, term) == (("undefined",) if value is None else ("value", value))
+    # and the kit hands out those values
+    kit = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+    for term in (PAIR, kit.b, kit.c, kit.d, kit.t):
+        assert kit_route(kit.element, term) == term_route(opca, term)
+    for n in range(max_len + 3):
+        assert kit_route(kit.numeral_value, n) == term_route(opca, numeral(n))
+
+
+def reference_verify_kit(kit):
+    """The kit check as it was before the shared program and the code table,
+    with every value taken by evaluating its term: the oracle for the order
+    and the messages of ``derive_sequence_kit``'s errors."""
+    opca = kit.opca
+
+    def evaluated(term, message):
+        value = opca.eval(term)
+        if value is None:
+            raise ConstructionError(message())
+        return value
+
+    b_el, c_el, d_el, t_el = (evaluated(t, lambda t=t: f"kit term undefined: {t!r}")
+                              for t in (kit.b, kit.c, kit.d, kit.t))
+    for label, el in (("b", b_el), ("c", c_el), ("d", d_el), ("t", t_el)):
+        if el not in opca.filter:
+            raise ConstructionError(f"kit term {label} evaluates outside the filter")
+    nums = [evaluated(numeral(n), lambda n=n: f"numeral {n} undefined")
+            for n in range(kit.max_len + 1)]
+
+    code_cache = {}
+
+    def code_of(seq):
+        if seq not in code_cache:
+            code_cache[seq] = evaluated(
+                kit.seq_term(seq), lambda: f"sequence code for {list(seq)!r} undefined")
+        return code_cache[seq]
+
+    def apply2(f, x, y, what):
+        fxy = opca.app_app(f, x, y)
+        if fxy is None:
+            raise ConstructionError(f"{what} undefined")
+        return fxy
+
+    for length in range(kit.max_len + 1):
+        for seq in product(opca.elements, repeat=length):
+            code = code_of(seq)
+            for a in opca.elements:
+                lhs = apply2(d_el, a, code, f"d·{a}·{list(seq)}")
+                rhs = code_of((a,) + seq)
+                if not opca.leq(lhs, rhs):
+                    raise ConstructionError(f"clause (iii) fails at {a!r}, {list(seq)!r}")
+            for n in range(length):
+                lhs = apply2(b_el, nums[n], code, f"b·{n}·{list(seq)}")
+                if not opca.leq(lhs, seq[n]):
+                    raise ConstructionError(f"clause (i) fails at n={n}, {list(seq)!r}")
+                lhs = apply2(c_el, nums[n], code, f"c·{n}·{list(seq)}")
+                rhs = code_of(seq[n:])
+                if not opca.leq(lhs, rhs):
+                    raise ConstructionError(f"clause (ii) fails at n={n}, {list(seq)!r}")
+    for a in opca.elements:
+        ta = opca.app(t_el, a)
+        if ta is None or not opca.leq(ta, code_of((a,))):
+            raise ConstructionError(f"clause (iv) fails at {a!r}")
+
+
+@st.composite
+def kit_opcas(draw):
+    """Filtered opcas on which the kit check stops at every stage: any table
+    or a semilattice, with a few table entries deleted or redirected."""
+    opca = draw(partial_opcas() | st.sampled_from((L2, L3, VEE, DIAMOND)))
+    table = dict(opca.table)
+    for key in draw(st.lists(st.sampled_from(sorted(table)), max_size=3)) if table else ():
+        value = draw(st.sampled_from(opca.elements + (None,)))
+        if value is None:
+            table.pop(key, None)
+        else:
+            table[key] = value
+    whole = st.just(frozenset(opca.elements))
+    subsets = st.frozensets(st.sampled_from(opca.elements), min_size=1)
+    return opca.replace(table=table, filter=draw(whole | subsets))
+
+
+def nearly_total(rows, k, s, leq=""):
+    """A filtered opca on a, b, c whose table is ``rows``, "xyz" for x·y = z,
+    and whose order is generated by ``leq``, "xy" for x <= y."""
+    return FiniteOpca(elements=("a", "b", "c"), leq_pairs=frozenset(map(tuple, leq.split())),
+                      table={(x, y): z for x, y, z in rows.split()}, k=k, s=s,
+                      filter=frozenset("abc"), name="nearly total")
+
+
+@given(kit_opcas(), st.integers(min_value=0, max_value=3))
+# stages the generated tables seldom reach, found by a random search
+@example(nearly_total("abb acb bab bbb bca cac cba ccc", "c", "b"), 2)  # numeral 1
+@example(nearly_total("aab abc acc bac bba bcb cab ccc", "a", "a"), 2)  # sequence code for ['a']
+@example(nearly_total("abb bac bbb bca cac cbc ccb", "b", "c", "ac bc ca cb"), 2)  # b·1, c·1
+@example(nearly_total("aaa abb acb bbb bcb cac cbc cca", "c", "c", "ab ba bc ca cb"), 2)  # c·1
+@settings(max_examples=200, deadline=None)
+def test_kit_check_matches_the_reference(opca, max_len):
+    reference = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+    assert (outcome(derive_sequence_kit, opca, max_len)
+            == outcome(reference_verify_kit, reference))
 
 
 # -- term-model spot checks ----------------------------------------------------
