@@ -33,7 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Aks:
-    """Terms, stacks, total dot/push/kOf tables, K/S/cc, quasi-proofs, pole."""
+    """Terms, stacks, total dot/push/kOf tables, K/S/cc, quasi-proofs, pole.
+
+    The pole is also kept as a formal context over indices: ``rows[i]`` is
+    the int mask of the stacks facing term i; ``push_index[i][j]``,
+    ``dot_index[i][k]`` and ``kof_index[j]`` are the tables in indices.  The mask methods below
+    work on these; the module functions keep the frozenset interface.
+    """
 
     terms: tuple
     stacks: tuple
@@ -48,6 +54,14 @@ class Aks:
     name: str = "aks"
     term_set: frozenset = field(init=False)
     stack_set: frozenset = field(init=False)
+    term_index: dict = field(init=False, repr=False)
+    stack_index: dict = field(init=False, repr=False)
+    rows: tuple = field(init=False, repr=False)
+    push_index: tuple = field(init=False, repr=False)
+    dot_index: tuple = field(init=False, repr=False)
+    kof_index: tuple = field(init=False, repr=False)
+    full: int = field(init=False, repr=False)  # every stack
+    _closed: list | None = field(init=False, repr=False)  # closed masks, once enumerated
 
     def __post_init__(self):
         term_set, stack_set = frozenset(self.terms), frozenset(self.stacks)
@@ -81,8 +95,23 @@ class Aks:
             if t not in term_set or pi not in stack_set:
                 raise StructureError("pole entry outside carrier",
                                      source=self.name, field="pole")
-        object.__setattr__(self, "term_set", term_set)
-        object.__setattr__(self, "stack_set", stack_set)
+        ti = {t: i for i, t in enumerate(self.terms)}
+        si = {pi: j for j, pi in enumerate(self.stacks)}
+        rows = [0] * len(self.terms)
+        for (t, pi) in self.pole:
+            rows[ti[t]] |= 1 << si[pi]
+        for name, value in (
+                ("term_set", term_set), ("stack_set", stack_set),
+                ("term_index", ti), ("stack_index", si),
+                ("rows", tuple(rows)),
+                ("push_index", tuple(tuple(si[self.push[(t, pi)]] for pi in self.stacks)
+                                     for t in self.terms)),
+                ("dot_index", tuple(tuple(ti[self.dot[(t, s)]] for s in self.terms)
+                                    for t in self.terms)),
+                ("kof_index", tuple(ti[self.kof[pi]] for pi in self.stacks)),
+                ("full", (1 << len(self.stacks)) - 1),
+                ("_closed", None)):
+            object.__setattr__(self, name, value)
 
     def in_pole(self, t, pi):
         return (t, pi) in self.pole
@@ -93,26 +122,108 @@ class Aks:
     def app_push(self, t, pi):
         return self.push[(t, pi)]
 
+    # -- masks over term and stack indices ------------------------------
+
+    def term_mask(self, terms):
+        return _mask(self.term_index, terms, "term", self.name)
+
+    def stack_mask(self, stacks):
+        return _mask(self.stack_index, stacks, "stack", self.name)
+
+    def stacks_of(self, mask):
+        return frozenset(pi for j, pi in enumerate(self.stacks) if mask >> j & 1)
+
+    def terms_of(self, mask):
+        return frozenset(t for i, t in enumerate(self.terms) if mask >> i & 1)
+
+    def facing_stacks(self, term_mask):
+        """Stacks facing every term of the mask: an AND of rows."""
+        out = self.full
+        for i, row in enumerate(self.rows):
+            if term_mask >> i & 1:
+                out &= row
+        return out
+
+    def facing_terms(self, stack_mask):
+        """Terms facing every stack of the mask."""
+        out = 0
+        for i, row in enumerate(self.rows):
+            if row & stack_mask == stack_mask:
+                out |= 1 << i
+        return out
+
+    def close(self, stack_mask):
+        """The biorthogonal closure: the AND of the rows that contain the mask."""
+        out = self.full
+        for row in self.rows:
+            if row & stack_mask == stack_mask:
+                out &= row
+        return out
+
+    def push_image(self, term_mask, stack_mask):
+        """{t.pi | t in the term mask, pi in the stack mask}."""
+        out = 0
+        for i, targets in enumerate(self.push_index):
+            if term_mask >> i & 1:
+                for j, k in enumerate(targets):
+                    if stack_mask >> j & 1:
+                        out |= 1 << k
+        return out
+
+
+def _mask(index, items, kind, name):
+    """The mask of ``items`` under ``index``; an item outside it is a
+    StructureError naming it."""
+    mask = 0
+    for x in items:
+        if x not in index:
+            raise StructureError(f"{kind} {x!r} outside the carrier", source=name)
+        mask |= 1 << index[x]
+    return mask
+
 
 def orthogonal_stacks(aks, term_subset):
     """All stacks facing every term of the subset inside the pole."""
-    return frozenset(pi for pi in aks.stacks
-                     if all(aks.in_pole(t, pi) for t in term_subset))
+    return aks.stacks_of(aks.facing_stacks(aks.term_mask(term_subset)))
 
 
 def orthogonal_terms(aks, stack_subset):
     """All terms facing every stack of the subset inside the pole."""
-    return frozenset(t for t in aks.terms
-                     if all(aks.in_pole(t, pi) for pi in stack_subset))
+    return aks.terms_of(aks.facing_terms(aks.stack_mask(stack_subset)))
 
 
 def biorthogonal_closure(aks, subset):
     """Orthogonal twice; a closure operator on stack sets."""
-    return orthogonal_stacks(aks, orthogonal_terms(aks, subset))
+    return aks.stacks_of(aks.close(aks.stack_mask(subset)))
+
+
+def _pull(targets, mask):
+    """Mask of the positions j whose target ``targets[j]`` lies in ``mask``."""
+    out = 0
+    for j, k in enumerate(targets):
+        if mask >> k & 1:
+            out |= 1 << j
+    return out
+
+
+def _bits(mask):
+    """The indices of the set bits, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _low(mask):
+    """The index of the lowest set bit."""
+    return (mask & -mask).bit_length() - 1
 
 
 def check_aks(aks):
-    """Structure clauses plus the five pole rules, each with a counterexample."""
+    """Structure clauses plus the five pole rules, each with a counterexample.
+
+    Each rule says that a pair in the pole forces another pair into it.  Per
+    prefix of the quantified terms one pre-image mask holds the stacks where
+    the conclusion holds, and the counterexample is the lowest stack of the
+    premise outside it: the first one in the order of the quantifiers.
+    """
     rep = Report(aks.name)
     rep.verdict("aks.qp_has_basis",
                 next(((x,) for x in (aks.K, aks.S, aks.cc) if x not in aks.qp), None))
@@ -120,29 +231,37 @@ def check_aks(aks):
     rep.verdict("aks.qp_dot_closed",
                 next(((t, s) for t in ordered_qp for s in ordered_qp
                       if aks.app_dot(t, s) not in aks.qp), None))
+    T, P, rows = aks.terms, aks.stacks, aks.rows
+    push, dot, kof = aks.push_index, aks.dot_index, aks.kof_index
+    ix = range(len(T))
+    row_k, row_s, row_cc = (rows[aks.term_index[x]] for x in (aks.K, aks.S, aks.cc))
+    # (S1) t faces s.pi  =>  ts faces pi
     rep.verdict("aks.s1_dot",
-                next(((t, s, pi) for t in aks.terms for s in aks.terms for pi in aks.stacks
-                      if aks.in_pole(t, aks.app_push(s, pi))
-                      and not aks.in_pole(aks.app_dot(t, s), pi)), None))
+                next(((T[t], T[s], P[_low(bad)]) for t in ix for s in ix
+                      if (bad := _pull(push[s], rows[t]) & ~rows[dot[t][s]])), None))
+    # (S2) t faces pi  =>  K faces t.s.pi, quantified as t, pi, s
     rep.verdict("aks.s2_K",
-                next(((t, s, pi) for t in aks.terms for pi in aks.stacks for s in aks.terms
-                      if aks.in_pole(t, pi)
-                      and not aks.in_pole(aks.K, aks.app_push(t, aks.app_push(s, pi)))), None))
+                next(((T[t], T[s], P[j]) for t in ix
+                      for by_t in [_pull(push[t], row_k)]
+                      for needs in [[_pull(push[s], by_t) for s in ix]]
+                      for j in _bits(rows[t]) for s in ix
+                      if not needs[s] >> j & 1), None))
+    # (S3) (tu)(su) faces pi  =>  S faces t.s.u.pi
     rep.verdict("aks.s3_S",
-                next(((t, s, u, pi) for t in aks.terms for s in aks.terms for u in aks.terms
-                      for combined in [aks.app_dot(aks.app_dot(t, u), aks.app_dot(s, u))]
-                      for pi in aks.stacks
-                      if aks.in_pole(combined, pi)
-                      and not aks.in_pole(
-                          aks.S, aks.app_push(t, aks.app_push(s, aks.app_push(u, pi))))), None))
+                next(((T[t], T[s], T[u], P[_low(bad)]) for t in ix
+                      for by_t in [_pull(push[t], row_s)] for s in ix
+                      for by_ts in [_pull(push[s], by_t)] for u in ix
+                      if (bad := rows[dot[dot[t][u]][dot[s][u]]] & ~_pull(push[u], by_ts))),
+                     None))
+    # (S4) t faces k_pi.pi  =>  cc faces t.pi
+    kof_push = tuple(push[kof[j]][j] for j in range(len(P)))
     rep.verdict("aks.s4_cc",
-                next(((t, pi) for t in aks.terms for pi in aks.stacks
-                      if aks.in_pole(t, aks.app_push(aks.kof[pi], pi))
-                      and not aks.in_pole(aks.cc, aks.app_push(t, pi))), None))
+                next(((T[t], P[_low(bad)]) for t in ix
+                      if (bad := _pull(kof_push, rows[t]) & ~_pull(push[t], row_cc))), None))
+    # (S5) t faces pi  =>  k_pi faces t.pi' for every pi'
     rep.verdict("aks.s5_kof",
-                next(((t, pi, pi2) for t in aks.terms for pi in aks.stacks for pi2 in aks.stacks
-                      if aks.in_pole(t, pi)
-                      and not aks.in_pole(aks.kof[pi], aks.app_push(t, pi2))), None))
+                next(((T[t], P[j], P[_low(bad)]) for t in ix for j in _bits(rows[t])
+                      if (bad := aks.full & ~_pull(push[t], rows[kof[j]]))), None))
     return rep
 
 
@@ -257,37 +376,80 @@ def build_aks(opca, max_len=3, U=None, name=None):
 # The induced order-ca on biorthogonally closed stack sets
 # ---------------------------------------------------------------------------
 
+def _next_closure(aks, cap):
+    """The closed stack masks in lectic order, at most ``cap + 1`` of them.
+
+    Ganter's NextClosure: the successor of a closed set is the closure of
+    its part below i plus i, for the largest i that adds nothing below i.
+    Each closed set costs at most |stacks| closures.
+    """
+    current = aks.close(0)
+    found = [current]
+    while current != aks.full and len(found) <= cap:
+        for i in reversed(range(len(aks.stacks))):
+            if current >> i & 1:
+                continue
+            below = (1 << i) - 1
+            nxt = aks.close(current & below | 1 << i)
+            if nxt & below == current & below:
+                break
+        current = nxt
+        found.append(current)
+    return found
+
+
+def _closed_masks(aks, cap):
+    """Every closed stack mask, sorted by size, then by stack indices.
+
+    Refuses with CapExceeded when there are more than ``cap``, naming
+    ``cap + 1`` when the enumeration stopped there and the full count once
+    the list is known.  The full list is kept on the structure, so a later
+    call, whether direct or through ``order_ca``, does not enumerate again.
+    """
+    masks = aks._closed
+    if masks is None:
+        found = _next_closure(aks, cap)
+        if len(found) > cap:
+            raise CapExceeded(f"closed stack sets of {aks.name}", cap + 1, cap)
+        masks = sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
+        object.__setattr__(aks, "_closed", masks)
+    if len(masks) > cap:
+        raise CapExceeded(f"closed stack sets of {aks.name}", len(masks), cap)
+    return masks
+
+
 def closed_stack_sets(aks, cap=1 << 12):
-    """All biorthogonally closed stack sets, via closing every subset."""
-    if 1 << len(aks.stacks) > cap:
-        raise CapExceeded(f"stack subsets of {aks.name}", 1 << len(aks.stacks), cap)
-    index = {pi: i for i, pi in enumerate(aks.stacks)}
-    out = set()
-    for mask in range(1 << len(aks.stacks)):
-        seed = frozenset(pi for i, pi in enumerate(aks.stacks) if mask >> i & 1)
-        out.add(biorthogonal_closure(aks, seed))
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(index[pi] for pi in s))))
+    """All biorthogonally closed stack sets, by size, then by stack indices.
+
+    Refuses with CapExceeded when there are more than ``cap`` of them.
+    """
+    return [aks.stacks_of(m) for m in _closed_masks(aks, cap)]
+
+
+def _apply_mask(aks, alpha, beta):
+    """alpha·beta on masks.  Every t in |alpha| faces s.pi exactly when s.pi
+    lies in the closure of alpha, so the base is the pre-image of that
+    closure under the push of each s in |beta|."""
+    closed, base = aks.close(alpha), aks.full
+    for s in _bits(aks.facing_terms(beta)):
+        base &= _pull(aks.push_index[s], closed)
+    return aks.close(base)
 
 
 def aks_apply(aks, alpha, beta):
     """alpha·beta: close the stacks facing every pair from |alpha| x |beta|."""
-    ta = orthogonal_terms(aks, alpha)
-    tb = orthogonal_terms(aks, beta)
-    base = frozenset(pi for pi in aks.stacks
-                     if all(aks.in_pole(t, aks.app_push(s, pi)) for t in ta for s in tb))
-    return biorthogonal_closure(aks, base)
+    return aks.stacks_of(_apply_mask(aks, aks.stack_mask(alpha), aks.stack_mask(beta)))
 
 
 def aks_imp(aks, alpha, beta):
     """alpha => beta: close {t.pi | t in |alpha|, pi in beta}."""
-    ta = orthogonal_terms(aks, alpha)
-    base = frozenset(aks.app_push(t, pi) for t in ta for pi in beta)
-    return biorthogonal_closure(aks, base)
+    return aks.stacks_of(aks.close(aks.push_image(aks.facing_terms(aks.stack_mask(alpha)),
+                                                  aks.stack_mask(beta))))
 
 
 def cc_element(aks):
     """The element realizing the classical-logic law: stacks facing cc."""
-    return orthogonal_stacks(aks, frozenset((aks.cc,)))
+    return aks.stacks_of(aks.rows[aks.term_index[aks.cc]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,20 +465,21 @@ def order_ca(aks, cap=1 << 12):
     orthogonals of single quasi-proofs, then over the whole filter, then
     the carrier.  Raises ConstructionError when no pair satisfies the laws.
     """
-    carrier = closed_stack_sets(aks, cap=cap)
-    leq = frozenset((a, b) for a in carrier for b in carrier if b <= a)
+    masks = _closed_masks(aks, cap)
+    carrier = [aks.stacks_of(m) for m in masks]
+    named = dict(zip(masks, carrier))
+    leq = frozenset((named[a], named[b]) for a in masks for b in masks if not b & ~a)
     table = {}
-    for alpha in carrier:
-        for beta in carrier:
-            table[(alpha, beta)] = aks_apply(aks, alpha, beta)
-    filt = frozenset(alpha for alpha in carrier
-                     if orthogonal_terms(aks, alpha) & aks.qp)
+    for alpha in masks:
+        for beta in masks:
+            table[(named[alpha], named[beta])] = named[_apply_mask(aks, alpha, beta)]
+    qp = aks.term_mask(aks.qp)
+    filt = frozenset(named[alpha] for alpha in masks if aks.facing_terms(alpha) & qp)
 
     candidates = []
-    for q in (t for t in aks.terms if t in aks.qp):
-        cand = orthogonal_stacks(aks, frozenset((q,)))
-        if cand in filt and cand not in candidates:
-            candidates.append(cand)
+    for q, row in zip(aks.terms, aks.rows):
+        if q in aks.qp and named[row] in filt and named[row] not in candidates:
+            candidates.append(named[row])
     for alpha in carrier:
         if alpha in filt and alpha not in candidates:
             candidates.append(alpha)
@@ -347,12 +510,14 @@ def check_kr(aks):
     """The forcing condition: a quasi-proof facing t.s.pi and s.t.pi for all
     t, pi and every s orthogonal to the whole stack set.  Returns the first
     witness in QP order, else None."""
-    everywhere = orthogonal_terms(aks, frozenset(aks.stacks))
-    ordered_qp = [t for t in aks.terms if t in aks.qp]
-    return next((a for a in ordered_qp
-                 if all(aks.in_pole(a, aks.app_push(t, aks.app_push(s, pi)))
-                        and aks.in_pole(a, aks.app_push(s, aks.app_push(t, pi)))
-                        for s in everywhere for t in aks.terms for pi in aks.stacks)), None)
+    push = aks.push_index
+    needed = 0
+    for s in _bits(aks.facing_terms(aks.full)):
+        for t in range(len(aks.terms)):
+            for j in range(len(aks.stacks)):
+                needed |= 1 << push[t][push[s][j]] | 1 << push[s][push[t][j]]
+    return next((a for a, row in zip(aks.terms, aks.rows)
+                 if a in aks.qp and row & needed == needed), None)
 
 
 def tv_least_of_aks(aks, cap=1 << 12):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ConstructionError, StructureError
+from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import PAIR, FiniteOpca, skk_element
 from .poset import Poset, downsets_of_poset
 from .report import Report
@@ -37,6 +37,13 @@ __all__ = [
     "ImplicativeKit", "check_implicative",
     "sup_from_implication", "implication_from_sup",
 ]
+
+# Enumerations refused with CapExceeded before their first case: the subsets
+# of _all_subsets and the candidate maps of find_right_adjoint above
+# _ENUM_CAP, the cases of derivation fact (a) above _FACT_A_CAP.  No fixture
+# reaches either.
+_ENUM_CAP = 1 << 16
+_FACT_A_CAP = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +609,13 @@ def check_density(fmap, src, dst):
 
 
 def find_right_adjoint(fmap, src, dst):
-    """Brute-force right adjoint of f among BCO morphisms dst -> src."""
+    """Brute-force right adjoint of f among BCO morphisms dst -> src.
+
+    Refuses with CapExceeded when the |src|^|dst| candidate maps exceed _ENUM_CAP.
+    """
+    count = len(src.elements) ** len(dst.elements)
+    if count > _ENUM_CAP:
+        raise CapExceeded(f"adjoint candidates {dst.name} -> {src.name}", count, _ENUM_CAP)
     src_bco, dst_bco = opca_to_bco(src), opca_to_bco(dst)
     ident_src = {a: a for a in src.elements}
     ident_dst = {b: b for b in dst.elements}
@@ -643,8 +656,12 @@ class ImplicativeKit:
 
 
 def _all_subsets(elements):
-    for mask in range(1 << len(elements)):
-        yield frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+    """Every subset of ``elements``; refuses above _ENUM_CAP subsets."""
+    if 1 << len(elements) > _ENUM_CAP:
+        raise CapExceeded(f"subsets of {len(elements)} elements",
+                          1 << len(elements), _ENUM_CAP)
+    return (frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+            for mask in range(1 << len(elements)))
 
 
 def check_implicative(kit, mode="pre-implicative"):
@@ -734,7 +751,8 @@ def sup_from_implication(kit):
     Materializes the derived combinators eta, xi, H, K, P, Q, R as closed
     terms over the kit constants, verifies the four facts they satisfy, and
     checks the sup-algebra clauses and the uniform bound with exactly these
-    witnesses.  A failed clause raises ConstructionError naming it.
+    witnesses.  A failed clause raises ConstructionError naming it; more
+    than _FACT_A_CAP cases of fact (a) raise CapExceeded before any is tried.
     """
     host = kit.host
     if host.filter is None:
@@ -800,8 +818,16 @@ def sup_from_implication(kit):
 
 
 def _verify_derivation_facts(kit, sup, combinators, downs):
-    """Facts (a)-(d) satisfied by the derived combinators, exhaustively."""
+    """Facts (a)-(d) satisfied by the derived combinators, exhaustively.
+
+    Fact (a) reads every family over every downset alpha and every part of
+    it: the sum of |A|^|alpha| * 2^|alpha| cases, refused above _FACT_A_CAP.
+    """
     host = kit.host
+    size = len(host.elements)
+    cases = sum(size ** len(alpha) << len(alpha) for alpha in downs)
+    if cases > _FACT_A_CAP:
+        raise CapExceeded(f"derivation fact (a) cases of {host.name}", cases, _FACT_A_CAP)
     eta, xi, Kc, P = (combinators[n] for n in ("eta", "xi", "K", "P"))
 
     def fail(which, ctx):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aks import orthogonal_terms
 from .errors import InvariantViolation, StructureError
 
 __all__ = [
@@ -107,14 +106,12 @@ def streicher_leq(phi, psi, aks):
     u facing phi(i), and pi in psi(i); None when no uniform witness exists."""
     if phi.index != psi.index:
         raise StructureError("predicates over different index sets")
-    ordered_qp = [t for t in aks.terms if t in aks.qp]
-    for t in ordered_qp:
-        if all(aks.in_pole(t, aks.app_push(u, pi))
-               for i in phi.index
-               for u in orthogonal_terms(aks, phi(i))
-               for pi in psi(i)):
-            return t
-    return None
+    needed = 0
+    for i in phi.index:
+        needed |= aks.push_image(aks.facing_terms(aks.stack_mask(phi(i))),
+                                 aks.stack_mask(psi(i)))
+    return next((t for t, row in zip(aks.terms, aks.rows)
+                 if t in aks.qp and row & needed == needed), None)
 
 
 def localic_criterion(opca, U=None):

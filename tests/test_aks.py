@@ -7,9 +7,9 @@ from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
                            check_order_ca, closed_stack_sets,
                            orthogonal_stacks, orthogonal_terms,
                            tv_least_of_aks)
-from realcheck.errors import StructureError
-from realcheck.formats import load_aks
-from realcheck.lattices import DIAMOND, L2, L3
+from realcheck.errors import CapExceeded, StructureError
+from realcheck.formats import load_aks, load_opca
+from realcheck.lattices import DIAMOND, L2, L3, chain
 
 from conftest import FIXTURES
 
@@ -38,6 +38,16 @@ def test_closure_operator_laws():
         cx = biorthogonal_closure(aks, x)
         assert x <= cx
         assert biorthogonal_closure(aks, cx) == cx
+
+
+def test_elements_outside_the_carrier_are_structure_errors():
+    aks = l2_aks()
+    with pytest.raises(StructureError, match="stack 'nope' outside the carrier"):
+        orthogonal_terms(aks, frozenset({"nope"}))
+    with pytest.raises(StructureError, match="term 'nope' outside the carrier"):
+        orthogonal_stacks(aks, frozenset({"nope"}))
+    with pytest.raises(StructureError, match="stack 'nope' outside the carrier"):
+        aks_apply(aks, frozenset(aks.stacks), frozenset({"nope"}))
 
 
 def test_orthogonality_antitone():
@@ -144,6 +154,34 @@ def test_filter_upward_closed_in_reverse_inclusion():
         for beta in oca.opca.elements:
             if oca.opca.leq(alpha, beta):
                 assert beta in oca.opca.filter
+
+
+def test_seventeen_stacks_get_an_answer():
+    # the cap counts closed sets, not the 2^17 stack subsets
+    aks = build_aks(chain(17).replace(U=frozenset({"c0"})), max_len=1).aks
+    assert len(aks.stacks) == 17
+    assert closed_stack_sets(aks) == [frozenset({"c0"}), frozenset(aks.stacks)]
+    _, rep = check_order_ca(aks)
+    assert rep.passed, rep.render_text()
+
+
+def test_small_cap_refuses_and_names_the_count():
+    opca, _ = load_opca(FIXTURES / "m3.json")
+    aks = build_aks(opca).aks
+    with pytest.raises(CapExceeded) as exc:  # the enumeration stops at the 8th set
+        closed_stack_sets(aks, cap=7)
+    assert str(exc.value) == f"closed stack sets of {aks.name}: 8 items exceeds cap 7"
+    assert len(closed_stack_sets(aks, cap=8)) == 8
+    with pytest.raises(CapExceeded) as exc:  # the kept list names its full size
+        check_order_ca(aks, cap=1)
+    assert (exc.value.count, exc.value.cap) == (8, 1)
+
+
+def test_closed_sets_are_enumerated_once_per_structure(monkeypatch):
+    aks = build_aks(DIAMOND, U={"0"}).aks
+    first = closed_stack_sets(aks)
+    monkeypatch.setattr(Aks, "close", None)  # a second enumeration would fail
+    assert closed_stack_sets(aks) == first and len(first) == 4
 
 
 # -- the forcing condition -----------------------------------------------------------------

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from realcheck.bco import (BcoMorphism, FiniteBco, ImplicativeKit,
-                           PseudoDAlgebra, applicative_verdict, check_bco,
+                           PseudoDAlgebra, _all_subsets, applicative_verdict, check_bco,
                            check_applicative_morphism, check_bco_morphism,
                            check_density, check_implicative,
                            check_pseudo_d_algebra, check_star, downset_bco,
@@ -392,3 +392,29 @@ def test_derived_sup_fails_loudly_on_broken_kit():
                             e_prime=kit.e_prime, name="broken")
     with pytest.raises(ConstructionError):
         sup_from_implication(broken)
+
+
+# -- enumeration caps ------------------------------------------------------------------
+
+def test_derivation_facts_refuse_above_the_cap_before_any_case(monkeypatch):
+    # fact (a) on the diamond: the sum over downsets of 5^|alpha| * 2^|alpha|
+    monkeypatch.setattr("realcheck.bco._FACT_A_CAP", 4744)
+    with pytest.raises(CapExceeded) as exc:
+        sup_from_implication(heyting_kit(DIAMOND))
+    assert (exc.value.count, exc.value.cap) == (4745, 4744)
+    monkeypatch.setattr("realcheck.bco._FACT_A_CAP", 4745)
+    assert sup_from_implication(heyting_kit(DIAMOND)).report.passed
+
+
+def test_subset_and_adjoint_enumerations_are_capped(monkeypatch):
+    with pytest.raises(CapExceeded) as exc:
+        _all_subsets(tuple(range(17)))
+    assert (exc.value.count, exc.value.cap) == (1 << 17, 1 << 16)
+    assert next(_all_subsets(tuple(range(16)))) == frozenset()
+    monkeypatch.setattr("realcheck.bco._ENUM_CAP", 26)
+    ident = {a: a for a in L3.elements}
+    with pytest.raises(CapExceeded) as exc:
+        find_right_adjoint(ident, L3, L3)
+    assert exc.value.count == 27
+    monkeypatch.setattr("realcheck.bco._ENUM_CAP", 27)
+    assert find_right_adjoint(ident, L3, L3) == ident

@@ -8,7 +8,7 @@ from realcheck.cli import main
 from realcheck.errors import StructureError
 from realcheck.formats import (aks_to_dict, load_aks, load_map, load_opca,
                                opca_to_dict, save_aks)
-from realcheck.lattices import L2
+from realcheck.lattices import L2, chain, semilattice_opca
 
 from conftest import FIXTURES
 
@@ -226,6 +226,40 @@ def test_check_tripos_refuses_without_joins(capsys):
     # the vee has no top, so no sup table can be derived from the poset
     code, out, _ = run(capsys, "check-tripos", str(FIXTURES / "vee.json"))
     assert code == 1 and "refused" in out
+
+
+def test_check_tripos_refuses_the_derivation_facts_on_the_cube(capsys, tmp_path):
+    # on the Boolean cube fact (a) of the sup derivation has about 4.6e9
+    # cases; the round trip is refused up front and the rest still runs
+    els = ("000", "001", "010", "100", "011", "101", "110", "111")
+    covers = {(a, b) for a in els for b in els
+              if sum(map(int, b)) == sum(map(int, a)) + 1
+              and all(x <= y for x, y in zip(a, b))}
+    cube = semilattice_opca(els, covers, U={"000"}, name="cube")
+    path = write(tmp_path, "cube.json", opca_to_dict(cube))
+    code, out, err = run(capsys, "--format", "machine", "check-tripos", path)
+    records = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert code == 1 and "Traceback" not in err
+    roundtrip = records["tripos.roundtrip_sup"]
+    assert roundtrip["verdict"] == "refused"
+    assert roundtrip["detail"] == (f"derivation fact (a) cases of {path}: "
+                                   "4617155345 items exceeds cap 1048576")
+    assert records["tripos.booleanization"]["verdict"] == "pass"
+
+
+def test_check_tripos_refuses_the_implicative_kit_on_a_long_chain(capsys, tmp_path):
+    # the 17-element chain passes the sup-algebra checks, but reading its
+    # infima takes 2^17 subsets; the round trip is refused, the rest still runs
+    path = write(tmp_path, "chain17.json",
+                 opca_to_dict(chain(17).replace(U=frozenset({"c0"}))))
+    code, out, err = run(capsys, "--format", "machine", "check-tripos", path)
+    records = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert code == 1 and "Traceback" not in err
+    assert records["tripos.star"]["verdict"] == "pass"
+    roundtrip = records["tripos.roundtrip_sup"]
+    assert roundtrip["verdict"] == "refused"
+    assert roundtrip["detail"] == "subsets of 17 elements: 131072 items exceeds cap 65536"
+    assert records["tripos.booleanization"]["verdict"] == "pass"
 
 
 def test_eval_term_flag(capsys):
