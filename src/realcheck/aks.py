@@ -8,7 +8,8 @@ closed under the five machine-step rules (S1)-(S5).
 Provided here: the pole-axiom checker, the construction of an aks from a
 filtered opca with a downward closed U disjoint from the filter, the
 induced total order-ca on biorthogonally closed stack sets with its
-filter, and the forcing-style condition on quasi-proofs.
+filter, and the forcing-style condition on quasi-proofs.  Closed stack
+sets come from ``poset.closed_masks``, which also lists downsets.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .bco import find_top, opca_to_bco, tv_least
 from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import (FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit,
                    k_law, s_law)
+from .poset import bits, closed_masks
 from .report import Report
 from .terms import Const, Var, app, lam
 
@@ -206,11 +208,6 @@ def _pull(targets, mask):
     return out
 
 
-def _bits(mask):
-    """The indices of the set bits, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
 def _low(mask):
     """The index of the lowest set bit."""
     return (mask & -mask).bit_length() - 1
@@ -244,7 +241,7 @@ def check_aks(aks):
                 next(((T[t], T[s], P[j]) for t in ix
                       for by_t in [_pull(push[t], row_k)]
                       for needs in [[_pull(push[s], by_t) for s in ix]]
-                      for j in _bits(rows[t]) for s in ix
+                      for j in bits(rows[t]) for s in ix
                       if not needs[s] >> j & 1), None))
     # (S3) (tu)(su) faces pi  =>  S faces t.s.u.pi
     rep.verdict("aks.s3_S",
@@ -260,7 +257,7 @@ def check_aks(aks):
                       if (bad := _pull(kof_push, rows[t]) & ~_pull(push[t], row_cc))), None))
     # (S5) t faces pi  =>  k_pi faces t.pi' for every pi'
     rep.verdict("aks.s5_kof",
-                next(((T[t], P[j], P[_low(bad)]) for t in ix for j in _bits(rows[t])
+                next(((T[t], P[j], P[_low(bad)]) for t in ix for j in bits(rows[t])
                       if (bad := aks.full & ~_pull(push[t], rows[kof[j]]))), None))
     return rep
 
@@ -376,30 +373,8 @@ def build_aks(opca, max_len=3, U=None, name=None):
 # The induced order-ca on biorthogonally closed stack sets
 # ---------------------------------------------------------------------------
 
-def _next_closure(aks, cap):
-    """The closed stack masks in lectic order, at most ``cap + 1`` of them.
-
-    Ganter's NextClosure: the successor of a closed set is the closure of
-    its part below i plus i, for the largest i that adds nothing below i.
-    Each closed set costs at most |stacks| closures.
-    """
-    current = aks.close(0)
-    found = [current]
-    while current != aks.full and len(found) <= cap:
-        for i in reversed(range(len(aks.stacks))):
-            if current >> i & 1:
-                continue
-            below = (1 << i) - 1
-            nxt = aks.close(current & below | 1 << i)
-            if nxt & below == current & below:
-                break
-        current = nxt
-        found.append(current)
-    return found
-
-
 def _closed_masks(aks, cap):
-    """Every closed stack mask, sorted by size, then by stack indices.
+    """Every closed stack mask (``poset.closed_masks`` of ``Aks.close``).
 
     Refuses with CapExceeded when there are more than ``cap``, naming
     ``cap + 1`` when the enumeration stopped there and the full count once
@@ -408,10 +383,8 @@ def _closed_masks(aks, cap):
     """
     masks = aks._closed
     if masks is None:
-        found = _next_closure(aks, cap)
-        if len(found) > cap:
-            raise CapExceeded(f"closed stack sets of {aks.name}", cap + 1, cap)
-        masks = sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
+        masks = closed_masks(len(aks.stacks), aks.close, cap,
+                             f"closed stack sets of {aks.name}")
         object.__setattr__(aks, "_closed", masks)
     if len(masks) > cap:
         raise CapExceeded(f"closed stack sets of {aks.name}", len(masks), cap)
@@ -431,7 +404,7 @@ def _apply_mask(aks, alpha, beta):
     lies in the closure of alpha, so the base is the pre-image of that
     closure under the push of each s in |beta|."""
     closed, base = aks.close(alpha), aks.full
-    for s in _bits(aks.facing_terms(beta)):
+    for s in bits(aks.facing_terms(beta)):
         base &= _pull(aks.push_index[s], closed)
     return aks.close(base)
 
@@ -512,7 +485,7 @@ def check_kr(aks):
     witness in QP order, else None."""
     push = aks.push_index
     needed = 0
-    for s in _bits(aks.facing_terms(aks.full)):
+    for s in bits(aks.facing_terms(aks.full)):
         for t in range(len(aks.terms)):
             for j in range(len(aks.stacks)):
                 needed |= 1 << push[t][push[s][j]] | 1 << push[s][push[t][j]]

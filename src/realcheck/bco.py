@@ -288,8 +288,7 @@ def _meet_candidates(bco, enumeration_cap):
                     break
             if total:
                 candidates.append(("pairing", table))
-    meets = {(a, b): bco.greatest(bco.down(a) & bco.down(b))
-             for a in bco.elements for b in bco.elements}
+    meets = {(a, b): bco.meet(a, b) for a in bco.elements for b in bco.elements}
     if None not in meets.values():
         candidates.append(("poset-meet", meets))
     n = len(bco.elements)
@@ -911,16 +910,10 @@ def implication_from_sup(alg, report=None, v=None):
         raise ConstructionError(f"s·k·k = {skk!r} lies outside the filter")
     g2_skk = g2[skk]
 
-    def I_set(alpha, beta):
-        return frozenset(
-            a for a in host.elements
-            if all(host.app(a, b) is not None and host.app(a, b) in beta
-                   for b in alpha))
-
     imp = {}
     for b in host.elements:
         for c in host.elements:
-            imp[(b, c)] = alg.value(I_set(host.down(b), host.down(c)))
+            imp[(b, c)] = alg.value(host.arrow(host.down(b), host.down(c)))
 
     inf = {}
     for subset in _all_subsets(host.elements):

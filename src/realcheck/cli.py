@@ -216,8 +216,12 @@ def _cmd_k2(args):
                   detail=f"n={args.n} fuel={args.fuel}")
     elif args.k2_command == "tau":
         alpha = k2mod.from_expr(args.alpha)
-        value = k2mod.tau_extract(alpha, args.prefix, args.nprime, args.j, args.fuel)
-        rep.found("k2.tau", "value", value, "undefined-at-fuel")
+        try:
+            value = k2mod.tau_extract(alpha, args.prefix, args.nprime, args.j, args.fuel)
+        except CapExceeded as e:
+            rep.add("k2.tau", REFUSED, detail=str(e))
+        else:
+            rep.found("k2.tau", "value", value, "undefined-at-fuel")
     elif args.k2_command == "discrete":
         elems = _parse_k2_elems(args.elems)
         result = k2mod.is_discrete(elems, args.depth)

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
-from .errors import StructureError
+from .errors import CapExceeded, StructureError
 
 __all__ = [
     "pair", "unpair", "encode_seq", "decode_seq",
@@ -104,6 +105,22 @@ class K2Element:
         return f"<K2 {self.name} [{tag}]>"
 
 
+def _dialogue(alpha, beta, n, fuel=None):
+    """Round N asks alpha about [n, beta(0), ..., beta(N-1)] until it answers
+    k+1, giving k; None after round ``fuel``.  Unfuelled, as in the s basis,
+    it ends because queried positions grow and prefix oracles abort."""
+    query = [n]
+    length = 0
+    while fuel is None or length <= fuel:
+        v = alpha(pair(length, _fold(query)) + 1)
+        if v > 0:
+            return v - 1
+        if length != fuel:
+            query.append(beta(length))
+        length += 1
+    return None
+
+
 def k2_apply(alpha, beta, n, fuel):
     """Value of alpha·beta at n, reading at most ``fuel`` values of beta.
 
@@ -111,14 +128,7 @@ def k2_apply(alpha, beta, n, fuel):
     first one and everything below it answered zero; None is the
     undefined-at-this-fuel verdict, not an error.  Monotone in fuel.
     """
-    query = [n]
-    for length in range(fuel + 1):
-        v = alpha(pair(length, _fold(query)) + 1)
-        if v > 0:
-            return v - 1
-        if length < fuel:
-            query.append(beta(length))
-    return None
+    return _dialogue(alpha, beta, n, fuel)
 
 
 def apply_elem(alpha, beta, fuel, name=None):
@@ -220,19 +230,6 @@ def _assoc_value(h, x):
         raise
 
 
-def _oracle_apply(f_or, g_or, n):
-    """Dialogue of f against g at n where both sides are oracles; terminates
-    because queried positions grow strictly and prefix oracles abort."""
-    query = [n]
-    length = 0
-    while True:
-        v = f_or(pair(length, _fold(query)) + 1)
-        if v > 0:
-            return v - 1
-        query.append(g_or(length))
-        length += 1
-
-
 def k2_basis():
     """Recursive-tagged k and s with k·a·b ~ a and s·a·b·c ~ (a·c)·(b·c).
 
@@ -250,12 +247,12 @@ def k2_basis():
         def s_level2(b_or, n2):
             def s_level3(c_or, n):
                 def ac(j):
-                    return _oracle_apply(a_or, c_or, j)
+                    return _dialogue(a_or, c_or, j)
 
                 def bc(j):
-                    return _oracle_apply(b_or, c_or, j)
+                    return _dialogue(b_or, c_or, j)
 
-                return _oracle_apply(ac, bc, n)
+                return _dialogue(ac, bc, n)
 
             return _assoc_value(s_level3, n2)
 
@@ -307,6 +304,10 @@ def is_discrete(elements, depth):
 # The extraction recipe from the non-localic argument
 # ---------------------------------------------------------------------------
 
+# Most alpha calls phase 2 of tau_extract makes before it refuses.
+_TAU_CAP = 1 << 18
+
+
 def tau_extract(alpha, prefix, nprime, j, fuel):
     """Two-phase search for the hidden value at j.
 
@@ -314,6 +315,8 @@ def tau_extract(alpha, prefix, nprime, j, fuel):
     Phase 2 extends the full prefix by tuples, breadth-first in length and
     lexicographic within one, values and length both bounded by fuel.
     The first positive answer, minus one, is returned; None otherwise.
+    Phase 2 makes up to sum((fuel+1)^l for l = 1..fuel) alpha calls; the
+    call past ``_TAU_CAP`` raises CapExceeded naming that sum.
     """
     prefix = list(prefix)
     if len(prefix) != nprime + 1:
@@ -322,10 +325,14 @@ def tau_extract(alpha, prefix, nprime, j, fuel):
         v = alpha(encode_seq([j] + prefix[:k + 1]))
         if v > 0:
             return v - 1
-    from itertools import product
     base = [j] + prefix
+    calls = 0
     for ext_len in range(1, fuel + 1):
         for ext in product(range(fuel + 1), repeat=ext_len):
+            if calls == _TAU_CAP:
+                raise CapExceeded(f"tau_extract phase 2 alpha calls at fuel {fuel}",
+                                  sum((fuel + 1) ** m for m in range(1, fuel + 1)), _TAU_CAP)
+            calls += 1
             v = alpha(encode_seq(base + list(ext)))
             if v > 0:
                 return v - 1

@@ -22,10 +22,6 @@ __all__ = [
 ]
 
 
-def _meet(poset, a, b):
-    return poset.greatest(poset.down(a) & poset.down(b))
-
-
 def semilattice_opca(elements, cover_pairs, *, filter=None, U=None, name="semilattice"):
     """Meet-semilattice as an opca: app = binary meet (total), k = s = max(filter).
 
@@ -36,7 +32,7 @@ def semilattice_opca(elements, cover_pairs, *, filter=None, U=None, name="semila
     table = {}
     for a in poset.elements:
         for b in poset.elements:
-            table[(a, b)] = _meet(poset, a, b)
+            table[(a, b)] = poset.meet(a, b)
             if table[(a, b)] is None:
                 raise StructureError(f"no meet for ({a!r},{b!r})", source=name)
     if filter is None:
@@ -119,7 +115,7 @@ def enumerate_lattices(max_n=5):
                           frozenset((i, j) for i in range(n) for j in range(n) if leq[i][j]))
             if poset.greatest(poset.elements) is None:
                 continue
-            if any(_meet(poset, a, b) is None for a in range(n) for b in range(a + 1, n)):
+            if any(poset.meet(a, b) is None for a in range(n) for b in range(a + 1, n)):
                 continue
             key = _canonical(n, leq)
             if key in seen:

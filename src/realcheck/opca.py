@@ -77,6 +77,12 @@ class FiniteOpca(Poset):
         prods = [self.table.get((a, b)) for a in left for b in right]
         return None if None in prods else prods
 
+    def arrow(self, alpha, beta):
+        """{a | a·b defined and in the set ``beta`` for every b in ``alpha``}."""
+        table = self.table
+        return frozenset(a for a in self.elements
+                         if all(table.get((a, b)) in beta for b in alpha))
+
     def eval(self, term, env=None):
         return eval_in_opca(term, env, self)
 

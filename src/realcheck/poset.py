@@ -1,10 +1,11 @@
 """The poset core shared by every structure: carrier, order, downsets.
 
 ``Poset`` owns the carrier checks, the reflexive-transitive closure of the
-order, the order queries, the downset enumerator, least/greatest elements
-and the tracker search ("first candidate g with g(x) defined and <= y for
+order, the order queries, the downsets, least/greatest elements, meets and
+the tracker search ("first candidate g with g(x) defined and <= y for
 every pair (x, y)").  ``FiniteOpca`` and ``FiniteBco`` extend it.  The
-order may be a preorder: nothing here assumes antisymmetry.
+order may be a preorder: nothing here assumes antisymmetry.  The downsets
+and the closed stack sets of ``aks.py`` both come from ``closed_masks``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, StructureError
 
-__all__ = ["Poset", "reflexive_transitive_closure", "downsets_of_poset"]
+__all__ = ["Poset", "reflexive_transitive_closure", "closed_masks", "downsets_of_poset"]
 
 
 def reflexive_transitive_closure(elements, pairs):
@@ -28,41 +29,54 @@ def reflexive_transitive_closure(elements, pairs):
     return frozenset((a, b) for a in elements for b in up[a])
 
 
-def downsets_of_poset(elements, leq, cap=1 << 16, what="downsets"):
-    """All downward closed subsets of a preordered set.
+def bits(mask):
+    """The indices of the set bits, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
-    ``leq`` must be reflexive and transitive.  Elements below each other
-    form one class, taken or left whole, and classes are visited by
-    increasing down-set size, which extends the order.  Deterministic
-    output order: by (size, element indexes).  Refuses with CapExceeded once
-    more than ``cap`` downsets appear.
+
+def closed_masks(n, close, cap, what):
+    """Every closed set of a closure operator on n items as an int mask, by
+    size, then by item indices; CapExceeded(what, cap + 1, cap) past the cap.
+
+    Ganter's NextClosure: the successor of a closed set is the closure of
+    its part below i plus i, for the largest i that adds nothing below i.
+    Each closed set costs at most n closures.
     """
+    full = (1 << n) - 1
+    current = close(0)
+    found = [current]
+    while current != full and len(found) <= cap:
+        for i in reversed(range(n)):
+            if current >> i & 1:
+                continue
+            below = (1 << i) - 1
+            nxt = close(current & below | 1 << i)
+            if nxt & below == current & below:
+                break
+        current = nxt
+        found.append(current)
+    if len(found) > cap:
+        raise CapExceeded(what, cap + 1, cap)
+    return sorted(found, key=lambda m: (m.bit_count(), bits(m)))
+
+
+def downsets_of_poset(elements, leq, cap=1 << 16, what="downsets"):
+    """All downward closed subsets of a preordered set, as ``closed_masks``
+    lists the downward closure on element positions (``leq`` reflexive and
+    transitive).  Refuses with CapExceeded past ``cap`` downsets."""
     elements = list(elements)
-    below = {e: [x for x in elements if leq(x, e)] for e in elements}
-    classes, seen = [], set()
-    for e in sorted(elements, key=lambda e: len(below[e])):
-        if e not in seen:
-            members = [x for x in below[e] if leq(e, x)]
-            seen.update(members)
-            classes.append((members, [x for x in below[e] if x not in members]))
-    out = []
+    below = [sum(1 << j for j, x in enumerate(elements) if leq(x, e)) for e in elements]
 
-    def extend(i, current):
-        if i == len(classes):
-            out.append(frozenset(current))
-            if len(out) > cap:
-                raise CapExceeded(what, len(out), cap)
-            return
-        members, strictly_below = classes[i]
-        extend(i + 1, current)
-        if all(x in current for x in strictly_below):
-            current.update(members)
-            extend(i + 1, current)
-            current.difference_update(members)
+    def close(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= below[low.bit_length() - 1]
+            mask ^= low
+        return out
 
-    extend(0, set())
-    index = {e: i for i, e in enumerate(elements)}
-    return sorted(out, key=lambda d: (len(d), tuple(sorted(index[e] for e in d))))
+    return [frozenset(elements[j] for j in bits(m))
+            for m in closed_masks(len(elements), close, cap, what)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +140,10 @@ class Poset:
         """First element of ``subset`` in carrier order above all of it, or None."""
         return next((x for x in self.ordered(subset)
                      if all(self.leq(y, x) for y in subset)), None)
+
+    def meet(self, a, b):
+        """The greatest element below both, first in carrier order, or None."""
+        return self.greatest(self.down(a) & self.down(b))
 
     def tracker(self, candidates, apply, pairs):
         """First g in ``candidates`` with apply(g, x) defined (not None) and

@@ -49,9 +49,7 @@ def arrow_U(alpha, opca, U=None):
     U = frozenset(U) if U is not None else opca.U
     if U is None:
         raise StructureError("arrow_U needs a downset U", source=opca.name)
-    out = frozenset(a for a in opca.elements
-                    if all(opca.app(a, b) is not None and opca.app(a, b) in U
-                           for b in alpha))
+    out = opca.arrow(alpha, U)
     if not opca.is_downward_closed(out):
         raise InvariantViolation(f"alpha -> U not downward closed in {opca.name}")
     return out
@@ -73,8 +71,7 @@ def _d_predicate_leq(phi, psi, opca):
     working r works.
     """
     for r in opca.ordered(opca.filter):
-        if all(opca.app(r, u) is not None and opca.app(r, u) in psi(i)
-               for i in phi.index for u in phi(i)):
+        if all(opca.app(r, u) in psi(i) for i in phi.index for u in phi(i)):
             return r
     return None
 
@@ -123,10 +120,6 @@ def localic_criterion(opca, U=None):
     U = frozenset(U) if U is not None else opca.U
     if opca.filter is None or U is None:
         raise StructureError("localic criterion needs a filter and U", source=opca.name)
-    triggers = [a for a in opca.elements
-                if any(opca.app(b, a) is not None and opca.app(b, a) in U
-                       for b in opca.filter)]
-    for e in opca.ordered(opca.filter):
-        if all(opca.app(e, a) is not None and opca.app(e, a) in U for a in triggers):
-            return e
-    return None
+    triggers = [a for a in opca.elements if any(opca.app(b, a) in U for b in opca.filter)]
+    return next((e for e in opca.ordered(opca.filter)
+                 if all(opca.app(e, a) in U for a in triggers)), None)

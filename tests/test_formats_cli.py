@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from realcheck import k2 as k2mod
 from realcheck.cli import main
 from realcheck.errors import StructureError
 from realcheck.formats import (aks_to_dict, load_aks, load_map, load_opca,
@@ -460,6 +461,18 @@ def test_k2_and_cap_integers_are_usage_errors(capsys, argv, flag):
     assert f"argument {flag}: " in err and "Traceback" not in err
 
 
+def test_k2_tau_refuses_past_the_phase_two_cap(capsys, monkeypatch):
+    # the default fuel 8 asks for 48,427,560 alpha calls
+    monkeypatch.setattr(k2mod, "_TAU_CAP", 1000)
+    code, out, _ = run(capsys, "--format", "machine", "k2", "tau", "--alpha", "0",
+                       "--prefix", "1,2", "--nprime", "1", "--j", "0")
+    assert code == 1
+    assert json.loads(out) == {
+        "check": "k2.tau", "counterexample": None, "subject": "k2", "verdict": "refused",
+        "detail": "tau_extract phase 2 alpha calls at fuel 8: 48427560 items exceeds cap 1000",
+        "witnesses": {}}
+
+
 def test_k2_tau_takes_an_empty_prefix(capsys):
     code, _, err = run(capsys, "k2", "tau", "--alpha", "0", "--prefix", "", "--nprime", "0",
                        "--j", "0", "--fuel", "1")
@@ -521,12 +534,14 @@ K2_FLAGS = {"apply": ("--alpha", "--beta", "--n"),
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(sub=st.sampled_from(sorted(K2_FLAGS)), data=st.data())
-def test_fuzzed_k2_argv_exits_zero_one_or_two(capsys, sub, data):
+def test_fuzzed_k2_argv_exits_zero_one_or_two(capsys, monkeypatch, sub, data):
+    monkeypatch.setattr(k2mod, "_TAU_CAP", 64)  # so tau's default fuel refuses quickly
     argv = ["k2", sub]
     for flag in K2_FLAGS[sub]:
         if data.draw(st.integers(0, 9)):  # mostly present
             argv += [flag, data.draw(st.sampled_from(K2_VALUES))]
-    if sub != "discrete":  # the default fuel is far too large for a test
+    # apply's default fuel is far too large for a test; tau's reaches the cap
+    if sub == "apply" or sub == "tau" and data.draw(st.booleans()):
         argv += ["--fuel", data.draw(st.sampled_from(["0", "1", "2", "-1", "x"]))]
     assert exit_code(argv) in (0, 1, 2)
     capsys.readouterr()

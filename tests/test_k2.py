@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realcheck.errors import StructureError
+from realcheck import k2
+from realcheck.errors import CapExceeded, StructureError
 from realcheck.k2 import (FuelExhausted, K2Element, apply_elem, apply_many,
                           basic_open_contains, decode_seq, encode_seq,
                           from_expr, is_discrete, k2_apply, k2_basis,
@@ -223,6 +224,48 @@ def test_phase_one_answers_without_extension_search():
 def test_zero_alpha_is_undefined_at_fuel():
     prefix = [1, 2]
     assert tau_extract(from_expr("0"), prefix, 1, 0, fuel=2) is None
+
+
+def test_phase_two_refuses_the_call_past_the_cap(monkeypatch):
+    # fuel 2: phase 2 reads 3 + 9 = 12 extensions and finds nothing
+    monkeypatch.setattr(k2, "_TAU_CAP", 12)
+    assert tau_extract(from_expr("0"), [1, 2], 1, 0, fuel=2) is None
+    monkeypatch.setattr(k2, "_TAU_CAP", 11)
+    with pytest.raises(CapExceeded, match=r"^tau_extract phase 2 alpha calls at fuel 2: "
+                                          r"12 items exceeds cap 11$"):
+        tau_extract(from_expr("0"), [1, 2], 1, 0, fuel=2)
+
+
+def test_phase_two_answers_found_under_the_cap(monkeypatch):
+    def fn(x):  # answers 4 once the prefix [j, 1, 2] is extended twice
+        return 5 if len(decode_seq(x)) >= 5 else 0
+
+    # at fuel 8: 9 one-value extensions, then the first two-value one
+    monkeypatch.setattr(k2, "_TAU_CAP", 10)
+    assert tau_extract(elem(fn), [1, 2], 1, 0, fuel=8) == 4
+    monkeypatch.setattr(k2, "_TAU_CAP", 9)
+    with pytest.raises(CapExceeded, match="48427560 items exceeds cap 9"):
+        tau_extract(elem(fn), [1, 2], 1, 0, fuel=8)
+
+
+def test_s_basis_dialogues_run_unfuelled_and_bypass_k2_apply(monkeypatch):
+    calls = []
+    dialogue = k2._dialogue
+
+    def counted(*args):
+        calls.append(args)
+        return dialogue(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the s basis called k2_apply")
+
+    monkeypatch.setattr(k2, "_dialogue", counted)
+    monkeypatch.setattr(k2, "k2_apply", forbidden)
+    _, s = k2_basis()
+    # s at [[[0]]]: levels 1-3 get empty prefixes, so the level-3 dialogue
+    # starts and the first read of a aborts to "read more"
+    assert s(encode_seq([encode_seq([encode_seq([0])])])) == 0
+    assert calls and all(len(args) == 3 for args in calls)
 
 
 def test_prefix_length_validated():

@@ -161,6 +161,16 @@ def partial_opcas(draw):
                       name="random")
 
 
+@given(partial_opcas(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_arrow_reads_undefined_as_outside(opca, data):
+    subsets = st.frozensets(st.sampled_from(opca.elements))
+    alpha, beta = data.draw(subsets), data.draw(subsets)
+    assert opca.arrow(alpha, beta) == frozenset(
+        a for a in opca.elements
+        if all(opca.app(a, b) is not None and opca.app(a, b) in beta for b in alpha))
+
+
 def term_route(opca, term):
     try:
         value = opca.eval(term)

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realcheck.bco import FiniteBco, opca_to_bco
 from realcheck.errors import CapExceeded, StructureError
 from realcheck.formats import load_opca
 from realcheck.lattices import chain, enumerate_lattices
 from realcheck.opca import FiniteOpca
-from realcheck.poset import Poset, reflexive_transitive_closure
+from realcheck.poset import Poset, downsets_of_poset, reflexive_transitive_closure
 
 from conftest import FIXTURES, STANDARD_OPCAS
 
@@ -27,6 +29,75 @@ def brute_downsets(poset):
     return sorted(out, key=lambda d: (len(d), sorted(els.index(e) for e in d)))
 
 
+def reference_downsets(elements, leq, cap=1 << 16, what="downsets"):
+    """Reference: the recursive class walk that listed downsets before
+    NextClosure.  Elements below each other form one class, taken or left
+    whole; classes are visited by increasing down-set size."""
+    elements = list(elements)
+    below = {e: [x for x in elements if leq(x, e)] for e in elements}
+    classes, seen = [], set()
+    for e in sorted(elements, key=lambda e: len(below[e])):
+        if e not in seen:
+            members = [x for x in below[e] if leq(e, x)]
+            seen.update(members)
+            classes.append((members, [x for x in below[e] if x not in members]))
+    out = []
+
+    def extend(i, current):
+        if i == len(classes):
+            out.append(frozenset(current))
+            if len(out) > cap:
+                raise CapExceeded(what, len(out), cap)
+            return
+        members, strictly_below = classes[i]
+        extend(i + 1, current)
+        if all(x in current for x in strictly_below):
+            current.update(members)
+            extend(i + 1, current)
+            current.difference_update(members)
+
+    extend(0, set())
+    index = {e: i for i, e in enumerate(elements)}
+    return sorted(out, key=lambda d: (len(d), tuple(sorted(index[e] for e in d))))
+
+
+@st.composite
+def preorders(draw):
+    """A random relation on up to 8 elements, closed reflexively and
+    transitively, so order cycles occur."""
+    n = draw(st.integers(0, 8))
+    els = tuple(f"x{i}" for i in range(n))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(els), st.sampled_from(els)),
+                         max_size=2 * n) if n else st.just(set()))
+    return Poset(els, frozenset(pairs))
+
+
+def cap_message(enumerate_, *args, cap):
+    with pytest.raises(CapExceeded) as info:
+        enumerate_(*args, cap=cap, what="sets of P")
+    return str(info.value)
+
+
+@given(preorders(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_downsets_match_the_recursive_walk(poset, data):
+    leq = poset.leq
+    want = reference_downsets(poset.elements, leq)
+    assert downsets_of_poset(poset.elements, leq) == want
+    cap = data.draw(st.integers(0, len(want) - 1))
+    assert (cap_message(downsets_of_poset, poset.elements, leq, cap=cap)
+            == cap_message(reference_downsets, poset.elements, leq, cap=cap)
+            == f"sets of P: {cap + 1} items exceeds cap {cap}")
+    if len(want) > 16:  # more downsets have too many families to list here
+        return
+    # the families case of check_pseudo_d_algebra: downsets of the downsets
+    families = reference_downsets(want, frozenset.__le__)
+    assert downsets_of_poset(want, frozenset.__le__) == families
+    cap = data.draw(st.integers(0, len(families) - 1))
+    assert (cap_message(downsets_of_poset, want, frozenset.__le__, cap=cap)
+            == cap_message(reference_downsets, want, frozenset.__le__, cap=cap))
+
+
 def posets_under_test():
     yield PREORDER
     yield Poset(("x", "y", "z"), frozenset({("x", "y"), ("y", "z"), ("z", "x")}))
@@ -39,7 +110,11 @@ def posets_under_test():
 @pytest.mark.parametrize("poset", list(posets_under_test()),
                          ids=lambda p: p.name if p.name != "poset" else str(p.elements))
 def test_downsets_match_brute_force(poset):
-    assert poset.downsets() == brute_downsets(poset)
+    downs = poset.downsets()
+    assert downs == brute_downsets(poset)
+    assert downs == reference_downsets(poset.elements, poset.leq)
+    assert (downsets_of_poset(downs, frozenset.__le__)
+            == reference_downsets(downs, frozenset.__le__))
 
 
 def test_preorder_downsets_keep_order_cycles():
@@ -79,6 +154,8 @@ def test_least_and_greatest_follow_carrier_order():
     assert l3.least(l3.element_set) == "0" and l3.greatest(l3.element_set) == "1"
     assert PREORDER.greatest({"a", "b", "c"}) == "a"  # a and b tie; a comes first
     assert PREORDER.least({"c", "d"}) is None
+    assert l3.meet("0", "1") == "0" and l3.meet("m", "1") == "m"
+    assert PREORDER.meet("a", "b") == "a" and PREORDER.meet("a", "d") is None
 
 
 def test_bco_gets_the_carrier_checks():
