@@ -271,7 +271,6 @@ class BuiltAks:
     aks: Aks
     opca: FiniteOpca
     kit: object
-    canonical_seq: dict  # stack value -> the sequence that produced it
 
 
 def build_aks(opca, max_len=3, U=None, name=None):
@@ -305,22 +304,19 @@ def build_aks(opca, max_len=3, U=None, name=None):
             raise ConstructionError(f"{what.format(*args)} undefined during aks construction")
         return out
 
-    # stacks: values of short codes, then closed under push = d-application
-    canonical = {}
-    for length in range(max_len + 1):
-        for seq in product(opca.elements, repeat=length):
-            value = kit.seq_value(seq)
-            canonical.setdefault(value, seq)
-    frontier = list(canonical)
+    # stacks: the codes of the sequences of length <= max_len, which the kit
+    # check lists, then closed under push = d-application
+    d_row = [(a, apply_or_die(d_el, a, "d·{}", a)) for a in opca.elements]
+    frontier = list(kit.stack_codes)
+    seen = set(frontier)
     while frontier:
         pi = frontier.pop()
-        for a in opca.elements:
-            da = apply_or_die(d_el, a, "d·{}", a)
+        for a, da in d_row:
             v = apply_or_die(da, pi, "d·{}·{}", a, pi)
-            if v not in canonical:
-                canonical[v] = (a,) + canonical[pi]
+            if v not in seen:
+                seen.add(v)
                 frontier.append(v)
-    stacks = tuple(opca.ordered(canonical))
+    stacks = tuple(opca.ordered(seen))
 
     # dot(a, b) = <pi> a (b.pi), applied through an evaluated closed term
     bC, cC, dC = Const(b_el), Const(c_el), Const(d_el)
@@ -354,19 +350,17 @@ def build_aks(opca, max_len=3, U=None, name=None):
         dt = apply_or_die(dot_el, t, "dot·{}", t)
         for s in opca.elements:
             dot[(t, s)] = apply_or_die(dt, s, "dot·{}·{}", t, s)
-    push = {}
-    for t in opca.elements:
-        dt = apply_or_die(d_el, t, "d·{}", t)
-        for pi in stacks:
-            push[(t, pi)] = apply_or_die(dt, pi, "push {}.{}", t, pi)
+    push = {(t, pi): apply_or_die(dt, pi, "push {}.{}", t, pi)
+            for t, dt in d_row for pi in stacks}
     kof = {pi: apply_or_die(kof_el, pi, "kOf({})", pi) for pi in stacks}
+    # None is never in U, so an undefined t·pi is outside the pole
     pole = frozenset((t, pi) for t in opca.elements for pi in stacks
-                     if opca.app(t, pi) is not None and opca.app(t, pi) in U)
+                     if opca.app(t, pi) in U)
 
     aks = Aks(terms=tuple(opca.elements), stacks=stacks, dot=dot, push=push,
               kof=kof, K=K_el, S=S_el, cc=cc_el, qp=opca.filter, pole=pole,
               name=name or f"K({opca.name},U={sorted(map(str, U))})")
-    return BuiltAks(aks=aks, opca=opca, kit=kit, canonical_seq=canonical)
+    return BuiltAks(aks=aks, opca=opca, kit=kit)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ Krivine-structure construction), and the Turing-style reducibility search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 from .errors import ConstructionError, StructureError
 from .poset import Poset
@@ -220,14 +219,24 @@ def skk_element(opca):
 # two children's values, undefined when either is; running every step gives
 # each root the value ``eval_in_opca`` gives it.
 #
-# ``SequenceKit.seq_value`` then reads a code table instead of evaluating
-# ``seq_term``.  The code of a0..ak is (p·n)·inner(a0..ak) with
-# inner(a::s) = (p·a)·inner(s) and inner([]) = nil, so sequences that share
-# a suffix share its inner value.  The two agree because ``eval_in_opca`` is
+# The code of a0..ak is (p·n)·inner(a0..ak) with inner(a::s) = (p·a)·inner(s)
+# and inner([]) = nil.  ``SequenceKit.seq_value`` folds it on demand instead
+# of evaluating ``seq_term``.  The two agree because ``eval_in_opca`` is
 # strictly bottom-up: the value of App(M, N) is val(M)·val(N), with M
 # evaluated before N and the first undefined step (or the first constant
 # outside the carrier) ending the evaluation.  A sequence that may hold
 # other items is checked in that order before it is folded.
+#
+# The kit check does not visit each of the |A|^L carrier sequences of a
+# length L.  A clause reads a sequence only through a few values, its
+# states: the inner value u decides its code and clause (iii); the pair
+# (a_n, u) decides clause (i) at n; the pair (inner(a_n..a_k), u) decides
+# clause (ii) at n.  Length L+1's states come from length L's by putting
+# each carrier item a in front (u becomes (p·a)·u), so a length has at most
+# |A|+1 inner values and (|A|+1)^2 pairs per n, and the whole check makes
+# O(max_len^2·|A|^3) table reads.  Each state keeps the first sequence in
+# product order that reaches it, and the first failing sequence of a length
+# is the smallest of those kept by failing states.
 
 PAIR = lam("x y z", app(Var("z"), Var("x"), Var("y")))
 FST = lam("t", app(Var("t"), lam("x y", Var("x"))))
@@ -345,11 +354,11 @@ class SequenceKit:
     At construction the kit runs ``_kit_program(max_len)`` in ``opca`` and
     keeps the values of PAIR, b, c, d, t and the numerals 0..max_len+1
     (``element`` and ``numeral_value`` read them; other terms and numerals
-    are evaluated on first use).  It also keeps one table of sequence codes,
-    which ``seq_value``, the kit check and ``build_aks`` read: the check
-    enters every carrier sequence up to length max_len+1, sharing each
-    suffix's inner value, and ``seq_value`` adds any other sequence it is
-    asked for.
+    are evaluated on first use).  ``seq_value`` folds a sequence's code from
+    these values when asked.  ``stack_codes`` is filled by the check in
+    ``derive_sequence_kit``: the codes of the carrier sequences of length
+    <= max_len, each once, in order of first appearance (by length, then
+    product order); it stays None on a kit that was not checked.
     """
 
     opca: FiniteOpca
@@ -361,6 +370,7 @@ class SequenceKit:
     c: object
     d: object
     t: object
+    stack_codes: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         roots, steps, outputs = _kit_program(self.max_len)
@@ -375,7 +385,6 @@ class SequenceKit:
         object.__setattr__(self, "_numerals", numerals)
         # carrier element a -> p·a, None when undefined
         object.__setattr__(self, "_pa", {a: table.get((pair, a)) for a in self.opca.elements})
-        object.__setattr__(self, "_codes", {})  # sequence -> its code, None when undefined
 
     def _numeral(self, n):
         """Value of numeral(n) in the opca (None when undefined)."""
@@ -396,14 +405,11 @@ class SequenceKit:
     def _code(self, items):
         """The value of ``seq_term(items)``: (p·n)·inner(items), or None.
 
-        A sequence not yet in the table is first checked in the order
-        ``eval_in_opca`` takes that term: p, the numeral, p·n, then per item
-        its carrier membership (a ValueError) and p·a.  So the result, the
-        undefined step and the error are the same as the term route's.
+        The steps are checked in the order ``eval_in_opca`` takes that term:
+        p, the numeral, p·n, then per item its carrier membership (a
+        ValueError) and p·a.  So the result, the undefined step and the error
+        are the same as the term route's.
         """
-        codes = self._codes
-        if items in codes:
-            return codes[items]
         p, pa, table = self._pair, self._pa, self.opca.table
         head = None if p is None else table.get((p, self._numeral(len(items))))
         if head is None:
@@ -416,28 +422,7 @@ class SequenceKit:
         value = self._numeral(0)  # nil
         for e in reversed(items):
             value = table.get((pa[e], value))
-        code = codes[items] = table.get((head, value))
-        return code
-
-    def _fill(self, length):
-        """Enter every carrier sequence of length <= ``length`` in the code
-        table and return the table.  Level n+1 extends level n by one item in
-        front, so each code costs two table reads: inner(a::s) =
-        (p·a)·inner(s), code = (p·n)·inner.  Carrier items raise no
-        ValueError, so every failure is an undefined step and the order of
-        the checks cannot show: a code is None exactly when ``_code`` says so.
-        """
-        codes, pa, table = self._codes, self._pa, self.opca.table
-        level, inner = [()], {(): self._numeral(0)}
-        for n in range(length + 1):
-            if n:
-                level = [(a,) + rest for a in self.opca.elements for rest in level]
-                for items in level:
-                    inner[items] = table.get((pa[items[0]], inner[items[1:]]))
-            head = table.get((self._pair, self._numeral(n)))
-            for items in level:
-                codes[items] = table.get((head, inner[items]))
-        return codes
+        return table.get((head, value))
 
     def numeral_value(self, n):
         value = self._numeral(n)
@@ -457,7 +442,8 @@ def derive_sequence_kit(opca, max_len=3, verify=True):
     """Build the coding terms and check the four list clauses exhaustively.
 
     Requires a filter; raises ConstructionError when an evaluation that the
-    clauses need comes out undefined, naming the offending term.
+    clauses need comes out undefined, naming the offending term.  A checked
+    kit carries ``stack_codes``.
     """
     if opca.filter is None:
         raise StructureError("sequence kit needs a filtered opca", source=opca.name)
@@ -465,56 +451,116 @@ def derive_sequence_kit(opca, max_len=3, verify=True):
     kit = SequenceKit(opca=opca, max_len=max_len, p=PAIR, p0=FST, p1=SND,
                       b=b, c=c, d=d, t=t)
     if verify:
-        _verify_kit(kit)
+        object.__setattr__(kit, "stack_codes", _verify_kit(kit))
     return kit
 
 
 def _verify_kit(kit):
+    """Check clauses (i)-(iv) on every carrier sequence of length <= max_len,
+    length by length over the sequences' states (see the comment above
+    ``PAIR``), and return the codes of those sequences, each once, in order
+    of first appearance.
+
+    A failure raises the ConstructionError of the first failing sequence
+    by length, then product order, and names the first check that sequence
+    fails, in this order: its code, then per a whether d·a·code and the
+    code of a::seq are defined and clause (iii) holds, then per n clause (i)
+    and clause (ii) with their applications.
+    """
     opca = kit.opca
-    table, leq = opca.table, opca.leq_pairs
+    table, leq, elements, pa = opca.table, opca.leq_pairs, opca.elements, kit._pa
     b_el, c_el, d_el, t_el = (kit.element(t) for t in (kit.b, kit.c, kit.d, kit.t))
     for label, el in (("b", b_el), ("c", c_el), ("d", d_el), ("t", t_el)):
         if el not in opca.filter:
             raise ConstructionError(f"kit term {label} evaluates outside the filter")
     nums = [kit.numeral_value(n) for n in range(kit.max_len + 1)]
-    codes = kit._fill(kit.max_len + 1)
+    heads = [table.get((kit._pair, kit._numeral(n))) for n in range(kit.max_len + 2)]
     # the first factors of d·a·code, b·n·code and c·n·code; None when undefined
-    d_row = [(a, table.get((d_el, a))) for a in opca.elements]
+    d_row = [(a, table.get((d_el, a)), pa[a]) for a in elements]
     b_row = [table.get((b_el, num)) for num in nums]
     c_row = [table.get((c_el, num)) for num in nums]
+    codes = []  # per length: inner value -> code (None when undefined)
 
-    def code_of(seq):
-        code = codes[seq]
+    # One predicate per clause: the message of the first check that a
+    # sequence ``seq`` in the given state fails, else None.  (None is never a
+    # carrier element, so an undefined factor finds no entry.)
+    def coded(inner, seq):
+        code = codes[len(seq)][inner]
         if code is None:
-            raise ConstructionError(f"sequence code for {list(seq)!r} undefined")
-        return code
+            return f"sequence code for {list(seq)!r} undefined"
+        head = heads[len(seq) + 1]
+        for a, da, p_a in d_row:
+            lhs = table.get((da, code))
+            if lhs is None:
+                return f"d·{a}·{list(seq)} undefined"
+            rhs = table.get((head, table.get((p_a, inner))))
+            if rhs is None:
+                return f"sequence code for {[a, *seq]!r} undefined"
+            if (lhs, rhs) not in leq:
+                return f"clause (iii) fails at {a!r}, {list(seq)!r}"
+        return None
 
-    # (None is never a carrier element, so an undefined factor finds no entry)
+    def indexed(n, item, inner, seq):
+        lhs = table.get((b_row[n], codes[len(seq)][inner]))
+        if lhs is None:
+            return f"b·{n}·{list(seq)} undefined"
+        if (lhs, item) not in leq:
+            return f"clause (i) fails at n={n}, {list(seq)!r}"
+        return None
+
+    def dropped(n, rest, inner, seq):  # rest is the inner value of seq[n:]
+        lhs = table.get((c_row[n], codes[len(seq)][inner]))
+        if lhs is None:
+            return f"c·{n}·{list(seq)} undefined"
+        if (lhs, codes[len(seq) - n][rest]) not in leq:
+            return f"clause (ii) fails at n={n}, {list(seq)!r}"
+        return None
+
+    # state -> the first sequence reaching it: inner values, and per n the
+    # pairs (a_n, inner) and (inner value of a_n.., inner)
+    inner, items, rests = {kit._numeral(0): ()}, [], []
     for length in range(kit.max_len + 1):
-        for seq in product(opca.elements, repeat=length):
-            code = code_of(seq)
-            # (iii) and (iv)
-            for a, da in d_row:
-                lhs = table.get((da, code))
-                if lhs is None:
-                    raise ConstructionError(f"d·{a}·{list(seq)} undefined")
-                if (lhs, code_of((a,) + seq)) not in leq:
-                    raise ConstructionError(f"clause (iii) fails at {a!r}, {list(seq)!r}")
-            for n in range(length):
-                lhs = table.get((b_row[n], code))
-                if lhs is None:
-                    raise ConstructionError(f"b·{n}·{list(seq)} undefined")
-                if (lhs, seq[n]) not in leq:
-                    raise ConstructionError(f"clause (i) fails at n={n}, {list(seq)!r}")
-                lhs = table.get((c_row[n], code))
-                if lhs is None:
-                    raise ConstructionError(f"c·{n}·{list(seq)} undefined")
-                if (lhs, code_of(seq[n:])) not in leq:
-                    raise ConstructionError(f"clause (ii) fails at n={n}, {list(seq)!r}")
-    for a in opca.elements:
+        if length:
+            grown, first_items = {}, {}
+            grown_pairs = [{} for _ in range(2 * length - 2)]
+            for a, _, p_a in d_row:
+                step = {u: table.get((p_a, u)) for u in inner}
+                for u, seq in inner.items():
+                    v = step[u]
+                    if v not in grown:
+                        grown[v] = (a,) + seq
+                    if (a, v) not in first_items:
+                        first_items[(a, v)] = (a,) + seq
+                for old, new in zip(items + rests, grown_pairs):
+                    for (x, u), seq in old.items():
+                        if (x, step[u]) not in new:
+                            new[(x, step[u])] = (a,) + seq
+            inner = grown
+            items = [first_items, *grown_pairs[:length - 1]]
+            rests = [{(v, v): seq for v, seq in grown.items()}, *grown_pairs[length - 1:]]
+        head = heads[length]
+        codes.append({u: table.get((head, u)) for u in inner})
+        failing = [seq for u, seq in inner.items() if coded(u, seq)]
+        for n in range(length):
+            failing += [seq for (x, u), seq in items[n].items() if indexed(n, x, u, seq)]
+            failing += [seq for (v, u), seq in rests[n].items() if dropped(n, v, u, seq)]
+        if failing:
+            rank = {a: i for i, a in enumerate(elements)}
+            seq = min(failing, key=lambda s: [rank[e] for e in s])
+            suffixes = [kit._numeral(0)]  # inner values of seq[length:], ..., seq[0:]
+            for e in reversed(seq):
+                suffixes.append(table.get((pa[e], suffixes[-1])))
+            u = suffixes[-1]
+            raise ConstructionError(coded(u, seq) or next(
+                message for n in range(length)
+                for message in (indexed(n, seq[n], u, seq),
+                                dropped(n, suffixes[length - n], u, seq))
+                if message))
+    for a in elements:
         ta = opca.app(t_el, a)
-        if ta is None or not opca.leq(ta, code_of((a,))):
+        if ta is None or not opca.leq(ta, kit._code((a,))):
             raise ConstructionError(f"clause (iv) fails at {a!r}")
+    return tuple(dict.fromkeys(code for level in codes for code in level.values()))
 
 
 # ---------------------------------------------------------------------------

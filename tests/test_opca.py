@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcheck.errors import ConstructionError, StructureError
-from realcheck.lattices import DIAMOND, L2, L3, VEE, semilattice_opca
+from realcheck.lattices import DIAMOND, L2, L3, VEE, chain, enumerate_lattices, semilattice_opca
 from realcheck import opca as opcamod
 from realcheck.formats import load_opca
 from realcheck.aks import build_aks
@@ -323,10 +323,11 @@ def reference_verify_kit(kit):
 
 
 @st.composite
-def kit_opcas(draw):
-    """Filtered opcas on which the kit check stops at every stage: any table
-    or a semilattice, with a few table entries deleted or redirected."""
-    opca = draw(partial_opcas() | st.sampled_from((L2, L3, VEE, DIAMOND)))
+def kit_opcas(draw, bases=partial_opcas() | st.sampled_from((L2, L3, VEE, DIAMOND))):
+    """Filtered opcas on which the kit check stops at every stage: one of
+    ``bases`` (by default any table or a semilattice), with a few table
+    entries deleted or redirected."""
+    opca = draw(bases)
     table = dict(opca.table)
     for key in draw(st.lists(st.sampled_from(sorted(table)), max_size=3)) if table else ():
         value = draw(st.sampled_from(opca.elements + (None,)))
@@ -347,17 +348,81 @@ def nearly_total(rows, k, s, leq=""):
                       filter=frozenset("abc"), name="nearly total")
 
 
+def assert_kit_check_matches_the_reference(opca, max_len):
+    """Same error message as ``reference_verify_kit``, or both pass and the
+    kit's stack codes are the folded codes of every carrier sequence of
+    length <= max_len, each once, in order of first appearance."""
+    reference = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+    expected = outcome(reference_verify_kit, reference)
+    assert outcome(derive_sequence_kit, opca, max_len) == expected
+    if expected == ("pass",):
+        codes = dict.fromkeys(reference.seq_value(seq) for length in range(max_len + 1)
+                              for seq in product(opca.elements, repeat=length))
+        assert derive_sequence_kit(opca, max_len).stack_codes == tuple(codes)
+
+
 @given(kit_opcas(), st.integers(min_value=0, max_value=3))
 # stages the generated tables seldom reach, found by a random search
 @example(nearly_total("abb acb bab bbb bca cac cba ccc", "c", "b"), 2)  # numeral 1
 @example(nearly_total("aab abc acc bac bba bcb cab ccc", "a", "a"), 2)  # sequence code for ['a']
 @example(nearly_total("abb bac bbb bca cac cbc ccb", "b", "c", "ac bc ca cb"), 2)  # b·1, c·1
 @example(nearly_total("aaa abb acb bbb bcb cac cbc cca", "c", "c", "ab ba bc ca cb"), 2)  # c·1
+# the first failing sequence fails a clause whose states are checked after
+# a failing state of another kind, or at a later n, whose first sequence is
+# larger (found by a random search)
+@example(nearly_total("aac abc aca bac bbc bcb cab cbb ccc", "b", "a", "cb"), 2)  # (i), not (iii)
+@example(nearly_total("aaa aba acc bab bcc cac cbb", "a", "a", "ac bc"), 1)  # (i), not d·c
+@example(nearly_total("aab abb aca bac bbc bca cab cbc ccb", "c", "a", "ab ba bc"), 3)  # (ii), not (iii)
+@example(nearly_total("aac abc aca bab bbc bcc cac cba cca", "c", "a", "ba"), 1)  # (ii), not (i)
+@example(nearly_total("aaa aba aca baa bbb bca cba cca", "b", "b", "ac"), 2)  # (i) at n=1, not n=0
+@example(nearly_total("aaa aba aca bac bbc bcc caa cbc ccc", "c", "b", "ab ca"), 2)  # (ii) n=1, (i) n=0
 @settings(max_examples=200, deadline=None)
 def test_kit_check_matches_the_reference(opca, max_len):
-    reference = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
-    assert (outcome(derive_sequence_kit, opca, max_len)
-            == outcome(reference_verify_kit, reference))
+    assert_kit_check_matches_the_reference(opca, max_len)
+
+
+LATTICES = enumerate_lattices(5)  # the lattices of the krivine_sweep benchmark
+
+
+@given(kit_opcas(st.sampled_from(LATTICES)), st.integers(min_value=0, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_kit_check_matches_the_reference_on_sweep_lattices(opca, max_len):
+    assert_kit_check_matches_the_reference(opca, max_len)
+
+
+class CountingTable(dict):
+    """An application table that counts its reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_kit_check_reads_polynomially_many_entries():
+    # a walk over every sequence makes 517,972 reads here, one over the
+    # sequences' states 1,597
+    opca = chain(5)
+    table = CountingTable(opca.table)
+    object.__setattr__(opca, "table", table)
+    derive_sequence_kit(opca, max_len=6)
+    assert table.reads < 10_000
+
+
+def test_build_aks_folds_no_sequence(monkeypatch):
+    opca, _ = load_opca(str(FIXTURES / "l3.json"))
+
+    def refuse(kit, elements):
+        raise AssertionError(f"seq_value({elements!r}) during build_aks")
+
+    monkeypatch.setattr(SequenceKit, "seq_value", refuse)
+    built = build_aks(opca, max_len=3)
+    assert set(built.kit.stack_codes) <= set(built.aks.stacks)
 
 
 # -- term-model spot checks ----------------------------------------------------
