@@ -23,7 +23,7 @@ from .opca import (FiniteOpca, check_filter, check_opca_axioms, derive_sequence_
                    k_law, s_law)
 from .poset import bits, closed_masks
 from .report import Report
-from .terms import Const, Var, app, lam
+from .terms import compile_closed
 
 __all__ = [
     "Aks", "orthogonal_terms", "orthogonal_stacks", "biorthogonal_closure",
@@ -266,6 +266,28 @@ def check_aks(aks):
 # The construction from a filtered opca and a downset avoiding the filter
 # ---------------------------------------------------------------------------
 
+# The distinguished terms of the construction, in the surface syntax.  Each
+# identifier is a slot (``terms.compile_closed``): b, c, d and the numerals
+# n0..n3 are the kit's values, dot and kOf the values of the first two terms.
+# b n rho is rho's n-th item and c n rho its tail from the n-th on.
+_DOT = r"\x y p. x (d y p)"  # dot(a, b) = <pi> a (b.pi)
+_KOF = r"\q p. b n0 p q"
+_K = r"\p. b n0 p (c n2 p)"
+_S = r"\p. dot (dot (b n0 p) (b n2 p)) (dot (b n1 p) (b n2 p)) (c n3 p)"
+_CC = r"\p. b n0 p (d (kOf (c n1 p)) (c n1 p))"
+
+
+def _kit_values(opca, slots, *sources):
+    """The values of the closed ``sources`` with their slots filled from
+    ``slots``; the first undefined one raises, naming its term."""
+    program = compile_closed(*sources)
+    values = program.run(opca, slots)
+    for i, value in enumerate(values):
+        if value is None:
+            raise ConstructionError(f"kit term undefined: {program.filled(i, slots)!r}")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class BuiltAks:
     aks: Aks
@@ -293,9 +315,8 @@ def build_aks(opca, max_len=3, U=None, name=None):
 
     # b, c, d and the sequence codes are the kit's: evaluated and verified once
     kit = derive_sequence_kit(opca, max_len=max_len)
-    b_el = kit.element(kit.b)
-    c_el = kit.element(kit.c)
-    d_el = kit.element(kit.d)
+    slots = {name: kit.element(term) for name, term in (("b", kit.b), ("c", kit.c), ("d", kit.d))}
+    d_el = slots["d"]
 
     def apply_or_die(f, x, what, *args):
         """f·x; ``what`` is formatted with ``args`` only when it is undefined."""
@@ -318,32 +339,15 @@ def build_aks(opca, max_len=3, U=None, name=None):
                 frontier.append(v)
     stacks = tuple(opca.ordered(seen))
 
-    # dot(a, b) = <pi> a (b.pi), applied through an evaluated closed term
-    bC, cC, dC = Const(b_el), Const(c_el), Const(d_el)
-    dot_term = lam("x y p", app(Var("x"), app(dC, Var("y"), Var("p"))))
-    dot_el = kit.element(dot_term)
-
-    def nth(i, rho):
-        return app(bC, Const(kit.numeral_value(i)), rho)
-
-    def tail_from(j, rho):
-        return app(cC, Const(kit.numeral_value(j)), rho)
-
-    k_term = lam("p", app(nth(0, Var("p")), tail_from(2, Var("p"))))
-    s_term = lam("p", app(
-        app(Const(dot_el),
-            app(Const(dot_el), nth(0, Var("p")), nth(2, Var("p"))),
-            app(Const(dot_el), nth(1, Var("p")), nth(2, Var("p")))),
-        tail_from(3, Var("p"))))
-    kof_term = lam("q p", app(nth(0, Var("p")), Var("q")))
-    kof_el = kit.element(kof_term)
-    cc_term = lam("p", app(
-        nth(0, Var("p")),
-        app(dC, app(Const(kof_el), tail_from(1, Var("p"))), tail_from(1, Var("p")))))
-
-    K_el = kit.element(k_term)
-    S_el = kit.element(s_term)
-    cc_el = kit.element(cc_term)
+    # dot first, then the numerals in the order K and S name them, so that an
+    # undefined one is reported in that order; then kOf, K, S and cc
+    [dot_el] = _kit_values(opca, slots, _DOT)
+    slots["dot"] = dot_el
+    for n in (0, 2, 1, 3):
+        slots[f"n{n}"] = kit.numeral_value(n)
+    [kof_el] = _kit_values(opca, slots, _KOF)
+    slots["kOf"] = kof_el
+    K_el, S_el, cc_el = _kit_values(opca, slots, _K, _S, _CC)
 
     dot = {}
     for t in opca.elements:

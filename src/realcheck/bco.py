@@ -23,7 +23,7 @@ from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import PAIR, FiniteOpca, skk_element
 from .poset import Poset, downsets_of_poset
 from .report import Report
-from .terms import Const, Var, app, lam
+from .terms import compile_closed, compile_terms
 
 __all__ = [
     "FiniteBco", "opca_to_bco", "check_bco",
@@ -267,27 +267,19 @@ class InternalMeets:
     counit_witnesses: tuple     # (g1, g2): g1(a /\ b) <= a, g2(a /\ b) <= b
 
 
+_PAIRING = compile_terms((PAIR,))
+
+
 def _meet_candidates(bco, enumeration_cap):
     """Deterministic candidate meet maps: opca pairing, poset meets, then
     (for very small carriers) every map."""
     candidates = []
     host = bco.origin_opca
     if host is not None:
-        p = host.eval(PAIR)
-        if p is not None:
-            table = {}
-            total = True
-            for a in bco.elements:
-                for b in bco.elements:
-                    pab = host.app_app(p, a, b)
-                    if pab is None:
-                        total = False
-                        break
-                    table[(a, b)] = pab
-                if not total:
-                    break
-            if total:
-                candidates.append(("pairing", table))
+        [p] = _PAIRING.run(host)  # None finds no entry, so every p·a·b is None
+        table = {(a, b): host.app_app(p, a, b) for a in bco.elements for b in bco.elements}
+        if None not in table.values():
+            candidates.append(("pairing", table))
     meets = {(a, b): bco.meet(a, b) for a in bco.elements for b in bco.elements}
     if None not in meets.values():
         candidates.append(("poset-meet", meets))
@@ -736,8 +728,24 @@ class DerivedSupAlgebra:
     report: Report
 
 
-def _eval_or_fail(host, term, what):
-    value = host.eval(term)
+# The derived combinators of ``sup_from_implication`` in the surface syntax,
+# in the order they are evaluated.  Each identifier is a slot
+# (``terms.compile_closed``): i, i', e, e' are the kit's constants, skk the
+# value of s·k·k, and eta, xi, H, P, Q the values of earlier combinators.
+_COMBINATORS = (
+    ("eta", r"\x. i' (i x)"),
+    ("xi", r"\x. e (e' x)"),
+    ("H", r"\x y. e' (xi x) (eta y)"),
+    ("K", r"\x. i' (e (H (i x)))"),
+    ("P", r"\u v. e' (i v) (i' (e u))"),
+    ("Q", r"\x. i' (e (\u v. e' (i v) u) x)"),  # the inner term swaps u and v
+    ("R", r"\x. e' (i x) (i' (e skk))"),
+)
+
+
+def _value_or_fail(host, source, slots, what):
+    """The value of the closed ``source`` with its slots filled from ``slots``."""
+    [value] = compile_closed(source).run(host, slots)
     if value is None:
         raise ConstructionError(f"{what} undefined in {host.name}")
     return value
@@ -767,41 +775,30 @@ def sup_from_implication(kit):
     downs = host.downsets()
     sup = {alpha: sup_of(alpha) for alpha in downs}
 
-    I, IP = Const(kit.i), Const(kit.i_prime)
-    E, EP = Const(kit.e), Const(kit.e_prime)
-    eta_t = lam("x", app(IP, app(I, Var("x"))))
-    xi_t = lam("x", app(E, app(EP, Var("x"))))
-    H_t = lam("x y", app(EP, app(xi_t, Var("x")), app(eta_t, Var("y"))))
-    K_t = lam("x", app(IP, app(E, app(H_t, app(I, Var("x"))))))
-    P_t = lam("u v", app(EP, app(I, Var("v")), app(IP, app(E, Var("u")))))
-    swap_t = lam("u v", app(EP, app(I, Var("v")), Var("u")))
-    Q_t = lam("x", app(IP, app(E, swap_t, Var("x"))))
-    R_t = lam("x", app(EP, app(I, Var("x")), app(IP, app(E, Const(skk_element(host))))))
-    names = {"eta": eta_t, "xi": xi_t, "H": H_t, "K": K_t, "P": P_t, "Q": Q_t, "R": R_t}
-    combinators = {n: _eval_or_fail(host, t, n) for n, t in names.items()}
+    # A combinator named in a later source is a slot there holding its value;
+    # evaluation is compositional, so that is the value of the whole term.
+    slots = {"i": kit.i, "i'": kit.i_prime, "e": kit.e, "e'": kit.e_prime,
+             "skk": skk_element(host)}
+    combinators = {}
+    for n, source in _COMBINATORS:
+        combinators[n] = slots[n] = _value_or_fail(host, source, slots, n)
     for n, el in combinators.items():
         if el not in host.filter:
             raise ConstructionError(f"derived combinator {n} lands outside the filter")
 
     _verify_derivation_facts(kit, sup, combinators, downs)
 
-    g2_terms = {
-        fel: _eval_or_fail(
-            host,
-            app(P_t, lam("x", app(Q_t, app(Const(fel), Var("x"))))),
-            f"g2[{fel}]")
-        for fel in host.ordered(host.filter)
-    }
+    g2_terms = {fel: _value_or_fail(host, r"P (\x. Q (f x))", {**slots, "f": fel}, f"g2[{fel}]")
+                for fel in host.ordered(host.filter)}
     witnesses = {
         "u": combinators["K"],
         "g2": g2_terms,
-        "g3": _eval_or_fail(host, app(P_t, K_t), "g3"),
-        "h3": _eval_or_fail(host, app(P_t, lam("x", app(Q_t, app(Q_t, Var("x"))))), "h3"),
+        "g3": _value_or_fail(host, r"P (\x. i' (e (H (i x))))", slots, "g3"),  # P K
+        "h3": _value_or_fail(host, r"P (\x. Q (Q x))", slots, "h3"),
         "g4": combinators["R"],
         "h4": combinators["Q"],
     }
-    star = _eval_or_fail(
-        host, lam("u w", app(P_t, lam("x", app(Var("x"), Var("w"))), Var("u"))), "v")
+    star = _value_or_fail(host, r"\u w. P (\x. x w) u", slots, "v")
 
     alg = PseudoDAlgebra(host=host, sup=sup, name=f"sup({kit.name})")
     rep = check_pseudo_d_algebra(alg, witnesses=witnesses)
@@ -921,7 +918,7 @@ def implication_from_sup(alg, report=None, v=None):
                           if all(host.leq(x, a) for a in subset))
         inf[subset] = alg.value(lower)
 
-    e = _eval_or_fail(host, lam("x", app(Const(u), app(Const(h4), Var("x")))), "e")
+    e = _value_or_fail(host, r"\x. u (h4 x)", {"u": u, "h4": h4}, "e")
 
     def inf_clause_holds(cand):
         for subset in _all_subsets(host.elements):
@@ -932,10 +929,8 @@ def implication_from_sup(alg, report=None, v=None):
 
     i = g2_skk
     if not inf_clause_holds(i):
-        i = _eval_or_fail(
-            host,
-            lam("x", app(Const(g4), app(Const(u), app(Const(g2_skk), Var("x"))))),
-            "i (strengthened)")
+        i = _value_or_fail(host, r"\x. g4 (u (g2 x))", {"g4": g4, "u": u, "g2": g2_skk},
+                           "i (strengthened)")
     return ImplicativeKit(host=host, inf=inf, imp=imp,
                           i=i, i_prime=e, e=e, e_prime=v,
                           name=f"kit({alg.name})")

@@ -8,6 +8,7 @@ stream to one JSON record per check, stable across runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import product
 from time import perf_counter
@@ -74,7 +75,7 @@ def _cmd_check_bco(args):
 
 def _cmd_check_filter(args):
     opca, _ = load_opca(args.file)
-    subset = frozenset(args.subset) if args.subset else opca.filter
+    subset = frozenset(args.subset) if args.subset is not None else opca.filter
     if subset is None:
         raise StructureError("no filter in file and none given", source=args.file)
     return check_filter(opca, subset)
@@ -82,7 +83,7 @@ def _cmd_check_filter(args):
 
 def _cmd_build_aks(args):
     opca, _ = load_opca(args.file)
-    U = frozenset(args.U) if args.U else opca.U
+    U = frozenset(args.U) if args.U is not None else opca.U
     built = aksmod.build_aks(opca, max_len=args.max_len, U=U)
     rep = aksmod.check_aks(built.aks)
     if args.out:
@@ -251,12 +252,12 @@ def build_parser():
 
     p = sub.add_parser("check-filter", help="application closure and k/s membership")
     p.add_argument("file")
-    p.add_argument("--subset", nargs="*", help="override the file's filter")
+    p.add_argument("--subset", nargs="*", help="override the file's filter (none: empty)")
     p.set_defaults(fn=_cmd_check_filter)
 
     p = sub.add_parser("build-aks", help="Krivine structure from a filtered opca + U")
     p.add_argument("file")
-    p.add_argument("--U", nargs="*", help="downset elements (default: file's U)")
+    p.add_argument("--U", nargs="*", help="downset elements (default: file's U; none: empty)")
     p.add_argument("--max-len", type=_non_negative_int, default=3)
     p.add_argument("--out", help="write the built structure to this file")
     p.set_defaults(fn=_cmd_build_aks)
@@ -324,7 +325,13 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
     report.elapsed_ms = (perf_counter() - start) * 1000.0
-    return _emit(report, args.format)
+    try:
+        code = _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; spare the flush at exit a second one
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

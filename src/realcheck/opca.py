@@ -18,7 +18,7 @@ from functools import lru_cache
 from .errors import ConstructionError, StructureError
 from .poset import Poset
 from .report import Report
-from .terms import App, Const, K, S, Var, app, eval_in_opca, lam
+from .terms import App, Const, K, S, Var, app, compile_terms, eval_in_opca, lam
 
 __all__ = [
     "FiniteOpca", "k_law", "s_law", "check_opca_axioms", "check_filter",
@@ -187,7 +187,7 @@ def check_filter(opca, subset):
 
 def skk_element(opca):
     """The identity realizer s·k·k, always defined in a law-abiding opca."""
-    value = opca.eval(app(S, K, K))
+    [value] = _SKK.run(opca)
     if value is None:
         raise ConstructionError("s·k·k undefined; structure violates the s law")
     return value
@@ -213,11 +213,9 @@ def skk_element(opca):
 # These terms do not depend on the opca, so each is built once per process
 # (``numeral`` and ``_kit_terms`` keep the most recently used; terms are
 # immutable, so sharing them is safe).  ``_kit_program`` compiles PAIR, b,
-# c, d, t and the numerals 0..max_len+1 into one straight-line program over
-# their distinct subterms, and a kit runs it once in its opca.  Closed K/S
-# terms contain no constants, so a step's value is the table entry of its
-# two children's values, undefined when either is; running every step gives
-# each root the value ``eval_in_opca`` gives it.
+# c, d, t and the numerals 0..max_len+1 into one straight-line program
+# without slots (``terms.compile_terms``), and a kit runs it once in its
+# opca.
 #
 # The code of a0..ak is (p·n)·inner(a0..ak) with inner(a::s) = (p·a)·inner(s)
 # and inner([]) = nil.  ``SequenceKit.seq_value`` folds it on demand instead
@@ -244,6 +242,7 @@ SND = lam("t", app(Var("t"), lam("x y", Var("y"))))
 ZERO = lam("x y", Var("y"))
 SUCC = lam("n x y", app(Var("x"), Var("n")))
 IDENT = app(S, K, K)
+_SKK = compile_terms((IDENT,))
 PRED = lam("n", app(Var("n"), IDENT, ZERO))
 NIL = ZERO
 
@@ -251,10 +250,7 @@ NIL = ZERO
 @lru_cache(maxsize=64)
 def numeral(n):
     # Built so that succ·(numeral n) weakly reduces to exactly numeral (n+1).
-    t = ZERO
-    for _ in range(n):
-        t = lam("x y", App(Var("x"), t))
-    return t
+    return lam("x y", App(Var("x"), numeral(n - 1))) if n else ZERO
 
 
 def _nth_recursor(depth):
@@ -308,43 +304,9 @@ def _kit_terms(max_len):
 
 @lru_cache(maxsize=8)
 def _kit_program(max_len):
-    """PAIR, b, c, d, t and numeral(0..max_len+1) as one straight-line program.
-
-    Returns (roots, steps, outputs).  Steps 0 and 1 are K and S; every later
-    step is a pair (fn step, arg step) of earlier steps, and no pair occurs
-    twice.  ``outputs[i]`` is the step of ``roots[i]``.  Subterms are shared
-    objects, so each object is visited once (keyed by id; the roots keep
-    them alive); keying on term equality would hash whole trees.
-    """
-    roots = (PAIR, *_kit_terms(max_len), *(numeral(n) for n in range(max_len + 2)))
-    steps = []
-    step_of_pair = {}
-    step_of_term = {id(K): 0, id(S): 1}
-
-    def visit(term):
-        step = step_of_term.get(id(term))
-        if step is None:
-            pair = (visit(term.fn), visit(term.arg))
-            step = step_of_pair.get(pair)
-            if step is None:
-                step = step_of_pair[pair] = len(steps) + 2
-                steps.append(pair)
-            step_of_term[id(term)] = step
-        return step
-
-    outputs = tuple(visit(term) for term in roots)
-    return roots, tuple(steps), outputs
-
-
-def _run_program(steps, opca):
-    """The value of every step in ``opca``, None where undefined.  None is
-    never a carrier element, so a step with an undefined child finds no
-    table entry and is undefined too."""
-    table = opca.table
-    values = [opca.k, opca.s]
-    for fn, arg in steps:
-        values.append(table.get((values[fn], values[arg])))
-    return values
+    """PAIR, b, c, d, t and numeral(0..max_len+1) as one program, in that order."""
+    return compile_terms((PAIR, *_kit_terms(max_len),
+                          *(numeral(n) for n in range(max_len + 2))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,12 +335,12 @@ class SequenceKit:
     stack_codes: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        roots, steps, outputs = _kit_program(self.max_len)
-        values = _run_program(steps, self.opca)
+        program = _kit_program(self.max_len)
+        values = program.run(self.opca)
         # id -> (term, value); the entry pins the term, so its id stays unique
-        closed = {id(term): (term, values[step]) for term, step in zip(roots, outputs)}
-        numerals = {n: values[step] for n, step in enumerate(outputs[5:])}  # after PAIR, b..t
-        pair = closed[id(PAIR)][1]
+        closed = {id(term): (term, value) for term, value in zip(program.roots, values)}
+        numerals = dict(enumerate(values[5:]))  # after PAIR, b..t
+        pair = values[0]
         table = self.opca.table
         object.__setattr__(self, "_closed", closed)
         object.__setattr__(self, "_pair", pair)
@@ -389,7 +351,7 @@ class SequenceKit:
     def _numeral(self, n):
         """Value of numeral(n) in the opca (None when undefined)."""
         if n not in self._numerals:
-            self._numerals[n] = self.opca.eval(numeral(n))
+            [self._numerals[n]] = compile_terms((numeral(n),)).run(self.opca)
         return self._numerals[n]
 
     def seq_term(self, elements):
@@ -438,7 +400,7 @@ class SequenceKit:
         return value
 
 
-def derive_sequence_kit(opca, max_len=3, verify=True):
+def derive_sequence_kit(opca, max_len=3):
     """Build the coding terms and check the four list clauses exhaustively.
 
     Requires a filter; raises ConstructionError when an evaluation that the
@@ -450,8 +412,7 @@ def derive_sequence_kit(opca, max_len=3, verify=True):
     b, c, d, t = _kit_terms(max_len)
     kit = SequenceKit(opca=opca, max_len=max_len, p=PAIR, p0=FST, p1=SND,
                       b=b, c=c, d=d, t=t)
-    if verify:
-        object.__setattr__(kit, "stack_codes", _verify_kit(kit))
+    object.__setattr__(kit, "stack_codes", _verify_kit(kit))
     return kit
 
 

@@ -5,17 +5,21 @@ combinators K and S, named variables, or references to elements of a host
 structure.  Bracket abstraction compiles variables away with the classic
 algorithm, reduction is weak leftmost-outermost with a fuel budget, and
 ``eval_in_opca`` interprets closed terms inside any finite ordered partial
-combinatory algebra.
+combinatory algebra by walking them.  ``compile_terms`` and
+``compile_closed`` turn closed terms into straight-line programs that a run
+evaluates with one table read per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "Term", "Var", "Const", "App", "K", "S", "Diverged",
     "app", "free_vars", "subst", "bracket", "lam",
     "reduce_term", "eval_in_opca", "parse_term", "term_str",
+    "Program", "compile_terms", "compile_closed",
 ]
 
 
@@ -198,6 +202,102 @@ def eval_in_opca(term, env, opca):
     if arg is None:
         return None
     return opca.app(fn, arg)
+
+
+# ---------------------------------------------------------------------------
+# Closed terms compiled to straight-line programs
+# ---------------------------------------------------------------------------
+#
+# A compiled term's Const leaves are slots, named by their values and filled
+# when it runs.  A step with an undefined child finds no table entry (None
+# is never a carrier element), so running every step gives each root the
+# value ``eval_in_opca`` gives it with the slots filled.  Steps are numbered
+# in the order of that walk (children first, function before argument), so
+# the first undefined step is the subterm where the walk stops.
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """Closed terms as one program over their distinct subterms.
+
+    Steps 0 and 1 are K and S, then come the slots, and every later step is
+    a pair (fn step, arg step) of earlier steps; no pair occurs twice.
+    ``outputs[i]`` is the step of ``roots[i]``.
+    """
+
+    roots: tuple
+    slots: tuple
+    steps: tuple
+    outputs: tuple
+
+    def values(self, opca, slots=None):
+        """Every step's value in ``opca``, None where undefined.  A slot value
+        outside the carrier is the ValueError ``eval_in_opca`` raises."""
+        values = [opca.k, opca.s]
+        for name in self.slots:
+            if slots[name] not in opca.element_set:
+                raise ValueError(f"constant {slots[name]!r} outside the carrier")
+            values.append(slots[name])
+        table = opca.table
+        for fn, arg in self.steps:
+            values.append(table.get((values[fn], values[arg])))
+        return values
+
+    def run(self, opca, slots=None):
+        """Each root's value, None where undefined."""
+        values = self.values(opca, slots)
+        return [values[step] for step in self.outputs]
+
+    def filled(self, index, slots):
+        """Root ``index`` with the slot values in, for messages."""
+        def fill(term):
+            if isinstance(term, App):
+                return App(fill(term.fn), fill(term.arg))
+            return Const(slots[term.value]) if isinstance(term, Const) else term
+        return fill(self.roots[index])
+
+
+def compile_terms(roots):
+    """The ``Program`` of the closed terms ``roots``.
+
+    Each term object is visited once (keyed by id; the roots keep the objects
+    alive), so shared subterms cost nothing; keying on term equality would
+    hash whole trees.  Slots are numbered -1, -2, ... and application steps
+    2, 3, ... while the terms are visited, then moved into place.
+    """
+    slots, steps, step_of_pair = {}, [], {}
+    step_of_term = {id(K): 0, id(S): 1}
+
+    def visit(term):
+        step = step_of_term.get(id(term))
+        if step is None:
+            if isinstance(term, Var):
+                raise ValueError(f"compile_terms needs closed terms, got free {term!r}")
+            if isinstance(term, Const):
+                step = slots.setdefault(term.value, -1 - len(slots))
+            else:
+                pair = (visit(term.fn), visit(term.arg))
+                step = step_of_pair.get(pair)
+                if step is None:
+                    step = step_of_pair[pair] = len(steps) + 2
+                    steps.append(pair)
+            step_of_term[id(term)] = step
+        return step
+
+    outputs = [visit(term) for term in roots]
+
+    def placed(step):  # K and S stay, slot -i becomes step i + 1, applications follow
+        return 1 - step if step < 0 else step + len(slots) if step > 1 else step
+
+    return Program(tuple(roots), tuple(slots), tuple((placed(f), placed(a)) for f, a in steps),
+                   tuple(map(placed, outputs)))
+
+
+@lru_cache(maxsize=64)
+def compile_closed(*sources):
+    r"""The ``Program`` of terms in the surface syntax, once per process.  Every
+    identifier no binder binds is a slot: ``compile_closed(r"\x. f (f x)")``
+    run with {"f": a} gives the value of <x> a (a x)."""
+    return compile_terms([parse_term(src) for src in sources])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
+import os
 import pathlib
 
 import pytest
 
+import realcheck
 from realcheck.lattices import DIAMOND, L2, L3, M3, N5, VEE
 from realcheck.terms import App, Const, app, reduce_term
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+
+# the environment of a child Python that imports this copy of realcheck
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(pathlib.Path(realcheck.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
 
 STANDARD_OPCAS = (L2, L3, VEE, DIAMOND, M3, N5)
 

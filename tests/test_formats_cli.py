@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +14,7 @@ from realcheck.formats import (aks_to_dict, load_aks, load_map, load_opca,
                                opca_to_dict, save_aks)
 from realcheck.lattices import L2, chain, semilattice_opca
 
-from conftest import FIXTURES
+from conftest import CHILD_ENV, FIXTURES
 
 
 def write(tmp_path, name, payload):
@@ -168,6 +171,31 @@ def test_check_filter_override(capsys):
     code, _, _ = run(capsys, "check-filter", str(FIXTURES / "l3.json"),
                      "--subset", "m")
     assert code == 1  # designated k=s=1 missing from {m}
+
+
+def test_flags_given_without_names_mean_the_empty_set(capsys):
+    # U = {} is a legal downset; the file's U is {0}
+    code, out, _ = run(capsys, "--format", "machine",
+                       "build-aks", str(FIXTURES / "l2.json"), "--U")
+    subjects = {json.loads(line)["subject"] for line in out.splitlines()}
+    assert code == 0 and subjects == {f"K({FIXTURES / 'l2.json'},U=[])"}
+    code, out, _ = run(capsys, "--format", "machine",
+                       "check-filter", str(FIXTURES / "l3.json"), "--subset")
+    verdicts = {rec["check"]: rec["verdict"] for rec in map(json.loads, out.splitlines())}
+    assert code == 1 and verdicts["filter.has_k"] == "fail"
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "realcheck.cli", "--format", "machine",
+             "build-aks", str(FIXTURES / "l2.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_k2_subcommands(capsys):

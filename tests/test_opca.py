@@ -4,13 +4,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import realcheck
 from realcheck.errors import ConstructionError, StructureError
 from realcheck.lattices import DIAMOND, L2, L3, VEE, chain, enumerate_lattices, semilattice_opca
+from realcheck import aks as aksmod
+from realcheck import bco as bcomod
 from realcheck import opca as opcamod
+from realcheck import terms
 from realcheck.formats import load_opca
 from realcheck.aks import build_aks
 from realcheck.opca import (FST, PAIR, SND, FiniteOpca, SequenceKit, _kit_program,
-                            _kit_terms, _run_program, check_filter, check_opca_axioms,
+                            _kit_terms, check_filter, check_opca_axioms,
                             derive_sequence_kit, numeral, seq_term,
                             skk_element, turing_leq)
 from realcheck.terms import Const, app, reduce_term
@@ -207,7 +211,7 @@ def test_folded_codes_match_term_evaluation_on_any_table(opca, data):
 
 def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
     opca, _ = load_opca(str(FIXTURES / "l3.json"))
-    derive_sequence_kit(opca, max_len=3)  # the closed kit terms are built once per process
+    build_aks(opca, max_len=3)  # closed terms are built and compiled once per process
     calls = []
 
     def counting(fn):
@@ -216,27 +220,28 @@ def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
             return fn(*args, **kw)
         return wrapper
 
-    monkeypatch.setattr(opcamod, "lam", counting(opcamod.lam))
-    monkeypatch.setattr(opcamod, "eval_in_opca", counting(opcamod.eval_in_opca))
+    for fn in (terms.lam, terms.eval_in_opca):
+        for module in (realcheck, terms, opcamod, aksmod, bcomod):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
     built = build_aks(opca, max_len=3)
-    # only the five terms that name elements of this opca: dot, kOf, K, S, cc
-    kit = built.kit
-    kit_terms = [PAIR, kit.b, kit.c, kit.d, kit.t] + [numeral(n) for n in range(5)]
-    assert [name for name, _ in calls] == ["eval_in_opca"] * 5
-    assert not any(term is kit_term for _, term in calls for kit_term in kit_terms)
-    calls.clear()
+    # the kit and the five distinguished terms run as compiled programs
+    assert calls == []
     for length in range(4):
         for seq in product(opca.elements, repeat=length):
-            kit.seq_value(seq)
+            built.kit.seq_value(seq)
     assert calls == []
 
 
 # -- the shared program and the kit check against the term route ------------------
 
 def test_kit_program_shares_every_subterm():
-    roots, steps, outputs = _kit_program(3)
+    program = _kit_program(3)
+    roots, steps, outputs = program.roots, program.steps, program.outputs
     assert roots == (PAIR, *_kit_terms(3), *(numeral(n) for n in range(5)))
-    # steps 0 and 1 are K and S; every other step applies two earlier ones
+    # steps 0 and 1 are K and S, there are no slots, and every other step
+    # applies two earlier ones
+    assert program.slots == ()
     assert len(set(steps)) == len(steps) == 242
     assert all(fn < step and arg < step for step, (fn, arg) in enumerate(steps, 2))
     assert len(set(outputs)) == len(roots)
@@ -253,9 +258,9 @@ def outcome(call, *args):
 @given(partial_opcas(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=200, deadline=None)
 def test_kit_program_matches_term_evaluation(opca, max_len):
-    roots, steps, outputs = _kit_program(max_len)
-    values = _run_program(steps, opca)
-    for term, step in zip(roots, outputs):
+    program = _kit_program(max_len)
+    values = program.values(opca)
+    for term, step in zip(program.roots, program.outputs):
         value = values[step]
         assert term_route(opca, term) == (("undefined",) if value is None else ("value", value))
     # and the kit hands out those values
