@@ -14,7 +14,6 @@ sets come from ``poset.closed_masks``, which also lists downsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .bco import find_top, opca_to_bco, tv_least
@@ -22,6 +21,7 @@ from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import (FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit,
                    k_law, s_law)
 from .poset import bits, closed_masks
+from .record import Frozen, set_field
 from .report import Report
 from .terms import compile_closed
 
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Aks:
+class Aks(Frozen):
     """Terms, stacks, total dot/push/kOf tables, K/S/cc, quasi-proofs, pole.
 
     The pole is also kept as a formal context over indices: ``rows[i]`` is
@@ -43,29 +42,21 @@ class Aks:
     work on these; the module functions keep the frozenset interface.
     """
 
-    terms: tuple
-    stacks: tuple
-    dot: dict      # (t, s) -> term, total
-    push: dict     # (t, pi) -> stack, total
-    kof: dict      # pi -> term, total
-    K: object
-    S: object
-    cc: object
-    qp: frozenset
-    pole: frozenset  # of (term, stack)
-    name: str = "aks"
-    term_set: frozenset = field(init=False)
-    stack_set: frozenset = field(init=False)
-    term_index: dict = field(init=False, repr=False)
-    stack_index: dict = field(init=False, repr=False)
-    rows: tuple = field(init=False, repr=False)
-    push_index: tuple = field(init=False, repr=False)
-    dot_index: tuple = field(init=False, repr=False)
-    kof_index: tuple = field(init=False, repr=False)
-    full: int = field(init=False, repr=False)  # every stack
-    _closed: list | None = field(init=False, repr=False)  # closed masks, once enumerated
+    _fields = ("terms", "stacks", "dot", "push", "kof", "K", "S", "cc", "qp", "pole", "name",
+               "term_set", "stack_set")
 
-    def __post_init__(self):
+    def __init__(self, terms, stacks, dot, push, kof, K, S, cc, qp, pole, name="aks"):
+        set_field(self, "terms", terms)
+        set_field(self, "stacks", stacks)
+        set_field(self, "dot", dot)  # (t, s) -> term, total
+        set_field(self, "push", push)  # (t, pi) -> stack, total
+        set_field(self, "kof", kof)  # pi -> term, total
+        set_field(self, "K", K)
+        set_field(self, "S", S)
+        set_field(self, "cc", cc)
+        set_field(self, "qp", qp)
+        set_field(self, "pole", pole)  # of (term, stack)
+        set_field(self, "name", name)
         term_set, stack_set = frozenset(self.terms), frozenset(self.stacks)
         if not term_set or not stack_set:
             raise StructureError("aks needs nonempty terms and stacks", source=self.name)
@@ -102,7 +93,8 @@ class Aks:
         rows = [0] * len(self.terms)
         for (t, pi) in self.pole:
             rows[ti[t]] |= 1 << si[pi]
-        for name, value in (
+        # full: every stack; _closed: the closed masks, once enumerated
+        for attr, value in (
                 ("term_set", term_set), ("stack_set", stack_set),
                 ("term_index", ti), ("stack_index", si),
                 ("rows", tuple(rows)),
@@ -113,7 +105,7 @@ class Aks:
                 ("kof_index", tuple(ti[self.kof[pi]] for pi in self.stacks)),
                 ("full", (1 << len(self.stacks)) - 1),
                 ("_closed", None)):
-            object.__setattr__(self, name, value)
+            set_field(self, attr, value)
 
     def in_pole(self, t, pi):
         return (t, pi) in self.pole
@@ -288,11 +280,13 @@ def _kit_values(opca, slots, *sources):
     return values
 
 
-@dataclass(frozen=True, eq=False)
-class BuiltAks:
-    aks: Aks
-    opca: FiniteOpca
-    kit: object
+class BuiltAks(Frozen):
+    _fields = ("aks", "opca", "kit")
+
+    def __init__(self, aks, opca, kit):
+        set_field(self, "aks", aks)
+        set_field(self, "opca", opca)
+        set_field(self, "kit", kit)
 
 
 def build_aks(opca, max_len=3, U=None, name=None):
@@ -423,10 +417,13 @@ def cc_element(aks):
     return aks.stacks_of(aks.rows[aks.term_index[aks.cc]])
 
 
-@dataclass(frozen=True, eq=False)
-class OrderCa:
-    aks: Aks
-    opca: FiniteOpca  # carrier = closed stack sets, reverse inclusion, total app
+class OrderCa(Frozen):
+    _fields = ("aks", "opca")
+
+    def __init__(self, aks, opca):
+        set_field(self, "aks", aks)
+        # carrier = closed stack sets, reverse inclusion, total app
+        set_field(self, "opca", opca)
 
 
 def order_ca(aks, cap=1 << 12):

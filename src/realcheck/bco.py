@@ -16,12 +16,12 @@ and the two constructions trading a sup map against implication/infima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import PAIR, FiniteOpca, skk_element
 from .poset import Poset, downsets_of_poset
+from .record import Frozen, Value, set_field
 from .report import Report
 from .terms import compile_closed, compile_terms
 
@@ -50,24 +50,24 @@ _FACT_A_CAP = 1 << 20
 # The structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class FiniteBco(Poset):
     """Finite poset plus named partial endofunctions (insertion order fixed)."""
 
-    functions: dict  # name -> {elem: elem}
-    name: str = "bco"
-    origin_opca: FiniteOpca | None = None
-    fn_element: dict | None = None  # name -> filter element, for opca views
+    _fields = Poset._fields + ("functions", "name", "origin_opca", "fn_element")
 
-    def __post_init__(self):
-        super().__post_init__()
-        for fname, table in self.functions.items():
+    def __init__(self, elements, leq_pairs, functions, name="bco", origin_opca=None,
+                 fn_element=None):
+        set_field(self, "name", name)
+        set_field(self, "origin_opca", origin_opca)
+        set_field(self, "fn_element", fn_element)  # name -> filter element, for opca views
+        super().__init__(elements, leq_pairs)
+        for fname, table in functions.items():
             for a, b in table.items():
                 if a not in self.element_set or b not in self.element_set:
                     raise StructureError(f"function {fname!r} escapes carrier",
                                          source=self.name, field="functions")
-        object.__setattr__(self, "functions",
-                           {n: dict(t) for n, t in self.functions.items()})
+        # name -> {elem: elem}
+        set_field(self, "functions", {n: dict(t) for n, t in functions.items()})
 
     def apply(self, fname, a):
         return self.functions[fname].get(a)
@@ -120,19 +120,19 @@ def check_bco(bco):
 # Morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BcoMorphism:
-    source: FiniteBco
-    target: FiniteBco
-    mapping: dict
-    name: str = "morphism"
+class BcoMorphism(Frozen):
+    _fields = ("source", "target", "mapping", "name")
 
-    def __post_init__(self):
-        for a in self.source.elements:
-            if a not in self.mapping:
-                raise StructureError(f"morphism not total at {a!r}", source=self.name)
-            if self.mapping[a] not in self.target.element_set:
-                raise StructureError(f"morphism escapes target at {a!r}", source=self.name)
+    def __init__(self, source, target, mapping, name="morphism"):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "mapping", mapping)
+        set_field(self, "name", name)
+        for a in source.elements:
+            if a not in mapping:
+                raise StructureError(f"morphism not total at {a!r}", source=name)
+            if mapping[a] not in target.element_set:
+                raise StructureError(f"morphism escapes target at {a!r}", source=name)
 
     def __call__(self, a):
         return self.mapping[a]
@@ -201,13 +201,15 @@ def downset_bco(bco, cap=1 << 16):
                      name=f"D({bco.name})")
 
 
-@dataclass(frozen=True, eq=False)
-class DownsetMonad:
-    base: FiniteBco
-    d_bco: FiniteBco
-    d2_bco: FiniteBco
-    unit: BcoMorphism
-    mult: BcoMorphism
+class DownsetMonad(Frozen):
+    _fields = ("base", "d_bco", "d2_bco", "unit", "mult")
+
+    def __init__(self, base, d_bco, d2_bco, unit, mult):
+        set_field(self, "base", base)
+        set_field(self, "d_bco", d_bco)
+        set_field(self, "d2_bco", d2_bco)
+        set_field(self, "unit", unit)
+        set_field(self, "mult", mult)
 
 
 def downset_monad(bco, cap=1 << 16):
@@ -258,13 +260,16 @@ def downset_opca(opca, cap=1 << 16):
 # Internal finite meets and designated truth values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class InternalMeets:
-    top: object
-    top_witness: str            # total g with g(a) <= top
-    meet: dict                  # (a, b) -> a /\ b
-    unit_witness: str           # g(a) <= a /\ a
-    counit_witnesses: tuple     # (g1, g2): g1(a /\ b) <= a, g2(a /\ b) <= b
+class InternalMeets(Frozen):
+    _fields = ("top", "top_witness", "meet", "unit_witness", "counit_witnesses")
+
+    def __init__(self, top, top_witness, meet, unit_witness, counit_witnesses):
+        set_field(self, "top", top)
+        set_field(self, "top_witness", top_witness)  # total g with g(a) <= top
+        set_field(self, "meet", meet)  # (a, b) -> a /\ b
+        set_field(self, "unit_witness", unit_witness)  # g(a) <= a /\ a
+        # (g1, g2): g1(a /\ b) <= a, g2(a /\ b) <= b
+        set_field(self, "counit_witnesses", counit_witnesses)
 
 
 _PAIRING = compile_terms((PAIR,))
@@ -368,20 +373,20 @@ def tv_least(bco, meets=None, top=None):
 # Pseudo-sup-algebras and the uniform bound condition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PseudoDAlgebra:
+class PseudoDAlgebra(Frozen):
     """A filtered opca with a candidate sup map on its downsets."""
 
-    host: FiniteOpca
-    sup: dict  # frozenset downset -> element
-    name: str = "alg"
+    _fields = ("host", "sup", "name")
 
-    def __post_init__(self):
-        if self.host.filter is None:
-            raise StructureError("pseudo-sup-algebra host needs a filter", source=self.name)
-        for alpha, v in self.sup.items():
-            if not alpha <= self.host.element_set or v not in self.host.element_set:
-                raise StructureError("sup table escapes carrier", source=self.name, field="sup")
+    def __init__(self, host, sup, name="alg"):
+        set_field(self, "host", host)
+        set_field(self, "sup", sup)  # frozenset downset -> element
+        set_field(self, "name", name)
+        if host.filter is None:
+            raise StructureError("pseudo-sup-algebra host needs a filter", source=name)
+        for alpha, v in sup.items():
+            if not alpha <= host.element_set or v not in host.element_set:
+                raise StructureError("sup table escapes carrier", source=name, field="sup")
 
     def value(self, alpha):
         try:
@@ -553,10 +558,12 @@ def applicative_verdict(rep):
     return all(rep.record(w).passed for w in wanted)
 
 
-@dataclass(frozen=True)
-class DensityWitnesses:
-    cd: tuple | None      # (m, {b' -> a'})
-    simple: tuple | None  # (t, {b' -> a'})
+class DensityWitnesses(Value):
+    _fields = ("cd", "simple")
+
+    def __init__(self, cd, simple):
+        set_field(self, "cd", cd)  # (m, {b' -> a'}) or None
+        set_field(self, "simple", simple)  # (t, {b' -> a'}) or None
 
     @property
     def agree(self):
@@ -626,18 +633,20 @@ def find_right_adjoint(fmap, src, dst):
 # Implicative structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ImplicativeKit:
+class ImplicativeKit(Frozen):
     """Witnessed infima over arbitrary subsets plus an implication."""
 
-    host: FiniteOpca
-    inf: dict      # frozenset -> element, total on all subsets
-    imp: dict      # (b, c) -> element, total
-    i: object
-    i_prime: object
-    e: object
-    e_prime: object
-    name: str = "kit"
+    _fields = ("host", "inf", "imp", "i", "i_prime", "e", "e_prime", "name")
+
+    def __init__(self, host, inf, imp, i, i_prime, e, e_prime, name="kit"):
+        set_field(self, "host", host)
+        set_field(self, "inf", inf)  # frozenset -> element, total on all subsets
+        set_field(self, "imp", imp)  # (b, c) -> element, total
+        set_field(self, "i", i)
+        set_field(self, "i_prime", i_prime)
+        set_field(self, "e", e)
+        set_field(self, "e_prime", e_prime)
+        set_field(self, "name", name)
 
     def inf_of(self, subset):
         return self.inf[frozenset(subset)]
@@ -719,13 +728,16 @@ def check_implicative(kit, mode="pre-implicative"):
 # sup from implication and implication from sup
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DerivedSupAlgebra:
-    algebra: PseudoDAlgebra
-    combinators: dict        # eta/xi/H/K/P/Q/R -> element
-    witnesses: dict          # clause witnesses fed to check_pseudo_d_algebra
-    star: object             # the uniform-bound element
-    report: Report
+class DerivedSupAlgebra(Frozen):
+    _fields = ("algebra", "combinators", "witnesses", "star", "report")
+
+    def __init__(self, algebra, combinators, witnesses, star, report):
+        set_field(self, "algebra", algebra)
+        set_field(self, "combinators", combinators)  # eta/xi/H/K/P/Q/R -> element
+        # clause witnesses fed to check_pseudo_d_algebra
+        set_field(self, "witnesses", witnesses)
+        set_field(self, "star", star)  # the uniform-bound element
+        set_field(self, "report", report)
 
 
 # The derived combinators of ``sup_from_implication`` in the surface syntax,

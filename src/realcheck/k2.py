@@ -19,10 +19,10 @@ exponential, and dialogue positions stay machine-sized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import CapExceeded, StructureError
+from .record import Value, set_field
 
 __all__ = [
     "pair", "unpair", "encode_seq", "decode_seq",
@@ -271,11 +271,13 @@ def basic_open_contains(sigma, alpha):
     return all(alpha(i) == v for i, v in enumerate(sigma))
 
 
-@dataclass(frozen=True)
-class DiscreteReport:
-    discrete: bool
-    prefixes: dict | None   # element position -> isolating prefix (tuple)
-    witness: tuple | None   # positions of two elements agreeing to depth
+class DiscreteReport(Value):
+    _fields = ("discrete", "prefixes", "witness")
+
+    def __init__(self, discrete, prefixes, witness):
+        set_field(self, "discrete", discrete)
+        set_field(self, "prefixes", prefixes)  # element position -> isolating prefix (tuple)
+        set_field(self, "witness", witness)  # positions of two elements agreeing to depth
 
 
 def is_discrete(elements, depth):

@@ -12,21 +12,20 @@ Krivine-structure construction), and the Turing-style reducibility search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ConstructionError, StructureError
+from .errors import CapExceeded, ConstructionError, StructureError
 from .poset import Poset
+from .record import Frozen, set_field
 from .report import Report
 from .terms import App, Const, K, S, Var, app, compile_terms, eval_in_opca, lam
 
 __all__ = [
     "FiniteOpca", "k_law", "s_law", "check_opca_axioms", "check_filter",
-    "SequenceKit", "derive_sequence_kit", "turing_leq", "skk_element",
+    "SequenceKit", "KIT_LEN_CAP", "derive_sequence_kit", "turing_leq", "skk_element",
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteOpca(Poset):
     """Finite carrier, partial order, partial application table, designated k/s.
 
@@ -37,18 +36,18 @@ class FiniteOpca(Poset):
     are pure.
     """
 
-    table: dict
-    k: object
-    s: object
-    filter: frozenset | None = None
-    U: frozenset | None = None
-    name: str = "opca"
+    _fields = Poset._fields + ("table", "k", "s", "filter", "U", "name")
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, elements, leq_pairs, table, k, s, filter=None, U=None, name="opca"):
+        set_field(self, "k", k)
+        set_field(self, "s", s)
+        set_field(self, "filter", filter)
+        set_field(self, "U", U)
+        set_field(self, "name", name)
+        super().__init__(elements, leq_pairs)
         if not self.element_set:
             raise StructureError("empty carrier", source=self.name)
-        for (a, b), c in self.table.items():
+        for (a, b), c in table.items():
             for x in (a, b, c):
                 if x not in self.element_set:
                     raise StructureError(f"app entry {x!r} outside carrier",
@@ -60,7 +59,7 @@ class FiniteOpca(Poset):
         for fname, sub in (("filter", self.filter), ("U", self.U)):
             if sub is not None and not sub <= self.element_set:
                 raise StructureError("subset escapes carrier", source=self.name, field=fname)
-        object.__setattr__(self, "table", dict(self.table))
+        set_field(self, "table", dict(table))
 
     def app(self, a, b):
         return self.table.get((a, b))
@@ -309,8 +308,7 @@ def _kit_program(max_len):
                           *(numeral(n) for n in range(max_len + 2))))
 
 
-@dataclass(frozen=True, eq=False)
-class SequenceKit:
+class SequenceKit(Frozen):
     """Closed k,s-terms for pairing, numerals, and sequence management.
 
     At construction the kit runs ``_kit_program(max_len)`` in ``opca`` and
@@ -323,30 +321,31 @@ class SequenceKit:
     product order); it stays None on a kit that was not checked.
     """
 
-    opca: FiniteOpca
-    max_len: int
-    p: object
-    p0: object
-    p1: object
-    b: object
-    c: object
-    d: object
-    t: object
-    stack_codes: tuple | None = field(default=None, init=False, repr=False)
+    _fields = ("opca", "max_len", "p", "p0", "p1", "b", "c", "d", "t")
 
-    def __post_init__(self):
-        program = _kit_program(self.max_len)
-        values = program.run(self.opca)
+    def __init__(self, opca, max_len, p, p0, p1, b, c, d, t):
+        set_field(self, "opca", opca)
+        set_field(self, "max_len", max_len)
+        set_field(self, "p", p)
+        set_field(self, "p0", p0)
+        set_field(self, "p1", p1)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        set_field(self, "t", t)
+        set_field(self, "stack_codes", None)
+        program = _kit_program(max_len)
+        values = program.run(opca)
         # id -> (term, value); the entry pins the term, so its id stays unique
         closed = {id(term): (term, value) for term, value in zip(program.roots, values)}
         numerals = dict(enumerate(values[5:]))  # after PAIR, b..t
         pair = values[0]
-        table = self.opca.table
-        object.__setattr__(self, "_closed", closed)
-        object.__setattr__(self, "_pair", pair)
-        object.__setattr__(self, "_numerals", numerals)
+        table = opca.table
+        set_field(self, "_closed", closed)
+        set_field(self, "_pair", pair)
+        set_field(self, "_numerals", numerals)
         # carrier element a -> p·a, None when undefined
-        object.__setattr__(self, "_pa", {a: table.get((pair, a)) for a in self.opca.elements})
+        set_field(self, "_pa", {a: table.get((pair, a)) for a in opca.elements})
 
     def _numeral(self, n):
         """Value of numeral(n) in the opca (None when undefined)."""
@@ -400,15 +399,25 @@ class SequenceKit:
         return value
 
 
+# Longest max_len a kit is built for.  Building and compiling the unrolled
+# terms recurses about twelve frames deeper per unit of length, so near 80
+# the interpreter's default recursion limit is hit; 64 leaves room for the
+# caller's own frames.
+KIT_LEN_CAP = 64
+
+
 def derive_sequence_kit(opca, max_len=3):
     """Build the coding terms and check the four list clauses exhaustively.
 
     Requires a filter; raises ConstructionError when an evaluation that the
-    clauses need comes out undefined, naming the offending term.  A checked
-    kit carries ``stack_codes``.
+    clauses need comes out undefined, naming the offending term, and
+    CapExceeded for a ``max_len`` above ``KIT_LEN_CAP``.  A checked kit
+    carries ``stack_codes``.
     """
     if opca.filter is None:
         raise StructureError("sequence kit needs a filtered opca", source=opca.name)
+    if max_len > KIT_LEN_CAP:
+        raise CapExceeded("sequence kit max_len", max_len, KIT_LEN_CAP)
     b, c, d, t = _kit_terms(max_len)
     kit = SequenceKit(opca=opca, max_len=max_len, p=PAIR, p0=FST, p1=SND,
                       b=b, c=c, d=d, t=t)

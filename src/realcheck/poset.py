@@ -10,9 +10,8 @@ and the closed stack sets of ``aks.py`` both come from ``closed_masks``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CapExceeded, StructureError
+from .record import Frozen, set_field
 
 __all__ = ["Poset", "reflexive_transitive_closure", "closed_masks", "downsets_of_poset"]
 
@@ -79,34 +78,30 @@ def downsets_of_poset(elements, leq, cap=1 << 16, what="downsets"):
             for m in closed_masks(len(elements), close, cap, what)]
 
 
-@dataclass(frozen=True, eq=False)
-class Poset:
+class Poset(Frozen):
     """Finite carrier with a preorder, closed reflexively/transitively once.
 
-    Subclasses add a ``name`` field; a bare poset is named "poset".
+    Subclasses add a ``name`` field, stored before ``Poset.__init__`` runs
+    so that its errors name the structure; a bare poset is named "poset".
     """
 
-    elements: tuple
-    leq_pairs: frozenset
-    element_set: frozenset = field(init=False)
-    _index: dict = field(init=False)
-
+    _fields = ("elements", "leq_pairs", "element_set", "_index")
     name = "poset"
 
-    def __post_init__(self):
-        element_set = frozenset(self.elements)
-        if len(self.elements) != len(element_set):
+    def __init__(self, elements, leq_pairs):
+        element_set = frozenset(elements)
+        if len(elements) != len(element_set):
             raise StructureError("duplicate carrier elements", source=self.name)
         if None in element_set:  # None marks an undefined application
             raise StructureError("null is not an element", source=self.name)
-        for (a, b) in self.leq_pairs:
+        for (a, b) in leq_pairs:
             if a not in element_set or b not in element_set:
                 raise StructureError(f"leq entry ({a!r},{b!r}) outside carrier",
                                      source=self.name, field="leq")
-        object.__setattr__(self, "leq_pairs",
-                           reflexive_transitive_closure(self.elements, self.leq_pairs))
-        object.__setattr__(self, "element_set", element_set)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
+        set_field(self, "elements", elements)
+        set_field(self, "leq_pairs", reflexive_transitive_closure(elements, leq_pairs))
+        set_field(self, "element_set", element_set)
+        set_field(self, "_index", {e: i for i, e in enumerate(elements)})
 
     def leq(self, a, b):
         return (a, b) in self.leq_pairs

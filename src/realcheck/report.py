@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .record import Record, Value
 
 PASS = "pass"
 FAIL = "fail"
 REFUSED = "refused"
+
+_FRESH = object()  # default argument: a new empty dict or list per instance
 
 
 def _show(value):
@@ -23,20 +26,22 @@ def _show(value):
     return str(value)
 
 
-@dataclass
-class CheckRecord:
-    subject: str
-    check: str
-    verdict: str
-    witnesses: dict = field(default_factory=dict)
-    counterexample: tuple | None = None
-    detail: str = ""
+class CheckRecord(Record):
+    _fields = ("subject", "check", "verdict", "witnesses", "counterexample", "detail")
+    __eq__ = Value.__eq__
 
-    def __post_init__(self):
-        if self.verdict not in (PASS, FAIL, REFUSED):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict == FAIL and self.counterexample is None:
-            raise ValueError(f"{self.check}: a fail needs a counterexample")
+    def __init__(self, subject, check, verdict, witnesses=_FRESH, counterexample=None,
+                 detail=""):
+        self.subject = subject
+        self.check = check
+        self.verdict = verdict
+        self.witnesses = {} if witnesses is _FRESH else witnesses
+        self.counterexample = counterexample
+        self.detail = detail
+        if verdict not in (PASS, FAIL, REFUSED):
+            raise ValueError(f"bad verdict {verdict!r}")
+        if verdict == FAIL and counterexample is None:
+            raise ValueError(f"{check}: a fail needs a counterexample")
 
     @property
     def passed(self):
@@ -57,11 +62,14 @@ class CheckRecord:
         return rec
 
 
-@dataclass
-class Report:
-    subject: str
-    records: list[CheckRecord] = field(default_factory=list)
-    elapsed_ms: float = 0.0
+class Report(Record):
+    _fields = ("subject", "records", "elapsed_ms")
+    __eq__ = Value.__eq__
+
+    def __init__(self, subject, records=_FRESH, elapsed_ms=0.0):
+        self.subject = subject
+        self.records = [] if records is _FRESH else records
+        self.elapsed_ms = elapsed_ms
 
     def add(self, check, verdict, witnesses=None, counterexample=None, detail=""):
         self.records.append(

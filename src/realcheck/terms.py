@@ -12,8 +12,9 @@ evaluates with one table read per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .record import Frozen, Value, set_field
 
 __all__ = [
     "Term", "Var", "Const", "App", "K", "S", "Diverged",
@@ -23,36 +24,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Named(Frozen):
+    """A leaf named by a string, shown as the bare name."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        set_field(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class _Basic:
-    name: str
-
-    def __repr__(self):
-        return self.name
+class Var(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Const:
+class _Basic(_Named):
+    __slots__ = ()
+
+
+class Const(Frozen):
     """Reference to an element of a host structure (any hashable handle)."""
 
-    value: object
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __reduce__(self):
+        return type(self), (self.value,)
 
     def __repr__(self):
         return f"`{self.value}"
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Term"
-    arg: "Term"
+class App(Frozen):
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn, arg):
+        set_field(self, "fn", fn)
+        set_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.fn, self.arg) == (other.fn, other.arg)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fn, self.arg))
+
+    def __reduce__(self):
+        return type(self), (self.fn, self.arg)
 
     def __repr__(self):
         return term_str(self)
@@ -129,11 +171,13 @@ def lam(names, body):
     return body
 
 
-@dataclass(frozen=True)
-class Diverged:
+class Diverged(Value):
     """Fuel ran out before the term became head-stable."""
 
-    term: object
+    _fields = ("term",)
+
+    def __init__(self, term):
+        set_field(self, "term", term)
 
 
 def _spine(term):
@@ -215,8 +259,7 @@ def eval_in_opca(term, env, opca):
 # in the order of that walk (children first, function before argument), so
 # the first undefined step is the subterm where the walk stops.
 
-@dataclass(frozen=True, eq=False)
-class Program:
+class Program(Frozen):
     """Closed terms as one program over their distinct subterms.
 
     Steps 0 and 1 are K and S, then come the slots, and every later step is
@@ -224,10 +267,13 @@ class Program:
     ``outputs[i]`` is the step of ``roots[i]``.
     """
 
-    roots: tuple
-    slots: tuple
-    steps: tuple
-    outputs: tuple
+    _fields = ("roots", "slots", "steps", "outputs")
+
+    def __init__(self, roots, slots, steps, outputs):
+        set_field(self, "roots", roots)
+        set_field(self, "slots", slots)
+        set_field(self, "steps", steps)
+        set_field(self, "outputs", outputs)
 
     def values(self, opca, slots=None):
         """Every step's value in ``opca``, None where undefined.  A slot value

@@ -10,9 +10,8 @@ predicates matches it across the Krivine-structure construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation, StructureError
+from .record import Frozen, Value, set_field
 
 __all__ = [
     "Predicate", "predicate_leq", "arrow_U",
@@ -20,14 +19,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Predicate:
-    index: tuple
-    assign: dict
+class Predicate(Frozen):
+    _fields = ("index", "assign")
 
-    def __post_init__(self):
-        for i in self.index:
-            if i not in self.assign:
+    def __init__(self, index, assign):
+        set_field(self, "index", index)
+        set_field(self, "assign", assign)
+        for i in index:
+            if i not in assign:
                 raise StructureError(f"predicate not total at index {i!r}")
 
     def __call__(self, i):
@@ -55,11 +54,15 @@ def arrow_U(alpha, opca, U=None):
     return out
 
 
-@dataclass(frozen=True)
-class BooleanVerdict:
-    holds: bool
-    realizer: object          # downset witness from the filter of D(A,A'), or None
-    via_double_negation: bool  # the other formulation, asserted equal
+class BooleanVerdict(Value):
+    _fields = ("holds", "realizer", "via_double_negation")
+
+    def __init__(self, holds, realizer, via_double_negation):
+        set_field(self, "holds", holds)
+        # a downset witness from the filter of D(A,A'), or None
+        set_field(self, "realizer", realizer)
+        # the other formulation, asserted equal
+        set_field(self, "via_double_negation", via_double_negation)
 
 
 def _d_predicate_leq(phi, psi, opca):

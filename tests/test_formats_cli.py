@@ -13,6 +13,7 @@ from realcheck.errors import StructureError
 from realcheck.formats import (aks_to_dict, load_aks, load_map, load_opca,
                                opca_to_dict, save_aks)
 from realcheck.lattices import L2, chain, semilattice_opca
+from realcheck.opca import KIT_LEN_CAP
 
 from conftest import CHILD_ENV, FIXTURES
 
@@ -342,6 +343,22 @@ def test_non_integer_count_keeps_the_argparse_message(capsys):
         main(["build-aks", str(FIXTURES / "l3.json"), "--max-len", "x"])
     assert exc.value.code == 2
     assert "argument --max-len: invalid int value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build-aks", "check-localic"])
+def test_max_len_past_the_kit_cap_is_refused(capsys, command):
+    # the unrolled kit terms recurse one level deeper per unit of length
+    code, out, err = run(capsys, command, str(FIXTURES / "l2.json"), "--max-len", "100")
+    assert code == 1 and out == ""
+    assert f"sequence kit max_len: 100 items exceeds cap {KIT_LEN_CAP}" in err
+    assert "Traceback" not in err
+
+
+def test_max_len_at_the_kit_cap_builds(capsys):
+    code, out, err = run(capsys, "--format", "machine", "build-aks", str(FIXTURES / "l2.json"),
+                         "--max-len", str(KIT_LEN_CAP))
+    assert code == 0, err
+    assert all(json.loads(line)["verdict"] == "pass" for line in out.splitlines())
 
 
 def test_check_tripos_searches_the_uniform_bound_once(capsys, monkeypatch):
