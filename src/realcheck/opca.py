@@ -22,7 +22,8 @@ from .terms import App, Const, K, S, Var, app, compile_terms, eval_in_opca, lam
 
 __all__ = [
     "FiniteOpca", "k_law", "s_law", "check_opca_axioms", "check_filter",
-    "SequenceKit", "KIT_LEN_CAP", "derive_sequence_kit", "turing_leq", "skk_element",
+    "SequenceKit", "KIT_LEN_CAP", "KIT_MEMO_SIZE", "derive_sequence_kit", "turing_leq",
+    "skk_element",
 ]
 
 
@@ -409,19 +410,62 @@ KIT_LEN_CAP = 64
 def derive_sequence_kit(opca, max_len=3):
     """Build the coding terms and check the four list clauses exhaustively.
 
-    Requires a filter; raises ConstructionError when an evaluation that the
-    clauses need comes out undefined, naming the offending term, and
-    CapExceeded for a ``max_len`` above ``KIT_LEN_CAP``.  A checked kit
-    carries ``stack_codes``.
+    Requires a filter and a non-negative int ``max_len``; raises
+    ConstructionError when an evaluation that the clauses need comes out
+    undefined, naming the offending term, and CapExceeded for a ``max_len``
+    above ``KIT_LEN_CAP``.  A checked kit carries ``stack_codes``.
+
+    The kit reads the carrier in order, the order, the table, k, s and the
+    filter, never U or the name.  So each checked kit is kept for the process
+    (the last ``KIT_MEMO_SIZE`` used) against those and ``max_len``, and a
+    later call on equal ones returns the same kit, whose ``opca`` is the
+    first caller's without U and name.  A failing check is not kept: it is
+    made again, with the same error, on every call.
     """
     if opca.filter is None:
         raise StructureError("sequence kit needs a filtered opca", source=opca.name)
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 0:
+        raise StructureError(f"sequence kit max_len must be an int >= 0, got {max_len!r}",
+                             source=opca.name)
     if max_len > KIT_LEN_CAP:
         raise CapExceeded("sequence kit max_len", max_len, KIT_LEN_CAP)
-    b, c, d, t = _kit_terms(max_len)
-    kit = SequenceKit(opca=opca, max_len=max_len, p=PAIR, p0=FST, p1=SND,
-                      b=b, c=c, d=d, t=t)
-    object.__setattr__(kit, "stack_codes", _verify_kit(kit))
+    return _checked_kit(_KitKey(opca, max_len))
+
+
+# Most checked kits kept per process.  A kit on a 5-element carrier holds
+# about 7 KB; a sweep over every U of one table needs one entry.
+KIT_MEMO_SIZE = 64
+
+
+class _KitKey:
+    """Everything a sequence kit reads of an opca, plus ``max_len``: equal
+    keys give equal kits.  The opca itself rides along for a miss and is
+    dropped once read, so the memo holds no caller's structure."""
+
+    __slots__ = ("opca", "max_len", "_content", "_hash")
+
+    def __init__(self, opca, max_len):
+        self.opca = opca
+        self.max_len = max_len
+        self._content = (tuple(opca.elements), opca.leq_pairs, frozenset(opca.table.items()),
+                         opca.k, opca.s, frozenset(opca.filter), max_len)
+        self._hash = hash(self._content)
+
+    def __eq__(self, other):
+        return self._content == other._content
+
+    def __hash__(self):
+        return self._hash
+
+
+@lru_cache(maxsize=KIT_MEMO_SIZE)
+def _checked_kit(key):
+    """The kit of ``key.opca``, checked over that opca's own table."""
+    opca, key.opca = key.opca, None
+    kit = SequenceKit(opca, key.max_len, PAIR, FST, SND, *_kit_terms(key.max_len))
+    set_field(kit, "stack_codes", _verify_kit(kit))
+    set_field(kit, "opca", FiniteOpca(opca.elements, opca.leq_pairs, opca.table,
+                                      opca.k, opca.s, opca.filter))
     return kit
 
 

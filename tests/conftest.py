@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 import realcheck
+from realcheck import opca as opcamod
 from realcheck.lattices import DIAMOND, L2, L3, M3, N5, VEE
 from realcheck.terms import App, Const, app, reduce_term
 
@@ -32,6 +33,13 @@ def read_numeral(term, limit=30):
         term = r.arg
         count += 1
     raise AssertionError("numeral out of range")
+
+
+@pytest.fixture(autouse=True)
+def empty_kit_memo():
+    """Each test derives its sequence kits afresh: no verdict, and no count of
+    the table reads a kit check makes, depends on which tests ran before."""
+    opcamod._checked_kit.cache_clear()
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import realcheck
-from realcheck.errors import ConstructionError, StructureError
+from realcheck.errors import CapExceeded, ConstructionError, StructureError
 from realcheck.lattices import DIAMOND, L2, L3, VEE, chain, enumerate_lattices, semilattice_opca
 from realcheck import aks as aksmod
 from realcheck import bco as bcomod
@@ -13,8 +13,9 @@ from realcheck import opca as opcamod
 from realcheck import terms
 from realcheck.formats import load_opca
 from realcheck.aks import build_aks
-from realcheck.opca import (FST, PAIR, SND, FiniteOpca, SequenceKit, _kit_program,
-                            _kit_terms, check_filter, check_opca_axioms,
+from realcheck.opca import (FST, KIT_LEN_CAP, KIT_MEMO_SIZE, PAIR, SND, FiniteOpca,
+                            SequenceKit, _kit_program, _kit_terms, check_filter,
+                            check_opca_axioms,
                             derive_sequence_kit, numeral, seq_term,
                             skk_element, turing_leq)
 from realcheck.terms import Const, app, reduce_term
@@ -415,8 +416,8 @@ def test_kit_check_reads_polynomially_many_entries():
     opca = chain(5)
     table = CountingTable(opca.table)
     object.__setattr__(opca, "table", table)
-    derive_sequence_kit(opca, max_len=6)
-    assert table.reads < 10_000
+    derive_sequence_kit(opca, max_len=6)  # a miss: the memo is empty
+    assert 0 < table.reads < 10_000
 
 
 def test_build_aks_folds_no_sequence(monkeypatch):
@@ -429,6 +430,92 @@ def test_build_aks_folds_no_sequence(monkeypatch):
     built = build_aks(opca, max_len=3)
     assert set(built.kit.stack_codes) <= set(built.aks.stacks)
 
+
+
+# -- the per-process kit memo ----------------------------------------------------
+
+def kit_outcome(kit_of, opca, max_len):
+    """The error message of the kit that ``kit_of(opca, max_len)`` builds and
+    checks, or its stack codes and the values of b, c, d and t."""
+    try:
+        kit = kit_of(opca, max_len)
+    except ConstructionError as e:
+        return ("error", str(e))
+    return ("pass", kit.stack_codes, tuple(kit.element(t) for t in (kit.b, kit.c, kit.d, kit.t)))
+
+
+def fresh_kit(opca, max_len):
+    """A kit checked by ``_verify_kit`` on a new ``SequenceKit``, past the memo."""
+    kit = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+    object.__setattr__(kit, "stack_codes", opcamod._verify_kit(kit))
+    return kit
+
+
+# a total preorder: every element is below every other (found by a random search)
+KEYED = nearly_total("aaa abb aca bab bbc bcb cac cbc cca", "b", "b", "ac ba cb")
+
+
+@pytest.mark.parametrize("other, other_len", [
+    (KEYED.replace(k="a"), 1),
+    (KEYED.replace(s="a"), 1),
+    (KEYED.replace(leq_pairs=frozenset()), 1),           # clause (iii) fails
+    (KEYED.replace(filter=frozenset("ab")), 1),          # c evaluates outside
+    (KEYED.replace(elements=("b", "a", "c")), 1),        # the codes come in another order
+    (KEYED, 2),
+], ids=["k", "s", "order", "filter", "carrier order", "max_len"])
+def test_kit_memo_keys_on_everything_the_kit_reads(other, other_len):
+    # the two share carrier, table and filter up to the one difference,
+    # which changes the kit; in either call order each gets its own
+    calls = [(KEYED, 1), (other, other_len)]
+    assert kit_outcome(fresh_kit, *calls[0]) != kit_outcome(fresh_kit, *calls[1])
+    for ordered in (calls, calls[::-1]):
+        opcamod._checked_kit.cache_clear()
+        for call in ordered:
+            assert kit_outcome(derive_sequence_kit, *call) == kit_outcome(fresh_kit, *call)
+
+
+def test_kit_is_shared_without_the_first_callers_u_and_name():
+    kit = derive_sequence_kit(L3.replace(U=frozenset({"0"}), name="first"), max_len=2)
+    assert derive_sequence_kit(L3.replace(name="second"), max_len=2) is kit
+    assert kit.opca.U is None and kit.opca.name not in ("first", "second", L3.name)
+    assert kit.opca.table == L3.table and kit.opca.filter == L3.filter
+
+
+def test_failing_kit_check_is_made_again_with_the_same_error():
+    opca = nearly_total("abb acb bab bbb bca cac cba ccc", "c", "b")  # numeral 1 undefined
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ConstructionError) as err:
+            derive_sequence_kit(opca, max_len=2)
+        messages.append(str(err.value))
+    assert messages == [kit_outcome(fresh_kit, opca, 2)[1]] * 2
+    info = opcamod._checked_kit.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+def test_kit_memo_stays_at_its_bound():
+    for i in range(KIT_MEMO_SIZE + 3):
+        bottom, top = f"0.{i}", f"1.{i}"
+        derive_sequence_kit(semilattice_opca((bottom, top), {(bottom, top)}), max_len=1)
+    info = opcamod._checked_kit.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (KIT_MEMO_SIZE + 3,) + (KIT_MEMO_SIZE,) * 2
+
+
+@pytest.mark.parametrize("max_len", [-1, 1.5, "2", None, True])
+def test_kit_refuses_a_max_len_that_is_not_a_non_negative_int(max_len):
+    with pytest.raises(StructureError, match=f"got {max_len!r}$"):
+        derive_sequence_kit(L2, max_len)
+    with pytest.raises(StructureError, match=f"got {max_len!r}$"):
+        build_aks(L2.replace(U=frozenset({"0"})), max_len=max_len)
+    assert opcamod._checked_kit.cache_info().misses == 0
+
+
+def test_kit_refusals_come_before_the_memo():
+    with pytest.raises(StructureError):
+        derive_sequence_kit(L2.replace(filter=None))
+    with pytest.raises(CapExceeded):
+        derive_sequence_kit(L2, KIT_LEN_CAP + 1)
+    assert opcamod._checked_kit.cache_info().misses == 0
 
 # -- term-model spot checks ----------------------------------------------------
 
