@@ -22,8 +22,7 @@ from .terms import App, Const, K, S, Var, app, compile_terms, eval_in_opca, lam
 
 __all__ = [
     "FiniteOpca", "k_law", "s_law", "check_opca_axioms", "check_filter",
-    "SequenceKit", "KIT_LEN_CAP", "KIT_MEMO_SIZE", "derive_sequence_kit", "turing_leq",
-    "skk_element",
+    "SequenceKit", "KIT_LEN_CAP", "derive_sequence_kit", "turing_leq", "skk_element",
 ]
 
 
@@ -418,9 +417,9 @@ def derive_sequence_kit(opca, max_len=3):
     The kit reads the carrier in order, the order, the table, k, s and the
     filter, never U or the name.  So each checked kit is kept for the process
     (the last ``KIT_MEMO_SIZE`` used) against those and ``max_len``, and a
-    later call on equal ones returns the same kit, whose ``opca`` is the
-    first caller's without U and name.  A failing check is not kept: it is
-    made again, with the same error, on every call.
+    later call on equal ones returns the same kit, whose ``opca`` is built
+    from those fields alone, without U and with the default name.  A failing
+    check is not kept: it is made again, with the same error, on every call.
     """
     if opca.filter is None:
         raise StructureError("sequence kit needs a filtered opca", source=opca.name)
@@ -429,7 +428,8 @@ def derive_sequence_kit(opca, max_len=3):
                              source=opca.name)
     if max_len > KIT_LEN_CAP:
         raise CapExceeded("sequence kit max_len", max_len, KIT_LEN_CAP)
-    return _checked_kit(_KitKey(opca, max_len))
+    return _checked_kit(tuple(opca.elements), opca.leq_pairs, frozenset(opca.table.items()),
+                        opca.k, opca.s, frozenset(opca.filter), max_len)
 
 
 # Most checked kits kept per process.  A kit on a 5-element carrier holds
@@ -437,35 +437,14 @@ def derive_sequence_kit(opca, max_len=3):
 KIT_MEMO_SIZE = 64
 
 
-class _KitKey:
-    """Everything a sequence kit reads of an opca, plus ``max_len``: equal
-    keys give equal kits.  The opca itself rides along for a miss and is
-    dropped once read, so the memo holds no caller's structure."""
-
-    __slots__ = ("opca", "max_len", "_content", "_hash")
-
-    def __init__(self, opca, max_len):
-        self.opca = opca
-        self.max_len = max_len
-        self._content = (tuple(opca.elements), opca.leq_pairs, frozenset(opca.table.items()),
-                         opca.k, opca.s, frozenset(opca.filter), max_len)
-        self._hash = hash(self._content)
-
-    def __eq__(self, other):
-        return self._content == other._content
-
-    def __hash__(self):
-        return self._hash
-
-
 @lru_cache(maxsize=KIT_MEMO_SIZE)
-def _checked_kit(key):
-    """The kit of ``key.opca``, checked over that opca's own table."""
-    opca, key.opca = key.opca, None
-    kit = SequenceKit(opca, key.max_len, PAIR, FST, SND, *_kit_terms(key.max_len))
+def _checked_kit(elements, leq_pairs, table_items, k, s, filter, max_len):
+    """The kit of the U-free opca these fields make, checked over its table."""
+    given = dict(table_items)
+    table = {(a, b): given[a, b] for a in elements for b in elements if (a, b) in given}
+    opca = FiniteOpca(elements, leq_pairs, table, k, s, filter)
+    kit = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
     set_field(kit, "stack_codes", _verify_kit(kit))
-    set_field(kit, "opca", FiniteOpca(opca.elements, opca.leq_pairs, opca.table,
-                                      opca.k, opca.s, opca.filter))
     return kit
 
 

@@ -225,6 +225,7 @@ def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
         for module in (realcheck, terms, opcamod, aksmod, bcomod):
             if getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counting(fn))
+    opcamod._checked_kit.cache_clear()  # so the counted build checks the kit again
     built = build_aks(opca, max_len=3)
     # the kit and the five distinguished terms run as compiled programs
     assert calls == []
@@ -416,7 +417,7 @@ def test_kit_check_reads_polynomially_many_entries():
     opca = chain(5)
     table = CountingTable(opca.table)
     object.__setattr__(opca, "table", table)
-    derive_sequence_kit(opca, max_len=6)  # a miss: the memo is empty
+    fresh_kit(opca, max_len=6)
     assert 0 < table.reads < 10_000
 
 
