@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 
 from .bco import find_top, opca_to_bco, tv_least
-from .errors import CapExceeded, ConstructionError, StructureError
+from .errors import ConstructionError, StructureError
 from .opca import (FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit,
                    k_law, s_law)
 from .poset import bits, closed_masks
@@ -29,8 +29,10 @@ __all__ = [
     "Aks", "orthogonal_terms", "orthogonal_stacks", "biorthogonal_closure",
     "check_aks", "BuiltAks", "build_aks",
     "closed_stack_sets", "aks_apply", "aks_imp", "cc_element",
-    "OrderCa", "order_ca", "check_order_ca", "check_kr",
+    "OrderCa", "order_ca", "check_order_ca", "check_kr", "tv_least_of_aks",
 ]
+
+CLOSED_SET_CAP = 1 << 12  # most closed stack sets listed; one more is CapExceeded
 
 
 class Aks(Frozen):
@@ -289,7 +291,7 @@ class BuiltAks(Frozen):
         set_field(self, "kit", kit)
 
 
-def build_aks(opca, max_len=3, U=None, name=None):
+def build_aks(opca, max_len=3, U=None):
     """The Krivine structure over (A, A') with pole {(t, pi) | t·pi in U}.
 
     Terms are the carrier, quasi-proofs the filter, stacks the values of
@@ -357,7 +359,7 @@ def build_aks(opca, max_len=3, U=None, name=None):
 
     aks = Aks(terms=tuple(opca.elements), stacks=stacks, dot=dot, push=push,
               kof=kof, K=K_el, S=S_el, cc=cc_el, qp=opca.filter, pole=pole,
-              name=name or f"K({opca.name},U={sorted(map(str, U))})")
+              name=f"K({opca.name},U={sorted(map(str, U))})")
     return BuiltAks(aks=aks, opca=opca, kit=kit)
 
 
@@ -365,30 +367,25 @@ def build_aks(opca, max_len=3, U=None, name=None):
 # The induced order-ca on biorthogonally closed stack sets
 # ---------------------------------------------------------------------------
 
-def _closed_masks(aks, cap):
-    """Every closed stack mask (``poset.closed_masks`` of ``Aks.close``).
-
-    Refuses with CapExceeded when there are more than ``cap``, naming
-    ``cap + 1`` when the enumeration stopped there and the full count once
-    the list is known.  The full list is kept on the structure, so a later
-    call, whether direct or through ``order_ca``, does not enumerate again.
+def _closed_masks(aks):
+    """Every closed stack mask (``poset.closed_masks`` of ``Aks.close``), or
+    CapExceeded past ``CLOSED_SET_CAP``.  The list is kept on the structure,
+    so a later call, direct or through ``order_ca``, does not enumerate again.
     """
     masks = aks._closed
     if masks is None:
-        masks = closed_masks(len(aks.stacks), aks.close, cap,
+        masks = closed_masks(len(aks.stacks), aks.close, CLOSED_SET_CAP,
                              f"closed stack sets of {aks.name}")
         object.__setattr__(aks, "_closed", masks)
-    if len(masks) > cap:
-        raise CapExceeded(f"closed stack sets of {aks.name}", len(masks), cap)
     return masks
 
 
-def closed_stack_sets(aks, cap=1 << 12):
+def closed_stack_sets(aks):
     """All biorthogonally closed stack sets, by size, then by stack indices.
 
-    Refuses with CapExceeded when there are more than ``cap`` of them.
+    Refuses with CapExceeded when there are more than ``CLOSED_SET_CAP``.
     """
-    return [aks.stacks_of(m) for m in _closed_masks(aks, cap)]
+    return [aks.stacks_of(m) for m in _closed_masks(aks)]
 
 
 def _apply_mask(aks, alpha, beta):
@@ -426,14 +423,14 @@ class OrderCa(Frozen):
         set_field(self, "opca", opca)
 
 
-def order_ca(aks, cap=1 << 12):
+def order_ca(aks):
     """The induced total order-ca on closed stack sets, with its filter.
 
     Order is reverse inclusion; k and s are searched first among the
     orthogonals of single quasi-proofs, then over the whole filter, then
     the carrier.  Raises ConstructionError when no pair satisfies the laws.
     """
-    masks = _closed_masks(aks, cap)
+    masks = _closed_masks(aks)
     carrier = [aks.stacks_of(m) for m in masks]
     named = dict(zip(masks, carrier))
     leq = frozenset((named[a], named[b]) for a in masks for b in masks if not b & ~a)
@@ -463,9 +460,9 @@ def order_ca(aks, cap=1 << 12):
     return OrderCa(aks=aks, opca=draft.replace(k=k, s=s))
 
 
-def check_order_ca(aks, cap=1 << 12):
+def check_order_ca(aks):
     """Verify the induced structure is a filtered opca (axioms + filter)."""
-    oca = order_ca(aks, cap=cap)
+    oca = order_ca(aks)
     rep = check_opca_axioms(oca.opca)
     rep.extend(check_filter(oca.opca, oca.opca.filter))
     rep.verdict("orderca.filter_upward_closed",
@@ -488,14 +485,14 @@ def check_kr(aks):
                  if a in aks.qp and row & needed == needed), None)
 
 
-def tv_least_of_aks(aks, cap=1 << 12):
+def tv_least_of_aks(aks):
     """Least designated truth value of the induced order-ca, or None.
 
     Uses the top-only search: the order-ca is a total filtered opca, where
     binary internal meets always exist through pairing, so re-verifying the
     meet adjunction per fixture would only repeat the bco-level tests.
     """
-    oca = order_ca(aks, cap=cap)
+    oca = order_ca(aks)
     view = opca_to_bco(oca.opca)
     top = find_top(view)
     if top is None:

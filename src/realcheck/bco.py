@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from . import poset
 from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import PAIR, FiniteOpca, skk_element
 from .poset import Poset, downsets_of_poset
@@ -44,6 +45,8 @@ __all__ = [
 # reaches either.
 _ENUM_CAP = 1 << 16
 _FACT_A_CAP = 1 << 20
+
+MEET_CANDIDATE_CAP = 20000  # internal meets try every map A x A -> A up to this many
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +189,9 @@ def product_bco(left, right):
 # Downsets
 # ---------------------------------------------------------------------------
 
-def downset_bco(bco, cap=1 << 16):
+def downset_bco(bco):
     """The downset BCO: inclusion order, one lifted function per f in F."""
-    downs = bco.downsets(cap=cap)
+    downs = bco.downsets()
     leq = frozenset((a, b) for a in downs for b in downs if a <= b)
     functions = {}
     for fname, ftab in bco.functions.items():
@@ -212,14 +215,14 @@ class DownsetMonad(Frozen):
         set_field(self, "mult", mult)
 
 
-def downset_monad(bco, cap=1 << 16):
+def downset_monad(bco):
     """DSigma plus the unit (principal downset) and multiplication (union).
 
     Both maps are verified to be BCO morphisms; an InvariantViolation here
     means the input was not a BCO in the first place.
     """
-    d_bco = downset_bco(bco, cap=cap)
-    d2_bco = downset_bco(d_bco, cap=cap)
+    d_bco = downset_bco(bco)
+    d2_bco = downset_bco(d_bco)
     unit = BcoMorphism(bco, d_bco, {a: bco.down(a) for a in bco.elements},
                        name=f"unit({bco.name})")
     mult = BcoMorphism(d2_bco, d_bco,
@@ -232,7 +235,7 @@ def downset_monad(bco, cap=1 << 16):
     return DownsetMonad(base=bco, d_bco=d_bco, d2_bco=d2_bco, unit=unit, mult=mult)
 
 
-def downset_opca(opca, cap=1 << 16):
+def downset_opca(opca):
     """D(A,A') as a filtered opca: inclusion order, pointwise application.
 
     alpha·beta is defined iff every a·b is, and is then the downward closure
@@ -240,7 +243,7 @@ def downset_opca(opca, cap=1 << 16):
     """
     if opca.filter is None:
         raise StructureError("downset_opca needs a filtered opca", source=opca.name)
-    downs = opca.downsets(cap=cap)
+    downs = opca.downsets()
     leq = frozenset((a, b) for a in downs for b in downs if a <= b)
     table = {}
     for alpha in downs:
@@ -275,46 +278,37 @@ class InternalMeets(Frozen):
 _PAIRING = compile_terms((PAIR,))
 
 
-def _meet_candidates(bco, enumeration_cap):
+def _meet_candidates(bco):
     """Deterministic candidate meet maps: opca pairing, poset meets, then
-    (for very small carriers) every map."""
+    (up to MEET_CANDIDATE_CAP maps) every map."""
     candidates = []
     host = bco.origin_opca
     if host is not None:
         [p] = _PAIRING.run(host)  # None finds no entry, so every p·a·b is None
         table = {(a, b): host.app_app(p, a, b) for a in bco.elements for b in bco.elements}
         if None not in table.values():
-            candidates.append(("pairing", table))
+            candidates.append(table)
     meets = {(a, b): bco.meet(a, b) for a in bco.elements for b in bco.elements}
     if None not in meets.values():
-        candidates.append(("poset-meet", meets))
+        candidates.append(meets)
     n = len(bco.elements)
-    if n ** (n * n) <= enumeration_cap:
+    if n ** (n * n) <= MEET_CANDIDATE_CAP:
         pairs = [(a, b) for a in bco.elements for b in bco.elements]
         for values in product(bco.elements, repeat=len(pairs)):
-            candidates.append(("enumerated", dict(zip(pairs, values))))
+            candidates.append(dict(zip(pairs, values)))
     return candidates
 
 
-def internal_meets(bco, enumeration_cap=20000):
+def internal_meets(bco):
     """Internal top and binary meets, or None when a search side fails.
 
     The top is the first element admitting a total g in F with g(a) <= top;
     the meet map must be a BCO morphism from the componentwise product and
     right adjoint to the diagonal (unit/counit witnesses searched in F).
     """
-    meets, reason = _internal_meets_impl(bco, enumeration_cap)
-    return meets
-
-
-def internal_meets_failure(bco, enumeration_cap=20000):
-    return _internal_meets_impl(bco, enumeration_cap)[1]
-
-
-def _internal_meets_impl(bco, enumeration_cap):
     found = find_top(bco)
     if found is None:
-        return None, "top"
+        return None
     top, top_witness = found
 
     def witness(pairs):
@@ -322,7 +316,7 @@ def _internal_meets_impl(bco, enumeration_cap):
 
     els = bco.elements
     prod = product_bco(bco, bco)
-    for label, table in _meet_candidates(bco, enumeration_cap):
+    for table in _meet_candidates(bco):
         unit = witness([(a, table[(a, a)]) for a in els])
         if unit is None:
             continue
@@ -335,8 +329,8 @@ def _internal_meets_impl(bco, enumeration_cap):
         if not check_bco_morphism(morphism).passed:
             continue
         return InternalMeets(top=top, top_witness=top_witness, meet=dict(table),
-                             unit_witness=unit, counit_witnesses=(g1, g2)), None
-    return None, "meet"
+                             unit_witness=unit, counit_witnesses=(g1, g2))
+    return None
 
 
 def find_top(bco):
@@ -348,15 +342,14 @@ def find_top(bco):
     return None
 
 
-def truth_values(bco, meets=None, top=None):
+def truth_values(bco, top=None):
     """TV = elements reachable below from top by some function in F.
 
-    The designated top may come from a full internal-meets computation or
-    the cheaper top-only search; for opca views both give the same first hit.
+    The designated top is ``top`` (say, from the cheaper top-only search),
+    else that of the internal meets; for opca views both are the first hit.
     """
     if top is None:
-        if meets is None:
-            meets = internal_meets(bco)
+        meets = internal_meets(bco)
         if meets is None:
             raise StructureError("truth values need internal meets", source=bco.name)
         top = meets.top
@@ -364,9 +357,9 @@ def truth_values(bco, meets=None, top=None):
                      if bco.tracker(bco.functions, bco.apply, [(top, a)]) is not None)
 
 
-def tv_least(bco, meets=None, top=None):
+def tv_least(bco, top=None):
     """The least designated truth value under the carrier order, or None."""
-    return bco.least(truth_values(bco, meets=meets, top=top))
+    return bco.least(truth_values(bco, top=top))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +380,9 @@ class PseudoDAlgebra(Frozen):
         for alpha, v in sup.items():
             if not alpha <= host.element_set or v not in host.element_set:
                 raise StructureError("sup table escapes carrier", source=name, field="sup")
+            if not host.is_downward_closed(alpha):
+                raise StructureError(f"sup row {sorted(map(str, alpha))} is not a downset",
+                                     source=name, field="sup")
 
     def value(self, alpha):
         try:
@@ -408,7 +404,7 @@ def join_sup(opca):
     return sup
 
 
-def check_pseudo_d_algebra(alg, witnesses=None, cap=1 << 16):
+def check_pseudo_d_algebra(alg, witnesses=None):
     """The four sup-algebra clauses, searched over the filter view's functions.
 
     ``witnesses`` may pin elements per clause ({"u": el, "g2": {fel: el},
@@ -417,7 +413,7 @@ def check_pseudo_d_algebra(alg, witnesses=None, cap=1 << 16):
     """
     host = alg.host
     rep = Report(alg.name)
-    downs = host.downsets(cap=cap)
+    downs = host.downsets()
     filt = host.ordered(host.filter)
     witnesses = witnesses or {}
 
@@ -443,7 +439,7 @@ def check_pseudo_d_algebra(alg, witnesses=None, cap=1 << 16):
                 {"g2": g2})
 
     # clause 3: flattening both ways over families of downsets
-    families = downsets_of_poset(downs, lambda a, b: a <= b, cap=cap,
+    families = downsets_of_poset(downs, lambda a, b: a <= b, cap=poset.DOWNSET_CAP,
                                  what=f"double downsets of {host.name}")
     pairs3 = [(alg.value(host.downward_closure({alg.value(a) for a in fam})),
                alg.value(frozenset().union(*fam)))
@@ -458,7 +454,7 @@ def check_pseudo_d_algebra(alg, witnesses=None, cap=1 << 16):
     return rep
 
 
-def check_star(alg, v=None, cap=1 << 16):
+def check_star(alg, v=None):
     """The uniform bound witness: v(sup alpha)·b <= c whenever every a·b <= c.
 
     Returns the first filter element that works (or verifies ``v``), else None.
@@ -466,7 +462,7 @@ def check_star(alg, v=None, cap=1 << 16):
     host = alg.host
     pool = [v] if v is not None else host.ordered(host.filter)
     pairs = []
-    for alpha in host.downsets(cap=cap):
+    for alpha in host.downsets():
         sup = alg.value(alpha)
         for b in host.elements:
             prods = host.products(alpha, (b,))
@@ -512,10 +508,15 @@ def check_applicative_morphism(fmap, src, dst, crosscheck=True):
     """
     if src.filter is None or dst.filter is None:
         raise StructureError("applicative morphisms need filtered opcas")
+    rep = Report(f"{src.name}->{dst.name}")
     for a in src.elements:
         if fmap.get(a) not in dst.element_set:
-            raise StructureError(f"map not total / escapes target at {a!r}")
-    rep = Report(f"{src.name}->{dst.name}")
+            raise StructureError(f"map not total / escapes target at {a!r}",
+                                 source=rep.subject, field="map")
+    for a in fmap:
+        if a not in src.element_set:
+            raise StructureError(f"map key {a!r} outside the source carrier",
+                                 source=rep.subject, field="map")
     dst_filter = dst.ordered(dst.filter)
     rep.verdict("applicative.filter_up",
                 next(((a,) for a in src.ordered(src.filter)

@@ -4,9 +4,10 @@ Opca files carry elements, leq pairs (closed reflexively and transitively
 on load), an application triple list, designated k and s, and optional
 filter / U / sup fields.  BCO files carry named function graphs; aks files
 carry the full tables.  Loading checks JSON shape only (names are JSON
-strings, a table key given twice is an error); carrier membership is
-checked by the structure constructors, except for the sup table, which no
-constructor sees.  Errors name the file, and the line or the field.
+strings, a table key or a sup row element given twice is an error);
+carrier membership is checked by the structure constructors, except for
+the sup table, which no constructor sees.  Errors name the file, and the
+line or the field.
 """
 
 from __future__ import annotations
@@ -110,7 +111,11 @@ def load_opca(path):
     rows = read("sup", [(NAMES, str)], required=False)
     if rows is None:
         return opca, None
-    sup = _table([(tuple(sorted(set(d))), v) for d, v in rows], path, "sup")
+    for d, _ in rows:
+        if len(set(d)) < len(d):
+            raise StructureError(f"row {d!r} names an element twice",
+                                 source=str(path), field="sup")
+    sup = _table([(tuple(sorted(d)), v) for d, v in rows], path, "sup")
     stray = [x for d, v in sup.items() for x in (*d, v) if x not in opca.element_set]
     if stray:
         raise StructureError(f"unknown element {stray[0]!r}", source=str(path), field="sup")

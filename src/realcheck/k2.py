@@ -131,10 +131,10 @@ def k2_apply(alpha, beta, n, fuel):
     return _dialogue(alpha, beta, n, fuel)
 
 
-def apply_elem(alpha, beta, fuel, name=None):
+def apply_elem(alpha, beta, fuel):
     """alpha·beta as a (possibly partial) element; queries beyond the fuel
     raise FuelExhausted."""
-    label = name or f"({alpha.name}·{beta.name})"
+    label = f"({alpha.name}·{beta.name})"
 
     def fn(n):
         v = k2_apply(alpha, beta, n, fuel)
@@ -511,8 +511,8 @@ def _eval_ast(node, env):
     raise StructureError(f"bad AST node {node!r}")
 
 
-def from_expr(src, name=None):
-    """Compile a generator expression to a recursive-tagged element."""
+def from_expr(src):
+    """Compile a generator expression to a recursive-tagged element named
+    by its source."""
     ast = parse_generator(src)
-    return K2Element(lambda n: _eval_ast(ast, {"n": n}),
-                     recursive=True, name=name or src)
+    return K2Element(lambda n: _eval_ast(ast, {"n": n}), recursive=True, name=src)

@@ -50,11 +50,11 @@ def semilattice_opca(elements, cover_pairs, *, filter=None, U=None, name="semila
     )
 
 
-def chain(n, name=None):
-    """Chain 0 < 1 < ... < n-1 as element names c0..c(n-1)."""
+def chain(n):
+    """Chain 0 < 1 < ... < n-1 as element names c0..c(n-1), named chain<n>."""
     els = tuple(f"c{i}" for i in range(n))
     covers = {(els[i], els[i + 1]) for i in range(n - 1)}
-    return semilattice_opca(els, covers, name=name or f"chain{n}")
+    return semilattice_opca(els, covers, name=f"chain{n}")
 
 
 # Standard fixtures.  L2/L3 use the 0 < m < 1 style names from the docs.

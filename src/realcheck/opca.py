@@ -323,12 +323,13 @@ class SequenceKit(Frozen):
 
     _fields = ("opca", "max_len", "p", "p0", "p1", "b", "c", "d", "t")
 
-    def __init__(self, opca, max_len, p, p0, p1, b, c, d, t):
+    def __init__(self, opca, max_len):
+        b, c, d, t = _kit_terms(max_len)
         set_field(self, "opca", opca)
         set_field(self, "max_len", max_len)
-        set_field(self, "p", p)
-        set_field(self, "p0", p0)
-        set_field(self, "p1", p1)
+        set_field(self, "p", PAIR)
+        set_field(self, "p0", FST)
+        set_field(self, "p1", SND)
         set_field(self, "b", b)
         set_field(self, "c", c)
         set_field(self, "d", d)
@@ -443,7 +444,7 @@ def _checked_kit(elements, leq_pairs, table_items, k, s, filter, max_len):
     given = dict(table_items)
     table = {(a, b): given[a, b] for a in elements for b in elements if (a, b) in given}
     opca = FiniteOpca(elements, leq_pairs, table, k, s, filter)
-    kit = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+    kit = SequenceKit(opca, max_len)
     set_field(kit, "stack_codes", _verify_kit(kit))
     return kit
 

@@ -15,6 +15,8 @@ from .record import Frozen, set_field
 
 __all__ = ["Poset", "reflexive_transitive_closure", "closed_masks", "downsets_of_poset"]
 
+DOWNSET_CAP = 1 << 16  # most downsets listed; one more is refused with CapExceeded
+
 
 def reflexive_transitive_closure(elements, pairs):
     """Warshall's algorithm on per-element up-sets."""
@@ -59,7 +61,7 @@ def closed_masks(n, close, cap, what):
     return sorted(found, key=lambda m: (m.bit_count(), bits(m)))
 
 
-def downsets_of_poset(elements, leq, cap=1 << 16, what="downsets"):
+def downsets_of_poset(elements, leq, cap=DOWNSET_CAP, what="downsets"):
     """All downward closed subsets of a preordered set, as ``closed_masks``
     lists the downward closure on element positions (``leq`` reflexive and
     transitive).  Refuses with CapExceeded past ``cap`` downsets."""
@@ -121,9 +123,9 @@ class Poset(Frozen):
     def is_downward_closed(self, subset):
         return subset == self.downward_closure(subset)
 
-    def downsets(self, cap=1 << 16):
-        """All downward closed subsets, smallest first (deterministic)."""
-        return downsets_of_poset(self.elements, self.leq, cap=cap,
+    def downsets(self):
+        """All downward closed subsets, smallest first; past DOWNSET_CAP, CapExceeded."""
+        return downsets_of_poset(self.elements, self.leq, cap=DOWNSET_CAP,
                                  what=f"downsets of {self.name}")
 
     def least(self, subset):

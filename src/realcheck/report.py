@@ -47,7 +47,7 @@ class CheckRecord(Record):
     def passed(self):
         return self.verdict == PASS
 
-    def as_dict(self, elapsed_ms=None):
+    def as_dict(self):
         rec = {
             "subject": self.subject,
             "check": self.check,
@@ -57,8 +57,6 @@ class CheckRecord(Record):
         }
         if self.detail:
             rec["detail"] = self.detail
-        if elapsed_ms is not None:
-            rec["ms"] = round(elapsed_ms, 3)
         return rec
 
 

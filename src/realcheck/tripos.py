@@ -43,12 +43,11 @@ def predicate_leq(phi, psi, bco):
     return bco.tracker(bco.functions, bco.apply, [(phi(i), psi(i)) for i in phi.index])
 
 
-def arrow_U(alpha, opca, U=None):
-    """{a | a·b defined and lands in U, for every b in alpha}; a downset."""
-    U = frozenset(U) if U is not None else opca.U
-    if U is None:
+def arrow_U(alpha, opca):
+    """{a | a·b defined and in opca.U for every b in alpha}; a downset."""
+    if opca.U is None:
         raise StructureError("arrow_U needs a downset U", source=opca.name)
-    out = opca.arrow(alpha, U)
+    out = opca.arrow(alpha, opca.U)
     if not opca.is_downward_closed(out):
         raise InvariantViolation(f"alpha -> U not downward closed in {opca.name}")
     return out
@@ -114,13 +113,13 @@ def streicher_leq(phi, psi, aks):
                  if t in aks.qp and row & needed == needed), None)
 
 
-def localic_criterion(opca, U=None):
+def localic_criterion(opca):
     """First filter element e with: b in A', b·a in U implies e·a in U.
 
     A witness makes the induced Boolean preorder localic; the search is
     exhaustive over the filter in carrier order.
     """
-    U = frozenset(U) if U is not None else opca.U
+    U = opca.U
     if opca.filter is None or U is None:
         raise StructureError("localic criterion needs a filter and U", source=opca.name)
     triggers = [a for a in opca.elements if any(opca.app(b, a) in U for b in opca.filter)]

@@ -165,16 +165,16 @@ def test_seventeen_stacks_get_an_answer():
     assert rep.passed, rep.render_text()
 
 
-def test_small_cap_refuses_and_names_the_count():
+def test_small_cap_refuses_and_names_the_count(monkeypatch):
     opca, _ = load_opca(FIXTURES / "m3.json")
     aks = build_aks(opca).aks
-    with pytest.raises(CapExceeded) as exc:  # the enumeration stops at the 8th set
-        closed_stack_sets(aks, cap=7)
-    assert str(exc.value) == f"closed stack sets of {aks.name}: 8 items exceeds cap 7"
-    assert len(closed_stack_sets(aks, cap=8)) == 8
-    with pytest.raises(CapExceeded) as exc:  # the kept list names its full size
-        check_order_ca(aks, cap=1)
-    assert (exc.value.count, exc.value.cap) == (8, 1)
+    monkeypatch.setattr("realcheck.aks.CLOSED_SET_CAP", 7)
+    for run in (closed_stack_sets, check_order_ca, tv_least_of_aks):
+        with pytest.raises(CapExceeded) as exc:  # the enumeration stops at the 8th set
+            run(aks)
+        assert str(exc.value) == f"closed stack sets of {aks.name}: 8 items exceeds cap 7"
+    monkeypatch.setattr("realcheck.aks.CLOSED_SET_CAP", 8)
+    assert len(closed_stack_sets(aks)) == 8
 
 
 def test_closed_sets_are_enumerated_once_per_structure(monkeypatch):

@@ -9,7 +9,7 @@ from realcheck.bco import (BcoMorphism, FiniteBco, ImplicativeKit,
                            check_pseudo_d_algebra, check_star, downset_bco,
                            downset_monad, downset_opca, find_right_adjoint,
                            find_top, implication_from_sup, internal_meets,
-                           internal_meets_failure, join_sup, morphism_leq,
+                           join_sup, morphism_leq,
                            opca_to_bco, sup_from_implication, truth_values,
                            tv_least)
 from realcheck.errors import CapExceeded, ConstructionError
@@ -140,9 +140,11 @@ def test_monad_laws_on_fixtures():
         assert composite2 == ident
 
 
-def test_downset_cap_refusal():
-    with pytest.raises(CapExceeded):
-        downset_bco(opca_to_bco(L3), cap=3)
+def test_downset_cap_refusal(monkeypatch):
+    monkeypatch.setattr("realcheck.poset.DOWNSET_CAP", 3)
+    with pytest.raises(CapExceeded) as exc:
+        downset_bco(opca_to_bco(L3))
+    assert str(exc.value) == "downsets of bco(L3): 4 items exceeds cap 3"
 
 
 # -- internal meets and truth values ------------------------------------------------
@@ -167,7 +169,7 @@ def test_antichain_with_identity_has_no_meets():
     bco = FiniteBco(elements=("a", "b"), leq_pairs=frozenset(),
                     functions={"id": {"a": "a", "b": "b"}})
     assert internal_meets(bco) is None
-    assert internal_meets_failure(bco) == "top"
+    assert find_top(bco) is None  # the top side fails
 
 
 def test_meet_side_failure_detected_by_enumeration():
@@ -176,14 +178,14 @@ def test_meet_side_failure_detected_by_enumeration():
                     leq_pairs=frozenset({("a", "t"), ("b", "t")}),
                     functions={"id": {"a": "a", "b": "b", "t": "t"}})
     assert internal_meets(bco) is None
-    assert internal_meets_failure(bco) == "meet"
+    assert find_top(bco) is not None  # so the meet side fails
 
 
 def test_truth_values_upward_closed_and_meet_closed():
     for opca in (L2, L3, DIAMOND):
         view = opca_to_bco(opca)
         meets = internal_meets(view)
-        tv = truth_values(view, meets)
+        tv = truth_values(view)
         for a in tv:
             for b in view.elements:
                 if view.leq(a, b):
@@ -404,6 +406,22 @@ def test_derivation_facts_refuse_above_the_cap_before_any_case(monkeypatch):
     assert (exc.value.count, exc.value.cap) == (4745, 4744)
     monkeypatch.setattr("realcheck.bco._FACT_A_CAP", 4745)
     assert sup_from_implication(heyting_kit(DIAMOND)).report.passed
+
+
+def test_every_downset_enumeration_reads_the_one_cap(monkeypatch):
+    # L3 has 4 downsets, and the families of clause 3 (downsets of those) are 5
+    alg = PseudoDAlgebra(L3, join_sup(L3))
+    monkeypatch.setattr("realcheck.poset.DOWNSET_CAP", 3)
+    for run in (lambda: downset_opca(L3), lambda: check_star(alg),
+                lambda: check_pseudo_d_algebra(alg)):
+        with pytest.raises(CapExceeded) as exc:
+            run()
+        assert str(exc.value) == "downsets of L3: 4 items exceeds cap 3"
+    monkeypatch.setattr("realcheck.poset.DOWNSET_CAP", 4)
+    assert check_star(alg) is not None and downset_opca(L3).elements
+    with pytest.raises(CapExceeded) as exc:
+        check_pseudo_d_algebra(alg)
+    assert str(exc.value) == "double downsets of L3: 5 items exceeds cap 4"
 
 
 def test_subset_and_adjoint_enumerations_are_capped(monkeypatch):

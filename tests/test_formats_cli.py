@@ -397,6 +397,7 @@ def appended(fixture, field, *rows):
 
 
 AKS_TERM = variant("aks_mid0.json")["terms"][0]
+L3_JOIN_SUP = [[[], "0"], [["0"], "0"], [["0", "m"], "m"], [["0", "m", "1"], "1"]]
 BCO = {"elements": ["a"], "leq": [], "functions": {"f": [["a", "a"]]}}
 
 # (argv with "FILE" standing for the written payload, payload, field named)
@@ -418,6 +419,10 @@ MALFORMED = {
     "sup-downset-twice": (["check-tripos", "FILE"],
                           variant("l2.json", sup=[[["0", "1"], "1"], [["1", "0"], "0"]]),
                           "sup"),
+    "sup-row-names-an-element-twice": (
+        ["check-tripos", "FILE"],
+        variant("l3.json", sup=L3_JOIN_SUP[:2] + [[["0", "m", "m"], "m"], L3_JOIN_SUP[3]]),
+        "sup"),
     "pole-list-stack": (["check-aks", "FILE"],
                         variant("aks_mid0.json", pole=[[AKS_TERM, ["p0"]]]), "pole"),
     "bco-list-value": (["check-bco", "FILE"],
@@ -458,6 +463,27 @@ def test_malformed_input_exits_two_naming_file_and_field(capsys, tmp_path, case)
         assert f"field {field!r}" in err, err
     if case == "build-aks-U-outside-carrier":
         assert "subset escapes carrier" in err
+
+
+def test_sup_row_that_is_not_a_downset_is_an_input_error(capsys, tmp_path):
+    joins = write(tmp_path, "joins.json", variant("l3.json", sup=L3_JOIN_SUP))
+    assert run(capsys, "check-tripos", joins)[0] == 0
+    path = write(tmp_path, "l3.json", variant("l3.json", sup=L3_JOIN_SUP + [[["1"], "0"]]))
+    code, out, err = run(capsys, "check-tripos", path)
+    assert (code, out) == (2, "")
+    assert "field 'sup': sup row ['1'] is not a downset" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ({"0": "0", "1": "1", "zz": "1"}, "field 'map': map key 'zz' outside the source carrier"),
+    ({"0": "0"}, "field 'map': map not total / escapes target at '1'"),
+], ids=["stray-key", "missing-key"])
+def test_check_density_map_keys_must_be_the_source_carrier(capsys, tmp_path, mapping,
+                                                           message):
+    path = write(tmp_path, "map.json", {"map": mapping})
+    code, out, err = run(capsys, "check-density", L2_PATH, L2_PATH, path)
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
 
 
 def test_duplicate_json_object_key_is_an_input_error(capsys, tmp_path):

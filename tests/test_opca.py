@@ -13,7 +13,7 @@ from realcheck import opca as opcamod
 from realcheck import terms
 from realcheck.formats import load_opca
 from realcheck.aks import build_aks
-from realcheck.opca import (FST, KIT_LEN_CAP, KIT_MEMO_SIZE, PAIR, SND, FiniteOpca,
+from realcheck.opca import (KIT_LEN_CAP, KIT_MEMO_SIZE, PAIR, FiniteOpca,
                             SequenceKit, _kit_program, _kit_terms, check_filter,
                             check_opca_axioms,
                             derive_sequence_kit, numeral, seq_term,
@@ -197,7 +197,7 @@ def kit_route(call, *args):
 @settings(max_examples=300, deadline=None)
 def test_folded_codes_match_term_evaluation_on_any_table(opca, data):
     # a kit built directly, so nothing is evaluated before the first call
-    kit = SequenceKit(opca, 3, PAIR, FST, SND, *_kit_terms(3))
+    kit = SequenceKit(opca, 3)
     items = st.sampled_from(opca.elements + (OUTSIDE,))
     calls = data.draw(st.lists(
         st.one_of(st.lists(items, max_size=4).map(tuple),
@@ -266,7 +266,7 @@ def test_kit_program_matches_term_evaluation(opca, max_len):
         value = values[step]
         assert term_route(opca, term) == (("undefined",) if value is None else ("value", value))
     # and the kit hands out those values
-    kit = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+    kit = SequenceKit(opca, max_len)
     for term in (PAIR, kit.b, kit.c, kit.d, kit.t):
         assert kit_route(kit.element, term) == term_route(opca, term)
     for n in range(max_len + 3):
@@ -359,7 +359,7 @@ def assert_kit_check_matches_the_reference(opca, max_len):
     """Same error message as ``reference_verify_kit``, or both pass and the
     kit's stack codes are the folded codes of every carrier sequence of
     length <= max_len, each once, in order of first appearance."""
-    reference = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+    reference = SequenceKit(opca, max_len)
     expected = outcome(reference_verify_kit, reference)
     assert outcome(derive_sequence_kit, opca, max_len) == expected
     if expected == ("pass",):
@@ -447,7 +447,7 @@ def kit_outcome(kit_of, opca, max_len):
 
 def fresh_kit(opca, max_len):
     """A kit checked by ``_verify_kit`` on a new ``SequenceKit``, past the memo."""
-    kit = SequenceKit(opca, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+    kit = SequenceKit(opca, max_len)
     object.__setattr__(kit, "stack_codes", opcamod._verify_kit(kit))
     return kit
 

@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from realcheck.lattices import L2
-from realcheck.opca import FST, PAIR, SND, FiniteOpca, SequenceKit, _kit_terms, numeral
+from realcheck.opca import PAIR, FiniteOpca, SequenceKit, _kit_terms, numeral
 from realcheck.terms import (App, Const, Diverged, K, S, Var, app, bracket,
                              eval_in_opca, free_vars, lam, parse_term,
                              reduce_term, subst, term_str)
@@ -78,7 +78,7 @@ def test_pairing_term_matches_the_reference_algorithm():
 
 def test_memoized_kit_terms_equal_fresh_ones():
     for max_len in range(4):
-        kit = SequenceKit(L2, max_len, PAIR, FST, SND, *_kit_terms(max_len))
+        kit = SequenceKit(L2, max_len)
         assert (kit.b, kit.c, kit.d, kit.t) == _kit_terms.__wrapped__(max_len)
     for n in range(6):
         assert numeral(n) == numeral.__wrapped__(n)

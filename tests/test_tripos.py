@@ -186,10 +186,10 @@ def test_turing_upward_closed_U_is_localic():
             turing_up = all(v in U for u in U for v in opca.elements
                             if turing_leq(opca, u, v) is not None)
             if turing_up:
-                w = localic_criterion(opca, U=U)
+                w = localic_criterion(opca.replace(U=U))
                 assert w is not None
 
 
 def test_empty_U_accepts_the_first_filter_element():
-    w = localic_criterion(L3, U=frozenset())
+    w = localic_criterion(L3.replace(U=frozenset()))
     assert w == next(iter(L3.ordered(L3.filter)))
