@@ -285,11 +285,6 @@ def _kit_values(opca, slots, *sources):
 class BuiltAks(Frozen):
     _fields = ("aks", "opca", "kit")
 
-    def __init__(self, aks, opca, kit):
-        set_field(self, "aks", aks)
-        set_field(self, "opca", opca)
-        set_field(self, "kit", kit)
-
 
 def build_aks(opca, max_len=3, U=None):
     """The Krivine structure over (A, A') with pole {(t, pi) | t·pi in U}.
@@ -302,10 +297,11 @@ def build_aks(opca, max_len=3, U=None):
     U = frozenset(U) if U is not None else opca.U
     if opca.filter is None or U is None:
         raise StructureError("build_aks needs a filter and a downset U", source=opca.name)
-    if not U <= opca.element_set:
-        raise StructureError("subset escapes carrier", source=opca.name, field="U")
-    if not opca.is_downward_closed(U):
-        raise StructureError("U is not downward closed", source=opca.name, field="U")
+    if U is not opca.U:  # opca.U was checked when opca was built
+        if not U <= opca.element_set:
+            raise StructureError("subset escapes carrier", source=opca.name, field="U")
+        if not opca.is_downward_closed(U):
+            raise StructureError("U is not downward closed", source=opca.name, field="U")
     if U & opca.filter:
         raise StructureError("U meets the filter", source=opca.name, field="U")
 
@@ -415,12 +411,8 @@ def cc_element(aks):
 
 
 class OrderCa(Frozen):
-    _fields = ("aks", "opca")
-
-    def __init__(self, aks, opca):
-        set_field(self, "aks", aks)
-        # carrier = closed stack sets, reverse inclusion, total app
-        set_field(self, "opca", opca)
+    _fields = ("aks",
+               "opca")  # carrier = closed stack sets, reverse inclusion, total app
 
 
 def order_ca(aks):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from . import poset
 from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import PAIR, FiniteOpca, skk_element
 from .poset import Poset, downsets_of_poset
@@ -32,7 +31,7 @@ __all__ = [
     "product_bco", "downsets_of_poset",
     "DownsetMonad", "downset_bco", "downset_monad", "downset_opca",
     "InternalMeets", "internal_meets", "find_top", "truth_values", "tv_least",
-    "PseudoDAlgebra", "join_sup", "check_pseudo_d_algebra", "check_star",
+    "PseudoDAlgebra", "check_sup_table", "join_sup", "check_pseudo_d_algebra", "check_star",
     "check_applicative_morphism", "applicative_verdict", "preserves_finite_meets",
     "DensityWitnesses", "check_density", "find_right_adjoint",
     "ImplicativeKit", "check_implicative",
@@ -136,6 +135,9 @@ class BcoMorphism(Frozen):
                 raise StructureError(f"morphism not total at {a!r}", source=name)
             if mapping[a] not in target.element_set:
                 raise StructureError(f"morphism escapes target at {a!r}", source=name)
+        if len(mapping) > len(source.elements):  # total, so some key is outside
+            stray = next(a for a in mapping if a not in source.element_set)
+            raise StructureError(f"morphism key {stray!r} outside the source", source=name)
 
     def __call__(self, a):
         return self.mapping[a]
@@ -207,13 +209,6 @@ def downset_bco(bco):
 class DownsetMonad(Frozen):
     _fields = ("base", "d_bco", "d2_bco", "unit", "mult")
 
-    def __init__(self, base, d_bco, d2_bco, unit, mult):
-        set_field(self, "base", base)
-        set_field(self, "d_bco", d_bco)
-        set_field(self, "d2_bco", d2_bco)
-        set_field(self, "unit", unit)
-        set_field(self, "mult", mult)
-
 
 def downset_monad(bco):
     """DSigma plus the unit (principal downset) and multiplication (union).
@@ -264,15 +259,11 @@ def downset_opca(opca):
 # ---------------------------------------------------------------------------
 
 class InternalMeets(Frozen):
-    _fields = ("top", "top_witness", "meet", "unit_witness", "counit_witnesses")
-
-    def __init__(self, top, top_witness, meet, unit_witness, counit_witnesses):
-        set_field(self, "top", top)
-        set_field(self, "top_witness", top_witness)  # total g with g(a) <= top
-        set_field(self, "meet", meet)  # (a, b) -> a /\ b
-        set_field(self, "unit_witness", unit_witness)  # g(a) <= a /\ a
-        # (g1, g2): g1(a /\ b) <= a, g2(a /\ b) <= b
-        set_field(self, "counit_witnesses", counit_witnesses)
+    _fields = ("top",
+               "top_witness",  # total g with g(a) <= top
+               "meet",  # (a, b) -> a /\ b
+               "unit_witness",  # g(a) <= a /\ a
+               "counit_witnesses")  # (g1, g2): g1(a /\ b) <= a, g2(a /\ b) <= b
 
 
 _PAIRING = compile_terms((PAIR,))
@@ -377,12 +368,7 @@ class PseudoDAlgebra(Frozen):
         set_field(self, "name", name)
         if host.filter is None:
             raise StructureError("pseudo-sup-algebra host needs a filter", source=name)
-        for alpha, v in sup.items():
-            if not alpha <= host.element_set or v not in host.element_set:
-                raise StructureError("sup table escapes carrier", source=name, field="sup")
-            if not host.is_downward_closed(alpha):
-                raise StructureError(f"sup row {sorted(map(str, alpha))} is not a downset",
-                                     source=name, field="sup")
+        check_sup_table(host, sup, name)
 
     def value(self, alpha):
         try:
@@ -390,6 +376,18 @@ class PseudoDAlgebra(Frozen):
         except KeyError:
             raise StructureError(f"sup undefined on downset {sorted(map(str, alpha))}",
                                  source=self.name, field="sup")
+
+
+def check_sup_table(host, sup, source):
+    """Refuses a sup table {frozenset row: element} that names an element
+    outside ``host`` or has a row that is not a downset of ``host``."""
+    for alpha, v in sup.items():
+        stray = [x for x in (*sorted(alpha, key=str), v) if x not in host.element_set]
+        if stray:
+            raise StructureError(f"unknown element {stray[0]!r}", source=source, field="sup")
+        if not host.is_downward_closed(alpha):
+            raise StructureError(f"sup row {sorted(map(str, alpha))} is not a downset",
+                                 source=source, field="sup")
 
 
 def join_sup(opca):
@@ -439,7 +437,7 @@ def check_pseudo_d_algebra(alg, witnesses=None):
                 {"g2": g2})
 
     # clause 3: flattening both ways over families of downsets
-    families = downsets_of_poset(downs, lambda a, b: a <= b, cap=poset.DOWNSET_CAP,
+    families = downsets_of_poset(downs, lambda a, b: a <= b,
                                  what=f"double downsets of {host.name}")
     pairs3 = [(alg.value(host.downward_closure({alg.value(a) for a in fam})),
                alg.value(frozenset().union(*fam)))
@@ -498,6 +496,21 @@ def preserves_finite_meets(fmap, src_bco, dst_bco):
     return {"top": g_top, "binary": g_bin}
 
 
+def _check_map(fmap, src, dst):
+    """Refuses ``fmap`` unless it maps src's carrier, and no more, into dst's;
+    returns the name "src->dst"."""
+    subject = f"{src.name}->{dst.name}"
+    for a in src.elements:
+        if fmap.get(a) not in dst.element_set:
+            raise StructureError(f"map not total / escapes target at {a!r}",
+                                 source=subject, field="map")
+    for a in fmap:
+        if a not in src.element_set:
+            raise StructureError(f"map key {a!r} outside the source carrier",
+                                 source=subject, field="map")
+    return subject
+
+
 def check_applicative_morphism(fmap, src, dst, crosscheck=True):
     """The three applicative clauses plus the meet-preservation cross-check.
 
@@ -508,15 +521,7 @@ def check_applicative_morphism(fmap, src, dst, crosscheck=True):
     """
     if src.filter is None or dst.filter is None:
         raise StructureError("applicative morphisms need filtered opcas")
-    rep = Report(f"{src.name}->{dst.name}")
-    for a in src.elements:
-        if fmap.get(a) not in dst.element_set:
-            raise StructureError(f"map not total / escapes target at {a!r}",
-                                 source=rep.subject, field="map")
-    for a in fmap:
-        if a not in src.element_set:
-            raise StructureError(f"map key {a!r} outside the source carrier",
-                                 source=rep.subject, field="map")
+    rep = Report(_check_map(fmap, src, dst))
     dst_filter = dst.ordered(dst.filter)
     rep.verdict("applicative.filter_up",
                 next(((a,) for a in src.ordered(src.filter)
@@ -560,11 +565,8 @@ def applicative_verdict(rep):
 
 
 class DensityWitnesses(Value):
-    _fields = ("cd", "simple")
-
-    def __init__(self, cd, simple):
-        set_field(self, "cd", cd)  # (m, {b' -> a'}) or None
-        set_field(self, "simple", simple)  # (t, {b' -> a'}) or None
+    _fields = ("cd",  # (m, {b' -> a'}) or None
+               "simple")  # (t, {b' -> a'}) or None
 
     @property
     def agree(self):
@@ -578,6 +580,7 @@ def check_density(fmap, src, dst):
     defined and m·f(a'·a) <= b'·f(a).  simple: (h, t) with t·f(h(b')) <= b'.
     The two families co-exist for applicative morphisms; ``agree`` reports it.
     """
+    _check_map(fmap, src, dst)
     src_filter, dst_filter = src.ordered(src.filter), dst.ordered(dst.filter)
 
     def cd_choice(m, bp):
@@ -612,6 +615,7 @@ def find_right_adjoint(fmap, src, dst):
 
     Refuses with CapExceeded when the |src|^|dst| candidate maps exceed _ENUM_CAP.
     """
+    _check_map(fmap, src, dst)
     count = len(src.elements) ** len(dst.elements)
     if count > _ENUM_CAP:
         raise CapExceeded(f"adjoint candidates {dst.name} -> {src.name}", count, _ENUM_CAP)
@@ -637,17 +641,11 @@ def find_right_adjoint(fmap, src, dst):
 class ImplicativeKit(Frozen):
     """Witnessed infima over arbitrary subsets plus an implication."""
 
-    _fields = ("host", "inf", "imp", "i", "i_prime", "e", "e_prime", "name")
-
-    def __init__(self, host, inf, imp, i, i_prime, e, e_prime, name="kit"):
-        set_field(self, "host", host)
-        set_field(self, "inf", inf)  # frozenset -> element, total on all subsets
-        set_field(self, "imp", imp)  # (b, c) -> element, total
-        set_field(self, "i", i)
-        set_field(self, "i_prime", i_prime)
-        set_field(self, "e", e)
-        set_field(self, "e_prime", e_prime)
-        set_field(self, "name", name)
+    _fields = ("host",
+               "inf",  # frozenset -> element, total on all subsets
+               "imp",  # (b, c) -> element, total
+               "i", "i_prime", "e", "e_prime", "name")
+    name = "kit"
 
     def inf_of(self, subset):
         return self.inf[frozenset(subset)]
@@ -730,15 +728,11 @@ def check_implicative(kit, mode="pre-implicative"):
 # ---------------------------------------------------------------------------
 
 class DerivedSupAlgebra(Frozen):
-    _fields = ("algebra", "combinators", "witnesses", "star", "report")
-
-    def __init__(self, algebra, combinators, witnesses, star, report):
-        set_field(self, "algebra", algebra)
-        set_field(self, "combinators", combinators)  # eta/xi/H/K/P/Q/R -> element
-        # clause witnesses fed to check_pseudo_d_algebra
-        set_field(self, "witnesses", witnesses)
-        set_field(self, "star", star)  # the uniform-bound element
-        set_field(self, "report", report)
+    _fields = ("algebra",
+               "combinators",  # eta/xi/H/K/P/Q/R -> element
+               "witnesses",  # clause witnesses fed to check_pseudo_d_algebra
+               "star",  # the uniform-bound element
+               "report")
 
 
 # The derived combinators of ``sup_from_implication`` in the surface syntax,

@@ -5,9 +5,9 @@ on load), an application triple list, designated k and s, and optional
 filter / U / sup fields.  BCO files carry named function graphs; aks files
 carry the full tables.  Loading checks JSON shape only (names are JSON
 strings, a table key or a sup row element given twice is an error);
-carrier membership is checked by the structure constructors, except for
-the sup table, which no constructor sees.  Errors name the file, and the
-line or the field.
+carrier membership is checked by the structure constructors, and the sup
+table, which no constructor sees, by ``bco.check_sup_table``.  Errors name
+the file, and the line or the field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .aks import Aks
-from .bco import FiniteBco
+from .bco import FiniteBco, check_sup_table
 from .errors import StructureError
 from .opca import FiniteOpca
 
@@ -116,10 +116,9 @@ def load_opca(path):
             raise StructureError(f"row {d!r} names an element twice",
                                  source=str(path), field="sup")
     sup = _table([(tuple(sorted(d)), v) for d, v in rows], path, "sup")
-    stray = [x for d, v in sup.items() for x in (*d, v) if x not in opca.element_set]
-    if stray:
-        raise StructureError(f"unknown element {stray[0]!r}", source=str(path), field="sup")
-    return opca, {frozenset(d): v for d, v in sup.items()}
+    sup = {frozenset(d): v for d, v in sup.items()}
+    check_sup_table(opca, sup, str(path))
+    return opca, sup
 
 
 def load_bco(path):

@@ -22,7 +22,7 @@ import math
 from itertools import product
 
 from .errors import CapExceeded, StructureError
-from .record import Value, set_field
+from .record import Value
 
 __all__ = [
     "pair", "unpair", "encode_seq", "decode_seq",
@@ -272,12 +272,9 @@ def basic_open_contains(sigma, alpha):
 
 
 class DiscreteReport(Value):
-    _fields = ("discrete", "prefixes", "witness")
-
-    def __init__(self, discrete, prefixes, witness):
-        set_field(self, "discrete", discrete)
-        set_field(self, "prefixes", prefixes)  # element position -> isolating prefix (tuple)
-        set_field(self, "witness", witness)  # positions of two elements agreeing to depth
+    _fields = ("discrete",
+               "prefixes",  # element position -> isolating prefix (tuple)
+               "witness")  # positions of two elements agreeing to depth
 
 
 def is_discrete(elements, depth):

@@ -59,6 +59,8 @@ class FiniteOpca(Poset):
         for fname, sub in (("filter", self.filter), ("U", self.U)):
             if sub is not None and not sub <= self.element_set:
                 raise StructureError("subset escapes carrier", source=self.name, field=fname)
+        if self.U is not None and not self.is_downward_closed(self.U):
+            raise StructureError("U is not downward closed", source=self.name, field="U")
         set_field(self, "table", dict(table))
 
     def app(self, a, b):

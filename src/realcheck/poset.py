@@ -61,10 +61,10 @@ def closed_masks(n, close, cap, what):
     return sorted(found, key=lambda m: (m.bit_count(), bits(m)))
 
 
-def downsets_of_poset(elements, leq, cap=DOWNSET_CAP, what="downsets"):
+def downsets_of_poset(elements, leq, what="downsets"):
     """All downward closed subsets of a preordered set, as ``closed_masks``
     lists the downward closure on element positions (``leq`` reflexive and
-    transitive).  Refuses with CapExceeded past ``cap`` downsets."""
+    transitive).  Refuses with CapExceeded past DOWNSET_CAP downsets."""
     elements = list(elements)
     below = [sum(1 << j for j, x in enumerate(elements) if leq(x, e)) for e in elements]
 
@@ -77,7 +77,7 @@ def downsets_of_poset(elements, leq, cap=DOWNSET_CAP, what="downsets"):
         return out
 
     return [frozenset(elements[j] for j in bits(m))
-            for m in closed_masks(len(elements), close, cap, what)]
+            for m in closed_masks(len(elements), close, DOWNSET_CAP, what)]
 
 
 class Poset(Frozen):
@@ -125,7 +125,7 @@ class Poset(Frozen):
 
     def downsets(self):
         """All downward closed subsets, smallest first; past DOWNSET_CAP, CapExceeded."""
-        return downsets_of_poset(self.elements, self.leq, cap=DOWNSET_CAP,
+        return downsets_of_poset(self.elements, self.leq,
                                  what=f"downsets of {self.name}")
 
     def least(self, subset):

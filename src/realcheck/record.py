@@ -1,17 +1,18 @@
 """Base classes of realcheck's records: field-list repr, value equality,
 immutability.
 
-Each record class writes its own ``__init__`` and lists its shown fields in
-``_fields``.  ``Frozen`` records refuse assignment and deletion; their
-constructors store each field with ``set_field`` (``object.__setattr__``).
+Each record class lists its shown fields in ``_fields``.  ``Frozen``
+records refuse assignment and deletion; ``Frozen.__init__`` binds its
+arguments to those fields, and a record that checks or derives fields, or
+is built in bulk, writes its own with ``set_field`` (``object.__setattr__``).
 ``Value`` records (and the mutable classes that take ``Value.__eq__``)
 compare equal field by field, between instances of the same class.
 """
 
 __all__ = ["Record", "Frozen", "Value", "set_field"]
 
-# Stores a field of a Frozen record while it is constructed.  One call per
-# field: a loop over keyword arguments costs more than the fields, and
+# Stores a field of a Frozen record while it is constructed.  Records built in
+# bulk call it once per field: the binding loop costs more than the fields, and
 # updating ``vars(self)`` would make every later attribute read slower.
 set_field = object.__setattr__
 
@@ -35,6 +36,22 @@ class Frozen(Record):
 
     __slots__ = ()
 
+    def __init__(self, *args, **kwargs):
+        """Binds the arguments to ``_fields`` as a call would; a field not
+        given takes the class attribute of that name, its default."""
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} arguments, got {len(args)}")
+        stray = sorted(kwargs.keys() - fields[len(args):])
+        if stray:
+            problem = "multiple values for" if stray[0] in fields else "an unexpected argument"
+            raise TypeError(f"{cls.__qualname__}() got {problem} {stray[0]!r}")
+        kwargs.update(zip(fields, args))
+        for name in fields:  # in _fields order, so that instances share dict keys
+            if name not in kwargs and not hasattr(cls, name):
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+            set_field(self, name, kwargs[name] if name in kwargs else getattr(cls, name))
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -54,3 +71,6 @@ class Value(Frozen):
 
     def __hash__(self):
         return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()

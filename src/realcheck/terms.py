@@ -24,24 +24,14 @@ __all__ = [
 ]
 
 
-class _Named(Frozen):
+class _Named(Value):
     """A leaf named by a string, shown as the bare name."""
 
-    __slots__ = ("name",)
+    _fields = ("name",)
+    __slots__ = _fields
 
     def __init__(self, name):
         set_field(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
-    def __reduce__(self):
-        return type(self), (self.name,)
 
     def __repr__(self):
         return self.name
@@ -55,46 +45,26 @@ class _Basic(_Named):
     __slots__ = ()
 
 
-class Const(Frozen):
+class Const(Value):
     """Reference to an element of a host structure (any hashable handle)."""
 
-    __slots__ = ("value",)
+    _fields = ("value",)
+    __slots__ = _fields
 
     def __init__(self, value):
         set_field(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __reduce__(self):
-        return type(self), (self.value,)
 
     def __repr__(self):
         return f"`{self.value}"
 
 
-class App(Frozen):
-    __slots__ = ("fn", "arg")
+class App(Value):
+    _fields = ("fn", "arg")
+    __slots__ = _fields
 
     def __init__(self, fn, arg):
         set_field(self, "fn", fn)
         set_field(self, "arg", arg)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.fn, self.arg) == (other.fn, other.arg)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.fn, self.arg))
-
-    def __reduce__(self):
-        return type(self), (self.fn, self.arg)
 
     def __repr__(self):
         return term_str(self)
@@ -175,9 +145,6 @@ class Diverged(Value):
     """Fuel ran out before the term became head-stable."""
 
     _fields = ("term",)
-
-    def __init__(self, term):
-        set_field(self, "term", term)
 
 
 def _spine(term):
@@ -268,12 +235,6 @@ class Program(Frozen):
     """
 
     _fields = ("roots", "slots", "steps", "outputs")
-
-    def __init__(self, roots, slots, steps, outputs):
-        set_field(self, "roots", roots)
-        set_field(self, "slots", slots)
-        set_field(self, "steps", steps)
-        set_field(self, "outputs", outputs)
 
     def values(self, opca, slots=None):
         """Every step's value in ``opca``, None where undefined.  A slot value

@@ -54,14 +54,9 @@ def arrow_U(alpha, opca):
 
 
 class BooleanVerdict(Value):
-    _fields = ("holds", "realizer", "via_double_negation")
-
-    def __init__(self, holds, realizer, via_double_negation):
-        set_field(self, "holds", holds)
-        # a downset witness from the filter of D(A,A'), or None
-        set_field(self, "realizer", realizer)
-        # the other formulation, asserted equal
-        set_field(self, "via_double_negation", via_double_negation)
+    _fields = ("holds",
+               "realizer",  # a downset witness from the filter of D(A,A'), or None
+               "via_double_negation")  # the other formulation, asserted equal
 
 
 def _d_predicate_leq(phi, psi, opca):

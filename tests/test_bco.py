@@ -12,7 +12,7 @@ from realcheck.bco import (BcoMorphism, FiniteBco, ImplicativeKit,
                            join_sup, morphism_leq,
                            opca_to_bco, sup_from_implication, truth_values,
                            tv_least)
-from realcheck.errors import CapExceeded, ConstructionError
+from realcheck.errors import CapExceeded, ConstructionError, StructureError
 from realcheck.lattices import DIAMOND, L2, L3, M3, N5, VEE
 from realcheck.opca import check_opca_axioms, skk_element
 
@@ -284,6 +284,27 @@ def test_identity_density_witnesses():
     dens = check_density({a: a for a in L2.elements}, L2, L2)
     assert dens.cd is not None and dens.simple is not None and dens.agree
     assert dens.cd[0] == skk_element(L2)  # first filter element: the top
+
+
+@pytest.mark.parametrize("consumer", [check_applicative_morphism, check_density,
+                                      find_right_adjoint])
+@pytest.mark.parametrize("mapping, message", [
+    ({"0": "0"}, "map not total / escapes target at '1'"),
+    ({"0": "0", "1": "zz"}, "map not total / escapes target at '1'"),
+    ({"0": "0", "1": "1", "zz": "1"}, "map key 'zz' outside the source carrier"),
+], ids=["missing-key", "value-outside", "stray-key"])
+def test_every_map_consumer_refuses_a_map_off_the_carriers(consumer, mapping, message):
+    with pytest.raises(StructureError) as exc:
+        consumer(mapping, L2, L2)
+    assert str(exc.value) == f"{L2.name}->{L2.name}: field 'map': {message}"
+
+
+def test_bco_morphism_refuses_a_key_outside_its_source():
+    bco = opca_to_bco(L2)
+    identity = {a: a for a in bco.elements}
+    assert BcoMorphism(bco, bco, identity).mapping == identity
+    with pytest.raises(StructureError, match="morphism key 'zz' outside the source"):
+        BcoMorphism(bco, bco, dict(identity, zz="1"))
 
 
 def test_density_families_agree_on_small_morphisms():

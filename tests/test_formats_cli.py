@@ -416,6 +416,11 @@ MALFORMED = {
                            "sup"),
     "sup-unknown-element": (["check-opca", "FILE"], variant("l2.json", sup=[[["zz"], "1"]]),
                             "sup"),
+    "sup-row-not-a-downset": (["check-opca", "FILE"],
+                              variant("l3.json", sup=L3_JOIN_SUP + [[["1"], "0"]]), "sup"),
+    "sup-row-not-a-downset-localic": (["check-localic", "FILE"],
+                                      variant("l3.json", sup=L3_JOIN_SUP + [[["1"], "0"]]),
+                                      "sup"),
     "sup-downset-twice": (["check-tripos", "FILE"],
                           variant("l2.json", sup=[[["0", "1"], "1"], [["1", "0"], "0"]]),
                           "sup"),
@@ -472,6 +477,14 @@ def test_sup_row_that_is_not_a_downset_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "check-tripos", path)
     assert (code, out) == (2, "")
     assert "field 'sup': sup row ['1'] is not a downset" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check-opca", "check-tripos", "check-localic"])
+def test_U_that_is_not_a_downset_is_an_input_error(capsys, tmp_path, command):
+    path = write(tmp_path, "l3.json", variant("l3.json", U=["m"]))
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: field 'U': U is not downward closed\n"
 
 
 @pytest.mark.parametrize("mapping, message", [

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,12 @@ def preorders(draw):
     return Poset(els, frozenset(pairs))
 
 
+def capped_downsets(elements, leq, cap, what):
+    """``downsets_of_poset`` with its cap, ``poset.DOWNSET_CAP``, set to ``cap``."""
+    with mock.patch("realcheck.poset.DOWNSET_CAP", cap):
+        return downsets_of_poset(elements, leq, what=what)
+
+
 def cap_message(enumerate_, *args, cap):
     with pytest.raises(CapExceeded) as info:
         enumerate_(*args, cap=cap, what="sets of P")
@@ -85,7 +93,7 @@ def test_downsets_match_the_recursive_walk(poset, data):
     want = reference_downsets(poset.elements, leq)
     assert downsets_of_poset(poset.elements, leq) == want
     cap = data.draw(st.integers(0, len(want) - 1))
-    assert (cap_message(downsets_of_poset, poset.elements, leq, cap=cap)
+    assert (cap_message(capped_downsets, poset.elements, leq, cap=cap)
             == cap_message(reference_downsets, poset.elements, leq, cap=cap)
             == f"sets of P: {cap + 1} items exceeds cap {cap}")
     if len(want) > 16:  # more downsets have too many families to list here
@@ -94,7 +102,7 @@ def test_downsets_match_the_recursive_walk(poset, data):
     families = reference_downsets(want, frozenset.__le__)
     assert downsets_of_poset(want, frozenset.__le__) == families
     cap = data.draw(st.integers(0, len(families) - 1))
-    assert (cap_message(downsets_of_poset, want, frozenset.__le__, cap=cap)
+    assert (cap_message(capped_downsets, want, frozenset.__le__, cap=cap)
             == cap_message(reference_downsets, want, frozenset.__le__, cap=cap))
 
 
