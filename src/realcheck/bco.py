@@ -580,6 +580,8 @@ def check_density(fmap, src, dst):
     defined and m·f(a'·a) <= b'·f(a).  simple: (h, t) with t·f(h(b')) <= b'.
     The two families co-exist for applicative morphisms; ``agree`` reports it.
     """
+    if src.filter is None or dst.filter is None:
+        raise StructureError("computational density needs filtered opcas")
     _check_map(fmap, src, dst)
     src_filter, dst_filter = src.ordered(src.filter), dst.ordered(dst.filter)
 

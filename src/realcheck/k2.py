@@ -14,6 +14,12 @@ each length the fold is a bijection, so the whole coding is one.  A
 Cantor pairing doubles bit width, so the balanced shape is load-bearing:
 it keeps codes linear in the content where a left-to-right chain would be
 exponential, and dialogue positions stay machine-sized.
+
+A dialogue hands alpha its query as a tuple, whose first item (the
+position) may itself be a query tuple.  The code is built only where a
+number is read: by an opaque element (a user function or a generator
+expression) and by a prefix oracle asked at a query.  The k/s basis and
+applications read the items as they are, so s folds no growing prefix.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ __all__ = [
     "tau_extract", "parse_generator", "from_expr",
 ]
 
+# Most answers one element stores; later answers are recomputed when asked
+# again, so a long dialogue keeps at most this many codes per element.
+_MEMO_CAP = 1024
+
 
 def pair(x, y):
     s = x + y
@@ -43,11 +53,11 @@ def unpair(z):
     return w - y, y
 
 
-def _fold(items):
-    if len(items) == 1:
-        return items[0]
-    mid = (len(items) + 1) // 2
-    return pair(_fold(items[:mid]), _fold(items[mid:]))
+def _fold(items, lo, hi):
+    if hi - lo == 1:
+        return items[lo]
+    mid = (lo + hi + 1) // 2
+    return pair(_fold(items, lo, mid), _fold(items, mid, hi))
 
 
 def _unfold(code, count):
@@ -62,7 +72,7 @@ def encode_seq(seq):
     seq = list(seq)
     if not seq:
         return 0
-    return pair(len(seq) - 1, _fold(seq)) + 1
+    return pair(len(seq) - 1, _fold(seq, 0, len(seq))) + 1
 
 
 def decode_seq(z):
@@ -70,6 +80,14 @@ def decode_seq(z):
         return ()
     rest, fold = unpair(z - 1)
     return tuple(_unfold(fold, rest + 1))
+
+
+def _code(x):
+    """The number a dialogue item stands for: an int is itself, a query
+    tuple the code of its items' numbers."""
+    if isinstance(x, int):
+        return x
+    return encode_seq([v if isinstance(v, int) else _code(v) for v in x])
 
 
 class FuelExhausted(RuntimeError):
@@ -82,6 +100,8 @@ class K2Element:
     The generator must be pure; racing queries at worst recompute the same
     value.  ``recursive`` tags elements built from the bounded expression
     language (or the basis): the constructive stand-in for filter membership.
+    A query tuple reaches the generator as its code; the memo keeps the first
+    ``_MEMO_CAP`` answers.
     """
 
     def __init__(self, fn, recursive=False, name=None):
@@ -91,18 +111,29 @@ class K2Element:
         self._memo = {}
 
     def __call__(self, n):
+        n = _code(n)
         memo = self._memo
         if n in memo:
             return memo[n]
         v = self._fn(n)
         if not isinstance(v, int) or v < 0:
             raise StructureError(f"{self.name} produced {v!r} at {n}; needs a natural")
-        memo[n] = v
+        if len(memo) < _MEMO_CAP:
+            memo[n] = v
         return v
 
     def __repr__(self):
         tag = "rec" if self.recursive else "raw"
         return f"<K2 {self.name} [{tag}]>"
+
+
+class _ItemReader(K2Element):
+    """An element of the basis or an application.  It reads a query tuple's
+    items as they are and keeps no answer to one: a dialogue asks each of
+    its queries once, and long prefixes would fill the memo."""
+
+    def __call__(self, n):
+        return K2Element.__call__(self, n) if isinstance(n, int) else self._fn(n)
 
 
 def _dialogue(alpha, beta, n, fuel=None):
@@ -112,7 +143,7 @@ def _dialogue(alpha, beta, n, fuel=None):
     query = [n]
     length = 0
     while fuel is None or length <= fuel:
-        v = alpha(pair(length, _fold(query)) + 1)
+        v = alpha(tuple(query))
         if v > 0:
             return v - 1
         if length != fuel:
@@ -139,10 +170,10 @@ def apply_elem(alpha, beta, fuel):
     def fn(n):
         v = k2_apply(alpha, beta, n, fuel)
         if v is None:
-            raise FuelExhausted(f"{label} at {n} (fuel {fuel})")
+            raise FuelExhausted(f"{label} at {_code(n)} (fuel {fuel})")
         return v
 
-    return K2Element(fn, recursive=False, name=label)
+    return _ItemReader(fn, recursive=False, name=label)
 
 
 def apply_many(fuel, *elems):
@@ -163,67 +194,29 @@ class _NeedMore(Exception):
         self.token = token
 
 
-class _LazyView:
-    """Random access into a coded sequence without decoding all of it.
-
-    Dialogue prefixes get long while the computations reading them touch a
-    handful of positions, so items are resolved by descending the balanced
-    fold, caching the subtree codes along the way (O(log n) per access).
-    """
-
-    __slots__ = ("length", "_nodes")
-
-    def __init__(self, z):
-        if z == 0:
-            self.length = 0
-            self._nodes = {}
-        else:
-            rest, fold = unpair(z - 1)
-            self.length = rest + 1
-            self._nodes = {(0, self.length): fold}
-
-    def item(self, i):
-        lo, hi = 0, self.length
-        nodes = self._nodes
-        code = nodes[(lo, hi)]
-        while hi - lo > 1:
-            mid = lo + (hi - lo + 1) // 2
-            left_key = (lo, mid)
-            if left_key in nodes:
-                lcode, rcode = nodes[left_key], nodes[(mid, hi)]
-            else:
-                lcode, rcode = unpair(code)
-                nodes[left_key] = lcode
-                nodes[(mid, hi)] = rcode
-            if i < mid:
-                hi, code = mid, lcode
-            else:
-                lo, code = mid, rcode
-        return code
-
-
 def _assoc_value(h, x):
     """Value at x of the element associated to the oracle computation h.
 
-    x decodes as [n, prefix...]; h runs with an oracle giving the prefix
-    and raising beyond it, in which case the answer is 0 ("read more");
-    a completed run answers result+1.  Aborts raised by *outer* oracles
-    propagate, which is what nests the construction soundly.
+    x is [n, prefix...], as a query tuple or its code; h runs with an oracle
+    giving the prefix and raising beyond it, in which case the answer is 0
+    ("read more"); a completed run answers result+1.  Aborts raised by
+    *outer* oracles propagate, which is what nests the construction soundly.
     """
-    view = _LazyView(x)
-    if view.length == 0:
+    if isinstance(x, int):
+        x = decode_seq(x)
+    if not x:
         return 0
-    n = view.item(0)
-    bound = view.length - 1
+    bound = len(x) - 1
     token = object()
 
     def oracle(i):
+        i = _code(i)
         if i < bound:
-            return view.item(i + 1)
+            return x[i + 1]
         raise _NeedMore(token)
 
     try:
-        return h(oracle, n) + 1
+        return h(oracle, x[0]) + 1
     except _NeedMore as e:
         if e.token is token:
             return 0
@@ -241,7 +234,7 @@ def k2_basis():
     def k_outer(a_or, n1):
         return _assoc_value(lambda b_or, n: a_or(n), n1)
 
-    k = K2Element(lambda x: _assoc_value(k_outer, x), recursive=True, name="k")
+    k = _ItemReader(lambda x: _assoc_value(k_outer, x), recursive=True, name="k")
 
     def s_level1(a_or, n1):
         def s_level2(b_or, n2):
@@ -258,7 +251,7 @@ def k2_basis():
 
         return _assoc_value(s_level2, n1)
 
-    s = K2Element(lambda x: _assoc_value(s_level1, x), recursive=True, name="s")
+    s = _ItemReader(lambda x: _assoc_value(s_level1, x), recursive=True, name="s")
     return k, s
 
 

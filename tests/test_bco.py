@@ -286,6 +286,14 @@ def test_identity_density_witnesses():
     assert dens.cd[0] == skk_element(L2)  # first filter element: the top
 
 
+@pytest.mark.parametrize("src, dst", [(L2.replace(filter=None), L2),
+                                      (L2, L2.replace(filter=None))], ids=["source", "target"])
+def test_density_refuses_an_opca_without_a_filter(src, dst):
+    identity = {a: a for a in L2.elements}
+    with pytest.raises(StructureError, match="^computational density needs filtered opcas$"):
+        check_density(identity, src, dst)
+
+
 @pytest.mark.parametrize("consumer", [check_applicative_morphism, check_density,
                                       find_right_adjoint])
 @pytest.mark.parametrize("mapping, message", [
