@@ -156,6 +156,11 @@ class Aks(Frozen):
                 out &= row
         return out
 
+    def first_quasi_proof(self, stack_mask):
+        """The first quasi-proof in term order facing every stack of the mask, or None."""
+        return next((t for t, row in zip(self.terms, self.rows)
+                     if t in self.qp and row & stack_mask == stack_mask), None)
+
     def push_image(self, term_mask, stack_mask):
         """{t.pi | t in the term mask, pi in the stack mask}."""
         out = 0
@@ -473,8 +478,7 @@ def check_kr(aks):
         for t in range(len(aks.terms)):
             for j in range(len(aks.stacks)):
                 needed |= 1 << push[t][push[s][j]] | 1 << push[s][push[t][j]]
-    return next((a for a, row in zip(aks.terms, aks.rows)
-                 if a in aks.qp and row & needed == needed), None)
+    return aks.first_quasi_proof(needed)
 
 
 def tv_least_of_aks(aks):

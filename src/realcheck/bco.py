@@ -5,7 +5,7 @@ to three clauses: downward-closed monotone domains, a total sub-identity,
 and composition closure up to <=.  Ordered pcas with a filter give the
 canonical examples (functions are left-application by filter elements).
 ``FiniteBco`` extends the poset core in ``poset.py``; every search for a
-function in F below a list of pairs goes through its ``tracker``.
+function in F below a list of pairs goes through its ``track``.
 
 On top of that this module provides: morphisms and their preorder, the
 downset construction with unit/multiplication, internal finite meets and
@@ -20,7 +20,7 @@ from itertools import product
 
 from .errors import CapExceeded, ConstructionError, StructureError
 from .opca import PAIR, FiniteOpca, skk_element
-from .poset import Poset, downsets_of_poset
+from .poset import Poset, downsets_of_poset, witness_per_key
 from .record import Frozen, Value, set_field
 from .report import Report
 from .terms import compile_closed, compile_terms
@@ -55,13 +55,11 @@ MEET_CANDIDATE_CAP = 20000  # internal meets try every map A x A -> A up to this
 class FiniteBco(Poset):
     """Finite poset plus named partial endofunctions (insertion order fixed)."""
 
-    _fields = Poset._fields + ("functions", "name", "origin_opca", "fn_element")
+    _fields = Poset._fields + ("functions", "name", "origin_opca")
 
-    def __init__(self, elements, leq_pairs, functions, name="bco", origin_opca=None,
-                 fn_element=None):
+    def __init__(self, elements, leq_pairs, functions, name="bco", origin_opca=None):
         set_field(self, "name", name)
         set_field(self, "origin_opca", origin_opca)
-        set_field(self, "fn_element", fn_element)  # name -> filter element, for opca views
         super().__init__(elements, leq_pairs)
         for fname, table in functions.items():
             for a, b in table.items():
@@ -74,21 +72,21 @@ class FiniteBco(Poset):
     def apply(self, fname, a):
         return self.functions[fname].get(a)
 
+    def track(self, pairs):
+        """First function name f with f(x) defined and <= y for every (x, y)
+        in ``pairs``, else None."""
+        return self.tracker(self.functions, self.apply, pairs)
+
 
 def opca_to_bco(opca):
     """BCO view: functions are b |-> a·b for a in the filter."""
     if opca.filter is None:
         raise StructureError("opca has no filter", source=opca.name)
-    functions = {}
-    fn_element = {}
-    for a in opca.ordered(opca.filter):
-        table = {b: opca.app(a, b) for b in opca.elements if opca.app(a, b) is not None}
-        fname = f"ap[{a}]"
-        functions[fname] = table
-        fn_element[fname] = a
+    functions = {f"ap[{a}]": {b: opca.app(a, b) for b in opca.elements
+                              if opca.app(a, b) is not None}
+                 for a in opca.ordered(opca.filter)}
     return FiniteBco(elements=opca.elements, leq_pairs=opca.leq_pairs,
-                     functions=functions, name=f"bco({opca.name})",
-                     origin_opca=opca, fn_element=fn_element)
+                     functions=functions, name=f"bco({opca.name})", origin_opca=opca)
 
 
 def check_bco(bco):
@@ -102,18 +100,13 @@ def check_bco(bco):
                       if bco.leq(b, a) and (b not in table
                                             or not bco.leq(table[b], table[a]))), None))
 
-    rep.found("bco.sub_identity", "i",
-              bco.tracker(bco.functions, bco.apply, [(a, a) for a in els]),
+    rep.found("bco.sub_identity", "i", bco.track([(a, a) for a in els]),
               "no total sub-identity")
-
-    def composite(ftab, gtab):
-        return bco.tracker(bco.functions, bco.apply,
-                           [(a, gtab[ftab[a]]) for a in ftab if ftab[a] in gtab])
-
     rep.verdict("bco.composition_closed",
                 next(((fname, gname) for fname, ftab in bco.functions.items()
                       for gname, gtab in bco.functions.items()
-                      if composite(ftab, gtab) is None), None),
+                      if bco.track([(a, gtab[ftab[a]]) for a in ftab
+                                    if ftab[a] in gtab]) is None), None),
                 {"pairs": len(bco.functions) ** 2})
     return rep
 
@@ -148,27 +141,18 @@ def check_bco_morphism(m):
     rep = Report(m.name)
     src, dst, phi = m.source, m.target, m.mapping
     rep.found("morphism.order_tracking", "u",
-              dst.tracker(dst.functions, dst.apply,
-                          [(phi[a], phi[b]) for (a, b) in src.leq_pairs]),
+              dst.track([(phi[a], phi[b]) for (a, b) in src.leq_pairs]),
               "no order-tracking witness")
-    trackers = {}
-    for fname, ftab in src.functions.items():
-        trackers[fname] = dst.tracker(dst.functions, dst.apply,
-                                      [(phi[a], phi[ftab[a]]) for a in ftab])
-        if trackers[fname] is None:
-            break
-    rep.verdict("morphism.function_tracking",
-                next(((fname,) for fname, g in trackers.items() if g is None), None),
-                {"trackers": trackers})
-    return rep
+    return rep.per_key("morphism.function_tracking", "trackers", witness_per_key(
+        src.functions,
+        lambda f: dst.track([(phi[a], phi[b]) for a, b in src.functions[f].items()])))
 
 
 def morphism_leq(phi, psi, target):
     """First g in F_target with g(phi(a)) <= psi(a) for all a, else None."""
     phi_map = phi.mapping if isinstance(phi, BcoMorphism) else phi
     psi_map = psi.mapping if isinstance(psi, BcoMorphism) else psi
-    return target.tracker(target.functions, target.apply,
-                          [(phi_map[a], psi_map[a]) for a in phi_map])
+    return target.track([(phi_map[a], psi_map[a]) for a in phi_map])
 
 
 def product_bco(left, right):
@@ -301,18 +285,14 @@ def internal_meets(bco):
     if found is None:
         return None
     top, top_witness = found
-
-    def witness(pairs):
-        return bco.tracker(bco.functions, bco.apply, pairs)
-
     els = bco.elements
     prod = product_bco(bco, bco)
     for table in _meet_candidates(bco):
-        unit = witness([(a, table[(a, a)]) for a in els])
+        unit = bco.track([(a, table[(a, a)]) for a in els])
         if unit is None:
             continue
-        g1 = witness([(table[(a, b)], a) for a in els for b in els])
-        g2 = witness([(table[(a, b)], b) for a in els for b in els])
+        g1 = bco.track([(table[(a, b)], a) for a in els for b in els])
+        g2 = bco.track([(table[(a, b)], b) for a in els for b in els])
         if g1 is None or g2 is None:
             continue
         morphism = BcoMorphism(prod, bco, {(a, b): table[(a, b)] for (a, b) in prod.elements},
@@ -327,7 +307,7 @@ def internal_meets(bco):
 def find_top(bco):
     """First element admitting a total g in F with g(a) <= it, with g."""
     for cand in bco.elements:
-        g = bco.tracker(bco.functions, bco.apply, [(a, cand) for a in bco.elements])
+        g = bco.track([(a, cand) for a in bco.elements])
         if g is not None:
             return cand, g
     return None
@@ -344,8 +324,7 @@ def truth_values(bco, top=None):
         if meets is None:
             raise StructureError("truth values need internal meets", source=bco.name)
         top = meets.top
-    return frozenset(a for a in bco.elements
-                     if bco.tracker(bco.functions, bco.apply, [(top, a)]) is not None)
+    return frozenset(a for a in bco.elements if bco.track([(top, a)]) is not None)
 
 
 def tv_least(bco, top=None):
@@ -425,16 +404,10 @@ def check_pseudo_d_algebra(alg, witnesses=None):
               "no uniform u")
 
     # clause 2: per filter element f, g2(sup alpha) <= sup(down f[alpha])
-    g2 = {}
-    for fel in filt:
-        g2[fel] = host.tracker(
-            [witnesses["g2"][fel]] if "g2" in witnesses else filt, host.app,
-            [(alg.value(alpha), alg.value(host.downward_closure(prods))) for alpha in downs
-             if (prods := host.products((fel,), alpha)) is not None])
-        if g2[fel] is None:
-            break
-    rep.verdict("sup.image_g2", next(((fel,) for fel, c in g2.items() if c is None), None),
-                {"g2": g2})
+    rep.per_key("sup.image_g2", "g2", witness_per_key(filt, lambda fel: host.tracker(
+        [witnesses["g2"][fel]] if "g2" in witnesses else filt, host.app,
+        [(alg.value(alpha), alg.value(host.downward_closure(prods))) for alpha in downs
+         if (prods := host.products((fel,), alpha)) is not None])))
 
     # clause 3: flattening both ways over families of downsets
     families = downsets_of_poset(downs, lambda a, b: a <= b,
@@ -484,16 +457,12 @@ def preserves_finite_meets(fmap, src_bco, dst_bco):
     dst_meets = internal_meets(dst_bco)
     if src_meets is None or dst_meets is None:
         return None
-    g_top = dst_bco.tracker(dst_bco.functions, dst_bco.apply,
-                            [(dst_meets.top, fmap[src_meets.top])])
+    g_top = dst_bco.track([(dst_meets.top, fmap[src_meets.top])])
     if g_top is None:
         return None
-    g_bin = dst_bco.tracker(dst_bco.functions, dst_bco.apply,
-                            [(dst_meets.meet[(fmap[a], fmap[b])], fmap[src_meets.meet[(a, b)]])
-                             for a in src_bco.elements for b in src_bco.elements])
-    if g_bin is None:
-        return None
-    return {"top": g_top, "binary": g_bin}
+    g_bin = dst_bco.track([(dst_meets.meet[(fmap[a], fmap[b])], fmap[src_meets.meet[(a, b)]])
+                           for a in src_bco.elements for b in src_bco.elements])
+    return None if g_bin is None else {"top": g_top, "binary": g_bin}
 
 
 def _check_map(fmap, src, dst):
@@ -523,11 +492,9 @@ def check_applicative_morphism(fmap, src, dst, crosscheck=True):
         raise StructureError("applicative morphisms need filtered opcas")
     rep = Report(_check_map(fmap, src, dst))
     dst_filter = dst.ordered(dst.filter)
-    rep.verdict("applicative.filter_up",
-                next(((a,) for a in src.ordered(src.filter)
-                      if not any(dst.leq(b, fmap[a]) for b in dst.filter)), None),
-                {a: next((b for b in dst_filter if dst.leq(b, fmap[a])), None)
-                 for a in src.ordered(src.filter)})
+    rep.per_key("applicative.filter_up", None, witness_per_key(
+        src.ordered(src.filter),
+        lambda a: next((b for b in dst_filter if dst.leq(b, fmap[a])), None)))
 
     # Tracking is required over all defined applications, not only filter
     # functions: the appl=fpp and sup-characterization equivalences need r
@@ -596,12 +563,8 @@ def check_density(fmap, src, dst):
     def family(choice):
         """First m in the filter with a choice for every b', as (m, {b': a'})."""
         for m in dst_filter:
-            chosen = {}
-            for bp in dst_filter:
-                chosen[bp] = choice(m, bp)
-                if chosen[bp] is None:
-                    break
-            else:
+            chosen = witness_per_key(dst_filter, lambda bp: choice(m, bp))
+            if None not in chosen.values():
                 return m, chosen
         return None
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import product
 from time import perf_counter
 
 from . import aks as aksmod
@@ -64,6 +63,8 @@ def _cmd_check_opca(args):
             value = opca.eval(term)
         except ValueError as e:
             raise StructureError(str(e), source="--eval-term")
+        except RecursionError:  # parsing, abstraction and evaluation all recurse
+            raise StructureError("term nested too deep (RecursionError)", source="--eval-term")
         rep.found("term.value", "value", value, "undefined", detail=args.eval_term)
     return rep
 
@@ -171,31 +172,20 @@ def _cmd_check_tripos(args):
                 rep.add("tripos.roundtrip_sup", REFUSED, detail=str(e))
 
     if opca.U is not None:
-        downs = opca.downsets()
-        size = args.index_size
-        if len(downs) ** size > args.predicate_cap:
+        n_downs, size = len(opca.downsets()), args.index_size
+        if n_downs ** size > args.predicate_cap:
             rep.add("tripos.booleanization", REFUSED,
-                    detail=f"{len(downs)}^{size} predicates exceed cap")
+                    detail=f"{n_downs}^{size} predicates exceed cap")
         else:
-            index = tuple(f"i{n}" for n in range(size))
-            preds = [triposmod.Predicate(index, dict(zip(index, vals)))
-                     for vals in product(downs, repeat=size)]
-
-            def unstable(phi):
-                notnot = phi.map_values(
-                    lambda a: triposmod.arrow_U(triposmod.arrow_U(a, opca), opca))
-                fwd = triposmod.boolean_leq(phi, notnot, opca)
-                back = triposmod.boolean_leq(notnot, phi, opca)
-                return not (fwd.holds and back.holds)
-
             try:
-                unstable_phi = next((tuple(sorted(map(str, phi(i))) for i in index)
-                                     for phi in preds if unstable(phi)), None)
+                phi = triposmod.first_unstable(opca, size)
             except InvariantViolation as e:  # the two forms agree only on an opca
                 rep.add("tripos.booleanization", REFUSED, detail=str(e))
             else:
-                rep.verdict("tripos.booleanization", unstable_phi,
-                            {"predicates": len(preds)})
+                rep.verdict("tripos.booleanization",
+                            None if phi is None
+                            else tuple(sorted(map(str, phi(i))) for i in phi.index),
+                            {"predicates": n_downs ** size})
     return rep
 
 

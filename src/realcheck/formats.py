@@ -173,6 +173,9 @@ def aks_to_dict(aks):
 
 
 def save_aks(path, aks):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(aks_to_dict(aks), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(aks_to_dict(aks), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise StructureError(f"cannot write the file ({type(e).__name__})", source=str(path))

@@ -2,10 +2,11 @@
 
 ``Poset`` owns the carrier checks, the reflexive-transitive closure of the
 order, the order queries, the downsets, least/greatest elements, meets and
-the tracker search ("first candidate g with g(x) defined and <= y for
-every pair (x, y)").  ``FiniteOpca`` and ``FiniteBco`` extend it.  The
-order may be a preorder: nothing here assumes antisymmetry.  The downsets
-and the closed stack sets of ``aks.py`` both come from ``closed_masks``.
+the tracker search ("first candidate g with g(x) defined and <= y for every
+pair (x, y)"); ``witness_per_key`` runs a search per key.  ``FiniteOpca``
+and ``FiniteBco`` extend it.  The order may be a preorder: nothing here
+assumes antisymmetry.  The downsets and the closed stack sets of
+``aks.py`` both come from ``closed_masks``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from .errors import CapExceeded, StructureError
 from .record import Frozen, set_field
 
-__all__ = ["Poset", "reflexive_transitive_closure", "closed_masks", "downsets_of_poset"]
+__all__ = ["Poset", "reflexive_transitive_closure", "closed_masks", "downsets_of_poset",
+           "witness_per_key"]
 
 DOWNSET_CAP = 1 << 16  # most downsets listed; one more is refused with CapExceeded
 
@@ -151,3 +153,14 @@ class Poset(Frozen):
             if all((gx := apply(g, x)) is not None and (gx, y) in leq for x, y in pairs):
                 return g
         return None
+
+
+def witness_per_key(keys, search):
+    """{key: search(key)} in key order, up to and including the first key
+    whose search finds nothing (None)."""
+    found = {}
+    for key in keys:
+        found[key] = search(key)
+        if found[key] is None:
+            break
+    return found

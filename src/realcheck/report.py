@@ -92,6 +92,13 @@ class Report(Record):
         return self.verdict(check, witnesses=value if name is None else {name: value},
                             detail=detail)
 
+    def per_key(self, check, name, found):
+        """Record a ``poset.witness_per_key`` search: pass with {name: found}
+        (or ``found`` itself when ``name`` is None) when every key has a
+        witness, else fail with (key,) for the key without one."""
+        missing = next(((key,) for key, w in found.items() if w is None), None)
+        return self.verdict(check, missing, found if name is None else {name: found})
+
     def extend(self, other):
         self.records.extend(other.records)
         return self

@@ -10,12 +10,14 @@ predicates matches it across the Krivine-structure construction.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import InvariantViolation, StructureError
 from .record import Frozen, Value, set_field
 
 __all__ = [
     "Predicate", "predicate_leq", "arrow_U",
-    "boolean_leq", "BooleanVerdict", "streicher_leq", "localic_criterion",
+    "boolean_leq", "BooleanVerdict", "first_unstable", "streicher_leq", "localic_criterion",
 ]
 
 
@@ -40,7 +42,7 @@ def predicate_leq(phi, psi, bco):
     """First function name f with f(phi(i)) defined and <= psi(i) for all i."""
     if phi.index != psi.index:
         raise StructureError("predicates over different index sets")
-    return bco.tracker(bco.functions, bco.apply, [(phi(i), psi(i)) for i in phi.index])
+    return bco.track([(phi(i), psi(i)) for i in phi.index])
 
 
 def arrow_U(alpha, opca):
@@ -61,16 +63,14 @@ class BooleanVerdict(Value):
 
 def _d_predicate_leq(phi, psi, opca):
     """Realizer in A' for a pointwise inclusion-tracking between downset
-    predicates: r·u defined and in psi(i) for every u in phi(i).
+    predicates: the first filter element in every arrow phi(i) -> psi(i).
 
     Equivalent to the downset-opca formulation: a filter downset gamma works
     iff any of its filter members does, and the principal downset of a
     working r works.
     """
-    for r in opca.ordered(opca.filter):
-        if all(opca.app(r, u) in psi(i) for i in phi.index for u in phi(i)):
-            return r
-    return None
+    realizers = opca.element_set.intersection(*(opca.arrow(phi(i), psi(i)) for i in phi.index))
+    return next((r for r in opca.ordered(opca.filter) if r in realizers), None)
 
 
 def boolean_leq(phi, psi, opca):
@@ -95,6 +95,21 @@ def boolean_leq(phi, psi, opca):
                           via_double_negation=double_neg is not None)
 
 
+def first_unstable(opca, size):
+    """The first predicate on the indices i0, ..., i(size-1), in the product
+    order of ``opca.downsets()``, that the Booleanization relative to U does
+    not fix (phi and (phi -> U) -> U not equivalent), else None."""
+    index = tuple(f"i{n}" for n in range(size))
+    for values in product(opca.downsets(), repeat=size):
+        phi = Predicate(index, dict(zip(index, values)))
+        notnot = phi.map_values(lambda a: arrow_U(arrow_U(a, opca), opca))
+        fwd = boolean_leq(phi, notnot, opca)
+        back = boolean_leq(notnot, phi, opca)  # both run: either may raise
+        if not (fwd.holds and back.holds):
+            return phi
+    return None
+
+
 def streicher_leq(phi, psi, aks):
     """First quasi-proof t with (t, u.pi) in the pole for every index i,
     u facing phi(i), and pi in psi(i); None when no uniform witness exists."""
@@ -104,8 +119,7 @@ def streicher_leq(phi, psi, aks):
     for i in phi.index:
         needed |= aks.push_image(aks.facing_terms(aks.stack_mask(phi(i))),
                                  aks.stack_mask(psi(i)))
-    return next((t for t, row in zip(aks.terms, aks.rows)
-                 if t in aks.qp and row & needed == needed), None)
+    return aks.first_quasi_proof(needed)
 
 
 def localic_criterion(opca):

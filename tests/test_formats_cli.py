@@ -301,6 +301,41 @@ def test_eval_term_flag(capsys):
     assert code == 2
 
 
+def binders_over_chain(n):
+    """\\x0 ... x(n-1). x0 ... x(n-1); bracket abstraction nests it about
+    n * n / 2 deep (900 at n = 40)."""
+    names = " ".join(f"x{i}" for i in range(n))
+    return f"\\{names}. {names}"
+
+
+@pytest.mark.parametrize("term", [
+    "(" * 3000 + "K" + ")" * 3000,
+    " ".join(["K"] * 5000),
+    "".join(f"\\x{i}. " for i in range(1500)) + "K",
+    binders_over_chain(60),
+], ids=["parentheses", "application-chain", "binders", "binders-over-chain"])
+def test_eval_term_nested_too_deep_is_an_input_error(capsys, term):
+    code, out, err = run(capsys, "check-opca", str(FIXTURES / "l2.json"), "--eval-term", term)
+    assert (code, out) == (2, "")
+    assert err == "input error: --eval-term: term nested too deep (RecursionError)\n"
+
+
+def test_eval_term_just_inside_the_recursion_limit_evaluates(capsys):
+    code, out, err = run(capsys, "--format", "machine", "check-opca", str(FIXTURES / "l2.json"),
+                         "--eval-term", binders_over_chain(40))
+    value = [json.loads(line) for line in out.splitlines()][-1]
+    assert (code, err) == (0, "")
+    assert value["check"] == "term.value" and value["verdict"] == "pass"
+
+
+def test_build_aks_out_that_cannot_be_written_is_an_input_error(capsys, tmp_path):
+    for path, error in ((tmp_path / "missing" / "x.json", "FileNotFoundError"),
+                        (tmp_path, "IsADirectoryError")):
+        code, out, err = run(capsys, "build-aks", str(FIXTURES / "l2.json"), "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: cannot write the file ({error})\n"
+
+
 def test_check_bco_accepts_identity_named_empty_string(capsys, tmp_path):
     path = write(tmp_path, "bco.json", {"elements": ["x"], "leq": [],
                                         "functions": {"": [["x", "x"]]}})

@@ -1,0 +1,89 @@
+"""Each witness search has one owner: a check that no module writes one out again.
+
+``FiniteBco.track`` is the only search of a structure's function set,
+``Aks`` itself the only reader of its pole rows, and ``tripos.first_unstable``
+the only place where the Booleanization scan builds predicates.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import realcheck
+
+SOURCES = sorted(Path(realcheck.__file__).parent.glob("*.py"))
+
+
+def scoped_nodes(tree):
+    """(qualified name of the enclosing def or class, node) for every node."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield inner, child
+            yield from walk(child, inner)
+    return walk(tree, "")
+
+
+def called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def function_set_searches(source):
+    """Scopes of the ``tracker(...)`` calls that pass some ``x.functions``."""
+    return [scope for scope, node in scoped_nodes(ast.parse(source))
+            if isinstance(node, ast.Call) and called_name(node) == "tracker"
+            and any(isinstance(arg, ast.Attribute) and arg.attr == "functions"
+                    for arg in node.args)]
+
+
+def row_reads(source):
+    """Scopes that read an attribute ``rows``."""
+    return [scope for scope, node in scoped_nodes(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "rows"]
+
+
+def predicate_constructions(source):
+    """Scopes that call ``Predicate(...)`` or ``module.Predicate(...)``."""
+    return [scope for scope, node in scoped_nodes(ast.parse(source))
+            if isinstance(node, ast.Call) and called_name(node) == "Predicate"]
+
+
+def test_the_checks_find_searches_written_out_again():
+    inlined = '''
+class FiniteBco:
+    def track(self, pairs):
+        return self.tracker(self.functions, self.apply, pairs)
+
+def predicate_leq(phi, psi, bco):
+    return bco.tracker(bco.functions, bco.apply, pairs)
+
+def streicher_leq(phi, psi, aks):
+    return next((t for t, row in zip(aks.terms, aks.rows) if row & needed == needed), None)
+
+def _cmd_check_tripos(args):
+    preds = [triposmod.Predicate(index, dict(zip(index, vals))) for vals in values]
+'''
+    assert function_set_searches(inlined) == ["FiniteBco.track", "predicate_leq"]
+    assert row_reads(inlined) == ["streicher_leq"]
+    assert predicate_constructions(inlined) == ["_cmd_check_tripos"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_finite_bco_track_searches_a_function_set(path):
+    expected = ["FiniteBco.track"] if path.name == "bco.py" else []
+    assert function_set_searches(path.read_text(encoding="utf-8")) == expected
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "aks.py"],
+                         ids=lambda p: p.name)
+def test_no_module_but_aks_reads_the_pole_rows(path):
+    assert row_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_cli_builds_no_predicate():
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    assert predicate_constructions(cli.read_text(encoding="utf-8")) == []

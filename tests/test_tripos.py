@@ -38,7 +38,7 @@ def test_pointwise_order_realized_uniformly():
             if all(L3.leq(phi(i), psi(i)) for i in phi.index):
                 w = predicate_leq(phi, psi, view)
                 assert w is not None
-                assert view.fn_element[w] == skk or view.leq(
+                assert w == f"ap[{skk}]" or view.leq(
                     view.functions[w][phi("i0")], psi("i0"))
 
 
