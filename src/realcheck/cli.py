@@ -55,12 +55,9 @@ def _cmd_check_opca(args):
     if opca.filter is not None:
         rep.extend(check_filter(opca, opca.filter))
     if args.eval_term:
-        from .terms import free_vars, parse_term
+        from .terms import parse_term
         try:
-            term = parse_term(args.eval_term)
-            if free_vars(term):
-                raise ValueError(f"term has free variables {sorted(free_vars(term))}")
-            value = opca.eval(term)
+            value = opca.eval(parse_term(args.eval_term))
         except ValueError as e:
             raise StructureError(str(e), source="--eval-term")
         except RecursionError:  # parsing, abstraction and evaluation all recurse

@@ -21,7 +21,7 @@ from .opca import FiniteOpca
 
 __all__ = [
     "load_opca", "load_bco", "load_aks", "load_map",
-    "opca_to_dict", "aks_to_dict", "save_aks", "load_json",
+    "aks_to_dict", "save_aks", "load_json",
 ]
 
 # A shape is str (a name: a JSON string), [shape] (a list), a tuple of
@@ -145,18 +145,6 @@ def load_map(path):
     if isinstance(data.get("map"), dict):
         return dict(read("map", {str: str}))
     return _table(read("map", PAIRS), path, "map")
-
-
-def opca_to_dict(opca):
-    return {
-        "elements": list(opca.elements),
-        "leq": sorted([a, b] for (a, b) in opca.leq_pairs if a != b),
-        "app": sorted([a, b, c] for (a, b), c in opca.table.items()),
-        "k": opca.k,
-        "s": opca.s,
-        "filter": None if opca.filter is None else sorted(opca.filter),
-        "U": None if opca.U is None else sorted(opca.U),
-    }
 
 
 def aks_to_dict(aks):

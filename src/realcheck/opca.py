@@ -220,11 +220,11 @@ def skk_element(opca):
 #
 # The code of a0..ak is (p·n)·inner(a0..ak) with inner(a::s) = (p·a)·inner(s)
 # and inner([]) = nil.  ``SequenceKit.seq_value`` folds it on demand instead
-# of evaluating ``seq_term``.  The two agree because ``eval_in_opca`` is
-# strictly bottom-up: the value of App(M, N) is val(M)·val(N), with M
-# evaluated before N and the first undefined step (or the first constant
-# outside the carrier) ending the evaluation.  A sequence that may hold
-# other items is checked in that order before it is folded.
+# of evaluating ``seq_term``.  The two agree because a term's leaves are
+# checked before it runs (the first constant outside the carrier is a
+# ValueError whatever the table) and the value of App(M, N) is
+# val(M)·val(N), undefined when either is.  So a sequence that may hold
+# other items is checked first, then folded.
 #
 # The kit check does not visit each of the |A|^L carrier sequences of a
 # length L.  A clause reads a sequence only through a few values, its
@@ -369,23 +369,20 @@ class SequenceKit(Frozen):
     def _code(self, items):
         """The value of ``seq_term(items)``: (p·n)·inner(items), or None.
 
-        The steps are checked in the order ``eval_in_opca`` takes that term:
-        p, the numeral, p·n, then per item its carrier membership (a
-        ValueError) and p·a.  So the result, the undefined step and the error
-        are the same as the term route's.
+        Like the term route, every item's carrier membership is checked
+        first (the first item outside is a ValueError), then p·n and the
+        fold, where an undefined step leaves None.
         """
         p, pa, table = self._pair, self._pa, self.opca.table
-        head = None if p is None else table.get((p, self._numeral(len(items))))
-        if head is None:
-            return None
         for e in items:
             if e not in pa:
                 raise ValueError(f"constant {e!r} outside the carrier")
-            if pa[e] is None:
-                return None
+        head = None if p is None else table.get((p, self._numeral(len(items))))
+        if head is None:
+            return None
         value = self._numeral(0)  # nil
         for e in reversed(items):
-            value = table.get((pa[e], value))
+            value = table.get((pa[e], value))  # None once p·a or a step is undefined
         return table.get((head, value))
 
     def numeral_value(self, n):

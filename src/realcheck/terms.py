@@ -3,11 +3,11 @@
 Terms are finite binary application trees whose leaves are the basic
 combinators K and S, named variables, or references to elements of a host
 structure.  Bracket abstraction compiles variables away with the classic
-algorithm, reduction is weak leftmost-outermost with a fuel budget, and
-``eval_in_opca`` interprets closed terms inside any finite ordered partial
-combinatory algebra by walking them.  ``compile_terms`` and
-``compile_closed`` turn closed terms into straight-line programs that a run
-evaluates with one table read per step.
+algorithm, and reduction is weak leftmost-outermost with a fuel budget.
+``compile_terms`` and ``compile_closed`` turn closed terms into
+straight-line programs that a run evaluates with one table read per step;
+``Program.values`` is the only interpreter, and ``eval_in_opca`` checks a
+term's leaves, binds its variables and runs it as a program.
 """
 
 from __future__ import annotations
@@ -94,13 +94,17 @@ def free_vars(term):
     return frozenset()
 
 
+def _map_leaves(term, fn):
+    """``term`` with each leaf replaced by fn(leaf), called left to right."""
+    if isinstance(term, App):
+        return App(_map_leaves(term.fn, fn), _map_leaves(term.arg, fn))
+    return fn(term)
+
+
 def subst(term, name, replacement):
     """Capture-free substitution (there are no binders in the term language)."""
-    if isinstance(term, Var):
-        return replacement if term.name == name else term
-    if isinstance(term, App):
-        return App(subst(term.fn, name, replacement), subst(term.arg, name, replacement))
-    return term
+    return _map_leaves(term, lambda leaf: replacement
+                       if isinstance(leaf, Var) and leaf.name == name else leaf)
 
 
 _SKK = App(App(S, K), K)
@@ -183,36 +187,27 @@ def reduce_term(term, fuel):
 
 
 def eval_in_opca(term, env, opca):
-    """Interpret a term bottom-up in ``opca``; None means undefined.
+    """The value of ``term`` in ``opca`` with its variables bound by ``env``;
+    None means undefined.
 
-    Every free variable must be bound in ``env`` and every Const / env value
-    must lie in the carrier.  Undefined table entries propagate strictly:
-    App(M, N) evaluates M, then N, and stops at the first None.  Callers may
-    rely on that order; ``SequenceKit.seq_value`` folds sequence codes
-    through the table step for step instead of evaluating ``seq_term``.
+    The leaves are checked first, left to right: an unbound variable, an env
+    value outside the carrier or a constant outside the carrier is a
+    ValueError whatever the table.  Then each variable becomes a constant and
+    the term runs as a ``Program``.
     """
-    if isinstance(term, Var):
-        if env is None or term.name not in env:
-            raise ValueError(f"unbound variable {term.name!r}")
-        value = env[term.name]
-        if value not in opca.element_set:
-            raise ValueError(f"environment maps {term.name!r} outside the carrier")
-        return value
-    if term is K:
-        return opca.k
-    if term is S:
-        return opca.s
-    if isinstance(term, Const):
-        if term.value not in opca.element_set:
-            raise ValueError(f"constant {term.value!r} outside the carrier")
-        return term.value
-    fn = eval_in_opca(term.fn, env, opca)
-    if fn is None:
-        return None
-    arg = eval_in_opca(term.arg, env, opca)
-    if arg is None:
-        return None
-    return opca.app(fn, arg)
+    def bind(leaf):
+        if isinstance(leaf, Var):
+            if env is None or leaf.name not in env:
+                raise ValueError(f"unbound variable {leaf.name!r}")
+            if env[leaf.name] not in opca.element_set:
+                raise ValueError(f"environment maps {leaf.name!r} outside the carrier")
+            return Const(env[leaf.name])
+        if isinstance(leaf, Const) and leaf.value not in opca.element_set:
+            raise ValueError(f"constant {leaf.value!r} outside the carrier")
+        return leaf
+    program = compile_terms((_map_leaves(term, bind),))
+    [value] = program.run(opca, dict(zip(program.slots, program.slots)))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +215,12 @@ def eval_in_opca(term, env, opca):
 # ---------------------------------------------------------------------------
 #
 # A compiled term's Const leaves are slots, named by their values and filled
-# when it runs.  A step with an undefined child finds no table entry (None
-# is never a carrier element), so running every step gives each root the
-# value ``eval_in_opca`` gives it with the slots filled.  Steps are numbered
-# in the order of that walk (children first, function before argument), so
-# the first undefined step is the subterm where the walk stops.
+# when it runs.  Every term is evaluated this way.  A step with an undefined
+# child finds no table entry (None is never a carrier element), so a root is
+# undefined exactly when one of its steps is, and the value of App(M, N) is
+# val(M)·val(N).  Steps are numbered children first, function before
+# argument, so the first undefined step is the subterm where a walk in that
+# order would stop.  Slot values are checked before any step runs.
 
 class Program(Frozen):
     """Closed terms as one program over their distinct subterms.
@@ -238,7 +234,7 @@ class Program(Frozen):
 
     def values(self, opca, slots=None):
         """Every step's value in ``opca``, None where undefined.  A slot value
-        outside the carrier is the ValueError ``eval_in_opca`` raises."""
+        outside the carrier is a ValueError, raised before any step runs."""
         values = [opca.k, opca.s]
         for name in self.slots:
             if slots[name] not in opca.element_set:
@@ -256,11 +252,8 @@ class Program(Frozen):
 
     def filled(self, index, slots):
         """Root ``index`` with the slot values in, for messages."""
-        def fill(term):
-            if isinstance(term, App):
-                return App(fill(term.fn), fill(term.arg))
-            return Const(slots[term.value]) if isinstance(term, Const) else term
-        return fill(self.roots[index])
+        return _map_leaves(self.roots[index], lambda leaf: Const(slots[leaf.value])
+                           if isinstance(leaf, Const) else leaf)
 
 
 def compile_terms(roots):

@@ -51,7 +51,7 @@ def arrow_U(alpha, opca):
         raise StructureError("arrow_U needs a downset U", source=opca.name)
     out = opca.arrow(alpha, opca.U)
     if not opca.is_downward_closed(out):
-        raise InvariantViolation(f"alpha -> U not downward closed in {opca.name}")
+        raise InvariantViolation(f"{opca.ordered(alpha)} -> U not downward closed in {opca.name}")
     return out
 
 

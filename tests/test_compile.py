@@ -1,4 +1,4 @@
-"""Compiled closed terms against the term walk of ``eval_in_opca``."""
+"""Compiled closed terms against the recursive term walk (``test_terms.walk``)."""
 
 import subprocess
 import sys
@@ -13,12 +13,12 @@ from realcheck.aks import build_aks
 from realcheck.errors import ConstructionError, StructureError
 from realcheck.lattices import L2
 from realcheck.opca import FiniteOpca, derive_sequence_kit
-from realcheck.terms import (App, Const, K, S, Var, app, compile_closed, compile_terms,
-                             eval_in_opca, lam)
+from realcheck.terms import App, Const, K, S, Var, app, compile_closed, compile_terms, lam
 
 from conftest import CHILD_ENV
 from test_golden import PERFBENCH
 from test_opca import LATTICES, kit_opcas, partial_opcas
+from test_terms import walk
 
 # -- compiled programs against the walk ---------------------------------------------
 
@@ -45,7 +45,7 @@ def first_undefined(term, opca):
             stop = first_undefined(child, opca)
             if stop is not None:
                 return stop
-        if eval_in_opca(term, None, opca) is None:
+        if walk(term, None, opca) is None:
             return term
     return None
 
@@ -72,9 +72,9 @@ def test_compiled_programs_match_the_walk(opca, program, data):
     values = program.values(opca, slots)
     # every step, hence every root, has the walk's value
     for term, value in zip(step_terms(program, slots), values):
-        assert eval_in_opca(term, None, opca) == value
+        assert walk(term, None, opca) == value
     roots = [program.filled(i, slots) for i in range(len(program.roots))]
-    assert program.run(opca, slots) == [eval_in_opca(t, None, opca) for t in roots]
+    assert program.run(opca, slots) == [walk(t, None, opca) for t in roots]
     # the first undefined step is where the walk of the first undefined root stops
     walked = next((stop for t in roots if (stop := first_undefined(t, opca))), None)
     if None in values:
@@ -88,7 +88,7 @@ def test_a_slot_outside_the_carrier_is_refused_like_a_constant():
     with pytest.raises(ValueError, match="constant 'zz' outside the carrier"):
         program.run(L2, {"f": "zz"})
     with pytest.raises(ValueError, match="constant 'zz' outside the carrier"):
-        eval_in_opca(program.filled(0, {"f": "zz"}), None, L2)
+        walk(program.filled(0, {"f": "zz"}), None, L2)
 
 
 def test_open_terms_do_not_compile():
@@ -112,7 +112,7 @@ def reference_build_aks(opca, max_len, U):
     kit = derive_sequence_kit(opca, max_len=max_len)
 
     def element(term):
-        value = eval_in_opca(term, None, opca)
+        value = walk(term, None, opca)
         if value is None:
             raise ConstructionError(f"kit term undefined: {term!r}")
         return value

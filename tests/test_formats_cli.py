@@ -10,12 +10,24 @@ from hypothesis import strategies as st
 from realcheck import k2 as k2mod
 from realcheck.cli import main
 from realcheck.errors import StructureError
-from realcheck.formats import (aks_to_dict, load_aks, load_map, load_opca,
-                               opca_to_dict, save_aks)
+from realcheck.formats import aks_to_dict, load_aks, load_map, load_opca, save_aks
 from realcheck.lattices import L2, chain, semilattice_opca
 from realcheck.opca import KIT_LEN_CAP
 
 from conftest import CHILD_ENV, FIXTURES
+
+
+def opca_to_dict(opca):
+    """The JSON input that ``load_opca`` reads back as ``opca``."""
+    return {
+        "elements": list(opca.elements),
+        "leq": sorted([a, b] for (a, b) in opca.leq_pairs if a != b),
+        "app": sorted([a, b, c] for (a, b), c in opca.table.items()),
+        "k": opca.k,
+        "s": opca.s,
+        "filter": None if opca.filter is None else sorted(opca.filter),
+        "U": None if opca.U is None else sorted(opca.U),
+    }
 
 
 def write(tmp_path, name, payload):
@@ -299,6 +311,20 @@ def test_eval_term_flag(capsys):
     code, _, err = run(capsys, "check-opca", str(FIXTURES / "l3.json"),
                        "--eval-term", r"\x. y (")
     assert code == 2
+
+
+def test_eval_term_refuses_a_bad_constant_after_an_undefined_step(capsys, tmp_path):
+    # 0·0 is undefined, yet zz is refused: every leaf is checked before the term runs
+    path = write(tmp_path, "partial.json", {"elements": ["0", "1"], "leq": [],
+                                            "app": [["1", "1", "1"], ["1", "0", "0"],
+                                                    ["0", "1", "0"]],
+                                            "k": "1", "s": "1"})
+    for term in ("0 0 zz", "zz (0 0)"):
+        code, out, err = run(capsys, "check-opca", path, "--eval-term", term)
+        assert (code, out) == (2, "")
+        assert err == "input error: --eval-term: constant 'zz' outside the carrier\n"
+    code, out, _ = run(capsys, "check-opca", path, "--eval-term", "0 0 1")
+    assert code == 1 and "counterexample=['undefined']" in out
 
 
 def binders_over_chain(n):

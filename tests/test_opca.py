@@ -210,6 +210,23 @@ def test_folded_codes_match_term_evaluation_on_any_table(opca, data):
             assert kit_route(kit.seq_value, call) == term_route(opca, kit.seq_term(call))
 
 
+def test_an_item_outside_the_carrier_is_refused_before_the_fold():
+    # p = a and numeral 1 = a, but a·a is undefined, so every one-item code is undefined
+    pinned = FiniteOpca(elements=("a", "b", "c"), leq_pairs=frozenset(),
+                        table={("a", "b"): "a", ("b", "a"): "c", ("b", "b"): "a",
+                               ("b", "c"): "c", ("c", "a"): "a", ("c", "c"): "a"},
+                        k="b", s="b", name="pinned")
+    kit = SequenceKit(pinned, 1)
+    assert (kit.element(PAIR), kit.numeral_value(1), pinned.app("a", "a")) == ("a", "a", None)
+    with pytest.raises(ConstructionError, match="sequence code for \\['a'\\] undefined"):
+        kit.seq_value(("a",))
+    for seq in ((OUTSIDE,), ("a", OUTSIDE)):
+        with pytest.raises(ValueError, match=f"constant '{OUTSIDE}' outside the carrier"):
+            kit.seq_value(seq)
+        assert term_route(pinned, kit.seq_term(seq)) == \
+            ("outside", f"constant '{OUTSIDE}' outside the carrier")
+
+
 def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
     opca, _ = load_opca(str(FIXTURES / "l3.json"))
     build_aks(opca, max_len=3)  # closed terms are built and compiled once per process

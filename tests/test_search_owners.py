@@ -1,8 +1,9 @@
 """Each witness search has one owner: a check that no module writes one out again.
 
 ``FiniteBco.track`` is the only search of a structure's function set,
-``Aks`` itself the only reader of its pole rows, and ``tripos.first_unstable``
-the only place where the Booleanization scan builds predicates.
+``Aks`` itself the only reader of its pole rows, ``tripos.first_unstable``
+the only place where the Booleanization scan builds predicates, and
+``Program.values`` the only interpreter of terms.
 """
 
 import ast
@@ -52,6 +53,12 @@ def predicate_constructions(source):
             if isinstance(node, ast.Call) and called_name(node) == "Predicate"]
 
 
+def table_reads(source):
+    """Scopes that read an attribute ``table`` or ``app`` (an application)."""
+    return [scope for scope, node in scoped_nodes(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ("table", "app")]
+
+
 def test_the_checks_find_searches_written_out_again():
     inlined = '''
 class FiniteBco:
@@ -70,6 +77,15 @@ def _cmd_check_tripos(args):
     assert function_set_searches(inlined) == ["FiniteBco.track", "predicate_leq"]
     assert row_reads(inlined) == ["streicher_leq"]
     assert predicate_constructions(inlined) == ["_cmd_check_tripos"]
+    walker = '''
+def eval_in_opca(term, env, opca):
+    return opca.app(eval_in_opca(term.fn, env, opca), eval_in_opca(term.arg, env, opca))
+
+class Program:
+    def values(self, opca, slots=None):
+        table = opca.table
+'''
+    assert table_reads(walker) == ["eval_in_opca", "Program.values"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -87,3 +103,8 @@ def test_no_module_but_aks_reads_the_pole_rows(path):
 def test_the_cli_builds_no_predicate():
     cli = next(p for p in SOURCES if p.name == "cli.py")
     assert predicate_constructions(cli.read_text(encoding="utf-8")) == []
+
+
+def test_only_program_values_interprets_a_term():
+    terms = next(p for p in SOURCES if p.name == "terms.py")
+    assert table_reads(terms.read_text(encoding="utf-8")) == ["Program.values"]

@@ -1,4 +1,5 @@
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realcheck.lattices import L2
@@ -8,6 +9,7 @@ from realcheck.terms import (App, Const, Diverged, K, S, Var, app, bracket,
                              reduce_term, subst, term_str)
 
 from conftest import STANDARD_OPCAS
+from test_opca import OUTSIDE, partial_opcas
 
 I = app(S, K, K)
 
@@ -129,6 +131,89 @@ def test_fuel_monotone_once_stable(term):
 
 # -- evaluation in an opca ---------------------------------------------------
 
+PARTIAL = FiniteOpca(elements=("0", "1"), leq_pairs=frozenset(),
+                     table={("1", "1"): "1", ("1", "0"): "0", ("0", "1"): "0"},
+                     k="1", s="1", name="partial")  # 0·0 undefined
+
+
+def walk(term, env, opca):
+    """The recursive term walk that ``eval_in_opca`` used to be, kept as the
+    reference for the compiled path: bottom-up, function before argument,
+    stopping at the first undefined step, so the leaves after that step are
+    never checked."""
+    if isinstance(term, Var):
+        if env is None or term.name not in env:
+            raise ValueError(f"unbound variable {term.name!r}")
+        value = env[term.name]
+        if value not in opca.element_set:
+            raise ValueError(f"environment maps {term.name!r} outside the carrier")
+        return value
+    if term is K:
+        return opca.k
+    if term is S:
+        return opca.s
+    if isinstance(term, Const):
+        if term.value not in opca.element_set:
+            raise ValueError(f"constant {term.value!r} outside the carrier")
+        return term.value
+    fn = walk(term.fn, env, opca)
+    if fn is None:
+        return None
+    arg = walk(term.arg, env, opca)
+    if arg is None:
+        return None
+    return opca.app(fn, arg)
+
+
+@st.composite
+def eval_cases(draw):
+    """Any table, an open term over x and y with constants inside and outside
+    the carrier, and an env (or none) binding some variables inside or outside."""
+    opca = draw(partial_opcas())
+    leaves = [K, S, Var("x"), Var("y"), Const(OUTSIDE), *map(Const, opca.elements)]
+    term = draw(terms_strategy(leaves, max_leaves=10))
+    values = st.sampled_from(opca.elements + (OUTSIDE,))
+    env = draw(st.fixed_dictionaries({"x": values}, optional={"y": values}) | st.none())
+    return opca, term, env
+
+
+def outcome(evaluate, *args):
+    try:
+        return ("value", evaluate(*args))
+    except ValueError as e:
+        return ("error", str(e))
+
+
+@given(eval_cases())
+@example((PARTIAL, app(Const("0"), Const("0"), Const(OUTSIDE)), None))
+@settings(max_examples=300, deadline=None)
+def test_eval_matches_the_walk_except_where_the_walk_stops_early(case):
+    opca, term, env = case
+    got = outcome(eval_in_opca, term, env, opca)
+    assert outcome(opca.eval, term, env) == got
+    walked = outcome(walk, term, env, opca)
+    # over the table made total the walk reaches every leaf, so it refuses
+    # the first bad one; the compiled path refuses it whatever the table
+    total = {(a, b): opca.table.get((a, b), opca.k) for a in opca.elements for b in opca.elements}
+    refused = outcome(walk, term, env, opca.replace(table=total))
+    if refused[0] == "error":
+        assert got == refused
+        # the one difference: the walk stopped at an undefined step first
+        assert walked in (refused, ("value", None))
+    else:
+        assert got == walked
+
+
+def test_a_bad_variable_after_an_undefined_step_is_refused():
+    term = app(Const("0"), Const("0"), Var("x"))
+    assert walk(term, {}, PARTIAL) is None
+    with pytest.raises(ValueError, match="unbound variable 'x'"):
+        PARTIAL.eval(term, {})
+    with pytest.raises(ValueError, match="environment maps 'x' outside the carrier"):
+        PARTIAL.eval(term, {"x": OUTSIDE})
+    assert PARTIAL.eval(term, {"x": "1"}) is None
+
+
 def test_identity_evaluates_to_top_in_l2():
     assert L2.eval(I) == "1"
 
@@ -142,11 +227,8 @@ def test_k_application_below_first_argument_everywhere():
 
 
 def test_undefined_entry_propagates():
-    partial = FiniteOpca(elements=("0", "1"), leq_pairs=frozenset(),
-                         table={("1", "1"): "1", ("1", "0"): "0", ("0", "1"): "0"},
-                         k="1", s="1", name="partial")
-    assert partial.eval(App(Const("0"), Const("0"))) is None
-    assert partial.eval(App(Const("1"), App(Const("0"), Const("0")))) is None
+    assert PARTIAL.eval(App(Const("0"), Const("0"))) is None
+    assert PARTIAL.eval(App(Const("1"), App(Const("0"), Const("0")))) is None
 
 
 def test_eval_requires_bound_variables():
@@ -193,6 +275,31 @@ def test_parse_errors():
         except ValueError:
             continue
         raise AssertionError(f"parsed {bad!r}")
+
+
+def sources():
+    """Surface syntax: identifiers (some bound by binders, some not), K, S,
+    application with and without parentheses, and binders."""
+    atom = st.sampled_from(("x", "y", "z", "a", "K", "S"))
+
+    def extend(sub):
+        names = st.lists(st.sampled_from(("x", "y", "z")), min_size=1, max_size=3).map(" ".join)
+        return (st.tuples(sub, sub).map(lambda p: f"{p[0]} {p[1]}")
+                | st.tuples(sub, sub).map(lambda p: f"{p[0]} ({p[1]})")
+                | st.tuples(names, sub).map(lambda p: f"(\\{p[0]}. {p[1]})"))
+    return st.recursive(atom, extend, max_leaves=12)
+
+
+@given(sources() | st.lists(st.sampled_from(["x", "y", "a", "K", "(", ")", "\\", "."]))
+       .map(" ".join))
+@settings(max_examples=300)
+def test_parsed_terms_are_closed(src):
+    # every name a binder binds is abstracted at that binder; others are constants
+    try:
+        term = parse_term(src)
+    except ValueError:
+        return
+    assert free_vars(term) == frozenset()
 
 
 @given(terms_strategy(CLOSED_LEAVES))

@@ -1,12 +1,13 @@
+import re
 from itertools import product
 
 import pytest
 
 from realcheck.aks import build_aks, closed_stack_sets
 from realcheck.bco import downset_opca, opca_to_bco
-from realcheck.errors import StructureError
+from realcheck.errors import InvariantViolation, StructureError
 from realcheck.lattices import DIAMOND, L2, L3
-from realcheck.opca import skk_element
+from realcheck.opca import FiniteOpca, skk_element
 from realcheck.tripos import (Predicate, arrow_U, boolean_leq,
                               localic_criterion, predicate_leq, streicher_leq)
 from realcheck.tripos import _d_predicate_leq
@@ -93,6 +94,20 @@ def test_arrow_antitone():
 def test_arrow_requires_U():
     with pytest.raises(StructureError):
         arrow_U(frozenset(), L2)
+
+
+def test_an_arrow_that_is_no_downset_is_named():
+    # 1·0 = 0 is in U but 0·0 is undefined, so {0} -> U = {1} misses 0 <= 1
+    partial = FiniteOpca(elements=("0", "1"), leq_pairs=frozenset({("0", "1")}),
+                         table={("1", "0"): "0"}, k="1", s="1", filter=frozenset({"0", "1"}),
+                         U=frozenset({"0"}), name="partial")
+    assert arrow_U(frozenset(), partial) == frozenset({"0", "1"})
+    message = "['0'] -> U not downward closed in partial"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        arrow_U(frozenset({"0"}), partial)
+    phi = Predicate(("i0",), {"i0": frozenset({"0"})})
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        boolean_leq(phi, phi, partial)
 
 
 # -- Booleanization -------------------------------------------------------------------
