@@ -3,7 +3,7 @@
 A finite meet-semilattice with top is an opca: application is the meet,
 any element of the filter can serve as k and s.  These are the workhorse
 fixtures, so this module also enumerates all isomorphism types of lattices
-with up to a handful of elements (a finite meet-semilattice with top is
+with up to seven elements (a finite meet-semilattice with top is
 automatically a lattice).  Meets and tops come from the poset core in
 ``poset.py``.
 """
@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import StructureError
+from .errors import CapExceeded, StructureError
 from .opca import FiniteOpca
 from .poset import Poset
 
 __all__ = [
-    "semilattice_opca", "enumerate_lattices",
+    "semilattice_opca", "enumerate_lattices", "LATTICE_SIZE_CAP",
     "chain", "L2", "L3", "VEE", "DIAMOND", "M3", "N5",
 ]
 
@@ -73,57 +73,54 @@ N5 = semilattice_opca(
     {("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")}, name="N5")
 
 
-def _is_transitive(n, strict):
-    for a in range(n):
-        for b in range(n):
-            if strict[a][b]:
-                for c in range(n):
-                    if strict[b][c] and not strict[a][c]:
-                        return False
-    return True
+LATTICE_SIZE_CAP = 7  # largest size enumerate_lattices lists; 8 is CapExceeded
 
 
-def _canonical(n, leq):
-    best = None
-    for perm in permutations(range(n)):
-        key = tuple(leq[perm[i]][perm[j]] for i in range(n) for j in range(n))
-        if best is None or key < best:
-            best = key
-    return best
+def _lattice_orders(n):
+    """Up-rows (bit j of row i: i <= j) of every lattice order on 0..n-1 that
+    the integer order extends, in the order of their masks of pairs i < j.
+    Such a lattice has bottom 0 and top n-1, so only the pairs inside 1..n-2
+    are free.  A pair has a meet when its common down-row is the down-row of
+    its highest member; for a comparable pair a < b that asks down[a] to lie
+    in down[b], so relations that are not transitive fail it too."""
+    top, full, inner = 1 << n - 1, (1 << n) - 1, range(1, n - 1)
+    pairs = [(i, j) for i in inner for j in range(i + 1, n - 1)]  # the free ones, in mask order
+    for free in range(1 << len(pairs)):
+        up = [full, *(1 << i | top for i in inner), top] if n > 1 else [full]
+        for bit, (i, j) in enumerate(pairs):
+            up[i] |= (free >> bit & 1) << j
+        down = [sum(1 << i for i in range(n) if up[i] >> a & 1) for a in range(n)]
+        if all(down[(down[a] & down[b]).bit_length() - 1] == down[a] & down[b]
+               for a in inner for b in range(a + 1, n - 1)):
+            yield up
+
+
+def _canonical(up):
+    """The least up-rows of the inner elements over their relabellings; an
+    isomorphism of these lattices fixes the bottom and the top."""
+    return min(tuple(sum(1 << k for k, q in enumerate(perm) if up[p] >> q & 1) for p in perm)
+               for perm in permutations(range(1, len(up) - 1)))
 
 
 def enumerate_lattices(max_n=5):
     """All isomorphism types of lattices with 1..max_n elements, as opcas.
 
-    Every partial order is enumerated with a linear extension fixed (i <= j
-    as integers whenever i <= j in the order), then filtered to those with
-    all binary meets and a top, and deduplicated up to isomorphism.
+    The orders on 0..n-1 are enumerated with the integer order a linear
+    extension, and the first of each isomorphism type is kept as
+    lattice<n>_<k> on elements e0..e(n-1).  ``max_n`` above
+    ``LATTICE_SIZE_CAP`` is refused before any order is built.
     """
+    if max_n > LATTICE_SIZE_CAP:
+        raise CapExceeded("enumerate_lattices max_n", max_n, LATTICE_SIZE_CAP)
     out = []
     for n in range(1, max_n + 1):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        names = tuple(f"e{i}" for i in range(n))
         seen = set()
-        for mask in range(1 << len(pairs)):
-            strict = [[False] * n for _ in range(n)]
-            for bit, (i, j) in enumerate(pairs):
-                if mask >> bit & 1:
-                    strict[i][j] = True
-            if not _is_transitive(n, strict):
-                continue
-            leq = [[i == j or strict[i][j] for j in range(n)] for i in range(n)]
-            poset = Poset(tuple(range(n)),
-                          frozenset((i, j) for i in range(n) for j in range(n) if leq[i][j]))
-            if poset.greatest(poset.elements) is None:
-                continue
-            if any(poset.meet(a, b) is None for a in range(n) for b in range(a + 1, n)):
-                continue
-            key = _canonical(n, leq)
-            if key in seen:
-                continue
-            seen.add(key)
-            names = tuple(f"e{i}" for i in range(n))
-            covers = {(names[i], names[j]) for i in range(n) for j in range(n)
-                      if i != j and leq[i][j]}
-            out.append(semilattice_opca(names, covers,
-                                        name=f"lattice{n}_{len(seen) - 1}"))
+        for up in _lattice_orders(n):
+            key = _canonical(up)
+            if key not in seen:
+                seen.add(key)
+                covers = {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                          if up[i] >> j & 1}
+                out.append(semilattice_opca(names, covers, name=f"lattice{n}_{len(seen) - 1}"))
     return out

@@ -12,8 +12,10 @@ term's leaves, binds its variables and runs it as a program.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
+from .errors import StructureError
 from .record import Frozen, Value, set_field
 
 __all__ = [
@@ -317,84 +319,78 @@ def term_str(term):
     return go(term, False)
 
 
+_TOKEN = re.compile(r"[()\\.]|[\w']+|(\S)")  # group 1: a character no token takes
+
+
 def _tokenize(src):
     tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()\\.":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            if j == i:
-                raise ValueError(f"bad character {ch!r} in term at {i}")
-            tokens.append(src[i:j])
-            i = j
+    for match in _TOKEN.finditer(src):
+        if match[1]:
+            raise ValueError(f"bad character {match[1]!r} in term at {match.start()}")
+        tokens.append(match[0])
     return tokens
+
+
+# Deepest term accepted as written, counting parentheses, binders and the
+# application tree (a juxtaposition chain nests without parentheses).  This
+# bounds the parser's recursion, not the depth that bracket abstraction adds.
+_MAX_DEPTH = 100
 
 
 def parse_term(src):
     """Parse the surface syntax; ``\\x y. M`` compiles via bracket abstraction.
 
     Identifiers bound by an enclosing ``\\`` become variables; all other
-    identifiers become Const handles (resolved by the caller).
+    identifiers become Const handles (resolved by the caller).  A term that
+    nests deeper than ``_MAX_DEPTH`` is a StructureError.
     """
-    tokens = _tokenize(src)
+    tokens = [*_tokenize(src), None]  # None marks the end
     pos = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def nested(depth):
+        if depth > _MAX_DEPTH:
+            raise StructureError(f"term nests deeper than {_MAX_DEPTH}")
+        return depth
 
-    def parse_expr(bound):
+    def parse_expr(bound, level):  # (term, depth as written); ``level`` groups enclose it
         nonlocal pos
-        if peek() == "\\":
+        nested(level)
+        if tokens[pos] == "\\":
             pos += 1
             names = []
-            while peek() not in (".", None):
-                tok = peek()
-                if tok in ("(", ")", "\\"):
+            while tokens[pos] not in (".", None):
+                if tokens[pos] in ("(", ")", "\\"):
                     raise ValueError("expected variable names after \\")
-                names.append(tok)
+                names.append(tokens[pos])
                 pos += 1
-            if peek() != "." or not names:
+            if tokens[pos] != "." or not names:
                 raise ValueError("expected '.' after \\-binder names")
             pos += 1
-            body = parse_expr(bound | set(names))
-            return lam(names, body)
-        out = None
-        while True:
-            tok = peek()
-            if tok is None or tok in (")", "."):
-                break
+            body, depth = parse_expr(bound | set(names), level + 1)
+            return lam(names, body), nested(depth + 1)
+        out = out_depth = None
+        while tokens[pos] not in (None, ")", "."):
+            tok, depth = tokens[pos], 0
             if tok == "\\":
-                atom = parse_expr(bound)
+                atom, depth = parse_expr(bound, level)
             elif tok == "(":
                 pos += 1
-                atom = parse_expr(bound)
-                if peek() != ")":
+                atom, depth = parse_expr(bound, level + 1)
+                if tokens[pos] != ")":
                     raise ValueError("unbalanced parenthesis")
                 pos += 1
             else:
                 pos += 1
-                if tok == "K":
-                    atom = K
-                elif tok == "S":
-                    atom = S
-                elif tok in bound:
-                    atom = Var(tok)
-                else:
-                    atom = Const(tok)
-            out = atom if out is None else App(out, atom)
+                atom = (K if tok == "K" else S if tok == "S"
+                        else Var(tok) if tok in bound else Const(tok))
+            if out is not None:
+                atom, depth = App(out, atom), nested(max(out_depth, depth) + 1)
+            out, out_depth = atom, depth
         if out is None:
             raise ValueError("empty term")
-        return out
+        return out, out_depth
 
-    result = parse_expr(set())
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens at {pos}: {tokens[pos:]}")
+    result, _ = parse_expr(set(), 0)
+    if tokens[pos] is not None:
+        raise ValueError(f"trailing tokens at {pos}: {tokens[pos:-1]}")
     return result

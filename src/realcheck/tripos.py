@@ -80,8 +80,8 @@ def boolean_leq(phi, psi, opca):
     phi <= ((psi -> U) -> U) — asserts they agree, and returns the
     contravariant form's verdict with its realizer.
     """
-    if opca.U is None:
-        raise StructureError("boolean_leq needs U on the opca", source=opca.name)
+    if opca.filter is None or opca.U is None:
+        raise StructureError("boolean_leq needs a filter and U on the opca", source=opca.name)
     not_phi = phi.map_values(lambda a: arrow_U(a, opca))
     not_psi = psi.map_values(lambda a: arrow_U(a, opca))
     contravariant = _d_predicate_leq(not_psi, not_phi, opca)

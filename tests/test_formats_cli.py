@@ -334,16 +334,20 @@ def binders_over_chain(n):
     return f"\\{names}. {names}"
 
 
-@pytest.mark.parametrize("term", [
-    "(" * 3000 + "K" + ")" * 3000,
-    " ".join(["K"] * 5000),
-    "".join(f"\\x{i}. " for i in range(1500)) + "K",
-    binders_over_chain(60),
+PAST_THE_PARSER_LIMIT = "term nests deeper than 100"
+
+
+@pytest.mark.parametrize("term, message", [
+    ("(" * 3000 + "K" + ")" * 3000, PAST_THE_PARSER_LIMIT),
+    (" ".join(["K"] * 5000), PAST_THE_PARSER_LIMIT),
+    ("".join(f"\\x{i}. " for i in range(1500)) + "K", PAST_THE_PARSER_LIMIT),
+    # 61 levels as written, about 1,950 once bracket abstraction has run
+    (binders_over_chain(60), "term nested too deep (RecursionError)"),
 ], ids=["parentheses", "application-chain", "binders", "binders-over-chain"])
-def test_eval_term_nested_too_deep_is_an_input_error(capsys, term):
+def test_eval_term_nested_too_deep_is_an_input_error(capsys, term, message):
     code, out, err = run(capsys, "check-opca", str(FIXTURES / "l2.json"), "--eval-term", term)
     assert (code, out) == (2, "")
-    assert err == "input error: --eval-term: term nested too deep (RecursionError)\n"
+    assert err == f"input error: --eval-term: {message}\n"
 
 
 def test_eval_term_just_inside_the_recursion_limit_evaluates(capsys):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from realcheck.errors import StructureError
 from realcheck.lattices import L2
 from realcheck.opca import PAIR, FiniteOpca, SequenceKit, _kit_terms, numeral
 from realcheck.terms import (App, Const, Diverged, K, S, Var, app, bracket,
@@ -275,6 +276,38 @@ def test_parse_errors():
         except ValueError:
             continue
         raise AssertionError(f"parsed {bad!r}")
+
+
+def spine_of_spines(levels, width):
+    """((K K ... K) K ... K) ...: each level adds ``width`` applications."""
+    src = "K"
+    for _ in range(levels):
+        src = f"({src}) " + " ".join(["K"] * width)
+    return src
+
+
+@pytest.mark.parametrize("src", [
+    "(" * 3000 + "K" + ")" * 3000,
+    "(" * 101 + "K" + ")" * 101,
+    " ".join(["K"] * 5000),
+    " ".join(["K"] * 102),
+    "".join(f"\\x{i}. " for i in range(101)) + "K",
+    spine_of_spines(20, 6),
+], ids=["parentheses", "parentheses-101", "spine", "spine-101", "binders-101",
+        "spine-of-spines"])
+def test_terms_nested_past_the_limit_are_refused(src):
+    with pytest.raises(StructureError, match="term nests deeper than 100"):
+        parse_term(src)
+
+
+def test_terms_at_the_limit_parse():
+    assert parse_term("(" * 100 + "K" + ")" * 100) == K
+    assert parse_term(" ".join(["K"] * 101)) == app(*[K] * 101)
+    assert parse_term(spine_of_spines(20, 5)) == app(*[K] * 101)
+    constant = K
+    for _ in range(100):  # <x>M = K M when x is not free in M
+        constant = App(K, constant)
+    assert parse_term("".join(f"\\x{i}. " for i in range(100)) + "K") == constant
 
 
 def sources():

@@ -8,7 +8,7 @@ from realcheck.bco import downset_opca, opca_to_bco
 from realcheck.errors import InvariantViolation, StructureError
 from realcheck.lattices import DIAMOND, L2, L3
 from realcheck.opca import FiniteOpca, skk_element
-from realcheck.tripos import (Predicate, arrow_U, boolean_leq,
+from realcheck.tripos import (Predicate, arrow_U, boolean_leq, first_unstable,
                               localic_criterion, predicate_leq, streicher_leq)
 from realcheck.tripos import _d_predicate_leq
 
@@ -94,6 +94,16 @@ def test_arrow_antitone():
 def test_arrow_requires_U():
     with pytest.raises(StructureError):
         arrow_U(frozenset(), L2)
+
+
+def test_booleanization_without_a_filter_is_refused_by_name():
+    unfiltered = L2.replace(U=frozenset({"0"}), filter=None)
+    phi = Predicate(("i0",), {"i0": frozenset({"0"})})
+    message = "L2: boolean_leq needs a filter and U on the opca"
+    with pytest.raises(StructureError, match=message):
+        boolean_leq(phi, phi, unfiltered)
+    with pytest.raises(StructureError, match=message):
+        first_unstable(unfiltered, 1)
 
 
 def test_an_arrow_that_is_no_downset_is_named():
