@@ -254,20 +254,13 @@ def numeral(n):
     return lam("x y", App(Var("x"), numeral(n - 1))) if n else ZERO
 
 
-def _nth_recursor(depth):
-    """B_d with B_d n rho <= (rho's n-th head) for n <= d."""
-    body = lam("n rho", app(FST, Var("rho")))
+def _list_recursor(depth, last):
+    """B_d with B_d n rho <= ``last`` (a term in rho) read on rho less its first
+    n items, for n <= d: FST rho gives the n-th head, rho itself the rest."""
+    body = lam("n rho", last)
     for _ in range(depth):
         step = lam("m", app(body, Var("m"), app(SND, Var("rho"))))
-        body = lam("n rho", app(Var("n"), step, app(FST, Var("rho"))))
-    return body
-
-
-def _drop_recursor(depth):
-    body = lam("n rho", Var("rho"))
-    for _ in range(depth):
-        step = lam("m", app(body, Var("m"), app(SND, Var("rho"))))
-        body = lam("n rho", app(Var("n"), step, Var("rho")))
+        body = lam("n rho", app(Var("n"), step, last))
     return body
 
 
@@ -292,10 +285,10 @@ def _kit_terms(max_len):
     """The closed terms b, c, d, t of a kit for sequences of length <= max_len."""
     depth = max_len + 1
     return (
-        lam("n l", app(_nth_recursor(depth), Var("n"), app(SND, Var("l")))),
+        lam("n l", app(_list_recursor(depth, app(FST, Var("rho"))), Var("n"), app(SND, Var("l")))),
         lam("n l", app(PAIR,
                        app(_minus_recursor(depth), app(FST, Var("l")), Var("n")),
-                       app(_drop_recursor(depth), Var("n"), app(SND, Var("l"))))),
+                       app(_list_recursor(depth, Var("rho")), Var("n"), app(SND, Var("l"))))),
         lam("a l", app(PAIR,
                        app(SUCC, app(FST, Var("l"))),
                        app(PAIR, Var("a"), app(SND, Var("l"))))),
@@ -399,10 +392,8 @@ class SequenceKit(Frozen):
         return value
 
 
-# Longest max_len a kit is built for.  Building and compiling the unrolled
-# terms recurses about twelve frames deeper per unit of length, so near 80
-# the interpreter's default recursion limit is hit; 64 leaves room for the
-# caller's own frames.
+# Longest max_len a kit is built for.  Building the unrolled terms takes about
+# max_len² subterm visits: about half a second at 64.
 KIT_LEN_CAP = 64
 
 

@@ -48,13 +48,9 @@ class CheckRecord(Record):
         return self.verdict == PASS
 
     def as_dict(self):
-        rec = {
-            "subject": self.subject,
-            "check": self.check,
-            "verdict": self.verdict,
-            "witnesses": _show(self.witnesses),
-            "counterexample": _show(self.counterexample),
-        }
+        rec = {"subject": self.subject, "check": self.check, "verdict": self.verdict,
+               "witnesses": _show(self.witnesses),
+               "counterexample": _show(self.counterexample)}
         if self.detail:
             rec["detail"] = self.detail
         return rec
@@ -133,6 +129,4 @@ class Report(Record):
     def render_machine(self):
         # No timing in machine records: the stream must be byte-stable across
         # runs (witness selection is deterministic, wall time is not).
-        return "\n".join(
-            json.dumps(r.as_dict(), sort_keys=True) for r in self.records
-        )
+        return "\n".join(json.dumps(r.as_dict(), sort_keys=True) for r in self.records)

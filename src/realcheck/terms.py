@@ -7,20 +7,23 @@ algorithm, and reduction is weak leftmost-outermost with a fuel budget.
 ``compile_terms`` and ``compile_closed`` turn closed terms into
 straight-line programs that a run evaluates with one table read per step;
 ``Program.values`` is the only interpreter, and ``eval_in_opca`` checks a
-term's leaves, binds its variables and runs it as a program.
+term's leaves, binds its variables and runs it as a program.  Every function
+that reads a whole term loops over ``_subterms``, so a term of any depth is
+handled; only ``parse_term`` recurses, at most ``_MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from collections import Counter
+from functools import lru_cache, reduce
 
-from .errors import StructureError
+from .errors import CapExceeded, StructureError
 from .record import Frozen, Value, set_field
 
 __all__ = [
     "Term", "Var", "Const", "App", "K", "S", "Diverged",
-    "app", "free_vars", "subst", "bracket", "lam",
+    "app", "free_vars", "subst", "bracket", "lam", "BRACKET_NODE_CAP",
     "reduce_term", "eval_in_opca", "parse_term", "term_str",
     "Program", "compile_terms", "compile_closed",
 ]
@@ -82,25 +85,35 @@ def app(*terms):
     """Left-associated application: app(a, b, c) = (a·b)·c."""
     if not terms:
         raise ValueError("app() needs at least one term")
-    out = terms[0]
-    for t in terms[1:]:
-        out = App(out, t)
-    return out
+    return reduce(App, terms)
+
+
+def _subterms(roots):
+    """Each distinct subterm of ``roots`` once (keyed by id; the roots keep
+    them alive), children before parents and fn before arg, on its own stack."""
+    seen = set()
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        term, ready = stack.pop()
+        if id(term) in seen:
+            continue
+        if ready or not isinstance(term, App):
+            seen.add(id(term))
+            yield term
+        else:
+            stack += ((term, True), (term.arg, False), (term.fn, False))
 
 
 def free_vars(term):
-    if isinstance(term, Var):
-        return frozenset((term.name,))
-    if isinstance(term, App):
-        return free_vars(term.fn) | free_vars(term.arg)
-    return frozenset()
+    return frozenset(t.name for t in _subterms((term,)) if isinstance(t, Var))
 
 
 def _map_leaves(term, fn):
-    """``term`` with each leaf replaced by fn(leaf), called left to right."""
-    if isinstance(term, App):
-        return App(_map_leaves(term.fn, fn), _map_leaves(term.arg, fn))
-    return fn(term)
+    """``term`` with each leaf replaced by fn(leaf), called left to right, once per leaf object."""
+    out = {}
+    for t in _subterms((term,)):
+        out[id(t)] = App(out[id(t.fn)], out[id(t.arg)]) if isinstance(t, App) else fn(t)
+    return out[id(term)]
 
 
 def subst(term, name, replacement):
@@ -111,32 +124,33 @@ def subst(term, name, replacement):
 
 _SKK = App(App(S, K), K)
 
+# Most distinct subterms of a body that ``bracket`` abstracts (a kit needs < 6,000)
+BRACKET_NODE_CAP = 1 << 16
+
 
 def bracket(name, body):
     """Abstract ``name`` out of ``body`` with the classic algorithm.
 
     <x>x = S·K·K; <x>M = K·M when x is not free in M;
     <x>(M·N) = S·(<x>M)·(<x>N) otherwise.  The result contains no
-    occurrence of ``name``.  One bottom-up pass decides freeness and builds
-    the abstraction together, so the cost is linear in the size of ``body``
-    (testing ``free_vars`` at every level would make it quadratic).
+    occurrence of ``name``.  One pass over the distinct subterms, children
+    first, decides freeness and builds the abstraction together, so the cost
+    is linear in the size of ``body`` (testing ``free_vars`` at every level
+    would make it quadratic).  Past ``BRACKET_NODE_CAP`` subterms, CapExceeded.
     """
-    out = _abstract(name, body)
-    return App(K, body) if out is None else out
-
-
-def _abstract(name, body):
-    """<name>body, or None when ``name`` is not free in ``body``."""
-    if isinstance(body, Var):
-        return _SKK if body.name == name else None
-    if not isinstance(body, App):
-        return None
-    fn = _abstract(name, body.fn)
-    arg = _abstract(name, body.arg)
-    if fn is None and arg is None:
-        return None
-    return App(App(S, App(K, body.fn) if fn is None else fn),
-               App(K, body.arg) if arg is None else arg)
+    walk = list(_subterms((body,)))
+    if len(walk) > BRACKET_NODE_CAP:
+        raise CapExceeded("subterms of the body to abstract", len(walk), BRACKET_NODE_CAP)
+    out = {}  # id(t) -> <name>t, for the subterms t where name is free
+    for t in walk:
+        if isinstance(t, App):
+            fn, arg = out.get(id(t.fn)), out.get(id(t.arg))
+            if fn is not None or arg is not None:
+                out[id(t)] = App(App(S, App(K, t.fn) if fn is None else fn),
+                                 App(K, t.arg) if arg is None else arg)
+        elif isinstance(t, Var) and t.name == name:
+            out[id(t)] = _SKK
+    return out.get(id(body), App(K, body))
 
 
 def lam(names, body):
@@ -175,11 +189,9 @@ def reduce_term(term, fuel):
     while True:
         head, args = _spine(term)
         if head is K and len(args) >= 2:
-            contracted = args[0]
-            rest = args[2:]
+            contracted, rest = args[0], args[2:]
         elif head is S and len(args) >= 3:
-            contracted = App(App(args[0], args[2]), App(args[1], args[2]))
-            rest = args[3:]
+            contracted, rest = App(App(args[0], args[2]), App(args[1], args[2])), args[3:]
         else:
             return term
         if remaining <= 0:
@@ -190,12 +202,10 @@ def reduce_term(term, fuel):
 
 def eval_in_opca(term, env, opca):
     """The value of ``term`` in ``opca`` with its variables bound by ``env``;
-    None means undefined.
-
-    The leaves are checked first, left to right: an unbound variable, an env
-    value outside the carrier or a constant outside the carrier is a
-    ValueError whatever the table.  Then each variable becomes a constant and
-    the term runs as a ``Program``.
+    None means undefined.  The leaves are checked first, left to right: an
+    unbound variable, an env value outside the carrier or a constant outside
+    the carrier is a ValueError whatever the table.  Then each variable
+    becomes a constant and the term runs as a ``Program``.
     """
     def bind(leaf):
         if isinstance(leaf, Var):
@@ -235,10 +245,12 @@ class Program(Frozen):
     _fields = ("roots", "slots", "steps", "outputs")
 
     def values(self, opca, slots=None):
-        """Every step's value in ``opca``, None where undefined.  A slot value
-        outside the carrier is a ValueError, raised before any step runs."""
+        """Every step's value in ``opca``, None where undefined.  A slot missing
+        or outside the carrier is a ValueError, raised before any step runs."""
         values = [opca.k, opca.s]
         for name in self.slots:
+            if slots is None or name not in slots:
+                raise ValueError(f"no value for slot {name!r}")
             if slots[name] not in opca.element_set:
                 raise ValueError(f"constant {slots[name]!r} outside the carrier")
             values.append(slots[name])
@@ -259,38 +271,34 @@ class Program(Frozen):
 
 
 def compile_terms(roots):
-    """The ``Program`` of the closed terms ``roots``.
-
-    Each term object is visited once (keyed by id; the roots keep the objects
-    alive), so shared subterms cost nothing; keying on term equality would
-    hash whole trees.  Slots are numbered -1, -2, ... and application steps
-    2, 3, ... while the terms are visited, then moved into place.
+    """The ``Program`` of the closed terms ``roots``, visiting each term object
+    once in the order of ``_subterms``, so shared subterms cost nothing.
+    Slots are numbered -1, -2, ... and application steps 2, 3, ... while the
+    terms are visited, then moved into place.
     """
+    roots = tuple(roots)
     slots, steps, step_of_pair = {}, [], {}
     step_of_term = {id(K): 0, id(S): 1}
-
-    def visit(term):
-        step = step_of_term.get(id(term))
-        if step is None:
-            if isinstance(term, Var):
-                raise ValueError(f"compile_terms needs closed terms, got free {term!r}")
-            if isinstance(term, Const):
-                step = slots.setdefault(term.value, -1 - len(slots))
-            else:
-                pair = (visit(term.fn), visit(term.arg))
-                step = step_of_pair.get(pair)
-                if step is None:
-                    step = step_of_pair[pair] = len(steps) + 2
-                    steps.append(pair)
-            step_of_term[id(term)] = step
-        return step
-
-    outputs = [visit(term) for term in roots]
+    for term in _subterms(roots):
+        if id(term) in step_of_term:  # K or S
+            continue
+        if isinstance(term, Var):
+            raise ValueError(f"compile_terms needs closed terms, got free {term!r}")
+        if isinstance(term, Const):
+            step = slots.setdefault(term.value, -1 - len(slots))
+        else:
+            pair = (step_of_term[id(term.fn)], step_of_term[id(term.arg)])
+            step = step_of_pair.get(pair)
+            if step is None:
+                step = step_of_pair[pair] = len(steps) + 2
+                steps.append(pair)
+        step_of_term[id(term)] = step
+    outputs = [step_of_term[id(term)] for term in roots]
 
     def placed(step):  # K and S stay, slot -i becomes step i + 1, applications follow
         return 1 - step if step < 0 else step + len(slots) if step > 1 else step
 
-    return Program(tuple(roots), tuple(slots), tuple((placed(f), placed(a)) for f, a in steps),
+    return Program(roots, tuple(slots), tuple((placed(f), placed(a)) for f, a in steps),
                    tuple(map(placed, outputs)))
 
 
@@ -307,16 +315,22 @@ def compile_closed(*sources):
 # ---------------------------------------------------------------------------
 
 def term_str(term):
-    def go(t, parenthesize):
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, _Basic):
-            return t.name
-        if isinstance(t, Const):
-            return str(t.value)
-        inner = f"{go(t.fn, False)} {go(t.arg, True)}"
-        return f"({inner})" if parenthesize else inner
-    return go(term, False)
+    """The surface syntax of ``term``.  Each distinct subterm's text is made
+    once and dropped after its last use."""
+    walk = list(_subterms((term,)))
+    uses = Counter(id(part) for t in walk if isinstance(t, App) for part in (t.fn, t.arg))
+    text = {}
+    for t in walk:
+        if isinstance(t, App):
+            fn, arg = text[id(t.fn)], text[id(t.arg)]
+            text[id(t)] = f"{fn} ({arg})" if isinstance(t.arg, App) else f"{fn} {arg}"
+            for part in (id(t.fn), id(t.arg)):
+                uses[part] -= 1
+                if not uses[part]:
+                    del text[part]
+        else:
+            text[id(t)] = str(t.value) if isinstance(t, Const) else t.name
+    return text[id(term)]
 
 
 _TOKEN = re.compile(r"[()\\.]|[\w']+|(\S)")  # group 1: a character no token takes
@@ -332,8 +346,7 @@ def _tokenize(src):
 
 
 # Deepest term accepted as written, counting parentheses, binders and the
-# application tree (a juxtaposition chain nests without parentheses).  This
-# bounds the parser's recursion, not the depth that bracket abstraction adds.
+# application tree (a juxtaposition chain nests without parentheses).
 _MAX_DEPTH = 100
 
 
@@ -367,7 +380,8 @@ def parse_term(src):
                 raise ValueError("expected '.' after \\-binder names")
             pos += 1
             body, depth = parse_expr(bound | set(names), level + 1)
-            return lam(names, body), nested(depth + 1)
+            depth = nested(depth + 1)  # refused before any abstraction work
+            return lam(names, body), depth
         out = out_depth = None
         while tokens[pos] not in (None, ")", "."):
             tok, depth = tokens[pos], 0

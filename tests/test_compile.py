@@ -91,6 +91,13 @@ def test_a_slot_outside_the_carrier_is_refused_like_a_constant():
         walk(program.filled(0, {"f": "zz"}), None, L2)
 
 
+def test_a_slot_not_given_is_refused_by_name():
+    program = compile_closed(r"\x. f x")
+    for slots in (None, {}, {"g": "1"}):
+        with pytest.raises(ValueError, match="no value for slot 'f'"):
+            program.run(L2, slots)
+
+
 def test_open_terms_do_not_compile():
     with pytest.raises(ValueError, match="needs closed terms, got free x"):
         compile_terms([app(K, Var("x"))])

@@ -328,29 +328,32 @@ def test_eval_term_refuses_a_bad_constant_after_an_undefined_step(capsys, tmp_pa
 
 
 def binders_over_chain(n):
-    """\\x0 ... x(n-1). x0 ... x(n-1); bracket abstraction nests it about
-    n * n / 2 deep (900 at n = 40)."""
+    """\\x0 ... x(n-1). x0 ... x(n-1); bracket abstraction makes 24,561
+    distinct subterms of it at n = 40, and from n = 58 on a body it abstracts
+    has more than BRACKET_NODE_CAP."""
     names = " ".join(f"x{i}" for i in range(n))
     return f"\\{names}. {names}"
 
 
-PAST_THE_PARSER_LIMIT = "term nests deeper than 100"
+PAST_THE_PARSER_LIMIT = "input error: --eval-term: term nests deeper than 100"
 
 
-@pytest.mark.parametrize("term, message", [
-    ("(" * 3000 + "K" + ")" * 3000, PAST_THE_PARSER_LIMIT),
-    (" ".join(["K"] * 5000), PAST_THE_PARSER_LIMIT),
-    ("".join(f"\\x{i}. " for i in range(1500)) + "K", PAST_THE_PARSER_LIMIT),
-    # 61 levels as written, about 1,950 once bracket abstraction has run
-    (binders_over_chain(60), "term nested too deep (RecursionError)"),
+@pytest.mark.parametrize("term, code, message", [
+    ("(" * 3000 + "K" + ")" * 3000, 2, PAST_THE_PARSER_LIMIT),
+    (" ".join(["K"] * 5000), 2, PAST_THE_PARSER_LIMIT),
+    ("".join(f"\\x{i}. " for i in range(1500)) + "K", 2, PAST_THE_PARSER_LIMIT),
+    # 61 levels as written; once x59 ... x3 are abstracted, the body has 68,276
+    # distinct subterms, and abstracting x2 is refused
+    (binders_over_chain(60), 1,
+     "error: subterms of the body to abstract: 68276 items exceeds cap 65536"),
 ], ids=["parentheses", "application-chain", "binders", "binders-over-chain"])
-def test_eval_term_nested_too_deep_is_an_input_error(capsys, term, message):
-    code, out, err = run(capsys, "check-opca", str(FIXTURES / "l2.json"), "--eval-term", term)
-    assert (code, out) == (2, "")
-    assert err == f"input error: --eval-term: {message}\n"
+def test_eval_term_nested_too_deep_is_an_input_error(capsys, term, code, message):
+    got, out, err = run(capsys, "check-opca", str(FIXTURES / "l2.json"), "--eval-term", term)
+    assert (got, out) == (code, "")
+    assert err == f"{message}\n"
 
 
-def test_eval_term_just_inside_the_recursion_limit_evaluates(capsys):
+def test_eval_term_inside_the_node_cap_evaluates(capsys):
     code, out, err = run(capsys, "--format", "machine", "check-opca", str(FIXTURES / "l2.json"),
                          "--eval-term", binders_over_chain(40))
     value = [json.loads(line) for line in out.splitlines()][-1]
@@ -412,7 +415,7 @@ def test_non_integer_count_keeps_the_argparse_message(capsys):
 
 @pytest.mark.parametrize("command", ["build-aks", "check-localic"])
 def test_max_len_past_the_kit_cap_is_refused(capsys, command):
-    # the unrolled kit terms recurse one level deeper per unit of length
+    # building the unrolled kit terms costs about max_len squared subterm visits
     code, out, err = run(capsys, command, str(FIXTURES / "l2.json"), "--max-len", "100")
     assert code == 1 and out == ""
     assert f"sequence kit max_len: 100 items exceeds cap {KIT_LEN_CAP}" in err

@@ -2,8 +2,10 @@
 
 ``FiniteBco.track`` is the only search of a structure's function set,
 ``Aks`` itself the only reader of its pole rows, ``tripos.first_unstable``
-the only place where the Booleanization scan builds predicates, and
-``Program.values`` the only interpreter of terms.
+the only place where the Booleanization scan builds predicates,
+``Program.values`` the only interpreter of terms, and ``terms._subterms``
+the only walk over a whole term: no function in ``terms.py`` calls itself
+but ``parse_term``'s descent, which ``_MAX_DEPTH`` bounds.
 """
 
 import ast
@@ -59,6 +61,12 @@ def table_reads(source):
             if isinstance(node, ast.Attribute) and node.attr in ("table", "app")]
 
 
+def self_calls(source):
+    """Scopes that call, by name, the function they are in."""
+    return [scope for scope, node in scoped_nodes(ast.parse(source))
+            if isinstance(node, ast.Call) and called_name(node) == scope.rsplit(".", 1)[-1]]
+
+
 def test_the_checks_find_searches_written_out_again():
     inlined = '''
 class FiniteBco:
@@ -86,6 +94,21 @@ class Program:
         table = opca.table
 '''
     assert table_reads(walker) == ["eval_in_opca", "Program.values"]
+    recursive = '''
+def free_vars(term):
+    return free_vars(term.fn) | free_vars(term.arg)
+
+def term_str(term):
+    def go(t):
+        return f"{go(t.fn)} {go(t.arg)}"
+    return go(term)
+
+class Program:
+    def values(self, opca, slots=None):
+        return self.values(opca)
+'''
+    assert self_calls(recursive) == ["free_vars", "free_vars", "term_str.go", "term_str.go",
+                                     "Program.values"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -108,3 +131,8 @@ def test_the_cli_builds_no_predicate():
 def test_only_program_values_interprets_a_term():
     terms = next(p for p in SOURCES if p.name == "terms.py")
     assert table_reads(terms.read_text(encoding="utf-8")) == ["Program.values"]
+
+
+def test_no_term_function_recurses_but_the_parser():
+    terms = next(p for p in SOURCES if p.name == "terms.py")
+    assert set(self_calls(terms.read_text(encoding="utf-8"))) == {"parse_term.parse_expr"}

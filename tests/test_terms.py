@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from realcheck import terms as termsmod
 from realcheck.errors import StructureError
 from realcheck.lattices import L2
 from realcheck.opca import PAIR, FiniteOpca, SequenceKit, _kit_terms, numeral
@@ -298,6 +299,15 @@ def spine_of_spines(levels, width):
 def test_terms_nested_past_the_limit_are_refused(src):
     with pytest.raises(StructureError, match="term nests deeper than 100"):
         parse_term(src)
+
+
+def test_a_binder_past_the_limit_is_refused_before_abstraction(monkeypatch):
+    def abstraction(names, body):
+        raise AssertionError("abstracted a term nested past the limit")
+    names = " ".join(f"x{i}" for i in range(101))
+    monkeypatch.setattr(termsmod, "lam", abstraction)
+    with pytest.raises(StructureError, match="term nests deeper than 100"):
+        parse_term(f"\\{names}. {names}")  # the chain nests 100 deep, the binder 101
 
 
 def test_terms_at_the_limit_parse():
