@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .bco import find_top, opca_to_bco, tv_least
+from . import bco as bcomod
 from .errors import ConstructionError, StructureError
 from .opca import (FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit,
                    k_law, s_law)
@@ -489,8 +489,8 @@ def tv_least_of_aks(aks):
     meet adjunction per fixture would only repeat the bco-level tests.
     """
     oca = order_ca(aks)
-    view = opca_to_bco(oca.opca)
-    top = find_top(view)
+    view = bcomod.opca_to_bco(oca.opca)
+    top = bcomod.find_top(view)
     if top is None:
         raise ConstructionError(f"order-ca of {aks.name} has no internal top")
-    return tv_least(view, top=top[0])
+    return bcomod.tv_least(view, top=top[0])

@@ -12,13 +12,9 @@ import os
 import sys
 from time import perf_counter
 
-from . import aks as aksmod
-from . import bco as bcomod
-from . import k2 as k2mod
+from . import aks as aksmod, bco as bcomod, formats, k2 as k2mod, opca as opcamod
 from . import tripos as triposmod
 from .errors import CapExceeded, ConstructionError, InvariantViolation, StructureError
-from .formats import load_aks, load_map, load_opca, save_aks
-from .opca import check_filter, check_opca_axioms
 from .report import REFUSED, Report
 
 
@@ -50,10 +46,10 @@ def _emit(report, fmt):
 
 
 def _cmd_check_opca(args):
-    opca, _ = load_opca(args.file)
-    rep = check_opca_axioms(opca, search_ks=args.search_ks)
+    opca, _ = formats.load_opca(args.file)
+    rep = opcamod.check_opca_axioms(opca, search_ks=args.search_ks)
     if opca.filter is not None:
-        rep.extend(check_filter(opca, opca.filter))
+        rep.extend(opcamod.check_filter(opca, opca.filter))
     if args.eval_term:
         from .terms import parse_term
         try:
@@ -65,38 +61,37 @@ def _cmd_check_opca(args):
 
 
 def _cmd_check_bco(args):
-    from .formats import load_bco
-    return bcomod.check_bco(load_bco(args.file))
+    return bcomod.check_bco(formats.load_bco(args.file))
 
 
 def _cmd_check_filter(args):
-    opca, _ = load_opca(args.file)
+    opca, _ = formats.load_opca(args.file)
     subset = frozenset(args.subset) if args.subset is not None else opca.filter
     if subset is None:
         raise StructureError("no filter in file and none given", source=args.file)
-    return check_filter(opca, subset)
+    return opcamod.check_filter(opca, subset)
 
 
 def _cmd_build_aks(args):
-    opca, _ = load_opca(args.file)
+    opca, _ = formats.load_opca(args.file)
     built = aksmod.build_aks(opca, max_len=args.max_len, U=args.U)
     rep = aksmod.check_aks(built.aks)
     if args.out:
-        save_aks(args.out, built.aks)
+        formats.save_aks(args.out, built.aks)
         rep.verdict("aks.saved", witnesses={"path": args.out})
     return rep
 
 
 def _cmd_check_aks(args):
-    return aksmod.check_aks(load_aks(args.file))
+    return aksmod.check_aks(formats.load_aks(args.file))
 
 
 def _cmd_check_order_ca(args):
-    return aksmod.check_order_ca(load_aks(args.file))[1]
+    return aksmod.check_order_ca(formats.load_aks(args.file))[1]
 
 
 def _cmd_check_localic(args):
-    opca, _ = load_opca(args.file)
+    opca, _ = formats.load_opca(args.file)
     rep = Report(opca.name)
     witness = triposmod.localic_criterion(opca)
     rep.found("localic.criterion", "e", witness, "no uniform witness")
@@ -111,9 +106,9 @@ def _cmd_check_localic(args):
 
 
 def _cmd_check_density(args):
-    src, _ = load_opca(args.src)
-    dst, _ = load_opca(args.dst)
-    fmap = load_map(args.mapfile)
+    src, _ = formats.load_opca(args.src)
+    dst, _ = formats.load_opca(args.dst)
+    fmap = formats.load_map(args.mapfile)
     rep = bcomod.check_applicative_morphism(fmap, src, dst)
     dens = bcomod.check_density(fmap, src, dst)
     rep.found("density.cd_sk", None, dens.cd and {"m": dens.cd[0], "g": dens.cd[1]},
@@ -126,7 +121,7 @@ def _cmd_check_density(args):
 
 
 def _cmd_check_tripos(args):
-    opca, sup = load_opca(args.file)
+    opca, sup = formats.load_opca(args.file)
     rep = Report(opca.name)
     if opca.filter is None:
         raise StructureError("check-tripos needs a filtered opca", source=args.file)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .aks import Aks
-from .bco import FiniteBco, check_sup_table
+from . import aks as aksmod, bco as bcomod
 from .errors import StructureError
 from .opca import FiniteOpca
 
@@ -117,7 +116,7 @@ def load_opca(path):
                                  source=str(path), field="sup")
     sup = _table([(tuple(sorted(d)), v) for d, v in rows], path, "sup")
     sup = {frozenset(d): v for d, v in sup.items()}
-    check_sup_table(opca, sup, str(path))
+    bcomod.check_sup_table(opca, sup, str(path))
     return opca, sup
 
 
@@ -125,18 +124,18 @@ def load_bco(path):
     read = _reader(load_json(path), path)
     functions = {fname: _table(graph, path, f"functions.{fname}")
                  for fname, graph in read("functions", {str: PAIRS}).items()}
-    return FiniteBco(**_poset_fields(read), functions=functions, name=str(path))
+    return bcomod.FiniteBco(**_poset_fields(read), functions=functions, name=str(path))
 
 
 def load_aks(path):
     read = _reader(load_json(path), path)
-    return Aks(terms=tuple(read("terms", NAMES)), stacks=tuple(read("stacks", NAMES)),
-               dot=_table(read("dot", TRIPLES), path, "dot"),
-               push=_table(read("push", TRIPLES), path, "push"),
-               kof=_table(read("kOf", PAIRS), path, "kOf"),
-               K=read("K", str), S=read("S", str), cc=read("cc", str),
-               qp=frozenset(read("QP", NAMES)),
-               pole=frozenset(map(tuple, read("pole", PAIRS))), name=str(path))
+    return aksmod.Aks(terms=tuple(read("terms", NAMES)), stacks=tuple(read("stacks", NAMES)),
+                      dot=_table(read("dot", TRIPLES), path, "dot"),
+                      push=_table(read("push", TRIPLES), path, "push"),
+                      kof=_table(read("kOf", PAIRS), path, "kOf"),
+                      K=read("K", str), S=read("S", str), cc=read("cc", str),
+                      qp=frozenset(read("QP", NAMES)),
+                      pole=frozenset(map(tuple, read("pole", PAIRS))), name=str(path))
 
 
 def load_map(path):

@@ -18,7 +18,7 @@ from .errors import CapExceeded, ConstructionError, StructureError
 from .poset import Poset
 from .record import Frozen, set_field
 from .report import Report
-from .terms import App, Const, K, S, Var, app, compile_terms, eval_in_opca, lam
+from .terms import App, Const, K, S, Var, app, compile_terms, eval_in_opca, lam, subst
 
 __all__ = [
     "FiniteOpca", "k_law", "s_law", "check_opca_axioms", "check_filter",
@@ -212,11 +212,11 @@ def skk_element(opca):
 # to a fixed depth, which is why the kit takes max_len.
 #
 # These terms do not depend on the opca, so each is built once per process
-# (``numeral`` and ``_kit_terms`` keep the most recently used; terms are
-# immutable, so sharing them is safe).  ``_kit_program`` compiles PAIR, b,
-# c, d, t and the numerals 0..max_len+1 into one straight-line program
-# without slots (``terms.compile_terms``), and a kit runs it once in its
-# opca.
+# (``_kit_terms`` keeps the most recently used, ``numeral`` all it built;
+# terms are immutable, so sharing them is safe).  ``_kit_program`` compiles
+# PAIR, b, c, d, t and the numerals 0..max_len+1 into one straight-line
+# program without slots (``terms.compile_terms``), and a kit runs it once in
+# its opca.
 #
 # The code of a0..ak is (p·n)·inner(a0..ak) with inner(a::s) = (p·a)·inner(s)
 # and inner([]) = nil.  ``SequenceKit.seq_value`` folds it on demand instead
@@ -248,10 +248,14 @@ PRED = lam("n", app(Var("n"), IDENT, ZERO))
 NIL = ZERO
 
 
-@lru_cache(maxsize=64)
+_NEXT_NUMERAL = lam("x y", App(Var("x"), Var("n")))  # with numeral n for n, it is numeral n+1
+_NUMERALS = [ZERO]  # numeral n holds every smaller one, so keeping them all costs no more
+
+
 def numeral(n):
-    # Built so that succ·(numeral n) weakly reduces to exactly numeral (n+1).
-    return lam("x y", App(Var("x"), numeral(n - 1))) if n else ZERO
+    while len(_NUMERALS) <= n:  # succ·(numeral n) weakly reduces to exactly numeral (n+1)
+        _NUMERALS.append(subst(_NEXT_NUMERAL, "n", _NUMERALS[-1]))
+    return _NUMERALS[n]
 
 
 def _list_recursor(depth, last):

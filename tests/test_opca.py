@@ -227,6 +227,16 @@ def test_an_item_outside_the_carrier_is_refused_before_the_fold():
             ("outside", f"constant '{OUTSIDE}' outside the carrier")
 
 
+def test_a_long_sequence_gets_a_value_or_a_refusal():
+    # numeral 1,200 is built from numeral 1,199 in a loop, not 1,200 calls deep
+    kit = SequenceKit(L2, 3)
+    try:
+        value = kit.seq_value(["1"] * 1200)
+    except (ConstructionError, CapExceeded):
+        return
+    assert value == "1"  # the meet of the items
+
+
 def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
     opca, _ = load_opca(str(FIXTURES / "l3.json"))
     build_aks(opca, max_len=3)  # closed terms are built and compiled once per process

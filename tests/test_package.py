@@ -1,18 +1,54 @@
-"""The names the package re-exports and the modules' ``__all__`` lists."""
+"""The names the package exports, each read from its module on first use."""
 
-import ast
-import importlib
-from pathlib import Path
+import pytest
 
 import realcheck
 
+# every name the package exports, as ``from realcheck import NAME``
+EXPORTED = frozenset("""
+    Aks BuiltAks aks_apply aks_imp biorthogonal_closure build_aks cc_element check_aks
+    check_kr check_order_ca closed_stack_sets order_ca orthogonal_stacks orthogonal_terms
+    tv_least_of_aks
+    BcoMorphism DensityWitnesses FiniteBco ImplicativeKit InternalMeets PseudoDAlgebra
+    applicative_verdict check_applicative_morphism check_bco check_bco_morphism check_density
+    check_implicative check_pseudo_d_algebra check_star downset_bco downset_monad downset_opca
+    downsets_of_poset find_right_adjoint find_top implication_from_sup internal_meets join_sup
+    morphism_leq opca_to_bco preserves_finite_meets product_bco sup_from_implication
+    truth_values tv_least
+    CapExceeded ConstructionError InvariantViolation StructureError
+    K2Element FuelExhausted apply_elem apply_many basic_open_contains decode_seq encode_seq
+    from_expr is_discrete k2_apply k2_basis tau_extract
+    FiniteOpca SequenceKit check_filter check_opca_axioms derive_sequence_kit skk_element
+    turing_leq
+    Report
+    App Const Diverged K S Var app bracket eval_in_opca free_vars lam parse_term reduce_term
+    subst term_str
+    BooleanVerdict Predicate arrow_U boolean_leq localic_criterion predicate_leq streicher_leq
+""".split())
+
 
 def test_package_imports_only_names_its_modules_list_in_all():
-    tree = ast.parse(Path(realcheck.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"realcheck.{node.module}")
-        listed = getattr(module, "__all__", None)
+    for module, names in realcheck._EXPORTS.items():
+        listed = getattr(getattr(realcheck, module), "__all__", None)
         if listed is not None:
-            assert [a.name for a in node.names if a.name not in listed] == [], node.module
+            assert [name for name in names if name not in listed] == [], module
+
+
+def test_each_exported_name_is_its_modules_object():
+    for module, names in realcheck._EXPORTS.items():
+        for name in names:
+            assert getattr(realcheck, name) is getattr(getattr(realcheck, module), name)
+
+
+def test_the_exported_names_are_pinned_and_listed():
+    exported = {name for names in realcheck._EXPORTS.values() for name in names}
+    assert exported == EXPORTED
+    assert set(realcheck.__all__) == EXPORTED
+    assert EXPORTED <= set(dir(realcheck))
+    assert set(realcheck._EXPORTS) <= set(dir(realcheck))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        realcheck.no_such_name
+    assert not hasattr(realcheck, "cli_main")

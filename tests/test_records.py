@@ -162,3 +162,40 @@ def test_importing_the_cli_loads_every_layer_and_no_code_generation():
     assert len(layers) == 10
     assert {f"realcheck.{layer}" for layer in layers} <= set(after_install)
     assert {f"realcheck.{layer}" for layer in layers} - set(after_cli) <= {"realcheck.lattices"}
+
+
+TRACER_WRAPPERS = """
+import json, sys
+import realcheck.cli
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+
+def wrappers():
+    found = []
+    for name, module in sorted(sys.modules.items()):
+        if name == "realcheck" or name.startswith("realcheck."):
+            owners = {"": module, **{f"{k}.": v for k, v in vars(module).items()
+                                     if isinstance(v, type)}}
+            found += [f"{name}:{prefix}{key}" for prefix, owner in owners.items()
+                      for key, value in vars(owner).items()
+                      if "Tracer._wrapper" in getattr(getattr(value, "__code__", None),
+                                                      "co_qualname", "")]
+    return found
+
+tracer = Tracer("wrappers")
+tracer.install()  # loads the lazy modules while it binds
+during = wrappers()
+tracer.uninstall()
+print(json.dumps([during, wrappers()]))
+"""
+
+
+def test_no_tracer_wrapper_survives_uninstall():
+    # a module loaded during install that imported an already-rebound entry
+    # point by name would keep the wrapper, which uninstall never saw
+    out = subprocess.run([sys.executable, "-c", TRACER_WRAPPERS, str(PERFBENCH)], env=CHILD_ENV,
+                         capture_output=True, text=True, check=True).stdout
+    during, after = json.loads(out)
+    assert "realcheck.opca:SequenceKit.seq_value" in during
+    assert "realcheck.aks:check_aks" in during
+    assert after == []

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from realcheck import terms as termsmod
 from realcheck.errors import StructureError
 from realcheck.lattices import L2
-from realcheck.opca import PAIR, FiniteOpca, SequenceKit, _kit_terms, numeral
+from realcheck.opca import (KIT_LEN_CAP, PAIR, ZERO, FiniteOpca, SequenceKit, _kit_terms,
+                            numeral)
 from realcheck.terms import (App, Const, Diverged, K, S, Var, app, bracket,
                              eval_in_opca, free_vars, lam, parse_term,
                              reduce_term, subst, term_str)
@@ -80,12 +83,18 @@ def test_pairing_term_matches_the_reference_algorithm():
     assert PAIR == reference_lam("x y z", app(Var("z"), Var("x"), Var("y")))
 
 
+@lru_cache(maxsize=None)
+def recursive_numeral(n):
+    """Numeral n abstracted from numeral n-1, each level one call deeper."""
+    return lam("x y", App(Var("x"), recursive_numeral(n - 1))) if n else ZERO
+
+
 def test_memoized_kit_terms_equal_fresh_ones():
     for max_len in range(4):
         kit = SequenceKit(L2, max_len)
         assert (kit.b, kit.c, kit.d, kit.t) == _kit_terms.__wrapped__(max_len)
-    for n in range(6):
-        assert numeral(n) == numeral.__wrapped__(n)
+    for n in range(KIT_LEN_CAP + 2):  # every numeral a kit at the cap reads
+        assert term_str(numeral(n)) == term_str(recursive_numeral(n))
 
 
 @given(terms_strategy(OPEN_LEAVES))
