@@ -18,8 +18,7 @@ from itertools import product
 
 from . import bco as bcomod
 from .errors import ConstructionError, StructureError
-from .opca import (FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit,
-                   k_law, s_law)
+from .opca import FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit, first_ks
 from .poset import bits, closed_masks
 from .record import Frozen, set_field
 from .report import Report
@@ -302,11 +301,8 @@ def build_aks(opca, max_len=3, U=None):
     U = frozenset(U) if U is not None else opca.U
     if opca.filter is None or U is None:
         raise StructureError("build_aks needs a filter and a downset U", source=opca.name)
-    if U is not opca.U:  # opca.U was checked when opca was built
-        if not U <= opca.element_set:
-            raise StructureError("subset escapes carrier", source=opca.name, field="U")
-        if not opca.is_downward_closed(U):
-            raise StructureError("U is not downward closed", source=opca.name, field="U")
+    if U is not opca.U:  # opca.U was checked when opca was built; replace checks U
+        opca.replace(U=U)
     if U & opca.filter:
         raise StructureError("U meets the filter", source=opca.name, field="U")
 
@@ -450,21 +446,21 @@ def order_ca(aks):
     # the laws do not read the designated k and s, so a draft carries any
     draft = FiniteOpca(elements=tuple(carrier), leq_pairs=leq, table=table,
                        k=carrier[0], s=carrier[0], filter=filt, name=f"P({aks.name})")
-    k = next((cand for cand in candidates if k_law(draft, cand) is None), None)
-    s = next((cand for cand in candidates if s_law(draft, cand) is None), None)
-    if k is None or s is None:
+    ks = first_ks(draft, candidates)
+    if ks is None:
         raise ConstructionError(f"no k/s pair for the order-ca of {aks.name}")
-    return OrderCa(aks=aks, opca=draft.replace(k=k, s=s))
+    return OrderCa(aks=aks, opca=draft.replace(**ks))
 
 
 def check_order_ca(aks):
     """Verify the induced structure is a filtered opca (axioms + filter)."""
     oca = order_ca(aks)
-    rep = check_opca_axioms(oca.opca)
-    rep.extend(check_filter(oca.opca, oca.opca.filter))
+    opca = oca.opca
+    rep = check_opca_axioms(opca)
+    rep.extend(check_filter(opca, opca.filter))
     rep.verdict("orderca.filter_upward_closed",
-                next(((a, b) for a in oca.opca.filter for b in oca.opca.elements
-                      if oca.opca.leq(a, b) and b not in oca.opca.filter), None))
+                next(((a, b) for a in opca.ordered(opca.filter) for b in opca.elements
+                      if opca.leq(a, b) and b not in opca.filter), None))
     return oca, rep
 
 
@@ -482,15 +478,5 @@ def check_kr(aks):
 
 
 def tv_least_of_aks(aks):
-    """Least designated truth value of the induced order-ca, or None.
-
-    Uses the top-only search: the order-ca is a total filtered opca, where
-    binary internal meets always exist through pairing, so re-verifying the
-    meet adjunction per fixture would only repeat the bco-level tests.
-    """
-    oca = order_ca(aks)
-    view = bcomod.opca_to_bco(oca.opca)
-    top = bcomod.find_top(view)
-    if top is None:
-        raise ConstructionError(f"order-ca of {aks.name} has no internal top")
-    return bcomod.tv_least(view, top=top[0])
+    """Least designated truth value of the induced order-ca, or None."""
+    return bcomod.tv_least(order_ca(aks).opca)

@@ -280,6 +280,7 @@ def internal_meets(bco):
     The top is the first element admitting a total g in F with g(a) <= top;
     the meet map must be a BCO morphism from the componentwise product and
     right adjoint to the diagonal (unit/counit witnesses searched in F).
+    Past MEET_CANDIDATE_CAP maps, a miss is CapExceeded, not None.
     """
     found = find_top(bco)
     if found is None:
@@ -301,35 +302,31 @@ def internal_meets(bco):
             continue
         return InternalMeets(top=top, top_witness=top_witness, meet=dict(table),
                              unit_witness=unit, counit_witnesses=(g1, g2))
+    if (maps := len(els) ** len(els) ** 2) > MEET_CANDIDATE_CAP:
+        raise CapExceeded(f"meet maps of {bco.name}", maps, MEET_CANDIDATE_CAP)
     return None
 
 
-def find_top(bco):
-    """First element admitting a total g in F with g(a) <= it, with g."""
-    for cand in bco.elements:
-        g = bco.track([(a, cand) for a in bco.elements])
+def find_top(x):
+    """First element admitting a total g (``x.track``) with g(a) <= it, with g."""
+    for cand in x.elements:
+        g = x.track([(a, cand) for a in x.elements])
         if g is not None:
             return cand, g
     return None
 
 
-def truth_values(bco, top=None):
-    """TV = elements reachable below from top by some function in F.
-
-    The designated top is ``top`` (say, from the cheaper top-only search),
-    else that of the internal meets; for opca views both are the first hit.
-    """
-    if top is None:
-        meets = internal_meets(bco)
-        if meets is None:
-            raise StructureError("truth values need internal meets", source=bco.name)
-        top = meets.top
-    return frozenset(a for a in bco.elements if bco.track([(top, a)]) is not None)
+def truth_values(x):
+    """TV = elements reachable below from the ``find_top`` top by some g (``x.track``)."""
+    found = find_top(x)
+    if found is None:
+        raise StructureError("truth values need an internal top", source=x.name)
+    return frozenset(a for a in x.elements if x.track([(found[0], a)]) is not None)
 
 
-def tv_least(bco, top=None):
+def tv_least(x):
     """The least designated truth value under the carrier order, or None."""
-    return bco.least(truth_values(bco, top=top))
+    return x.least(truth_values(x))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +503,7 @@ def check_applicative_morphism(fmap, src, dst, crosscheck=True):
                            if (a1a := src.app(a1, a)) is not None]),
               "no tracking r")
     rep.found("applicative.order_tracking", "u",
-              dst.tracker(dst_filter, dst.app, [(fmap[x], fmap[y]) for (x, y) in src.leq_pairs]),
+              dst.track([(fmap[x], fmap[y]) for (x, y) in src.leq_pairs]),
               "no order u")
 
     applicative_ok = rep.passed
@@ -660,7 +657,8 @@ def check_implicative(kit, mode="pre-implicative"):
         i'·b is not below inf(subset) for a lower bound b, else None."""
         inf_v = kit.inf_of(subset)
         got = host.app(kit.i, inf_v)
-        return next(((a,) for a in subset if got is None or not host.leq(got, a)), None) \
+        return next(((a,) for a in host.ordered(subset)
+                     if got is None or not host.leq(got, a)), None) \
             or next((("i'", b) for b in els
                      if all(host.leq(b, a) for a in subset)
                      and ((ib := host.app(kit.i_prime, b)) is None or not host.leq(ib, inf_v))),
@@ -728,10 +726,10 @@ def sup_from_implication(kit):
 
     sup alpha = inf over b of ((inf over a in alpha of (a => b)) => b).
     Materializes the derived combinators eta, xi, H, K, P, Q, R as closed
-    terms over the kit constants, verifies the four facts they satisfy, and
-    checks the sup-algebra clauses and the uniform bound with exactly these
-    witnesses.  A failed clause raises ConstructionError naming it; more
-    than _FACT_A_CAP cases of fact (a) raise CapExceeded before any is tried.
+    terms over the kit constants, verifies facts (a), (b) and (d), and checks
+    the sup-algebra clauses (clause 1 with u = K is fact (c)) and the bound
+    with exactly these witnesses.  A failed clause raises ConstructionError
+    naming it; past _FACT_A_CAP cases of fact (a), CapExceeded before any.
     """
     host = kit.host
     if host.filter is None:
@@ -786,7 +784,8 @@ def sup_from_implication(kit):
 
 
 def _verify_derivation_facts(kit, sup, combinators, downs):
-    """Facts (a)-(d) satisfied by the derived combinators, exhaustively.
+    """Facts (a), (b) and (d) satisfied by the derived combinators, exhaustively
+    (fact (c) is the sup-algebra check's clause 1 with u = K).
 
     Fact (a) reads every family over every downset alpha and every part of
     it: the sum of |A|^|alpha| * 2^|alpha| cases, refused above _FACT_A_CAP.
@@ -796,7 +795,7 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
     cases = sum(size ** len(alpha) << len(alpha) for alpha in downs)
     if cases > _FACT_A_CAP:
         raise CapExceeded(f"derivation fact (a) cases of {host.name}", cases, _FACT_A_CAP)
-    eta, xi, Kc, P = (combinators[n] for n in ("eta", "xi", "K", "P"))
+    eta, xi, P = (combinators[n] for n in ("eta", "xi", "P"))
 
     def fail(which, ctx):
         raise ConstructionError(f"derivation fact ({which}) fails at {ctx!r}")
@@ -828,15 +827,6 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
                 if got is None or not host.leq(got, kit.imp_of(c, b2)):
                     fail("b", (b, b2, c, "monotone"))
 
-    # (c) K realizes monotonicity of the derived sup
-    for alpha in downs:
-        for alpha2 in downs:
-            if not alpha <= alpha2:
-                continue
-            got = host.app(Kc, sup[alpha])
-            if got is None or not host.leq(got, sup[alpha2]):
-                fail("c", (sorted(map(str, alpha)), sorted(map(str, alpha2))))
-
     # (d) P turns a pointwise bound into a bound on the sup
     for f in host.elements:
         for alpha in downs:
@@ -851,30 +841,26 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
                     fail("d", (f, sorted(map(str, alpha)), b))
 
 
-def implication_from_sup(alg, report=None, v=None):
+def implication_from_sup(alg, report, v):
     """Recover an implicative kit from a sup-algebra with the bound condition.
 
     imp(b,c) = sup of {a | a·b' defined and below c for all b' <= b};
     inf(alpha) = sup of the lower bounds of alpha.  The constants come from
     the clause witnesses: e = <x> u (h4 x), e' = the bound witness, i = the
     clause-2 witness for s·k·k (strengthened through g4∘u when the bare
-    witness does not verify), i' = e.  A caller that already ran
-    ``check_pseudo_d_algebra`` or ``check_star`` hands over their results as
-    ``report`` and ``v`` instead of having them searched again.
+    witness does not verify), i' = e.  ``report`` is the caller's
+    ``check_pseudo_d_algebra(alg)`` and ``v`` its ``check_star(alg)``.
     """
     host = alg.host
-    rep = report if report is not None else check_pseudo_d_algebra(alg)
-    if not rep.passed:
+    if not report.passed:
         raise ConstructionError("implication_from_sup needs a passing algebra")
-    if v is None:
-        v = check_star(alg)
     if v is None:
         raise ConstructionError("implication_from_sup needs the uniform bound witness")
 
-    u = rep.record("sup.monotone_u").witnesses["u"]
-    h4 = rep.record("sup.principal_h4").witnesses["h4"]
-    g4 = rep.record("sup.principal_g4").witnesses["g4"]
-    g2, skk = rep.record("sup.image_g2").witnesses["g2"], skk_element(host)
+    u = report.record("sup.monotone_u").witnesses["u"]
+    h4 = report.record("sup.principal_h4").witnesses["h4"]
+    g4 = report.record("sup.principal_g4").witnesses["g4"]
+    g2, skk = report.record("sup.image_g2").witnesses["g2"], skk_element(host)
     if skk not in g2:  # g2 has a witness per filter element
         raise ConstructionError(f"s·k·k = {skk!r} lies outside the filter")
     g2_skk = g2[skk]

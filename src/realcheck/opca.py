@@ -21,7 +21,7 @@ from .report import Report
 from .terms import App, Const, K, S, Var, app, compile_terms, eval_in_opca, lam, subst
 
 __all__ = [
-    "FiniteOpca", "k_law", "s_law", "check_opca_axioms", "check_filter",
+    "FiniteOpca", "k_law", "s_law", "first_ks", "check_opca_axioms", "check_filter",
     "SequenceKit", "KIT_LEN_CAP", "derive_sequence_kit", "turing_leq", "skk_element",
 ]
 
@@ -83,6 +83,12 @@ class FiniteOpca(Poset):
         return frozenset(a for a in self.elements
                          if all(table.get((a, b)) in beta for b in alpha))
 
+    def track(self, pairs):
+        """``tracker`` over the filter in carrier order, applying by the table."""
+        if self.filter is None:
+            raise StructureError("opca has no filter", source=self.name)
+        return self.tracker(self.ordered(self.filter), self.app, pairs)
+
     def eval(self, term, env=None):
         return eval_in_opca(term, env, self)
 
@@ -137,13 +143,20 @@ def s_law(opca, s):
     return None
 
 
+def first_ks(opca, candidates):
+    """{"k": k, "s": s}, each the first of ``candidates`` obeying its law, or None."""
+    k = next((c for c in candidates if k_law(opca, c) is None), None)
+    s = next((c for c in candidates if s_law(opca, c) is None), None)
+    return None if k is None or s is None else {"k": k, "s": s}
+
+
 def check_opca_axioms(opca, search_ks=False):
     """Clause-by-clause verification; first counterexample per failed clause.
 
     Checks the order axioms, downward compatibility of application, and the
     k/s laws (k·x·y defined and <= x; s·x·y always defined; s·x·y·z defined
     and <= (x·z)·(y·z) whenever the latter is defined).  With ``search_ks``
-    a brute-force scan for a working (k, s) pair is reported as well.
+    ``first_ks`` over the carrier is reported as well.
     """
     rep = Report(opca.name)
     els = opca.elements
@@ -165,10 +178,7 @@ def check_opca_axioms(opca, search_ks=False):
     rep.verdict("k.law", k_law(opca, opca.k))
     rep.verdict("s.law", s_law(opca, opca.s))
     if search_ks:
-        rep.found("ks.search", None,
-                  next(({"k": k, "s": s} for k in els for s in els
-                        if k_law(opca, k) is None and s_law(opca, s) is None), None),
-                  "no (k,s) pair")
+        rep.found("ks.search", None, first_ks(opca, els), "no (k,s) pair")
     return rep
 
 
@@ -212,11 +222,11 @@ def skk_element(opca):
 # to a fixed depth, which is why the kit takes max_len.
 #
 # These terms do not depend on the opca, so each is built once per process
-# (``_kit_terms`` keeps the most recently used, ``numeral`` all it built;
+# (``_kit_program`` keeps the most recently used, ``numeral`` all it built;
 # terms are immutable, so sharing them is safe).  ``_kit_program`` compiles
 # PAIR, b, c, d, t and the numerals 0..max_len+1 into one straight-line
 # program without slots (``terms.compile_terms``), and a kit runs it once in
-# its opca.
+# its opca and reads b, c, d and t from its roots.
 #
 # The code of a0..ak is (p·n)·inner(a0..ak) with inner(a::s) = (p·a)·inner(s)
 # and inner([]) = nil.  ``SequenceKit.seq_value`` folds it on demand instead
@@ -284,7 +294,6 @@ def seq_term(items):
     return app(PAIR, numeral(len(items)), payload)
 
 
-@lru_cache(maxsize=8)
 def _kit_terms(max_len):
     """The closed terms b, c, d, t of a kit for sequences of length <= max_len."""
     depth = max_len + 1
@@ -323,7 +332,8 @@ class SequenceKit(Frozen):
     _fields = ("opca", "max_len", "p", "p0", "p1", "b", "c", "d", "t")
 
     def __init__(self, opca, max_len):
-        b, c, d, t = _kit_terms(max_len)
+        program = _kit_program(max_len)
+        _, b, c, d, t = program.roots[:5]
         set_field(self, "opca", opca)
         set_field(self, "max_len", max_len)
         set_field(self, "p", PAIR)
@@ -334,7 +344,6 @@ class SequenceKit(Frozen):
         set_field(self, "d", d)
         set_field(self, "t", t)
         set_field(self, "stack_codes", None)
-        program = _kit_program(max_len)
         values = program.run(opca)
         # id -> (term, value); the entry pins the term, so its id stays unique
         closed = {id(term): (term, value) for term, value in zip(program.roots, values)}
@@ -561,6 +570,4 @@ def turing_leq(opca, a1, a2):
     a1 <=_T a2 holds exactly when such a witness exists; the search order is
     the carrier order restricted to the filter, so results are stable.
     """
-    if opca.filter is None:
-        raise StructureError("turing_leq needs a filtered opca", source=opca.name)
-    return opca.tracker(opca.ordered(opca.filter), opca.app, [(a2, a1)])
+    return opca.track([(a2, a1)])

@@ -8,8 +8,9 @@ algorithm, and reduction is weak leftmost-outermost with a fuel budget.
 straight-line programs that a run evaluates with one table read per step;
 ``Program.values`` is the only interpreter, and ``eval_in_opca`` checks a
 term's leaves, binds its variables and runs it as a program.  Every function
-that reads a whole term loops over ``_subterms``, so a term of any depth is
-handled; only ``parse_term`` recurses, at most ``_MAX_DEPTH`` levels.
+that reads a whole term loops over ``_subterms`` (``App``'s ``==`` over its
+own stack), so a term of any depth is handled; only ``parse_term`` recurses,
+at most ``_MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -70,6 +71,25 @@ class App(Value):
     def __init__(self, fn, arg):
         set_field(self, "fn", fn)
         set_field(self, "arg", arg)
+
+    def __eq__(self, other):  # on a stack of pairs, so that any depth compares
+        if other.__class__ is not App:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x.__class__ is App and y.__class__ is App:
+                if x is not y:
+                    stack += ((x.arg, y.arg), (x.fn, y.fn))
+            elif x.__class__ is App or y.__class__ is App or x != y:
+                return False
+        return True
+
+    def __hash__(self):  # bottom-up over the distinct subterms, memoized by id
+        h = {}
+        for t in _subterms((self,)):
+            h[id(t)] = hash((h[id(t.fn)], h[id(t.arg)]) if t.__class__ is App else t)
+        return h[id(self)]
 
     def __repr__(self):
         return term_str(self)

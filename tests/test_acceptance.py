@@ -16,8 +16,7 @@ from realcheck.aks import (aks_imp, build_aks, cc_element, check_aks,
 from realcheck.bco import (PseudoDAlgebra, applicative_verdict,
                            check_applicative_morphism, check_density,
                            check_implicative, check_pseudo_d_algebra,
-                           check_star, downset_opca, implication_from_sup,
-                           join_sup, sup_from_implication)
+                           check_star, downset_opca, join_sup, sup_from_implication)
 from realcheck.formats import load_aks
 from realcheck.k2 import (K2Element, apply_many, decode_seq, k2_apply,
                           k2_basis, tau_extract)
@@ -29,7 +28,7 @@ from realcheck.tripos import (Predicate, arrow_U, boolean_leq,
 from realcheck.tripos import _d_predicate_leq
 
 from conftest import FIXTURES, FUEL, read_numeral
-from test_bco import heyting_kit
+from test_bco import heyting_kit, implication_of
 
 
 def _admissible_downsets(opca):
@@ -142,14 +141,15 @@ def test_c05_uniform_bound_iff_sup_applicative():
 
 def test_c06_implicative_round_trips():
     from realcheck.lattices import DIAMOND
-    derived = sup_from_implication(heyting_kit(DIAMOND))  # verifies (a)-(d),
-    # the four sup clauses and the uniform bound with the constructed
-    # witnesses, and raises naming the clause otherwise
+    derived = sup_from_implication(heyting_kit(DIAMOND))  # verifies facts (a),
+    # (b) and (d), the four sup clauses (the first with u = K is fact (c)) and
+    # the uniform bound with the constructed witnesses, and raises naming the
+    # clause otherwise
     assert derived.algebra.sup == join_sup(DIAMOND)
     assert all(el in DIAMOND.filter for el in derived.combinators.values())
     assert set(derived.combinators) == {"eta", "xi", "H", "K", "P", "Q", "R"}
     alg = PseudoDAlgebra(DIAMOND, join_sup(DIAMOND), name="join(diamond)")
-    kit = implication_from_sup(alg)
+    kit = implication_of(alg)
     assert check_implicative(kit, mode="pre-implicative").passed
     done(6, "sup-from-implication passes all clauses with the derived "
             "combinators in the filter; implication-from-sup is pre-implicative")

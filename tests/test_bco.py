@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,13 @@ from realcheck.errors import CapExceeded, ConstructionError, StructureError
 from realcheck.lattices import DIAMOND, L2, L3, M3, N5, VEE
 from realcheck.opca import check_opca_axioms, skk_element
 
-from conftest import STANDARD_OPCAS
+from conftest import CHILD_ENV, STANDARD_OPCAS
+
+
+def implication_of(alg):
+    """``implication_from_sup`` with the clause report and the bound witness
+    searched here, once, as its callers do."""
+    return implication_from_sup(alg, check_pseudo_d_algebra(alg), check_star(alg))
 
 
 def heyting_kit(opca, name="heyting"):
@@ -179,6 +189,23 @@ def test_meet_side_failure_detected_by_enumeration():
                     functions={"id": {"a": "a", "b": "b", "t": "t"}})
     assert internal_meets(bco) is None
     assert find_top(bco) is not None  # so the meet side fails
+    assert truth_values(bco) == frozenset({"t"})  # the top alone decides them
+
+
+def test_meet_search_past_the_enumeration_refuses():
+    # four elements, a constant map to "a" makes "a" the top, no poset meets
+    # and no pairing: the 4^16 maps are not tried, so the miss is refused
+    els = ("a", "b", "c", "d")
+    bco = FiniteBco(elements=els, leq_pairs=frozenset(),
+                    functions={"id": {x: x for x in els}, "to_a": {x: "a" for x in els}})
+    assert check_bco(bco).passed and find_top(bco) == ("a", "to_a")
+    with pytest.raises(CapExceeded) as exc:
+        internal_meets(bco)
+    assert (exc.value.count, exc.value.cap) == (4 ** 16, 20000)
+    assert str(exc.value).startswith("meet maps of bco: ")
+    # without a top the search ends before any meet map, with None
+    no_top = FiniteBco(elements=els, leq_pairs=frozenset(), functions={"id": {x: x for x in els}})
+    assert internal_meets(no_top) is None
 
 
 def test_truth_values_upward_closed_and_meet_closed():
@@ -376,6 +403,26 @@ def test_ioca_mode_passes_on_heyting_lattice():
     assert check_implicative(heyting_kit(DIAMOND), mode="ioca").passed
 
 
+INF_FAILURE = """
+from realcheck.bco import check_implicative
+from realcheck.lattices import DIAMOND
+from test_bco import heyting_kit
+kit = heyting_kit(DIAMOND)
+kit.inf[frozenset({"a", "b"})] = "1"
+print(check_implicative(kit).record("implicative.inf_witnessed").counterexample)
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_inf_counterexample_does_not_follow_the_hash_seed(seed):
+    # i·1 = 1 is below neither a nor b; the subset is walked in carrier order
+    path = os.pathsep.join([str(Path(__file__).parent), CHILD_ENV["PYTHONPATH"]])
+    env = {**CHILD_ENV, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", INF_FAILURE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "(('a', 'b'), 'a')\n"), proc.stderr
+
+
 # -- the two constructions --------------------------------------------------------------------
 
 def test_sup_from_implication_matches_lattice_join():
@@ -388,14 +435,14 @@ def test_sup_from_implication_matches_lattice_join():
 def test_implication_from_sup_recovers_heyting_arrow():
     for opca in (L3, DIAMOND):
         alg = PseudoDAlgebra(opca, join_sup(opca))
-        kit = implication_from_sup(alg)
+        kit = implication_of(alg)
         assert check_implicative(kit, mode="pre-implicative").passed
         assert kit.imp == heyting_kit(opca).imp
 
 
 def test_lower_bound_feeds_the_infimum_witness():
     alg = PseudoDAlgebra(DIAMOND, join_sup(DIAMOND))
-    kit = implication_from_sup(alg)
+    kit = implication_of(alg)
     for mask in range(1 << len(DIAMOND.elements)):
         sub = frozenset(e for i, e in enumerate(DIAMOND.elements) if mask >> i & 1)
         for b in DIAMOND.elements:
@@ -406,7 +453,7 @@ def test_lower_bound_feeds_the_infimum_witness():
 
 def test_e_constant_tracks_application_exhaustively():
     alg = PseudoDAlgebra(L3, join_sup(L3))
-    kit = implication_from_sup(alg)
+    kit = implication_of(alg)
     for a in L3.elements:
         for b in L3.elements:
             ab = L3.app(a, b)

@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from realcheck import k2 as k2mod
+from realcheck.bco import opca_to_bco
 from realcheck.cli import main
 from realcheck.errors import StructureError
-from realcheck.formats import aks_to_dict, load_aks, load_map, load_opca, save_aks
+from realcheck.formats import aks_to_dict, load_aks, load_bco, load_map, load_opca, save_aks
 from realcheck.lattices import L2, chain, semilattice_opca
 from realcheck.opca import KIT_LEN_CAP
 
@@ -175,6 +176,23 @@ def test_check_bco_command(capsys, tmp_path):
         "functions": {"id": [["0", "0"], ["1", "1"]]}})
     code, out, _ = run(capsys, "check-bco", path)
     assert code == 0 and "bco.sub_identity" in out
+
+
+def test_check_bco_on_the_bco_fixtures(capsys):
+    # bco_l3 is the BCO view of l3 written out; bco_gap adds a function
+    # defined only at the top, so its domain is not downward closed
+    view = opca_to_bco(load_opca(FIXTURES / "l3.json")[0])
+    loaded = load_bco(FIXTURES / "bco_l3.json")
+    assert (loaded.elements, loaded.leq_pairs, loaded.functions) == \
+        (view.elements, view.leq_pairs, view.functions)
+    code, out, _ = run(capsys, "--format", "machine", "check-bco", str(FIXTURES / "bco_l3.json"))
+    assert code == 0
+    assert [json.loads(line)["verdict"] for line in out.splitlines()] == ["pass"] * 3
+    code, out, _ = run(capsys, "--format", "machine", "check-bco", str(FIXTURES / "bco_gap.json"))
+    records = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert code == 1
+    assert records["bco.domains_monotone"]["counterexample"] == ["top_only", "1", "0"]
+    assert [r["verdict"] for r in records.values()] == ["fail", "pass", "pass"]
 
 
 def test_check_filter_override(capsys):

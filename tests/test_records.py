@@ -10,8 +10,8 @@ import pytest
 
 from realcheck.aks import Aks, OrderCa, build_aks, order_ca
 from realcheck.bco import (BcoMorphism, DensityWitnesses, FiniteBco, PseudoDAlgebra,
-                           check_density, downset_monad, implication_from_sup,
-                           internal_meets, join_sup, opca_to_bco, sup_from_implication)
+                           check_density, downset_monad, internal_meets, join_sup,
+                           opca_to_bco, sup_from_implication)
 from realcheck.k2 import DiscreteReport
 from realcheck.lattices import L2
 from realcheck.opca import FiniteOpca
@@ -21,6 +21,7 @@ from realcheck.terms import App, Const, Diverged, K, S, Var, _Basic, compile_ter
 from realcheck.tripos import BooleanVerdict, Predicate
 
 from conftest import CHILD_ENV
+from test_bco import implication_of
 from test_golden import PERFBENCH
 
 L2U = L2.replace(U=frozenset({"0"}))
@@ -34,7 +35,7 @@ def frozen_records():
     """One instance of every frozen record class, with one of its fields."""
     built = build_aks(L2U, max_len=1)
     bco = opca_to_bco(L2)
-    kit = implication_from_sup(PseudoDAlgebra(L2, join_sup(L2)))
+    kit = implication_of(PseudoDAlgebra(L2, join_sup(L2)))
     identity = {a: a for a in L2.elements}
     return [
         (Var("x"), "name"), (K, "name"), (Const(0), "value"), (App(K, S), "fn"),

@@ -5,7 +5,11 @@
 the only place where the Booleanization scan builds predicates,
 ``Program.values`` the only interpreter of terms, and ``terms._subterms``
 the only walk over a whole term: no function in ``terms.py`` calls itself
-but ``parse_term``'s descent, which ``_MAX_DEPTH`` bounds.
+but ``parse_term``'s descent, which ``_MAX_DEPTH`` bounds.  Each derived
+value has one producer too: the truth values' top comes from ``find_top``
+alone, the (k, s) search from ``opca.first_ks``, a given U of ``build_aks``
+is checked by the opca constructor, and the kit terms are cached only as
+``_kit_program``'s roots.
 """
 
 import ast
@@ -65,6 +69,33 @@ def self_calls(source):
     """Scopes that call, by name, the function they are in."""
     return [scope for scope, node in scoped_nodes(ast.parse(source))
             if isinstance(node, ast.Call) and called_name(node) == scope.rsplit(".", 1)[-1]]
+
+
+def calls(name):
+    """(scope, called name) for every call in the module ``name``."""
+    path = next(p for p in SOURCES if p.name == name)
+    return [(scope, called_name(node)) for scope, node in
+            scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)]
+
+
+def test_each_derived_value_has_one_producer():
+    bco, aks, opca = calls("bco.py"), calls("aks.py"), calls("opca.py")
+    assert [scope for scope, name in bco if name == "internal_meets"] == \
+        ["preserves_finite_meets"] * 2
+    assert [scope for scope, name in bco if name == "find_top"] == \
+        ["internal_meets", "truth_values"]
+    assert [scope for scope, name in aks if name == "opca_to_bco"] == []
+    assert [name for scope, name in aks if scope.startswith("build_aks")
+            and name in ("is_downward_closed", "downward_closure")] == []
+    assert {scope for scope, name in aks + opca if name in ("k_law", "s_law")} == \
+        {"first_ks", "check_opca_axioms"}
+    assert {scope for scope, name in aks + opca if name == "first_ks"} == \
+        {"check_opca_axioms", "order_ca"}
+    path = next(p for p in SOURCES if p.name == "opca.py")
+    kit_terms = next(node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.FunctionDef) and node.name == "_kit_terms")
+    assert kit_terms.decorator_list == []
 
 
 def test_the_checks_find_searches_written_out_again():

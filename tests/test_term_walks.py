@@ -4,8 +4,9 @@ The recursive walkers they replaced are kept here as references: on any
 term, shared subterms included, the new code gives the same abstraction,
 program, text, free variables and value or message.  Terms thousands of
 levels deep then go through every term function at the default recursion
-limit, checked by strings and program steps, since comparing deep terms
-with ``==`` recurses.
+limit, checked by strings and program steps.  ``App``'s ``==`` and ``hash``
+run on their own stack too: they agree with a recursive comparison on
+shallow terms and answer on deep ones.
 """
 
 import ast
@@ -21,6 +22,7 @@ from realcheck import opca as opcamod
 from realcheck import terms as termsmod
 from realcheck.errors import CapExceeded
 from realcheck.opca import FiniteOpca
+from realcheck.opca import numeral
 from realcheck.terms import (BRACKET_NODE_CAP, App, Const, K, S, Var, app, bracket,
                              compile_terms, eval_in_opca, free_vars, lam, parse_term,
                              subst, term_str)
@@ -28,7 +30,7 @@ from realcheck.terms import (BRACKET_NODE_CAP, App, Const, K, S, Var, app, brack
 from conftest import STANDARD_OPCAS
 from test_compile import LIBRARY_SOURCES
 from test_opca import OUTSIDE, partial_opcas
-from test_terms import outcome
+from test_terms import OPEN_LEAVES, outcome, terms_strategy
 
 # -- the recursive walkers, as terms.py had them -------------------------------------
 
@@ -71,6 +73,13 @@ def recursive_lam(names, body):
     for name in reversed(names.split() if isinstance(names, str) else list(names)):
         body = recursive_bracket(name, body)
     return body
+
+
+def recursive_eq(a, b):
+    """The field-by-field comparison ``Value`` gives every record, recursing."""
+    if isinstance(a, App) and isinstance(b, App):
+        return recursive_eq(a.fn, b.fn) and recursive_eq(a.arg, b.arg)
+    return not isinstance(a, App) and not isinstance(b, App) and a == b
 
 
 def recursive_compile_terms(roots):
@@ -202,7 +211,7 @@ def test_kit_terms_match_the_recursive_walkers(monkeypatch, max_len):
             assert eval_in_opca(term, None, opca) == recursive_eval_in_opca(term, None, opca)
     # the kit built again with the recursive abstraction is the same terms
     monkeypatch.setattr(opcamod, "lam", recursive_lam)
-    assert opcamod._kit_terms.__wrapped__(max_len) == opcamod._kit_terms(max_len)
+    assert opcamod._kit_terms(max_len) == roots[1:5]
 
 
 def library_sources():
@@ -339,3 +348,25 @@ def test_a_body_past_the_node_cap_is_refused():
         bracket("x", App(at_cap, K))
     assert str(refused.value) == \
         f"subterms of the body to abstract: {BRACKET_NODE_CAP + 2} items exceeds cap 65536"
+
+
+@given(terms_strategy(OPEN_LEAVES), terms_strategy(OPEN_LEAVES))
+@settings(max_examples=300, deadline=None)
+def test_eq_and_hash_agree_with_the_recursive_comparison(a, b):
+    copy = subst(a, "zz", Const(0))  # an equal term built of new App objects
+    assert a == copy and not a != copy and hash(a) == hash(copy)
+    assert (a == b) == (b == a) == recursive_eq(a, b) == (not a != b)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == K) == recursive_eq(a, K) and (a == "K") is False
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+def test_deep_terms_compare_and_hash():
+    deep = numeral(1200)
+    copy = subst(deep, "zz", Const(0))
+    assert copy is not deep and copy == deep and hash(copy) == hash(deep)
+    assert deep != numeral(1199) and len({deep, copy, numeral(1199)}) == 2
+    chain = app(*leaves(DEPTH))
+    assert chain == subst(chain, "zz", K) and chain != subst(chain, "x", K)
+    assert hash(right_nested(leaves(DEPTH))) == hash(subst(right_nested(leaves(DEPTH)), "zz", K))
