@@ -383,7 +383,8 @@ def check_pseudo_d_algebra(alg, witnesses=None):
 
     ``witnesses`` may pin elements per clause ({"u": el, "g2": {fel: el},
     "g3": el, "h3": el, "g4": el, "h4": el}) to verify a given structure
-    instead of searching.
+    instead of searching.  A pinned witness outside the filter fails its
+    clause with (key, [filter element,] witness, "outside the filter").
     """
     host = alg.host
     rep = Report(alg.name)
@@ -391,20 +392,26 @@ def check_pseudo_d_algebra(alg, witnesses=None):
     filt = host.ordered(host.filter)
     witnesses = witnesses or {}
 
-    def search(key, pairs):
-        return host.tracker([witnesses[key]] if key in witnesses else filt, host.app, pairs)
+    def search(check, key, pairs, missing):
+        if key in witnesses and witnesses[key] not in host.filter:
+            return rep.verdict(check, (key, witnesses[key], "outside the filter"))
+        pool = [witnesses[key]] if key in witnesses else filt
+        return rep.found(check, key, host.tracker(pool, host.app, pairs), missing)
 
     # clause 1: u(sup alpha) <= sup alpha' for alpha <= alpha'
-    rep.found("sup.monotone_u", "u",
-              search("u", [(alg.value(a), alg.value(b))
-                           for a in downs for b in downs if a <= b]),
-              "no uniform u")
+    search("sup.monotone_u", "u", [(alg.value(a), alg.value(b))
+                                   for a in downs for b in downs if a <= b], "no uniform u")
 
     # clause 2: per filter element f, g2(sup alpha) <= sup(down f[alpha])
-    rep.per_key("sup.image_g2", "g2", witness_per_key(filt, lambda fel: host.tracker(
-        [witnesses["g2"][fel]] if "g2" in witnesses else filt, host.app,
-        [(alg.value(alpha), alg.value(host.downward_closure(prods))) for alpha in downs
-         if (prods := host.products((fel,), alpha)) is not None])))
+    g2 = witnesses.get("g2", {})
+    stray = next(((fel, w) for fel, w in g2.items() if w not in host.filter), None)
+    if stray is not None:
+        rep.verdict("sup.image_g2", ("g2", *stray, "outside the filter"))
+    else:
+        rep.per_key("sup.image_g2", "g2", witness_per_key(filt, lambda fel: host.tracker(
+            [g2[fel]] if "g2" in witnesses else filt, host.app,
+            [(alg.value(alpha), alg.value(host.downward_closure(prods))) for alpha in downs
+             if (prods := host.products((fel,), alpha)) is not None])))
 
     # clause 3: flattening both ways over families of downsets
     families = downsets_of_poset(downs, lambda a, b: a <= b,
@@ -412,23 +419,24 @@ def check_pseudo_d_algebra(alg, witnesses=None):
     pairs3 = [(alg.value(host.downward_closure({alg.value(a) for a in fam})),
                alg.value(frozenset().union(*fam)))
               for fam in families]
-    rep.found("sup.flatten_g3", "g3", search("g3", pairs3), "no g3")
-    rep.found("sup.flatten_h3", "h3", search("h3", [(y, x) for (x, y) in pairs3]), "no h3")
+    search("sup.flatten_g3", "g3", pairs3, "no g3")
+    search("sup.flatten_h3", "h3", [(y, x) for (x, y) in pairs3], "no h3")
 
     # clause 4: principal downsets collapse both ways
     pairs4 = [(alg.value(host.down(a)), a) for a in host.elements]
-    rep.found("sup.principal_g4", "g4", search("g4", pairs4), "no g4")
-    rep.found("sup.principal_h4", "h4", search("h4", [(y, x) for (x, y) in pairs4]), "no h4")
+    search("sup.principal_g4", "g4", pairs4, "no g4")
+    search("sup.principal_h4", "h4", [(y, x) for (x, y) in pairs4], "no h4")
     return rep
 
 
 def check_star(alg, v=None):
     """The uniform bound witness: v(sup alpha)·b <= c whenever every a·b <= c.
 
-    Returns the first filter element that works (or verifies ``v``), else None.
+    Returns the first filter element that works (or verifies ``v``), else
+    None; a ``v`` outside the filter is None.
     """
     host = alg.host
-    pool = [v] if v is not None else host.ordered(host.filter)
+    pool = host.ordered(host.filter if v is None else host.filter & {v})
     pairs = []
     for alpha in host.downsets():
         sup = alg.value(alpha)

@@ -162,20 +162,15 @@ def _cmd_check_tripos(args):
                 rep.add("tripos.roundtrip_sup", REFUSED, detail=str(e))
 
     if opca.U is not None:
-        n_downs, size = len(opca.downsets()), args.index_size
-        if n_downs ** size > args.predicate_cap:
-            rep.add("tripos.booleanization", REFUSED,
-                    detail=f"{n_downs}^{size} predicates exceed cap")
-        else:
-            try:
-                phi = triposmod.first_unstable(opca, size)
-            except InvariantViolation as e:  # the two forms agree only on an opca
-                rep.add("tripos.booleanization", REFUSED, detail=str(e))
-            else:
-                rep.verdict("tripos.booleanization",
-                            None if phi is None
-                            else tuple(sorted(map(str, phi(i))) for i in phi.index),
-                            {"predicates": n_downs ** size})
+        try:
+            phi = triposmod.first_unstable(opca)
+        except InvariantViolation as e:  # the two forms agree only on an opca
+            rep.add("tripos.booleanization", REFUSED, detail=str(e))
+        else:  # on pass, the generic predicate's index size
+            rep.verdict("tripos.booleanization",
+                        None if phi is None
+                        else tuple(sorted(map(str, phi(i))) for i in phi.index),
+                        {"predicates": len(opca.downsets())})
     return rep
 
 
@@ -249,8 +244,6 @@ def build_parser():
     p = sub.add_parser("check-tripos",
                        help="sup-algebra, pre-implicative, Booleanization suites")
     p.add_argument("file")
-    p.add_argument("--index-size", type=_non_negative_int, default=1)
-    p.add_argument("--predicate-cap", type=_non_negative_int, default=4096)
     p.set_defaults(fn=_cmd_check_tripos)
 
     p = sub.add_parser("check-localic",

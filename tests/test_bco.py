@@ -266,6 +266,37 @@ def test_nondistributive_lattices_fail_the_bound_only():
         assert check_star(alg) is None
 
 
+# '0' realizes every clause and the bound of L3's join sup (0·x = 0 is below
+# everything), so on L3, whose filter is {'1'}, only the filter gate fails it
+WIDE_L3 = L3.replace(filter=L3.element_set)
+
+
+@pytest.mark.parametrize("key, check", [
+    ("u", "sup.monotone_u"), ("g3", "sup.flatten_g3"), ("h3", "sup.flatten_h3"),
+    ("g4", "sup.principal_g4"), ("h4", "sup.principal_h4")])
+def test_a_pinned_witness_outside_the_filter_fails_its_clause(key, check):
+    wide = check_pseudo_d_algebra(PseudoDAlgebra(WIDE_L3, join_sup(L3)), witnesses={key: "0"})
+    assert wide.passed
+    rep = check_pseudo_d_algebra(PseudoDAlgebra(L3, join_sup(L3)), witnesses={key: "0"})
+    assert [r.check for r in rep.failures] == [check]
+    assert rep.record(check).counterexample == (key, "0", "outside the filter")
+
+
+def test_a_pinned_g2_outside_the_filter_names_its_filter_element():
+    wide = PseudoDAlgebra(WIDE_L3, join_sup(L3))
+    assert check_pseudo_d_algebra(wide, witnesses={"g2": dict.fromkeys("0m1", "0")}).passed
+    rep = check_pseudo_d_algebra(PseudoDAlgebra(L3, join_sup(L3)), witnesses={"g2": {"1": "0"}})
+    assert [r.check for r in rep.failures] == ["sup.image_g2"]
+    assert rep.record("sup.image_g2").counterexample == ("g2", "1", "0", "outside the filter")
+
+
+def test_a_pinned_bound_witness_outside_the_filter_is_none():
+    assert check_star(PseudoDAlgebra(WIDE_L3, join_sup(L3)), v="0") == "0"
+    alg = PseudoDAlgebra(L3, join_sup(L3))
+    assert check_star(alg, v="0") is None
+    assert check_star(alg, v="1") == check_star(alg) == "1"
+
+
 def test_sup_adjoint_to_principal_downsets():
     # unit side of the adjunction: some F-function lands each downset below
     # the principal downset of its sup

@@ -143,8 +143,8 @@ def test_monotone_u_with_k_is_fact_c(subjects):
     for host in hosts:
         for sup in sup_tables(host, rng):
             alg = PseudoDAlgebra(host, sup)
-            for K in host.elements:
-                want = fact_c(host, sup, K) is None
+            for K in host.elements:  # a u outside the filter fails by itself
+                want = K in host.filter and fact_c(host, sup, K) is None
                 rec = check_pseudo_d_algebra(alg, witnesses={"u": K}).record("sup.monotone_u")
                 assert rec.passed == want, (host.name, K)
                 outcomes.add(want)

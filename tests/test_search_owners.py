@@ -2,7 +2,8 @@
 
 ``FiniteBco.track`` is the only search of a structure's function set,
 ``Aks`` itself the only reader of its pole rows, ``tripos.first_unstable``
-the only place where the Booleanization scan builds predicates,
+the only place where the Booleanization scan builds its predicates (each
+single downset, then the generic predicate),
 ``Program.values`` the only interpreter of terms, and ``terms._subterms``
 the only walk over a whole term: no function in ``terms.py`` calls itself
 but ``parse_term``'s descent, which ``_MAX_DEPTH`` bounds.  Each derived

@@ -103,7 +103,7 @@ def test_booleanization_without_a_filter_is_refused_by_name():
     with pytest.raises(StructureError, match=message):
         boolean_leq(phi, phi, unfiltered)
     with pytest.raises(StructureError, match=message):
-        first_unstable(unfiltered, 1)
+        first_unstable(unfiltered)
 
 
 def test_an_arrow_that_is_no_downset_is_named():
