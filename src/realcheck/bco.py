@@ -11,7 +11,8 @@ On top of that this module provides: morphisms and their preorder, the
 downset construction with unit/multiplication, internal finite meets and
 designated truth values, pseudo-sup-algebra verification with the uniform
 bound condition, applicative-morphism and computational-density checkers,
-and the two constructions trading a sup map against implication/infima.
+and the two constructions trading a sup map against implication/infima
+(the infima keyed by ``Poset.closed_downsets``, the lower-bound sets).
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ __all__ = [
     "sup_from_implication", "implication_from_sup",
 ]
 
-# Enumerations refused with CapExceeded before their first case: the subsets
-# of _all_subsets and the candidate maps of find_right_adjoint above
-# _ENUM_CAP, the cases of derivation fact (a) above _FACT_A_CAP.  No fixture
-# reaches either.
-_ENUM_CAP = 1 << 16
-_FACT_A_CAP = 1 << 20
+_ENUM_CAP = 1 << 16  # find_right_adjoint refuses more candidate maps before the first
 
 MEET_CANDIDATE_CAP = 20000  # internal meets try every map A x A -> A up to this many
 
@@ -370,7 +366,7 @@ def join_sup(opca):
     """sup as the poset least upper bound of each downset (the locale case)."""
     sup = {}
     for alpha in opca.downsets():
-        lub = opca.least([x for x in opca.elements if all(opca.leq(a, x) for a in alpha)])
+        lub = opca.least(opca.upper(alpha))
         if lub is None:
             raise StructureError(f"no least upper bound for {sorted(map(str, alpha))}",
                                  source=opca.name)
@@ -443,8 +439,7 @@ def check_star(alg, v=None):
         for b in host.elements:
             prods = host.products(alpha, (b,))
             if prods is not None:
-                pairs += [((sup, b), c) for c in host.elements
-                          if all(host.leq(p, c) for p in prods)]
+                pairs += [((sup, b), c) for c in host.ordered(host.upper(prods))]
     return host.tracker(pool, lambda cand, xb: host.app_app(cand, *xb), pairs)
 
 
@@ -609,45 +604,54 @@ def find_right_adjoint(fmap, src, dst):
 # ---------------------------------------------------------------------------
 
 class ImplicativeKit(Frozen):
-    """Witnessed infima over arbitrary subsets plus an implication."""
+    """Witnessed infima plus an implication; an infimum of S depends only on
+    its lower bounds, so ``inf_of(S)`` reads inf[host.lower(S)]."""
 
     _fields = ("host",
-               "inf",  # frozenset -> element, total on all subsets
+               "inf",  # closed downset -> element, total on host.closed_downsets()
                "imp",  # (b, c) -> element, total
                "i", "i_prime", "e", "e_prime", "name")
     name = "kit"
 
     def inf_of(self, subset):
-        return self.inf[frozenset(subset)]
+        return self.inf[self.host.lower(subset)]
 
     def imp_of(self, b, c):
         return self.imp[(b, c)]
 
 
-def _all_subsets(elements):
-    """Every subset of ``elements``; refuses above _ENUM_CAP subsets."""
-    if 1 << len(elements) > _ENUM_CAP:
-        raise CapExceeded(f"subsets of {len(elements)} elements",
-                          1 << len(elements), _ENUM_CAP)
-    return (frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
-            for mask in range(1 << len(elements)))
+def _bounded(host, low):
+    """The names of upper(low), sorted: the largest subset with lower bounds low."""
+    return tuple(sorted(map(str, host.upper(low))))
 
 
 def check_implicative(kit, mode="pre-implicative"):
-    """Clause-by-clause verdicts for pre-implicative or ioca structure."""
+    """Clause-by-clause verdicts for pre-implicative or ioca structure.
+
+    Infima are checked per closed downset L, naming upper(L), the union of
+    the subsets with lower bounds L.  A constant outside the filter fails
+    its clause with (name, value, "outside the filter").
+    """
     host = kit.host
+    if host.filter is None:
+        raise StructureError("kit host needs a filter", source=host.name)
     rep = Report(kit.name)
     if mode not in ("pre-implicative", "ioca"):
         raise ValueError(mode)
 
     els = host.elements
+    closed = host.closed_downsets()
+
+    def outside_filter(*constants):
+        return next(((n, v, "outside the filter") for n, v in constants
+                     if v not in host.filter), None)
+
     if mode == "ioca":
         rep.verdict("ioca.total_application",
                     next(((a, b) for a in els for b in els if host.app(a, b) is None), None))
         rep.verdict("ioca.poset_has_infima",
-                    next(((tuple(sorted(map(str, subset))),) for subset in _all_subsets(els)
-                          if host.greatest([x for x in els if all(host.leq(x, a) for a in subset)])
-                          is None), None))
+                    next(((_bounded(host, low),) for low in closed
+                          if host.greatest(low) is None), None))
         rep.verdict("ioca.imp_adjunction",
                     next(((a, b, c) for a in els for b in els for c in els
                           if host.app(a, b) is not None
@@ -660,21 +664,21 @@ def check_implicative(kit, mode="pre-implicative"):
                           if not host.leq(kit.imp_of(a2, b), kit.imp_of(a, b))
                           or not host.leq(kit.imp_of(b, a), kit.imp_of(b, a2))), None))
 
-    def inf_failure(subset):
-        """(a,) when i·inf(subset) is not below some a in it, ("i'", b) when
-        i'·b is not below inf(subset) for a lower bound b, else None."""
-        inf_v = kit.inf_of(subset)
+    def inf_failure(low):
+        """(a,) when i·inf[low] is not below some a in upper(low), ("i'", b)
+        when i'·b is not below inf[low] for some b in low, else None."""
+        inf_v = kit.inf[low]
         got = host.app(kit.i, inf_v)
-        return next(((a,) for a in host.ordered(subset)
+        return next(((a,) for a in host.ordered(host.upper(low))
                      if got is None or not host.leq(got, a)), None) \
-            or next((("i'", b) for b in els
-                     if all(host.leq(b, a) for a in subset)
-                     and ((ib := host.app(kit.i_prime, b)) is None or not host.leq(ib, inf_v))),
+            or next((("i'", b) for b in host.ordered(low)
+                     if (ib := host.app(kit.i_prime, b)) is None or not host.leq(ib, inf_v)),
                     None)
 
     rep.verdict("implicative.inf_witnessed",
-                next(((tuple(sorted(map(str, subset))),) + bad for subset in _all_subsets(els)
-                      if (bad := inf_failure(subset)) is not None), None))
+                outside_filter(("i", kit.i), ("i'", kit.i_prime))
+                or next(((_bounded(host, low),) + bad for low in closed
+                         if (bad := inf_failure(low)) is not None), None))
 
     def imp_failure(a, b, c):
         ab = host.app(a, b)
@@ -689,8 +693,9 @@ def check_implicative(kit, mode="pre-implicative"):
         return None
 
     rep.verdict("implicative.imp_witnessed",
-                next((bad for a in els for b in els for c in els
-                      if (bad := imp_failure(a, b, c)) is not None), None))
+                outside_filter(("e", kit.e), ("e'", kit.e_prime))
+                or next((bad for a in els for b in els for c in els
+                         if (bad := imp_failure(a, b, c)) is not None), None))
     return rep
 
 
@@ -737,7 +742,7 @@ def sup_from_implication(kit):
     terms over the kit constants, verifies facts (a), (b) and (d), and checks
     the sup-algebra clauses (clause 1 with u = K is fact (c)) and the bound
     with exactly these witnesses.  A failed clause raises ConstructionError
-    naming it; past _FACT_A_CAP cases of fact (a), CapExceeded before any.
+    naming it.
     """
     host = kit.host
     if host.filter is None:
@@ -746,9 +751,9 @@ def sup_from_implication(kit):
     def sup_of(alpha):
         outer = set()
         for b in host.elements:
-            inner = kit.inf_of(frozenset(kit.imp_of(a, b) for a in alpha))
+            inner = kit.inf_of({kit.imp_of(a, b) for a in alpha})
             outer.add(kit.imp_of(inner, b))
-        return kit.inf_of(frozenset(outer))
+        return kit.inf_of(outer)
 
     downs = host.downsets()
     sup = {alpha: sup_of(alpha) for alpha in downs}
@@ -795,32 +800,24 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
     """Facts (a), (b) and (d) satisfied by the derived combinators, exhaustively
     (fact (c) is the sup-algebra check's clause 1 with u = K).
 
-    Fact (a) reads every family over every downset alpha and every part of
-    it: the sum of |A|^|alpha| * 2^|alpha| cases, refused above _FACT_A_CAP.
+    Fact (a), eta·inf(V) <= inf(W) for the values W <= V of a family over a
+    downset and of a part of it, reads only the closed L = lower(V) within
+    L' = lower(W), and every such pair arises; a failure names (upper(L),
+    upper(L')).
     """
     host = kit.host
-    size = len(host.elements)
-    cases = sum(size ** len(alpha) << len(alpha) for alpha in downs)
-    if cases > _FACT_A_CAP:
-        raise CapExceeded(f"derivation fact (a) cases of {host.name}", cases, _FACT_A_CAP)
     eta, xi, P = (combinators[n] for n in ("eta", "xi", "P"))
 
     def fail(which, ctx):
         raise ConstructionError(f"derivation fact ({which}) fails at {ctx!r}")
 
-    # (a) eta restricts an inf over a family to any subfamily
-    for alpha in downs:
-        alpha_l = host.ordered(alpha)
-        for fam in product(host.elements, repeat=len(alpha_l)):
-            phi = dict(zip(alpha_l, fam))
-            whole = kit.inf_of(frozenset(phi.values()))
-            got = host.app(eta, whole)
-            if got is None:
-                fail("a", (alpha_l, fam))
-            for mask in range(1 << len(alpha_l)):
-                part = frozenset(phi[a] for i, a in enumerate(alpha_l) if mask >> i & 1)
-                if not host.leq(got, kit.inf_of(part)):
-                    fail("a", (alpha_l, fam, sorted(map(str, part))))
+    # (a) eta restricts an infimum to any subset; leq(None, x) is False
+    closed = host.closed_downsets()
+    for low in closed:
+        got = host.app(eta, kit.inf[low])
+        wider = next((w for w in closed if low <= w and not host.leq(got, kit.inf[w])), None)
+        if wider is not None:
+            fail("a", (_bounded(host, low), _bounded(host, wider)))
 
     # (b) xi weakens an implication on both sides
     for b in host.elements:
@@ -841,9 +838,7 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
             prods = host.products((f,), alpha)
             if prods is None:
                 continue
-            for b in host.elements:
-                if not all(host.leq(v, b) for v in prods):
-                    continue
+            for b in host.ordered(host.upper(prods)):
                 got = host.app_app(P, f, sup[alpha])
                 if got is None or not host.leq(got, b):
                     fail("d", (f, sorted(map(str, alpha)), b))
@@ -853,17 +848,19 @@ def implication_from_sup(alg, report, v):
     """Recover an implicative kit from a sup-algebra with the bound condition.
 
     imp(b,c) = sup of {a | a·b' defined and below c for all b' <= b};
-    inf(alpha) = sup of the lower bounds of alpha.  The constants come from
-    the clause witnesses: e = <x> u (h4 x), e' = the bound witness, i = the
-    clause-2 witness for s·k·k (strengthened through g4∘u when the bare
-    witness does not verify), i' = e.  ``report`` is the caller's
-    ``check_pseudo_d_algebra(alg)`` and ``v`` its ``check_star(alg)``.
+    inf[L] = sup L for each closed downset L (the lower bounds of the subsets
+    it is the infimum of).  The constants come from the clause witnesses:
+    e = <x> u (h4 x), e' = the bound witness, i = the clause-2 witness for
+    s·k·k (strengthened through g4∘u when the bare witness does not
+    verify), i' = e.  ``report`` is the caller's
+    ``check_pseudo_d_algebra(alg)`` and ``v`` its ``check_star(alg)``; a
+    ``v`` outside the filter is a ConstructionError.
     """
     host = alg.host
     if not report.passed:
         raise ConstructionError("implication_from_sup needs a passing algebra")
-    if v is None:
-        raise ConstructionError("implication_from_sup needs the uniform bound witness")
+    if v not in host.filter:  # None too: no witness was found
+        raise ConstructionError(f"uniform bound witness v = {v!r} lies outside the filter")
 
     u = report.record("sup.monotone_u").witnesses["u"]
     h4 = report.record("sup.principal_h4").witnesses["h4"]
@@ -878,20 +875,12 @@ def implication_from_sup(alg, report, v):
         for c in host.elements:
             imp[(b, c)] = alg.value(host.arrow(host.down(b), host.down(c)))
 
-    inf = {}
-    for subset in _all_subsets(host.elements):
-        lower = frozenset(x for x in host.elements
-                          if all(host.leq(x, a) for a in subset))
-        inf[subset] = alg.value(lower)
+    inf = {low: alg.value(low) for low in host.closed_downsets()}
 
     e = _value_or_fail(host, r"\x. u (h4 x)", {"u": u, "h4": h4}, "e")
 
-    def inf_clause_holds(cand):
-        for subset in _all_subsets(host.elements):
-            got = host.app(cand, inf[subset])
-            if got is None or not all(host.leq(got, a) for a in subset):
-                return False
-        return True
+    def inf_clause_holds(cand):  # in L = lower(upper(L)): below what L bounds
+        return all(host.app(cand, inf[low]) in low for low in inf)
 
     i = g2_skk
     if not inf_clause_holds(i):

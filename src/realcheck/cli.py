@@ -148,18 +148,15 @@ def _cmd_check_tripos(args):
         agree = appl_ok == (star is not None)
         rep.verdict("tripos.star_equals_applicative", None if agree else (appl_ok, star))
         if alg_rep.passed and star is not None:
-            try:  # every step of the round trip enumerates under a cap
-                kit = bcomod.implication_from_sup(alg, report=alg_rep, v=star)
-                kit_rep = bcomod.check_implicative(kit, mode="pre-implicative")
-                rep.extend(kit_rep)
-                if kit_rep.passed:
-                    try:
-                        bcomod.sup_from_implication(kit)
-                        rep.verdict("tripos.roundtrip_sup")
-                    except ConstructionError as e:
-                        rep.verdict("tripos.roundtrip_sup", (str(e),))
-            except CapExceeded as e:
-                rep.add("tripos.roundtrip_sup", REFUSED, detail=str(e))
+            kit = bcomod.implication_from_sup(alg, report=alg_rep, v=star)
+            kit_rep = bcomod.check_implicative(kit, mode="pre-implicative")
+            rep.extend(kit_rep)
+            if kit_rep.passed:
+                try:
+                    bcomod.sup_from_implication(kit)
+                    rep.verdict("tripos.roundtrip_sup")
+                except ConstructionError as e:
+                    rep.verdict("tripos.roundtrip_sup", (str(e),))
 
     if opca.U is not None:
         try:

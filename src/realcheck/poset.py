@@ -1,12 +1,12 @@
 """The poset core shared by every structure: carrier, order, downsets.
 
 ``Poset`` owns the carrier checks, the reflexive-transitive closure of the
-order, the order queries, the downsets, least/greatest elements, meets and
-the tracker search ("first candidate g with g(x) defined and <= y for every
-pair (x, y)"); ``witness_per_key`` runs a search per key.  ``FiniteOpca``
-and ``FiniteBco`` extend it.  The order may be a preorder: nothing here
-assumes antisymmetry.  The downsets and the closed stack sets of
-``aks.py`` both come from ``closed_masks``.
+order, the order queries, the downsets, the bounds of a subset, least and
+greatest elements, meets and the tracker search ("first candidate g with
+g(x) defined and <= y for every pair (x, y)"); ``witness_per_key`` runs a
+search per key.  ``FiniteOpca`` and ``FiniteBco`` extend it.  The order
+may be a preorder: nothing here assumes antisymmetry.  The downsets and
+the closed stack sets of ``aks.py`` both come from ``closed_masks``.
 """
 
 from __future__ import annotations
@@ -129,6 +129,19 @@ class Poset(Frozen):
         """All downward closed subsets, smallest first; past DOWNSET_CAP, CapExceeded."""
         return downsets_of_poset(self.elements, self.leq,
                                  what=f"downsets of {self.name}")
+
+    def lower(self, subset):
+        """The elements below every element of the collection ``subset``."""
+        return frozenset(x for x in self.elements if all((x, a) in self.leq_pairs for a in subset))
+
+    def upper(self, subset):
+        """The elements above every element of the collection ``subset``."""
+        return frozenset(x for x in self.elements if all((a, x) in self.leq_pairs for a in subset))
+
+    def closed_downsets(self):
+        """The sets lower(S) of the subsets S (the Dedekind-MacNeille cuts), as
+        the downsets L with lower(upper(L)) == L, in ``downsets`` order."""
+        return [low for low in self.downsets() if self.lower(self.upper(low)) == low]
 
     def least(self, subset):
         """First element of ``subset`` in carrier order below all of it, or None."""

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from realcheck.bco import (BcoMorphism, FiniteBco, ImplicativeKit,
-                           PseudoDAlgebra, _all_subsets, applicative_verdict, check_bco,
+                           PseudoDAlgebra, applicative_verdict, check_bco,
                            check_applicative_morphism, check_bco_morphism,
                            check_density, check_implicative,
                            check_pseudo_d_algebra, check_star, downset_bco,
@@ -30,12 +30,9 @@ def implication_of(alg):
 
 
 def heyting_kit(opca, name="heyting"):
-    """Infima over subsets plus the relative pseudo-complement arrow."""
-    inf = {}
-    for mask in range(1 << len(opca.elements)):
-        sub = frozenset(e for i, e in enumerate(opca.elements) if mask >> i & 1)
-        lower = [x for x in opca.elements if all(opca.leq(x, a) for a in sub)]
-        inf[sub] = next(x for x in lower if all(opca.leq(y, x) for y in lower))
+    """Infima over the closed downsets plus the relative pseudo-complement arrow."""
+    inf = {low: next(x for x in low if all(opca.leq(y, x) for y in low))
+           for low in opca.closed_downsets()}
     imp = {}
     for b in opca.elements:
         for c in opca.elements:
@@ -422,12 +419,36 @@ def test_ioca_mode_rejects_partial_application():
                          table={("1", "1"): "1", ("1", "0"): "0", ("0", "1"): "0"},
                          k="1", s="1", filter=frozenset({"1"}), name="partial")
     kit = ImplicativeKit(partial,
-                         {frozenset(): "1", frozenset({"0"}): "0",
-                          frozenset({"1"}): "1", frozenset({"0", "1"}): "0"},
+                         {frozenset({"0"}): "0", frozenset({"0", "1"}): "1"},
                          {(b, c): "1" for b in ("0", "1") for c in ("0", "1")},
                          i="1", i_prime="1", e="1", e_prime="1", name="partial-kit")
     rep = check_implicative(kit, mode="ioca")
     assert rep.record("ioca.total_application").verdict == "fail"
+
+
+@pytest.mark.parametrize("constant, field, check", [
+    ("i", "i", "implicative.inf_witnessed"),
+    ("i'", "i_prime", "implicative.inf_witnessed"),
+    ("e", "e", "implicative.imp_witnessed"),
+    ("e'", "e_prime", "implicative.imp_witnessed"),
+])
+def test_kit_constant_outside_the_filter_fails_its_clause(constant, field, check):
+    # on L3 application is the meet, so '0' would pass both scans as any of
+    # the four constants; the filter is {'1'}
+    kit = heyting_kit(L3)
+    moved = ImplicativeKit(**{**{f: getattr(kit, f) for f in ImplicativeKit._fields},
+                              field: "0"})
+    rep = check_implicative(moved)
+    assert rep.record(check).counterexample == (constant, "0", "outside the filter")
+    assert [r.check for r in rep.failures] == [check]
+
+
+def test_kit_without_a_filter_is_refused():
+    kit = heyting_kit(L3)
+    bare = ImplicativeKit(L3.replace(filter=None), kit.inf, kit.imp, kit.i, kit.i_prime,
+                          kit.e, kit.e_prime)
+    with pytest.raises(StructureError, match="kit host needs a filter"):
+        check_implicative(bare)
 
 
 def test_ioca_mode_passes_on_heyting_lattice():
@@ -439,19 +460,20 @@ from realcheck.bco import check_implicative
 from realcheck.lattices import DIAMOND
 from test_bco import heyting_kit
 kit = heyting_kit(DIAMOND)
-kit.inf[frozenset({"a", "b"})] = "1"
+kit.inf[DIAMOND.lower({"a", "b"})] = "1"
 print(check_implicative(kit).record("implicative.inf_witnessed").counterexample)
 """
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_inf_counterexample_does_not_follow_the_hash_seed(seed):
-    # i·1 = 1 is below neither a nor b; the subset is walked in carrier order
+    # {a, b} has the lower bounds {0}, whose infimum is set to 1; i·1 = 1 is
+    # not below 0, the first of upper({0}) in carrier order
     path = os.pathsep.join([str(Path(__file__).parent), CHILD_ENV["PYTHONPATH"]])
     env = {**CHILD_ENV, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", INF_FAILURE], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "(('a', 'b'), 'a')\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "(('0', '1', 'a', 'b'), '0')\n"), proc.stderr
 
 
 # -- the two constructions --------------------------------------------------------------------
@@ -494,6 +516,23 @@ def test_e_constant_tracks_application_exhaustively():
                     assert got is not None and L3.leq(got, kit.imp_of(b, c))
 
 
+def test_implication_from_sup_refuses_a_bound_witness_outside_the_filter():
+    alg = PseudoDAlgebra(L3, join_sup(L3))
+    assert check_star(alg, v="0") is None
+    with pytest.raises(ConstructionError,
+                       match="uniform bound witness v = '0' lies outside the filter"):
+        implication_from_sup(alg, check_pseudo_d_algebra(alg), "0")
+
+
+def test_derived_sup_names_the_infima_that_break_fact_a():
+    # inf[{0}] = 1 is not below inf[{0, m}] = m, and eta acts as the identity
+    kit = heyting_kit(L3)
+    kit.inf[frozenset({"0"})] = "1"
+    with pytest.raises(ConstructionError) as exc:
+        sup_from_implication(kit)
+    assert str(exc.value) == "derivation fact (a) fails at (('0', '1', 'm'), ('1', 'm'))"
+
+
 def test_derived_sup_fails_loudly_on_broken_kit():
     kit = heyting_kit(L3)
     broken = ImplicativeKit(L3, kit.inf, {bc: "0" for bc in kit.imp},
@@ -504,16 +543,6 @@ def test_derived_sup_fails_loudly_on_broken_kit():
 
 
 # -- enumeration caps ------------------------------------------------------------------
-
-def test_derivation_facts_refuse_above_the_cap_before_any_case(monkeypatch):
-    # fact (a) on the diamond: the sum over downsets of 5^|alpha| * 2^|alpha|
-    monkeypatch.setattr("realcheck.bco._FACT_A_CAP", 4744)
-    with pytest.raises(CapExceeded) as exc:
-        sup_from_implication(heyting_kit(DIAMOND))
-    assert (exc.value.count, exc.value.cap) == (4745, 4744)
-    monkeypatch.setattr("realcheck.bco._FACT_A_CAP", 4745)
-    assert sup_from_implication(heyting_kit(DIAMOND)).report.passed
-
 
 def test_every_downset_enumeration_reads_the_one_cap(monkeypatch):
     # L3 has 4 downsets, and the families of clause 3 (downsets of those) are 5
@@ -531,11 +560,7 @@ def test_every_downset_enumeration_reads_the_one_cap(monkeypatch):
     assert str(exc.value) == "double downsets of L3: 5 items exceeds cap 4"
 
 
-def test_subset_and_adjoint_enumerations_are_capped(monkeypatch):
-    with pytest.raises(CapExceeded) as exc:
-        _all_subsets(tuple(range(17)))
-    assert (exc.value.count, exc.value.cap) == (1 << 17, 1 << 16)
-    assert next(_all_subsets(tuple(range(16)))) == frozenset()
+def test_adjoint_enumeration_is_capped(monkeypatch):
     monkeypatch.setattr("realcheck.bco._ENUM_CAP", 26)
     ident = {a: a for a in L3.elements}
     with pytest.raises(CapExceeded) as exc:

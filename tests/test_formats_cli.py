@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -332,37 +333,35 @@ def test_check_tripos_refuses_without_joins(capsys):
     assert code == 1 and "refused" in out
 
 
-def test_check_tripos_refuses_the_derivation_facts_on_the_cube(capsys, tmp_path):
-    # on the Boolean cube fact (a) of the sup derivation has about 4.6e9
-    # cases; the round trip is refused up front and the rest still runs
+def test_check_tripos_answers_the_round_trip_on_the_cube(capsys, tmp_path):
+    # fact (a) of the sup derivation reads the 8 closed downsets of the
+    # Boolean cube, not its about 4.6e9 families and parts
     els = ("000", "001", "010", "100", "011", "101", "110", "111")
     covers = {(a, b) for a in els for b in els
               if sum(map(int, b)) == sum(map(int, a)) + 1
               and all(x <= y for x, y in zip(a, b))}
     cube = semilattice_opca(els, covers, U={"000"}, name="cube")
     path = write(tmp_path, "cube.json", opca_to_dict(cube))
+    start = time.perf_counter()
     code, out, err = run(capsys, "--format", "machine", "check-tripos", path)
+    elapsed = time.perf_counter() - start
     records = {r["check"]: r for r in map(json.loads, out.splitlines())}
-    assert code == 1 and "Traceback" not in err
-    roundtrip = records["tripos.roundtrip_sup"]
-    assert roundtrip["verdict"] == "refused"
-    assert roundtrip["detail"] == (f"derivation fact (a) cases of {path}: "
-                                   "4617155345 items exceeds cap 1048576")
+    assert code == 0, err
+    assert records["tripos.roundtrip_sup"]["verdict"] == "pass"
     assert records["tripos.booleanization"]["verdict"] == "pass"
+    assert elapsed < 1.0
 
 
-def test_check_tripos_refuses_the_implicative_kit_on_a_long_chain(capsys, tmp_path):
-    # the 17-element chain passes the sup-algebra checks, but reading its
-    # infima takes 2^17 subsets; the round trip is refused, the rest still runs
+def test_check_tripos_answers_the_round_trip_on_a_long_chain(capsys, tmp_path):
+    # the 17-element chain has 2^17 subsets but 17 closed downsets, one per
+    # infimum the implicative kit reads
     path = write(tmp_path, "chain17.json",
                  opca_to_dict(chain(17).replace(U=frozenset({"c0"}))))
     code, out, err = run(capsys, "--format", "machine", "check-tripos", path)
     records = {r["check"]: r for r in map(json.loads, out.splitlines())}
-    assert code == 1 and "Traceback" not in err
+    assert code == 0, err
     assert records["tripos.star"]["verdict"] == "pass"
-    roundtrip = records["tripos.roundtrip_sup"]
-    assert roundtrip["verdict"] == "refused"
-    assert roundtrip["detail"] == "subsets of 17 elements: 131072 items exceeds cap 65536"
+    assert records["tripos.roundtrip_sup"]["verdict"] == "pass"
     assert records["tripos.booleanization"]["verdict"] == "pass"
 
 

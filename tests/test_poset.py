@@ -125,6 +125,19 @@ def test_downsets_match_brute_force(poset):
             == reference_downsets(downs, frozenset.__le__))
 
 
+@pytest.mark.parametrize("poset", list(posets_under_test()),
+                         ids=lambda p: p.name if p.name != "poset" else str(p.elements))
+def test_closed_downsets_are_the_lower_bounds_of_the_subsets(poset):
+    els, leq = poset.elements, poset.leq_pairs
+    subsets = [frozenset(e for i, e in enumerate(els) if mask >> i & 1)
+               for mask in range(1 << len(els))]
+    for sub in subsets:
+        assert poset.lower(sub) == {x for x in els if all((x, a) in leq for a in sub)}
+        assert poset.upper(sub) == {x for x in els if all((a, x) in leq for a in sub)}
+    lowers = {poset.lower(sub) for sub in subsets}
+    assert poset.closed_downsets() == [d for d in poset.downsets() if d in lowers]
+
+
 def test_preorder_downsets_keep_order_cycles():
     got = PREORDER.downsets()
     assert frozenset({"a", "b"}) not in got  # c is below a
@@ -164,6 +177,8 @@ def test_least_and_greatest_follow_carrier_order():
     assert PREORDER.least({"c", "d"}) is None
     assert l3.meet("0", "1") == "0" and l3.meet("m", "1") == "m"
     assert PREORDER.meet("a", "b") == "a" and PREORDER.meet("a", "d") is None
+    assert PREORDER.lower({"a"}) == {"a", "b", "c"} and PREORDER.upper({"c"}) == {"a", "b", "c"}
+    assert PREORDER.lower(()) == PREORDER.element_set and PREORDER.upper({"c", "d"}) == set()
 
 
 def test_bco_gets_the_carrier_checks():

@@ -10,7 +10,11 @@ but ``parse_term``'s descent, which ``_MAX_DEPTH`` bounds.  Each derived
 value has one producer too: the truth values' top comes from ``find_top``
 alone, the (k, s) search from ``opca.first_ks``, a given U of ``build_aks``
 is checked by the opca constructor, and the kit terms are cached only as
-``_kit_program``'s roots.
+``_kit_program``'s roots.  ``Poset.lower`` and ``Poset.upper`` own the
+bounds of a subset: no module but ``poset.py`` writes one out as
+``all(... .leq(...) for ...)``, and none lists every subset of a collection
+but ``lattices._lattice_orders``, whose candidate orders are the subsets of
+their free pairs.
 """
 
 import ast
@@ -70,6 +74,28 @@ def self_calls(source):
     """Scopes that call, by name, the function they are in."""
     return [scope for scope, node in scoped_nodes(ast.parse(source))
             if isinstance(node, ast.Call) and called_name(node) == scope.rsplit(".", 1)[-1]]
+
+
+def bound_scans(source):
+    """Scopes of an ``all(...)`` over a generator of ``leq`` calls."""
+    return [scope for scope, node in scoped_nodes(ast.parse(source))
+            if isinstance(node, ast.Call) and called_name(node) == "all"
+            and isinstance(gen := node.args[0], ast.GeneratorExp)
+            and isinstance(gen.elt, ast.Call) and called_name(gen.elt) == "leq"]
+
+
+def every_mask(node):
+    """Whether ``node`` is ``range(1 << ...)``."""
+    return (isinstance(node, ast.Call) and called_name(node) == "range"
+            and isinstance(shift := node.args[0], ast.BinOp) and isinstance(shift.op, ast.LShift)
+            and isinstance(shift.left, ast.Constant) and shift.left.value == 1)
+
+
+def subset_enumerations(source):
+    """Scopes that loop over ``range(1 << ...)`` or call ``combinations``."""
+    return [scope for scope, node in scoped_nodes(ast.parse(source))
+            if isinstance(node, (ast.For, ast.comprehension)) and every_mask(node.iter)
+            or isinstance(node, ast.Call) and called_name(node) == "combinations"]
 
 
 def calls(name):
@@ -141,6 +167,40 @@ class Program:
 '''
     assert self_calls(recursive) == ["free_vars", "free_vars", "term_str.go", "term_str.go",
                                      "Program.values"]
+
+
+def test_the_checks_find_bounds_and_subsets_written_out_again():
+    written_out = '''
+def _all_subsets(elements):
+    return (frozenset(e for i, e in enumerate(elements) if mask >> i & 1)
+            for mask in range(1 << len(elements)))
+
+def check_implicative(kit):
+    lower = [x for x in els if all(host.leq(x, a) for a in subset)]
+    for r in range(len(els) + 1):
+        parts = list(combinations(els, r))
+
+def _verify_derivation_facts(kit):
+    for mask in range(1 << len(alpha_l)):
+        if not all(host.leq(v, b) for v in prods):
+            continue
+    return all(leq(a, x) and x for a in alpha)
+'''
+    assert bound_scans(written_out) == ["check_implicative", "_verify_derivation_facts"]
+    assert subset_enumerations(written_out) == ["_all_subsets", "check_implicative",
+                                                "_verify_derivation_facts"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "poset.py"],
+                         ids=lambda p: p.name)
+def test_only_the_poset_core_writes_out_a_bound(path):
+    assert bound_scans(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_lists_every_subset(path):
+    expected = ["_lattice_orders"] if path.name == "lattices.py" else []
+    assert subset_enumerations(path.read_text(encoding="utf-8")) == expected
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
