@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from itertools import product
 
-from . import bco as bcomod
+from . import bco as bcomod, opca as opcamod, terms as termsmod
 from .errors import ConstructionError, StructureError
-from .opca import FiniteOpca, check_filter, check_opca_axioms, derive_sequence_kit, first_ks
 from .poset import bits, closed_masks
 from .record import Frozen, set_field
 from .report import Report
-from .terms import compile_closed
 
 __all__ = [
     "Aks", "orthogonal_terms", "orthogonal_stacks", "biorthogonal_closure",
@@ -278,7 +276,7 @@ _CC = r"\p. b n0 p (d (kOf (c n1 p)) (c n1 p))"
 def _kit_values(opca, slots, *sources):
     """The values of the closed ``sources`` with their slots filled from
     ``slots``; the first undefined one raises, naming its term."""
-    program = compile_closed(*sources)
+    program = termsmod.compile_closed(*sources)
     values = program.run(opca, slots)
     for i, value in enumerate(values):
         if value is None:
@@ -307,7 +305,7 @@ def build_aks(opca, max_len=3, U=None):
         raise StructureError("U meets the filter", source=opca.name, field="U")
 
     # b, c, d and the sequence codes are the kit's: evaluated and verified once
-    kit = derive_sequence_kit(opca, max_len=max_len)
+    kit = opcamod.derive_sequence_kit(opca, max_len=max_len)
     slots = {name: kit.element(term) for name, term in (("b", kit.b), ("c", kit.c), ("d", kit.d))}
     d_el = slots["d"]
 
@@ -444,9 +442,9 @@ def order_ca(aks):
     candidates.extend(alpha for alpha in carrier if alpha not in candidates)
 
     # the laws do not read the designated k and s, so a draft carries any
-    draft = FiniteOpca(elements=tuple(carrier), leq_pairs=leq, table=table,
-                       k=carrier[0], s=carrier[0], filter=filt, name=f"P({aks.name})")
-    ks = first_ks(draft, candidates)
+    draft = opcamod.FiniteOpca(elements=tuple(carrier), leq_pairs=leq, table=table,
+                               k=carrier[0], s=carrier[0], filter=filt, name=f"P({aks.name})")
+    ks = opcamod.first_ks(draft, candidates)
     if ks is None:
         raise ConstructionError(f"no k/s pair for the order-ca of {aks.name}")
     return OrderCa(aks=aks, opca=draft.replace(**ks))
@@ -456,8 +454,8 @@ def check_order_ca(aks):
     """Verify the induced structure is a filtered opca (axioms + filter)."""
     oca = order_ca(aks)
     opca = oca.opca
-    rep = check_opca_axioms(opca)
-    rep.extend(check_filter(opca, opca.filter))
+    rep = opcamod.check_opca_axioms(opca)
+    rep.extend(opcamod.check_filter(opca, opca.filter))
     rep.verdict("orderca.filter_upward_closed",
                 next(((a, b) for a in opca.ordered(opca.filter) for b in opca.elements
                       if opca.leq(a, b) and b not in opca.filter), None))

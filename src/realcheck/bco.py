@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from itertools import product
 
+from . import opca as opcamod, terms as termsmod
 from .errors import CapExceeded, ConstructionError, StructureError
-from .opca import PAIR, FiniteOpca, skk_element
 from .poset import Poset, downsets_of_poset, witness_per_key
 from .record import Frozen, Value, set_field
 from .report import Report
-from .terms import compile_closed, compile_terms
 
 __all__ = [
     "FiniteBco", "opca_to_bco", "check_bco",
@@ -227,7 +226,7 @@ def downset_opca(opca):
             if prods is not None:
                 table[(alpha, beta)] = opca.downward_closure(prods)
     filt = frozenset(alpha for alpha in downs if alpha & opca.filter)
-    return FiniteOpca(
+    return opcamod.FiniteOpca(
         elements=tuple(downs), leq_pairs=leq, table=table,
         k=opca.down(opca.k), s=opca.down(opca.s),
         filter=filt, name=f"D({opca.name})",
@@ -246,16 +245,13 @@ class InternalMeets(Frozen):
                "counit_witnesses")  # (g1, g2): g1(a /\ b) <= a, g2(a /\ b) <= b
 
 
-_PAIRING = compile_terms((PAIR,))
-
-
 def _meet_candidates(bco):
     """Deterministic candidate meet maps: opca pairing, poset meets, then
     (up to MEET_CANDIDATE_CAP maps) every map."""
     candidates = []
     host = bco.origin_opca
     if host is not None:
-        [p] = _PAIRING.run(host)  # None finds no entry, so every p·a·b is None
+        [p] = termsmod.compile_closed(r"\x y z. z x y").run(host)  # PAIR; None: no p·a·b
         table = {(a, b): host.app_app(p, a, b) for a in bco.elements for b in bco.elements}
         if None not in table.values():
             candidates.append(table)
@@ -613,6 +609,28 @@ class ImplicativeKit(Frozen):
                "i", "i_prime", "e", "e_prime", "name")
     name = "kit"
 
+    def __init__(self, *args, **kwargs):
+        """Binds the fields as ``Frozen`` does; an ``inf`` without a closed
+        downset, with another key, or with a value outside the carrier is a
+        StructureError naming the first, in that order."""
+        super().__init__(*args, **kwargs)
+        closed = self.host.closed_downsets()
+
+        def refuse(message, key):
+            shown = sorted(map(str, key)) if isinstance(key, frozenset) else repr(key)
+            raise StructureError(f"{message} {shown}", source=self.name, field="inf")
+
+        for low in closed:
+            if low not in self.inf:
+                refuse("no infimum for the closed downset", low)
+        known = set(closed)
+        for key in self.inf:
+            if key not in known:
+                refuse("not a closed downset:", key)
+        for low in closed:
+            if self.inf[low] not in self.host.element_set:
+                refuse(f"infimum {self.inf[low]!r} outside the carrier at", low)
+
     def inf_of(self, subset):
         return self.inf[self.host.lower(subset)]
 
@@ -728,7 +746,7 @@ _COMBINATORS = (
 
 def _value_or_fail(host, source, slots, what):
     """The value of the closed ``source`` with its slots filled from ``slots``."""
-    [value] = compile_closed(source).run(host, slots)
+    [value] = termsmod.compile_closed(source).run(host, slots)
     if value is None:
         raise ConstructionError(f"{what} undefined in {host.name}")
     return value
@@ -761,7 +779,7 @@ def sup_from_implication(kit):
     # A combinator named in a later source is a slot there holding its value;
     # evaluation is compositional, so that is the value of the whole term.
     slots = {"i": kit.i, "i'": kit.i_prime, "e": kit.e, "e'": kit.e_prime,
-             "skk": skk_element(host)}
+             "skk": opcamod.skk_element(host)}
     combinators = {}
     for n, source in _COMBINATORS:
         combinators[n] = slots[n] = _value_or_fail(host, source, slots, n)
@@ -865,7 +883,7 @@ def implication_from_sup(alg, report, v):
     u = report.record("sup.monotone_u").witnesses["u"]
     h4 = report.record("sup.principal_h4").witnesses["h4"]
     g4 = report.record("sup.principal_g4").witnesses["g4"]
-    g2, skk = report.record("sup.image_g2").witnesses["g2"], skk_element(host)
+    g2, skk = report.record("sup.image_g2").witnesses["g2"], opcamod.skk_element(host)
     if skk not in g2:  # g2 has a witness per filter element
         raise ConstructionError(f"s·k·k = {skk!r} lies outside the filter")
     g2_skk = g2[skk]

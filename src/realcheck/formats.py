@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 
-from . import aks as aksmod, bco as bcomod
+from . import aks as aksmod, bco as bcomod, opca as opcamod
 from .errors import StructureError
-from .opca import FiniteOpca
 
 __all__ = [
     "load_opca", "load_bco", "load_aks", "load_map",
@@ -102,7 +101,7 @@ def _subset(names):
 
 def load_opca(path):
     read = _reader(load_json(path), path)
-    opca = FiniteOpca(
+    opca = opcamod.FiniteOpca(
         **_poset_fields(read), table=_table(read("app", TRIPLES), path, "app"),
         k=read("k", str), s=read("s", str),
         filter=_subset(read("filter", NAMES, required=False)),

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from . import opca as opcamod
 from .errors import CapExceeded, StructureError
-from .opca import FiniteOpca
 from .poset import Poset
 
 __all__ = [
@@ -43,7 +43,7 @@ def semilattice_opca(elements, cover_pairs, *, filter=None, U=None, name="semila
     else:
         filter = frozenset(filter)
     ks = max(filter, key=lambda e: len(poset.down(e)))
-    return FiniteOpca(
+    return opcamod.FiniteOpca(
         elements=poset.elements, leq_pairs=poset.leq_pairs, table=table,
         k=ks, s=ks, filter=filter,
         U=None if U is None else frozenset(U), name=name,

@@ -5,20 +5,21 @@ closed order, downsets, least/greatest elements, the tracker search) with
 the application table and designated k/s.
 
 Carries the axiom checkers for the order/application laws and designated
-k/s, filter verification, the derived sequence/numeral coding machinery
-(pairing, case-analyzable numerals, and the list combinators used by the
-Krivine-structure construction), and the Turing-style reducibility search.
+k/s, filter verification, the sequence kit (``terms.py``'s closed coding
+terms run in the opca and checked against the list clauses the Krivine
+construction needs; ``terms`` loads on first use), and the Turing-style
+reducibility search.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from . import terms as termsmod
 from .errors import CapExceeded, ConstructionError, StructureError
 from .poset import Poset
 from .record import Frozen, set_field
 from .report import Report
-from .terms import App, Const, K, S, Var, app, compile_terms, eval_in_opca, lam, subst
 
 __all__ = [
     "FiniteOpca", "k_law", "s_law", "first_ks", "check_opca_axioms", "check_filter",
@@ -90,7 +91,7 @@ class FiniteOpca(Poset):
         return self.tracker(self.ordered(self.filter), self.app, pairs)
 
     def eval(self, term, env=None):
-        return eval_in_opca(term, env, self)
+        return termsmod.eval_in_opca(term, env, self)
 
     def replace(self, **kw):
         data = dict(elements=self.elements, leq_pairs=self.leq_pairs, table=self.table,
@@ -198,7 +199,7 @@ def check_filter(opca, subset):
 
 def skk_element(opca):
     """The identity realizer s·k·k, always defined in a law-abiding opca."""
-    [value] = _SKK.run(opca)
+    [value] = termsmod.compile_closed(r"\x. x").run(opca)  # <x>x is ``terms._SKK``
     if value is None:
         raise ConstructionError("s·k·k undefined; structure violates the s law")
     return value
@@ -208,25 +209,17 @@ def skk_element(opca):
 # Sequence/numeral coding and the list-handling combinators
 # ---------------------------------------------------------------------------
 #
-# Pairing is the usual p = <x y z> z x y with selectors; numerals are the
-# case-analyzable ones (zero = <x y> y, succ n = <x y> x n), so a numeral
-# applied to (step, base) either returns base or feeds its predecessor to
-# step.  A sequence [a0..a(n-1)] is coded as p n [a0, [a1, ... nil]] with
-# nil = numeral 0.  The b/c/d/t combinators below satisfy, for sequences of
-# length <= max_len,
+# The coding terms (pairing, numerals and the list combinators b, c, d, t)
+# are closed and opca-free, so ``terms.py`` builds them (see the comment
+# above ``terms.PAIR``).  For sequences of length <= max_len they satisfy
 #   (i)   b n [a0..ak]  <=  a_n             (n <= k)
 #   (ii)  c n [a0..ak]  <=  [an..ak]        (n <= k)
 #   (iii) d a [a0..ak]  <=  [a, a0..ak]
 #   (iv)  t a           <=  [a]
-# and all four evaluate into the filter.  Index-driven recursion is unrolled
-# to a fixed depth, which is why the kit takes max_len.
-#
-# These terms do not depend on the opca, so each is built once per process
-# (``_kit_program`` keeps the most recently used, ``numeral`` all it built;
-# terms are immutable, so sharing them is safe).  ``_kit_program`` compiles
+# and all four evaluate into the filter.  ``terms._kit_program`` compiles
 # PAIR, b, c, d, t and the numerals 0..max_len+1 into one straight-line
-# program without slots (``terms.compile_terms``), and a kit runs it once in
-# its opca and reads b, c, d and t from its roots.
+# program without slots, and a kit runs it once in its opca and reads b, c,
+# d and t from its roots.
 #
 # The code of a0..ak is (p·n)·inner(a0..ak) with inner(a::s) = (p·a)·inner(s)
 # and inner([]) = nil.  ``SequenceKit.seq_value`` folds it on demand instead
@@ -247,80 +240,19 @@ def skk_element(opca):
 # product order that reaches it, and the first failing sequence of a length
 # is the smallest of those kept by failing states.
 
-PAIR = lam("x y z", app(Var("z"), Var("x"), Var("y")))
-FST = lam("t", app(Var("t"), lam("x y", Var("x"))))
-SND = lam("t", app(Var("t"), lam("x y", Var("y"))))
-ZERO = lam("x y", Var("y"))
-SUCC = lam("n x y", app(Var("x"), Var("n")))
-IDENT = app(S, K, K)
-_SKK = compile_terms((IDENT,))
-PRED = lam("n", app(Var("n"), IDENT, ZERO))
-NIL = ZERO
-
-
-_NEXT_NUMERAL = lam("x y", App(Var("x"), Var("n")))  # with numeral n for n, it is numeral n+1
-_NUMERALS = [ZERO]  # numeral n holds every smaller one, so keeping them all costs no more
-
-
-def numeral(n):
-    while len(_NUMERALS) <= n:  # succ·(numeral n) weakly reduces to exactly numeral (n+1)
-        _NUMERALS.append(subst(_NEXT_NUMERAL, "n", _NUMERALS[-1]))
-    return _NUMERALS[n]
-
-
-def _list_recursor(depth, last):
-    """B_d with B_d n rho <= ``last`` (a term in rho) read on rho less its first
-    n items, for n <= d: FST rho gives the n-th head, rho itself the rest."""
-    body = lam("n rho", last)
-    for _ in range(depth):
-        step = lam("m", app(body, Var("m"), app(SND, Var("rho"))))
-        body = lam("n rho", app(Var("n"), step, last))
-    return body
-
-
-def _minus_recursor(depth):
-    body = lam("m n", Var("m"))
-    for _ in range(depth):
-        step = lam("n2", app(body, app(PRED, Var("m")), Var("n2")))
-        body = lam("m n", app(Var("n"), step, Var("m")))
-    return body
-
-
 def seq_term(items):
     """Coded sequence as a term; items are terms (typically Const leaves)."""
-    payload = NIL
+    pair, payload = termsmod.PAIR, termsmod.NIL
     for item in reversed(items):
-        payload = app(PAIR, item, payload)
-    return app(PAIR, numeral(len(items)), payload)
-
-
-def _kit_terms(max_len):
-    """The closed terms b, c, d, t of a kit for sequences of length <= max_len."""
-    depth = max_len + 1
-    return (
-        lam("n l", app(_list_recursor(depth, app(FST, Var("rho"))), Var("n"), app(SND, Var("l")))),
-        lam("n l", app(PAIR,
-                       app(_minus_recursor(depth), app(FST, Var("l")), Var("n")),
-                       app(_list_recursor(depth, Var("rho")), Var("n"), app(SND, Var("l"))))),
-        lam("a l", app(PAIR,
-                       app(SUCC, app(FST, Var("l"))),
-                       app(PAIR, Var("a"), app(SND, Var("l"))))),
-        lam("a", app(PAIR, app(SUCC, ZERO), app(PAIR, Var("a"), NIL))),
-    )
-
-
-@lru_cache(maxsize=8)
-def _kit_program(max_len):
-    """PAIR, b, c, d, t and numeral(0..max_len+1) as one program, in that order."""
-    return compile_terms((PAIR, *_kit_terms(max_len),
-                          *(numeral(n) for n in range(max_len + 2))))
+        payload = termsmod.app(pair, item, payload)
+    return termsmod.app(pair, termsmod.numeral(len(items)), payload)
 
 
 class SequenceKit(Frozen):
     """Closed k,s-terms for pairing, numerals, and sequence management.
 
-    At construction the kit runs ``_kit_program(max_len)`` in ``opca`` and
-    keeps the values of PAIR, b, c, d, t and the numerals 0..max_len+1
+    At construction the kit runs ``terms._kit_program(max_len)`` in ``opca``
+    and keeps the values of PAIR, b, c, d, t and the numerals 0..max_len+1
     (``element`` and ``numeral_value`` read them; other terms and numerals
     are evaluated on first use).  ``seq_value`` folds a sequence's code from
     these values when asked.  ``stack_codes`` is filled by the check in
@@ -332,13 +264,13 @@ class SequenceKit(Frozen):
     _fields = ("opca", "max_len", "p", "p0", "p1", "b", "c", "d", "t")
 
     def __init__(self, opca, max_len):
-        program = _kit_program(max_len)
+        program = termsmod._kit_program(max_len)
         _, b, c, d, t = program.roots[:5]
         set_field(self, "opca", opca)
         set_field(self, "max_len", max_len)
-        set_field(self, "p", PAIR)
-        set_field(self, "p0", FST)
-        set_field(self, "p1", SND)
+        set_field(self, "p", termsmod.PAIR)
+        set_field(self, "p0", termsmod.FST)
+        set_field(self, "p1", termsmod.SND)
         set_field(self, "b", b)
         set_field(self, "c", c)
         set_field(self, "d", d)
@@ -359,11 +291,11 @@ class SequenceKit(Frozen):
     def _numeral(self, n):
         """Value of numeral(n) in the opca (None when undefined)."""
         if n not in self._numerals:
-            [self._numerals[n]] = compile_terms((numeral(n),)).run(self.opca)
+            [self._numerals[n]] = termsmod.compile_terms((termsmod.numeral(n),)).run(self.opca)
         return self._numerals[n]
 
     def seq_term(self, elements):
-        return seq_term([Const(e) for e in elements])
+        return seq_term([termsmod.Const(e) for e in elements])
 
     def seq_value(self, elements):
         items = tuple(elements)
@@ -405,8 +337,9 @@ class SequenceKit(Frozen):
         return value
 
 
-# Longest max_len a kit is built for.  Building the unrolled terms takes about
-# max_len² subterm visits: about half a second at 64.
+# Longest max_len a kit is built for.  Building the unrolled terms takes
+# O(max_len) subterm visits (about 9,000 at 64, some 30 ms); checking a kit
+# makes O(max_len²·|A|³) table reads.
 KIT_LEN_CAP = 64
 
 
@@ -455,8 +388,8 @@ def _checked_kit(elements, leq_pairs, table_items, k, s, filter, max_len):
 def _verify_kit(kit):
     """Check clauses (i)-(iv) on every carrier sequence of length <= max_len,
     length by length over the sequences' states (see the comment above
-    ``PAIR``), and return the codes of those sequences, each once, in order
-    of first appearance.
+    ``seq_term``), and return the codes of those sequences, each once, in
+    order of first appearance.
 
     A failure raises the ConstructionError of the first failing sequence
     by length, then product order, and names the first check that sequence

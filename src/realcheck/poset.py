@@ -106,6 +106,7 @@ class Poset(Frozen):
         set_field(self, "leq_pairs", reflexive_transitive_closure(elements, leq_pairs))
         set_field(self, "element_set", element_set)
         set_field(self, "_index", {e: i for i, e in enumerate(elements)})
+        set_field(self, "_downsets", None)
 
     def leq(self, a, b):
         return (a, b) in self.leq_pairs
@@ -126,9 +127,13 @@ class Poset(Frozen):
         return subset == self.downward_closure(subset)
 
     def downsets(self):
-        """All downward closed subsets, smallest first; past DOWNSET_CAP, CapExceeded."""
-        return downsets_of_poset(self.elements, self.leq,
-                                 what=f"downsets of {self.name}")
+        """All downward closed subsets, smallest first, as a new list; they are
+        enumerated once per structure and kept as a tuple.  Past DOWNSET_CAP,
+        CapExceeded."""
+        if self._downsets is None:
+            set_field(self, "_downsets", tuple(downsets_of_poset(
+                self.elements, self.leq, what=f"downsets of {self.name}")))
+        return list(self._downsets)
 
     def lower(self, subset):
         """The elements below every element of the collection ``subset``."""

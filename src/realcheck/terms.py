@@ -10,7 +10,7 @@ straight-line programs that a run evaluates with one table read per step;
 term's leaves, binds its variables and runs it as a program.  Every function
 that reads a whole term loops over ``_subterms`` (``App``'s ``==`` over its
 own stack), so a term of any depth is handled; only ``parse_term`` recurses,
-at most ``_MAX_DEPTH`` levels.
+at most ``_MAX_DEPTH`` levels.  The sequence kit's closed terms live here too.
 """
 
 from __future__ import annotations
@@ -138,8 +138,13 @@ def _map_leaves(term, fn):
 
 def subst(term, name, replacement):
     """Capture-free substitution (there are no binders in the term language)."""
-    return _map_leaves(term, lambda leaf: replacement
-                       if isinstance(leaf, Var) and leaf.name == name else leaf)
+    return _filled(term, {name: replacement})
+
+
+def _filled(term, values):
+    """``term`` with values[x] put in for each variable x that ``values`` names."""
+    return _map_leaves(term, lambda leaf: values.get(leaf.name, leaf)
+                       if isinstance(leaf, Var) else leaf)
 
 
 _SKK = App(App(S, K), K)
@@ -428,3 +433,76 @@ def parse_term(src):
     if tokens[pos] is not None:
         raise ValueError(f"trailing tokens at {pos}: {tokens[pos:-1]}")
     return result
+
+
+# ---------------------------------------------------------------------------
+# The closed terms of the sequence kit
+# ---------------------------------------------------------------------------
+#
+# Pairing is the usual p = <x y z> z x y with selectors; numerals are the
+# case-analyzable ones (zero = <x y> y, succ n = <x y> x n), so a numeral
+# applied to (step, base) either returns base or feeds its predecessor to
+# step.  A sequence [a0..a(n-1)] is coded as p n [a0, [a1, ... nil]] with
+# nil = numeral 0.  ``opca.py`` states the clauses that the kit terms b, c,
+# d and t of ``_kit_terms`` satisfy; index-driven recursion is unrolled to a
+# fixed depth, which is why the kit takes max_len.  ``_kit_program`` keeps
+# the most recently used, ``numeral`` all it built; terms are immutable, so
+# sharing them is safe.
+
+PAIR = lam("x y z", app(Var("z"), Var("x"), Var("y")))
+FST = lam("t", app(Var("t"), lam("x y", Var("x"))))
+SND = lam("t", app(Var("t"), lam("x y", Var("y"))))
+ZERO = lam("x y", Var("y"))
+SUCC = lam("n x y", app(Var("x"), Var("n")))
+PRED = lam("n", app(Var("n"), _SKK, ZERO))
+NIL = ZERO
+
+
+_NEXT_NUMERAL = lam("x y", App(Var("x"), Var("n")))  # with numeral n for n, it is numeral n+1
+_NUMERALS = [ZERO]  # numeral n holds every smaller one, so keeping them all costs no more
+
+
+def numeral(n):
+    while len(_NUMERALS) <= n:  # succ·(numeral n) weakly reduces to exactly numeral (n+1)
+        _NUMERALS.append(subst(_NEXT_NUMERAL, "n", _NUMERALS[-1]))
+    return _NUMERALS[n]
+
+
+def _unrolled(depth, names, base, level):
+    """lam(names, base), then ``depth`` times lam(names, level) with the one below
+    put in for the variable prev.  Abstraction treats a closed term as any
+    variable it does not abstract, so that equals the level abstracted whole,
+    but no abstraction walks a lower level: O(depth) subterm visits."""
+    body, level = lam(names, base), lam(names, level)
+    for _ in range(depth):
+        body = _filled(level, {"prev": body})
+    return body
+
+
+def _kit_terms(max_len):
+    """The closed terms b, c, d, t of a kit for sequences of length <= max_len,
+    built around the recursors get, drop and minus: for n <= max_len + 1,
+    get n rho reads the n-th item of rho (FST rho is its head, SND rho its
+    tail), drop n rho is rho less its first n items, minus m n is m - n."""
+    depth, m, n, l, rho = max_len + 1, Var("m"), Var("n"), Var("l"), Var("rho")
+    tail = lam("m", app(Var("prev"), m, app(SND, rho)))  # the level below on the tail
+    recursors = {
+        "get": _unrolled(depth, "n rho", app(FST, rho), app(n, tail, app(FST, rho))),
+        "drop": _unrolled(depth, "n rho", rho, app(n, tail, rho)),
+        "minus": _unrolled(depth, "m n", m, app(n, lam("n2", app(Var("prev"), app(PRED, m),
+                                                                Var("n2"))), m)),
+    }
+    return (
+        _filled(lam("n l", app(Var("get"), n, app(SND, l))), recursors),
+        _filled(lam("n l", app(PAIR, app(Var("minus"), app(FST, l), n),
+                               app(Var("drop"), n, app(SND, l)))), recursors),
+        lam("a l", app(PAIR, app(SUCC, app(FST, l)), app(PAIR, Var("a"), app(SND, l)))),
+        lam("a", app(PAIR, app(SUCC, ZERO), app(PAIR, Var("a"), NIL))),
+    )
+
+
+@lru_cache(maxsize=8)
+def _kit_program(max_len):
+    """PAIR, b, c, d, t and numeral(0..max_len+1) as one program, in that order."""
+    return compile_terms((PAIR, *_kit_terms(max_len),
+                          *(numeral(n) for n in range(max_len + 2))))

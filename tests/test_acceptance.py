@@ -21,8 +21,8 @@ from realcheck.formats import load_aks
 from realcheck.k2 import (K2Element, apply_many, decode_seq, k2_apply,
                           k2_basis, tau_extract)
 from realcheck.lattices import L2, L3, M3, N5, VEE, enumerate_lattices
-from realcheck.opca import derive_sequence_kit, numeral, seq_term, skk_element
-from realcheck.terms import Const, K, S, Var, app, lam, reduce_term
+from realcheck.opca import derive_sequence_kit, seq_term, skk_element
+from realcheck.terms import Const, K, S, Var, app, lam, numeral, reduce_term
 from realcheck.tripos import (Predicate, arrow_U, boolean_leq,
                               localic_criterion, streicher_leq)
 from realcheck.tripos import _d_predicate_leq

@@ -443,6 +443,29 @@ def test_kit_constant_outside_the_filter_fails_its_clause(constant, field, check
     assert [r.check for r in rep.failures] == [check]
 
 
+def old_per_subset_table(kit):
+    """The infima keyed by every subset of the carrier, as the kit once kept them."""
+    els = kit.host.elements
+    return {s: kit.inf[kit.host.lower(s)]
+            for s in (frozenset(e for i, e in enumerate(els) if mask >> i & 1)
+                      for mask in range(1 << len(els)))}
+
+
+@pytest.mark.parametrize("inf, message", [
+    (lambda kit: {frozenset({"0"}): "0"}, "no infimum for the closed downset ['0', 'm']"),
+    (old_per_subset_table, "not a closed downset: []"),
+    (lambda kit: {**kit.inf, "0": "0"}, "not a closed downset: '0'"),
+    (lambda kit: {**kit.inf, frozenset({"0", "m"}): "x"},
+     "infimum 'x' outside the carrier at ['0', 'm']"),
+], ids=["missing", "per-subset", "not-a-set", "outside"])
+def test_a_kit_refuses_an_inf_table_not_keyed_by_the_closed_downsets(inf, message):
+    kit = heyting_kit(L3)
+    rest = {f: getattr(kit, f) for f in ImplicativeKit._fields if f not in ("host", "inf")}
+    with pytest.raises(StructureError) as exc:
+        ImplicativeKit(L3, inf(kit), **rest)
+    assert str(exc.value) == f"heyting: field 'inf': {message}"
+
+
 def test_kit_without_a_filter_is_refused():
     kit = heyting_kit(L3)
     bare = ImplicativeKit(L3.replace(filter=None), kit.inf, kit.imp, kit.i, kit.i_prime,
@@ -545,11 +568,15 @@ def test_derived_sup_fails_loudly_on_broken_kit():
 # -- enumeration caps ------------------------------------------------------------------
 
 def test_every_downset_enumeration_reads_the_one_cap(monkeypatch):
-    # L3 has 4 downsets, and the families of clause 3 (downsets of those) are 5
-    alg = PseudoDAlgebra(L3, join_sup(L3))
+    # L3 has 4 downsets, and the families of clause 3 (downsets of those) are 5.
+    # A structure lists its downsets once, so each run gets a copy of L3 that
+    # has not listed them yet.
+    sup = join_sup(L3)
+    alg = PseudoDAlgebra(L3.replace(), sup)
     monkeypatch.setattr("realcheck.poset.DOWNSET_CAP", 3)
-    for run in (lambda: downset_opca(L3), lambda: check_star(alg),
-                lambda: check_pseudo_d_algebra(alg)):
+    for run in (lambda: downset_opca(L3.replace()),
+                lambda: check_star(PseudoDAlgebra(L3.replace(), sup)),
+                lambda: check_pseudo_d_algebra(PseudoDAlgebra(L3.replace(), sup))):
         with pytest.raises(CapExceeded) as exc:
             run()
         assert str(exc.value) == "downsets of L3: 4 items exceeds cap 3"

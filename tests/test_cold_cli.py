@@ -11,16 +11,19 @@ from conftest import CHILD_ENV, FIXTURES
 from test_golden import PERFBENCH, cli_groups
 
 # The modules each subcommand runs; ``import realcheck`` registers the rest
-# lazily, so they are never compiled.
+# lazily, so they are never compiled.  Only a subcommand that builds or runs
+# a term loads ``terms`` (check-density runs the pairing term as its first
+# meet candidate); check-aks reads a structure file and builds no opca.
 BASE = {"errors", "record", "report"}
-OPCA = BASE | {"formats", "opca", "poset", "terms"}
-AKS = OPCA | {"aks"}
+FILE = BASE | {"formats", "poset"}
+OPCA = FILE | {"opca"}
+TERMS = OPCA | {"terms"}
 LOADED = {
     "check-opca": OPCA, "check-filter": OPCA,
-    "build-aks": AKS, "check-aks": AKS, "check-order-ca": AKS,
-    "check-bco": OPCA | {"bco"}, "check-density": OPCA | {"bco"},
-    "check-tripos": OPCA | {"bco", "tripos"},
-    "check-localic": AKS | {"bco", "tripos"},
+    "build-aks": TERMS | {"aks"}, "check-aks": FILE | {"aks"}, "check-order-ca": OPCA | {"aks"},
+    "check-bco": FILE | {"bco"}, "check-density": TERMS | {"bco"},
+    "check-tripos": TERMS | {"bco", "tripos"},
+    "check-localic": TERMS | {"aks", "bco", "tripos"},
     "k2 apply": BASE | {"k2"}, "k2 tau": BASE | {"k2"}, "k2 discrete": BASE | {"k2"},
 }
 

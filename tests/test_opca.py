@@ -13,12 +13,10 @@ from realcheck import opca as opcamod
 from realcheck import terms
 from realcheck.formats import load_opca
 from realcheck.aks import build_aks
-from realcheck.opca import (KIT_LEN_CAP, KIT_MEMO_SIZE, PAIR, FiniteOpca,
-                            SequenceKit, _kit_program, _kit_terms, check_filter,
-                            check_opca_axioms,
-                            derive_sequence_kit, numeral, seq_term,
-                            skk_element, turing_leq)
-from realcheck.terms import Const, app, reduce_term
+from realcheck.opca import (KIT_LEN_CAP, KIT_MEMO_SIZE, FiniteOpca, SequenceKit,
+                            check_filter, check_opca_axioms, derive_sequence_kit,
+                            seq_term, skk_element, turing_leq)
+from realcheck.terms import PAIR, Const, _kit_program, _kit_terms, app, numeral, reduce_term
 
 from conftest import FIXTURES, FUEL, STANDARD_OPCAS, read_numeral
 

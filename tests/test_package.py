@@ -1,8 +1,20 @@
-"""The names the package exports, each read from its module on first use."""
+"""The names the package exports, each read from its module on first use,
+and a check that no module loads a lazy layer when it is itself loaded."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
 import realcheck
+
+SOURCES = sorted(Path(realcheck.__file__).parent.glob("*.py"))
+
+# The layers a subcommand may never run.  ``from .opca import FiniteOpca``
+# reads FiniteOpca, so it loads opca with the importing module; a module
+# reads a layer through ``from . import opca as opcamod`` at call time.
+# errors, record, report and poset are loaded by every path that loads them.
+LAZY_LAYERS = {"aks", "bco", "formats", "k2", "lattices", "opca", "terms", "tripos"}
 
 # every name the package exports, as ``from realcheck import NAME``
 EXPORTED = frozenset("""
@@ -52,3 +64,43 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         realcheck.no_such_name
     assert not hasattr(realcheck, "cli_main")
+
+
+def eager_layer_imports(source):
+    """The lazy layers that ``source`` imports names from with ``from .layer
+    import ...`` outside any function (a class body runs when its module
+    loads), in source order."""
+    found = []
+
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level == 1 \
+                    and child.module in LAZY_LAYERS:
+                found.append(child.module)
+            walk(child)
+
+    walk(ast.parse(source))
+    return found
+
+
+def test_the_check_finds_an_eager_layer_import():
+    source = """
+from . import opca as opcamod, terms as termsmod
+from .errors import StructureError
+from .opca import FiniteOpca
+from .terms import lam
+
+class Kit:
+    from .bco import FiniteBco
+
+def later():
+    from .terms import parse_term
+"""
+    assert eager_layer_imports(source) == ["opca", "terms", "bco"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_names_from_a_lazy_layer(path):
+    assert eager_layer_imports(path.read_text(encoding="utf-8")) == []

@@ -195,3 +195,25 @@ def test_null_is_no_element():
                   functions={"i": {None: None, "x": "x"}})
     with pytest.raises(StructureError, match="null"):
         FiniteOpca(elements=(None,), leq_pairs=frozenset(), table={}, k=None, s=None)
+
+
+def test_one_check_tripos_lists_the_carrier_downsets_once(monkeypatch, capsys):
+    from realcheck import cli, poset
+    listed = []
+
+    def counting(elements, leq, what="downsets"):
+        listed.append(what)
+        return downsets_of_poset(elements, leq, what)
+
+    monkeypatch.setattr(poset, "downsets_of_poset", counting)
+    path = str(FIXTURES / "l3.json")
+    assert cli.main(["--format", "machine", "check-tripos", path]) == 0
+    assert listed == [f"downsets of {path}"]
+    assert '"predicates": 4' in capsys.readouterr().out
+
+
+def test_a_caller_cannot_change_the_kept_downsets():
+    opca = chain(3)
+    downs = opca.downsets()
+    downs.clear()
+    assert len(opca.downsets()) == 4

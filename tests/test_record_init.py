@@ -9,7 +9,10 @@ import pytest
 import realcheck
 from realcheck.aks import BuiltAks
 from realcheck.bco import ImplicativeKit, InternalMeets
+from realcheck.lattices import L3
 from realcheck.tripos import BooleanVerdict
+
+from test_bco import heyting_kit
 
 SOURCES = sorted(Path(realcheck.__file__).parent.glob("*.py"))
 
@@ -28,9 +31,11 @@ def test_arguments_bind_to_fields_by_position_and_keyword():
 
 
 def test_a_field_left_out_takes_the_class_default():
-    kit = ImplicativeKit("host", "inf", "imp", "i", "i'", "e", "e'")
+    # the kit checks its infima once its fields are bound, so it needs a real host
+    args = [getattr(heyting_kit(L3), f) for f in ImplicativeKit._fields[:-1]]
+    kit = ImplicativeKit(*args)
     assert kit.name == "kit" and vars(kit)["name"] == "kit"
-    assert ImplicativeKit("host", "inf", "imp", "i", "i'", "e", "e'", name="mine").name == "mine"
+    assert ImplicativeKit(*args, name="mine").name == "mine"
     assert ImplicativeKit.name == "kit"
 
 

@@ -119,7 +119,7 @@ def test_each_derived_value_has_one_producer():
         {"first_ks", "check_opca_axioms"}
     assert {scope for scope, name in aks + opca if name == "first_ks"} == \
         {"check_opca_axioms", "order_ca"}
-    path = next(p for p in SOURCES if p.name == "opca.py")
+    path = next(p for p in SOURCES if p.name == "terms.py")
     kit_terms = next(node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                      if isinstance(node, ast.FunctionDef) and node.name == "_kit_terms")
     assert kit_terms.decorator_list == []

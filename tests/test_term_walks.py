@@ -18,13 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realcheck
-from realcheck import opca as opcamod
 from realcheck import terms as termsmod
 from realcheck.errors import CapExceeded
 from realcheck.opca import FiniteOpca
-from realcheck.opca import numeral
 from realcheck.terms import (BRACKET_NODE_CAP, App, Const, K, S, Var, app, bracket,
-                             compile_terms, eval_in_opca, free_vars, lam, parse_term,
+                             compile_terms, eval_in_opca, free_vars, lam, numeral, parse_term,
                              subst, term_str)
 
 from conftest import STANDARD_OPCAS
@@ -195,23 +193,23 @@ def test_eval_matches_the_recursive_walkers(opca, term, data):
 
 
 def kit_roots(max_len):
-    return (opcamod.PAIR, *opcamod._kit_terms(max_len),
-            *(opcamod.numeral(n) for n in range(max_len + 2)))
+    return (termsmod.PAIR, *termsmod._kit_terms(max_len),
+            *(termsmod.numeral(n) for n in range(max_len + 2)))
 
 
 @pytest.mark.parametrize("max_len", range(9))
 def test_kit_terms_match_the_recursive_walkers(monkeypatch, max_len):
     roots = kit_roots(max_len)
     assert fields(compile_terms(roots)) == fields(recursive_compile_terms(roots))
-    assert fields(opcamod._kit_program(max_len)) == fields(recursive_compile_terms(roots))
+    assert fields(termsmod._kit_program(max_len)) == fields(recursive_compile_terms(roots))
     for term in roots:
         assert term_str(term) == recursive_term_str(term)
         assert free_vars(term) == recursive_free_vars(term) == frozenset()
         for opca in STANDARD_OPCAS:
             assert eval_in_opca(term, None, opca) == recursive_eval_in_opca(term, None, opca)
     # the kit built again with the recursive abstraction is the same terms
-    monkeypatch.setattr(opcamod, "lam", recursive_lam)
-    assert opcamod._kit_terms(max_len) == roots[1:5]
+    monkeypatch.setattr(termsmod, "lam", recursive_lam)
+    assert termsmod._kit_terms(max_len) == roots[1:5]
 
 
 def library_sources():

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from realcheck import terms as termsmod
 from realcheck.errors import StructureError
 from realcheck.lattices import L2
-from realcheck.opca import (KIT_LEN_CAP, PAIR, ZERO, FiniteOpca, SequenceKit, _kit_terms,
-                            numeral)
-from realcheck.terms import (App, Const, Diverged, K, S, Var, app, bracket,
-                             eval_in_opca, free_vars, lam, parse_term,
-                             reduce_term, subst, term_str)
+from realcheck.opca import KIT_LEN_CAP, FiniteOpca, SequenceKit
+from realcheck.terms import (FST, NIL, PAIR, PRED, SND, SUCC, ZERO, App, Const, Diverged, K,
+                             S, Var, _kit_program, _kit_terms, app, bracket, compile_terms,
+                             eval_in_opca, free_vars, lam, numeral, parse_term, reduce_term,
+                             subst, term_str)
 
 from conftest import STANDARD_OPCAS
 from test_opca import OUTSIDE, partial_opcas
@@ -101,6 +101,72 @@ def test_memoized_kit_terms_equal_fresh_ones():
 def test_bracket_removes_the_variable(body):
     assert "x" not in free_vars(bracket("x", body))
     assert free_vars(bracket("x", body)) == free_vars(body) - {"x"}
+
+
+# -- the kit terms against the level-by-level build ----------------------------------
+#
+# ``terms._kit_terms`` abstracts each recursor level once, with the level
+# below as a free variable, and puts the lower level in afterwards.  The
+# build it replaced abstracted every level around the whole level below;
+# it is kept here as the reference.
+
+def reference_list_recursor(depth, last):
+    body = lam("n rho", last)
+    for _ in range(depth):
+        step = lam("m", app(body, Var("m"), app(SND, Var("rho"))))
+        body = lam("n rho", app(Var("n"), step, last))
+    return body
+
+
+def reference_minus_recursor(depth):
+    body = lam("m n", Var("m"))
+    for _ in range(depth):
+        step = lam("n2", app(body, app(PRED, Var("m")), Var("n2")))
+        body = lam("m n", app(Var("n"), step, Var("m")))
+    return body
+
+
+def reference_kit_terms(max_len):
+    depth = max_len + 1
+    return (
+        lam("n l", app(reference_list_recursor(depth, app(FST, Var("rho"))), Var("n"),
+                       app(SND, Var("l")))),
+        lam("n l", app(PAIR,
+                       app(reference_minus_recursor(depth), app(FST, Var("l")), Var("n")),
+                       app(reference_list_recursor(depth, Var("rho")), Var("n"),
+                           app(SND, Var("l"))))),
+        lam("a l", app(PAIR,
+                       app(SUCC, app(FST, Var("l"))),
+                       app(PAIR, Var("a"), app(SND, Var("l"))))),
+        lam("a", app(PAIR, app(SUCC, ZERO), app(PAIR, Var("a"), NIL))),
+    )
+
+
+@pytest.mark.parametrize("max_len", [*range(9), KIT_LEN_CAP])
+def test_kit_terms_equal_the_level_by_level_build(max_len):
+    assert _kit_terms(max_len) == reference_kit_terms(max_len)
+
+
+def test_kit_program_has_the_steps_of_the_level_by_level_build():
+    roots = (PAIR, *reference_kit_terms(3), *(numeral(n) for n in range(5)))
+    assert _kit_program(3).steps == compile_terms(roots).steps
+
+
+def test_kit_terms_visit_linearly_many_subterms(monkeypatch):
+    visits = 0
+    walk = termsmod._subterms
+
+    def counting(roots):
+        nonlocal visits
+        for term in walk(roots):
+            visits += 1
+            yield term
+
+    monkeypatch.setattr(termsmod, "_subterms", counting)
+    _kit_terms(8)
+    at_8, visits = visits, 0
+    _kit_terms(KIT_LEN_CAP)
+    assert visits < 30_000 and visits < 10 * at_8  # 582,461 and 42x, level by level
 
 
 # -- reduction ---------------------------------------------------------------
