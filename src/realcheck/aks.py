@@ -9,7 +9,10 @@ Provided here: the pole-axiom checker, the construction of an aks from a
 filtered opca with a downward closed U disjoint from the filter, the
 induced total order-ca on biorthogonally closed stack sets with its
 filter, and the forcing-style condition on quasi-proofs.  Closed stack
-sets come from ``poset.closed_masks``, which also lists downsets.
+sets come from ``poset.closed_masks``, which also lists downsets.  Every
+question about t.pi in the pole goes through push on masks, one kernel on
+the structure (``Aks.pull``, ``Aks.push_image``) that keeps each pre-image
+and image it computes.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ class Aks(Frozen):
     the int mask of the stacks facing term i; ``push_index[i][j]``,
     ``dot_index[i][k]`` and ``kof_index[j]`` are the tables in indices.  The mask methods below
     work on these; the module functions keep the frozenset interface.
+
+    Outside its fields the structure keeps its closed masks, once listed, and
+    the memos of push on masks: ``pull`` per term and mask, ``push_image``
+    per pair of masks.  Each is a pure function of the fields, so equality,
+    ``repr`` and the saved form are the same before and after they fill.
     """
 
     _fields = ("terms", "stacks", "dot", "push", "kof", "K", "S", "cc", "qp", "pole", "name",
@@ -92,7 +100,8 @@ class Aks(Frozen):
         rows = [0] * len(self.terms)
         for (t, pi) in self.pole:
             rows[ti[t]] |= 1 << si[pi]
-        # full: every stack; _closed: the closed masks, once enumerated
+        # full: every stack; _closed: the closed masks, once enumerated;
+        # _pulls and _images: the push kernel's memos
         for attr, value in (
                 ("term_set", term_set), ("stack_set", stack_set),
                 ("term_index", ti), ("stack_index", si),
@@ -103,7 +112,7 @@ class Aks(Frozen):
                                     for t in self.terms)),
                 ("kof_index", tuple(ti[self.kof[pi]] for pi in self.stacks)),
                 ("full", (1 << len(self.stacks)) - 1),
-                ("_closed", None)):
+                ("_closed", None), ("_pulls", tuple({} for _ in self.terms)), ("_images", {})):
             set_field(self, attr, value)
 
     def in_pole(self, t, pi):
@@ -158,14 +167,22 @@ class Aks(Frozen):
         return next((t for t, row in zip(self.terms, self.rows)
                      if t in self.qp and row & stack_mask == stack_mask), None)
 
+    # -- push on masks: the kernel that every pole computation reads ----
+
+    def pull(self, t, mask):
+        """The stacks pi with t.pi in the stack mask, for the term index t."""
+        memo = self._pulls[t]
+        out = memo.get(mask)
+        if out is None:
+            out = memo[mask] = _pull(self.push_index[t], mask)
+        return out
+
     def push_image(self, term_mask, stack_mask):
         """{t.pi | t in the term mask, pi in the stack mask}."""
-        out = 0
-        for i, targets in enumerate(self.push_index):
-            if term_mask >> i & 1:
-                for j, k in enumerate(targets):
-                    if stack_mask >> j & 1:
-                        out |= 1 << k
+        key = (term_mask, stack_mask)
+        out = self._images.get(key)
+        if out is None:
+            out = self._images[key] = _image(self.push_index, term_mask, stack_mask)
         return out
 
 
@@ -204,6 +221,17 @@ def _pull(targets, mask):
     return out
 
 
+def _image(push_index, term_mask, stack_mask):
+    """Mask of the targets ``push_index[i][j]`` for i in the term mask, j in the stack mask."""
+    out = 0
+    for i, targets in enumerate(push_index):
+        if term_mask >> i & 1:
+            for j, k in enumerate(targets):
+                if stack_mask >> j & 1:
+                    out |= 1 << k
+    return out
+
+
 def _low(mask):
     """The index of the lowest set bit."""
     return (mask & -mask).bit_length() - 1
@@ -213,9 +241,10 @@ def check_aks(aks):
     """Structure clauses plus the five pole rules, each with a counterexample.
 
     Each rule says that a pair in the pole forces another pair into it.  Per
-    prefix of the quantified terms one pre-image mask holds the stacks where
-    the conclusion holds, and the counterexample is the lowest stack of the
-    premise outside it: the first one in the order of the quantifiers.
+    prefix of the quantified terms one pre-image mask (``Aks.pull``) holds
+    the stacks where the conclusion holds, and the counterexample is the
+    lowest stack of the premise outside it: the first one in the order of
+    the quantifiers.
     """
     rep = Report(aks.name)
     rep.verdict("aks.qp_has_basis",
@@ -224,37 +253,42 @@ def check_aks(aks):
     rep.verdict("aks.qp_dot_closed",
                 next(((t, s) for t in ordered_qp for s in ordered_qp
                       if aks.app_dot(t, s) not in aks.qp), None))
-    T, P, rows = aks.terms, aks.stacks, aks.rows
-    push, dot, kof = aks.push_index, aks.dot_index, aks.kof_index
+    T, P, rows, pull = aks.terms, aks.stacks, aks.rows, aks.pull
+    dot, kof = aks.dot_index, aks.kof_index
     ix = range(len(T))
     row_k, row_s, row_cc = (rows[aks.term_index[x]] for x in (aks.K, aks.S, aks.cc))
     # (S1) t faces s.pi  =>  ts faces pi
     rep.verdict("aks.s1_dot",
                 next(((T[t], T[s], P[_low(bad)]) for t in ix for s in ix
-                      if (bad := _pull(push[s], rows[t]) & ~rows[dot[t][s]])), None))
+                      if (bad := pull(s, rows[t]) & ~rows[dot[t][s]])), None))
     # (S2) t faces pi  =>  K faces t.s.pi, quantified as t, pi, s
     rep.verdict("aks.s2_K",
                 next(((T[t], T[s], P[j]) for t in ix
-                      for by_t in [_pull(push[t], row_k)]
-                      for needs in [[_pull(push[s], by_t) for s in ix]]
+                      for by_t in [pull(t, row_k)]
+                      for needs in [[pull(s, by_t) for s in ix]]
                       for j in bits(rows[t]) for s in ix
                       if not needs[s] >> j & 1), None))
     # (S3) (tu)(su) faces pi  =>  S faces t.s.u.pi
     rep.verdict("aks.s3_S",
                 next(((T[t], T[s], T[u], P[_low(bad)]) for t in ix
-                      for by_t in [_pull(push[t], row_s)] for s in ix
-                      for by_ts in [_pull(push[s], by_t)] for u in ix
-                      if (bad := rows[dot[dot[t][u]][dot[s][u]]] & ~_pull(push[u], by_ts))),
+                      for by_t in [pull(t, row_s)] for s in ix
+                      for by_ts in [pull(s, by_t)] for u in ix
+                      if (bad := rows[dot[dot[t][u]][dot[s][u]]] & ~pull(u, by_ts))),
                      None))
-    # (S4) t faces k_pi.pi  =>  cc faces t.pi
-    kof_push = tuple(push[kof[j]][j] for j in range(len(P)))
+    # (S4) t faces k_pi.pi  =>  cc faces t.pi.  The stacks pi with k_pi.pi in
+    # a mask are, per value k of kOf, the pull through k cut to k's fibre;
+    # the fibres are disjoint, so their sum is their union.
+    fibres = {}
+    for j, k in enumerate(kof):
+        fibres[k] = fibres.get(k, 0) | 1 << j
     rep.verdict("aks.s4_cc",
                 next(((T[t], P[_low(bad)]) for t in ix
-                      if (bad := _pull(kof_push, rows[t]) & ~_pull(push[t], row_cc))), None))
+                      if (bad := sum(pull(k, rows[t]) & fibre for k, fibre in fibres.items())
+                          & ~pull(t, row_cc))), None))
     # (S5) t faces pi  =>  k_pi faces t.pi' for every pi'
     rep.verdict("aks.s5_kof",
                 next(((T[t], P[j], P[_low(bad)]) for t in ix for j in bits(rows[t])
-                      if (bad := aks.full & ~_pull(push[t], rows[kof[j]]))), None))
+                      if (bad := aks.full & ~pull(t, rows[kof[j]]))), None))
     return rep
 
 
@@ -389,7 +423,7 @@ def _apply_mask(aks, alpha, beta):
     closure under the push of each s in |beta|."""
     closed, base = aks.close(alpha), aks.full
     for s in bits(aks.facing_terms(beta)):
-        base &= _pull(aks.push_index[s], closed)
+        base &= aks.pull(s, closed)
     return aks.close(base)
 
 
@@ -466,12 +500,9 @@ def check_kr(aks):
     """The forcing condition: a quasi-proof facing t.s.pi and s.t.pi for all
     t, pi and every s orthogonal to the whole stack set.  Returns the first
     witness in QP order, else None."""
-    push = aks.push_index
-    needed = 0
-    for s in bits(aks.facing_terms(aks.full)):
-        for t in range(len(aks.terms)):
-            for j in range(len(aks.stacks)):
-                needed |= 1 << push[t][push[s][j]] | 1 << push[s][push[t][j]]
+    every, everywhere = (1 << len(aks.terms)) - 1, aks.facing_terms(aks.full)
+    needed = (aks.push_image(every, aks.push_image(everywhere, aks.full))
+              | aks.push_image(everywhere, aks.push_image(every, aks.full)))
     return aks.first_quasi_proof(needed)
 
 

@@ -612,24 +612,31 @@ class ImplicativeKit(Frozen):
     def __init__(self, *args, **kwargs):
         """Binds the fields as ``Frozen`` does; an ``inf`` without a closed
         downset, with another key, or with a value outside the carrier is a
-        StructureError naming the first, in that order."""
+        StructureError naming the first, in that order, and so is an ``imp``
+        without a pair of carrier elements, with another key, or with a value
+        outside the carrier."""
         super().__init__(*args, **kwargs)
-        closed = self.host.closed_downsets()
+        host = self.host
+        closed = host.closed_downsets()
+        pairs = [(b, c) for b in host.elements for c in host.elements]
 
-        def refuse(message, key):
+        def refuse(field, message, key):
             shown = sorted(map(str, key)) if isinstance(key, frozenset) else repr(key)
-            raise StructureError(f"{message} {shown}", source=self.name, field="inf")
+            raise StructureError(f"{message} {shown}", source=self.name, field=field)
 
-        for low in closed:
-            if low not in self.inf:
-                refuse("no infimum for the closed downset", low)
-        known = set(closed)
-        for key in self.inf:
-            if key not in known:
-                refuse("not a closed downset:", key)
-        for low in closed:
-            if self.inf[low] not in self.host.element_set:
-                refuse(f"infimum {self.inf[low]!r} outside the carrier at", low)
+        for field, table, keys, value, key_kind in (
+                ("inf", self.inf, closed, "infimum", "closed downset"),
+                ("imp", self.imp, pairs, "implication", "pair of carrier elements")):
+            for key in keys:
+                if key not in table:
+                    refuse(field, f"no {value} for the {key_kind}", key)
+            known = set(keys)
+            for key in table:
+                if key not in known:
+                    refuse(field, f"not a {key_kind}:", key)
+            for key in keys:
+                if table[key] not in host.element_set:
+                    refuse(field, f"{value} {table[key]!r} outside the carrier at", key)
 
     def inf_of(self, subset):
         return self.inf[self.host.lower(subset)]

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from realcheck import aks as aksmod
 from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
                            build_aks, cc_element, check_aks, check_kr,
                            check_order_ca, closed_stack_sets,
@@ -12,6 +13,7 @@ from realcheck.formats import load_aks, load_opca
 from realcheck.lattices import DIAMOND, L2, L3, chain
 
 from conftest import FIXTURES
+from test_lattices import admissible_cases
 
 
 def l2_aks():
@@ -182,6 +184,22 @@ def test_closed_sets_are_enumerated_once_per_structure(monkeypatch):
     first = closed_stack_sets(aks)
     monkeypatch.setattr(Aks, "close", None)  # a second enumeration would fail
     assert closed_stack_sets(aks) == first and len(first) == 4
+
+
+def test_the_pole_rules_pull_each_pre_image_once(monkeypatch):
+    # every six-element case has 6 terms and 6 stacks; this is the one with
+    # the most pole pairs.  Pulling at every use, (S3) for each (t, s, u),
+    # takes 348 to 383 raw runs per case; the kernel one per (term, mask).
+    aks = max((build_aks(opca, max_len=3, U=opca.U).aks for opca in admissible_cases(6, 6)),
+              key=lambda aks: len(aks.pole))
+    assert (len(aks.terms), len(aks.stacks), len(aks.pole)) == (6, 6, 35)
+    runs = []
+    raw = aksmod._pull
+    monkeypatch.setattr(aksmod, "_pull", lambda *args: runs.append(args) or raw(*args))
+    assert check_aks(aks).passed
+    assert 0 < len(runs) <= len(aks.terms) * len(aks.stacks)
+    runs.clear()
+    assert check_aks(aks).passed and runs == []
 
 
 # -- the forcing condition -----------------------------------------------------------------

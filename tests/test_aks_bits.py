@@ -18,7 +18,7 @@ from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
                            closed_stack_sets, order_ca, orthogonal_stacks,
                            orthogonal_terms)
 from realcheck.errors import ConstructionError
-from realcheck.formats import load_aks, load_opca
+from realcheck.formats import aks_to_dict, load_aks, load_opca
 from realcheck.tripos import Predicate, streicher_leq
 
 from conftest import FIXTURES
@@ -100,8 +100,68 @@ def ref_pole_rules(aks):
 # -- the comparison ------------------------------------------------------------------
 
 
+def cold_copy(aks):
+    """The same structure, built again: its memos are empty."""
+    return Aks(aks.terms, aks.stacks, aks.dot, aks.push, aks.kof, aks.K, aks.S, aks.cc,
+               aks.qp, aks.pole, aks.name)
+
+
+def pole_rule_verdicts(aks):
+    return {r.check: (r.verdict, r.counterexample) for r in check_aks(aks).records
+            if r.check.startswith("aks.s")}
+
+
+def order_ca_view(aks):
+    """The order-ca's carrier, table, filter and order; None without a k/s pair."""
+    try:
+        oca = order_ca(aks).opca
+    except ConstructionError:
+        return None
+    return list(oca.elements), oca.table, oca.filter, oca.leq_pairs
+
+
+def ref_order_ca_view(aks, carrier):
+    return (carrier, {(a, b): ref_apply(aks, a, b) for a in carrier for b in carrier},
+            frozenset(a for a in carrier if ref_orthogonal_terms(aks, a) & aks.qp),
+            frozenset((a, b) for a in carrier for b in carrier if b <= a))
+
+
+def kernel_readers(aks, subsets):
+    """(routine, its reference value) for each routine that reads the push
+    kernel (``Aks.pull``, ``Aks.push_image``); apply, imp and the Streicher
+    preorder over ``subsets``, the order-ca when it has at most 16 elements."""
+    pairs = list(product(subsets, repeat=2))
+    predicates = [(Predicate(("i",), {"i": alpha}), Predicate(("i",), {"i": beta}))
+                  for alpha, beta in pairs]
+    if subsets:
+        predicates.append((Predicate(("i", "j"), {"i": subsets[0], "j": subsets[-1]}),
+                           Predicate(("i", "j"), {"i": subsets[-1], "j": subsets[0]})))
+    readers = [
+        (pole_rule_verdicts,
+         {check: ("pass" if ce is None else "fail", ce)
+          for check, ce in ref_pole_rules(aks).items()}),
+        (check_kr, ref_kr(aks)),
+        (lambda a: [aks_apply(a, alpha, beta) for alpha, beta in pairs],
+         [ref_apply(aks, alpha, beta) for alpha, beta in pairs]),
+        (lambda a: [aks_imp(a, alpha, beta) for alpha, beta in pairs],
+         [ref_imp(aks, alpha, beta) for alpha, beta in pairs]),
+        (lambda a: [streicher_leq(phi, psi, a) for phi, psi in predicates],
+         [ref_streicher_leq(phi, psi, aks) for phi, psi in predicates]),
+    ]
+    carrier = ref_closed_stack_sets(aks)
+    if len(carrier) <= 16:  # the opca laws read carrier^3 triples
+        readers.append((order_ca_view, ref_order_ca_view(aks, carrier)))
+    return readers
+
+
+def shown(aks, twin):
+    """What a memo must not change: equality, repr and the saved form."""
+    return aks == aks, aks == twin, repr(aks), aks_to_dict(aks)
+
+
 def assert_matches_reference(aks, subsets):
-    """Every routine on ``aks``; apply, imp and the predicates over ``subsets``."""
+    """Every routine on ``aks``.  Each kernel reader runs on a cold copy, then
+    again once every other reader has filled the copy's memos."""
     for x in subsets:
         assert orthogonal_terms(aks, x) == ref_orthogonal_terms(aks, x)
         assert biorthogonal_closure(aks, x) == ref_closure(aks, x)
@@ -110,34 +170,16 @@ def assert_matches_reference(aks, subsets):
             assert orthogonal_stacks(aks, ts) == ref_orthogonal_stacks(aks, ts)
     assert cc_element(aks) == ref_orthogonal_stacks(aks, {aks.cc})
     assert closed_stack_sets(aks) == ref_closed_stack_sets(aks)
-    for alpha, beta in product(subsets, repeat=2):
-        assert aks_apply(aks, alpha, beta) == ref_apply(aks, alpha, beta)
-        assert aks_imp(aks, alpha, beta) == ref_imp(aks, alpha, beta)
-        phi = Predicate(("i",), {"i": alpha})
-        psi = Predicate(("i",), {"i": beta})
-        assert streicher_leq(phi, psi, aks) == ref_streicher_leq(phi, psi, aks)
-    if subsets:
-        phi = Predicate(("i", "j"), {"i": subsets[0], "j": subsets[-1]})
-        psi = Predicate(("i", "j"), {"i": subsets[-1], "j": subsets[0]})
-        assert streicher_leq(phi, psi, aks) == ref_streicher_leq(phi, psi, aks)
-    assert check_kr(aks) == ref_kr(aks)
-    got = {r.check: (r.verdict, r.counterexample) for r in check_aks(aks).records}
-    for check, counterexample in ref_pole_rules(aks).items():
-        assert got[check] == ("pass" if counterexample is None else "fail", counterexample), check
-
-
-def assert_order_ca_matches_reference(aks):
-    carrier = ref_closed_stack_sets(aks)
-    if len(carrier) > 16:  # the opca laws read carrier^3 triples
-        return
-    try:
-        oca = order_ca(aks).opca
-    except ConstructionError:
-        return
-    assert list(oca.elements) == carrier
-    assert oca.table == {(a, b): ref_apply(aks, a, b) for a in carrier for b in carrier}
-    assert oca.filter == frozenset(a for a in carrier if ref_orthogonal_terms(aks, a) & aks.qp)
-    assert oca.leq_pairs == frozenset((a, b) for a in carrier for b in carrier if b <= a)
+    readers = kernel_readers(aks, subsets)
+    for k, (routine, expected) in enumerate(readers):
+        copy = cold_copy(aks)
+        before = shown(copy, aks)
+        got = routine(copy)
+        assert got == expected or routine is order_ca_view and got is None, routine
+        for other, _ in readers[k + 1:] + readers[:k]:
+            other(copy)
+        assert routine(copy) == got, routine
+        assert shown(copy, aks) == before
 
 
 @st.composite
@@ -171,7 +213,6 @@ def test_bit_layer_matches_the_frozenset_reference(aks, data):
     stack_sets = st.frozensets(st.sampled_from(aks.stacks))
     subsets = data.draw(st.lists(stack_sets, min_size=1, max_size=4))
     assert_matches_reference(aks, subsets + [frozenset(), frozenset(aks.stacks)])
-    assert_order_ca_matches_reference(aks)
 
 
 def fixture_structures():
@@ -191,7 +232,6 @@ def test_bit_layer_matches_the_reference_on_fixtures_and_benchmark_cases():
     assert len(subjects) == 9 + 48
     for aks in subjects:
         assert_matches_reference(aks, ref_closed_stack_sets(aks))
-        assert_order_ca_matches_reference(aks)
 
 
 def test_kr_reads_both_push_orders():

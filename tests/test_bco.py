@@ -466,6 +466,21 @@ def test_a_kit_refuses_an_inf_table_not_keyed_by_the_closed_downsets(inf, messag
     assert str(exc.value) == f"heyting: field 'inf': {message}"
 
 
+@pytest.mark.parametrize("imp, message", [
+    (lambda kit: {}, "no implication for the pair of carrier elements ('0', '0')"),
+    (lambda kit: {**kit.imp, ("0", "x"): "0"},
+     "not a pair of carrier elements: ('0', 'x')"),
+    (lambda kit: {**kit.imp, ("m", "0"): "x"}, "implication 'x' outside the carrier at ('m', '0')"),
+], ids=["empty", "stray", "outside"])
+def test_a_kit_refuses_an_imp_table_not_keyed_by_the_pairs(imp, message):
+    # unchecked, the empty table would end check_implicative in a bare KeyError
+    kit = heyting_kit(L3)
+    rest = {f: getattr(kit, f) for f in ImplicativeKit._fields if f not in ("host", "imp")}
+    with pytest.raises(StructureError) as exc:
+        ImplicativeKit(L3, imp=imp(kit), **rest)
+    assert str(exc.value) == f"heyting: field 'imp': {message}"
+
+
 def test_kit_without_a_filter_is_refused():
     kit = heyting_kit(L3)
     bare = ImplicativeKit(L3.replace(filter=None), kit.inf, kit.imp, kit.i, kit.i_prime,

@@ -1,7 +1,9 @@
 """Each witness search has one owner: a check that no module writes one out again.
 
 ``FiniteBco.track`` is the only search of a structure's function set,
-``Aks`` itself the only reader of its pole rows, ``tripos.first_unstable``
+``Aks`` itself the only reader of its pole rows, ``Aks.pull`` and
+``Aks.push_image`` the only readers of its push table in indices and the
+only callers of the raw pre-image and image loops, ``tripos.first_unstable``
 the only place where the Booleanization scan builds its predicates (each
 single downset, then the generic predicate),
 ``Program.values`` the only interpreter of terms, and ``terms._subterms``
@@ -56,6 +58,18 @@ def row_reads(source):
     """Scopes that read an attribute ``rows``."""
     return [scope for scope, node in scoped_nodes(ast.parse(source))
             if isinstance(node, ast.Attribute) and node.attr == "rows"]
+
+
+def push_reads(source):
+    """(scope, name) for every call of the raw push loops ``_pull`` and
+    ``_image`` and every read of an attribute ``push_index``."""
+    out = []
+    for scope, node in scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Call) and called_name(node) in ("_pull", "_image"):
+            out.append((scope, called_name(node)))
+        elif isinstance(node, ast.Attribute) and node.attr == "push_index":
+            out.append((scope, "push_index"))
+    return out
 
 
 def predicate_constructions(source):
@@ -142,6 +156,21 @@ def _cmd_check_tripos(args):
 '''
     assert function_set_searches(inlined) == ["FiniteBco.track", "predicate_leq"]
     assert row_reads(inlined) == ["streicher_leq"]
+    pulled = '''
+class Aks:
+    def pull(self, t, mask):
+        return _pull(self.push_index[t], mask)
+
+def check_aks(aks):
+    push = aks.push_index
+    bad = _pull(push[s], rows[t])
+
+def streicher_leq(phi, psi, aks):
+    needed = aksmod._image(aks.push_index, terms, stacks)
+'''
+    assert push_reads(pulled) == [("Aks.pull", "_pull"), ("Aks.pull", "push_index"),
+                                  ("check_aks", "push_index"), ("check_aks", "_pull"),
+                                  ("streicher_leq", "_image"), ("streicher_leq", "push_index")]
     assert predicate_constructions(inlined) == ["_cmd_check_tripos"]
     walker = '''
 def eval_in_opca(term, env, opca):
@@ -213,6 +242,16 @@ def test_only_finite_bco_track_searches_a_function_set(path):
                          ids=lambda p: p.name)
 def test_no_module_but_aks_reads_the_pole_rows(path):
     assert row_reads(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_push_kernel_runs_push_on_masks(path):
+    # the pole rules, the order-ca table, implication, (Kr) and the Streicher
+    # preorder go through Aks.pull and Aks.push_image, which keep what they find
+    expected = [("Aks.pull", "_pull"), ("Aks.pull", "push_index"),
+                ("Aks.push_image", "_image"), ("Aks.push_image", "push_index")]
+    assert push_reads(path.read_text(encoding="utf-8")) == \
+        (expected if path.name == "aks.py" else [])
 
 
 def test_the_cli_builds_no_predicate():
