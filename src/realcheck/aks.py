@@ -9,7 +9,10 @@ Provided here: the pole-axiom checker, the construction of an aks from a
 filtered opca with a downward closed U disjoint from the filter, the
 induced total order-ca on biorthogonally closed stack sets with its
 filter, and the forcing-style condition on quasi-proofs.  Closed stack
-sets come from ``poset.closed_masks``, which also lists downsets.  Every
+sets come from ``poset.closed_masks``, which also lists downsets; once
+listed they stay on the structure as a table of masks, stack sets and
+facing terms (the intents and extents of the pole's formal concepts), which
+the order-ca, implication, cc and the Streicher preorder read.  Every
 question about t.pi in the pole goes through push on masks, one kernel on
 the structure (``Aks.pull``, ``Aks.push_image``) that keeps each pre-image
 and image it computes.
@@ -18,6 +21,7 @@ and image it computes.
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 from . import bco as bcomod, opca as opcamod, terms as termsmod
 from .errors import ConstructionError, StructureError
@@ -43,10 +47,13 @@ class Aks(Frozen):
     ``dot_index[i][k]`` and ``kof_index[j]`` are the tables in indices.  The mask methods below
     work on these; the module functions keep the frozenset interface.
 
-    Outside its fields the structure keeps its closed masks, once listed, and
-    the memos of push on masks: ``pull`` per term and mask, ``push_image``
-    per pair of masks.  Each is a pure function of the fields, so equality,
-    ``repr`` and the saved form are the same before and after they fill.
+    Outside its fields the structure keeps the memos of push on masks
+    (``pull`` per term and mask, ``push_image`` per pair of masks) and, once
+    ``closed_stack_sets`` or ``order_ca`` has listed them, the closed masks
+    with their stack sets and facing terms.  The mask methods read that
+    table for a closed set and scan the rows for any other.  Each is a pure
+    function of the fields, so equality, ``repr`` and the saved form are the
+    same before and after they fill.
     """
 
     _fields = ("terms", "stacks", "dot", "push", "kof", "K", "S", "cc", "qp", "pole", "name",
@@ -71,48 +78,38 @@ class Aks(Frozen):
                                      ("stacks", self.stacks, stack_set)):
             if len(names) != len(unique):
                 raise StructureError(f"duplicate {where}", source=self.name, field=where)
-        for where, table, keys, values in (
-                ("dot", self.dot, product(self.terms, self.terms), term_set),
-                ("push", self.push, product(self.terms, self.stacks), stack_set),
-                ("kOf", self.kof, self.stacks, term_set)):
-            keys = list(keys)
-            allowed = frozenset(keys)
-            stray = [key for key in table if key not in allowed]
-            if stray:
-                raise StructureError(f"{where} entry {stray[0]!r} outside carrier",
-                                     source=self.name, field=where)
-            gaps = [key for key in keys if table.get(key) not in values]
-            if gaps:
-                raise StructureError(f"{where} not total at {gaps[0]!r}",
-                                     source=self.name, field=where)
+        ti = {t: i for i, t in enumerate(self.terms)}
+        si = {pi: j for j, pi in enumerate(self.stacks)}
+        dot_flat = _indices(self.dot, list(product(self.terms, self.terms)), ti, "dot", name)
+        push_flat = _indices(self.push, list(product(self.terms, self.stacks)), si, "push", name)
+        kof_index = tuple(_indices(self.kof, self.stacks, ti, "kOf", name))
         for x, where in ((self.K, "K"), (self.S, "S"), (self.cc, "cc")):
             if x not in term_set:
                 raise StructureError("distinguished term outside carrier",
                                      source=self.name, field=where)
         if not self.qp <= term_set:
             raise StructureError("QP escapes terms", source=self.name, field="QP")
-        for (t, pi) in self.pole:
-            if t not in term_set or pi not in stack_set:
-                raise StructureError("pole entry outside carrier",
-                                     source=self.name, field="pole")
-        ti = {t: i for i, t in enumerate(self.terms)}
-        si = {pi: j for j, pi in enumerate(self.stacks)}
         rows = [0] * len(self.terms)
         for (t, pi) in self.pole:
-            rows[ti[t]] |= 1 << si[pi]
-        # full: every stack; _closed: the closed masks, once enumerated;
-        # _pulls and _images: the push kernel's memos
+            i, j = ti.get(t), si.get(pi)
+            if i is None or j is None:
+                raise StructureError("pole entry outside carrier",
+                                     source=self.name, field="pole")
+            rows[i] |= 1 << j
+        m, n = len(self.terms), len(self.stacks)
+        # full: every stack; _pulls and _images: the push kernel's memos;
+        # the closed masks, once listed: _sets (mask -> stacks, in list
+        # order), _masks (stacks -> mask) and _facing (mask -> facing terms)
         for attr, value in (
                 ("term_set", term_set), ("stack_set", stack_set),
                 ("term_index", ti), ("stack_index", si),
                 ("rows", tuple(rows)),
-                ("push_index", tuple(tuple(si[self.push[(t, pi)]] for pi in self.stacks)
-                                     for t in self.terms)),
-                ("dot_index", tuple(tuple(ti[self.dot[(t, s)]] for s in self.terms)
-                                    for t in self.terms)),
-                ("kof_index", tuple(ti[self.kof[pi]] for pi in self.stacks)),
-                ("full", (1 << len(self.stacks)) - 1),
-                ("_closed", None), ("_pulls", tuple({} for _ in self.terms)), ("_images", {})):
+                ("push_index", tuple(tuple(push_flat[i * n:(i + 1) * n]) for i in range(m))),
+                ("dot_index", tuple(tuple(dot_flat[i * m:(i + 1) * m]) for i in range(m))),
+                ("kof_index", kof_index),
+                ("full", (1 << n) - 1),
+                ("_pulls", tuple({} for _ in self.terms)), ("_images", {}),
+                ("_sets", {}), ("_masks", {}), ("_facing", {})):
             set_field(self, attr, value)
 
     def in_pole(self, t, pi):
@@ -130,13 +127,18 @@ class Aks(Frozen):
         return _mask(self.term_index, terms, "term", self.name)
 
     def stack_mask(self, stacks):
+        if isinstance(stacks, frozenset):
+            mask = self._masks.get(stacks)
+            if mask is not None:
+                return mask
         return _mask(self.stack_index, stacks, "stack", self.name)
 
     def stacks_of(self, mask):
-        return frozenset(pi for j, pi in enumerate(self.stacks) if mask >> j & 1)
+        out = self._sets.get(mask)
+        return _items(self.stacks, mask) if out is None else out
 
     def terms_of(self, mask):
-        return frozenset(t for i, t in enumerate(self.terms) if mask >> i & 1)
+        return _items(self.terms, mask)
 
     def facing_stacks(self, term_mask):
         """Stacks facing every term of the mask: an AND of rows."""
@@ -148,19 +150,14 @@ class Aks(Frozen):
 
     def facing_terms(self, stack_mask):
         """Terms facing every stack of the mask."""
-        out = 0
-        for i, row in enumerate(self.rows):
-            if row & stack_mask == stack_mask:
-                out |= 1 << i
-        return out
+        out = self._facing.get(stack_mask)
+        return _facing(self.rows, stack_mask) if out is None else out
 
     def close(self, stack_mask):
         """The biorthogonal closure: the AND of the rows that contain the mask."""
-        out = self.full
-        for row in self.rows:
-            if row & stack_mask == stack_mask:
-                out &= row
-        return out
+        if stack_mask in self._facing:
+            return stack_mask
+        return _close(self.rows, self.full, stack_mask)
 
     def first_quasi_proof(self, stack_mask):
         """The first quasi-proof in term order facing every stack of the mask, or None."""
@@ -186,6 +183,22 @@ class Aks(Frozen):
         return out
 
 
+def _indices(table, keys, index, where, name):
+    """The index of each key's value in ``table``, in key order.  A key of the
+    table outside ``keys`` is a StructureError naming the first one, and
+    then so is the first key whose value is missing or outside ``index``."""
+    out = [index.get(table.get(key)) for key in keys]
+    if len(table) != len(out) or None in out:
+        allowed = frozenset(keys)
+        stray = [key for key in table if key not in allowed]
+        if stray:
+            raise StructureError(f"{where} entry {stray[0]!r} outside carrier",
+                                 source=name, field=where)
+        raise StructureError(f"{where} not total at {keys[out.index(None)]!r}",
+                             source=name, field=where)
+    return out
+
+
 def _mask(index, items, kind, name):
     """The mask of ``items`` under ``index``; an item outside it is a
     StructureError naming it."""
@@ -195,6 +208,29 @@ def _mask(index, items, kind, name):
             raise StructureError(f"{kind} {x!r} outside the carrier", source=name)
         mask |= 1 << index[x]
     return mask
+
+
+def _items(names, mask):
+    """The frozenset of the names at the set bits of the mask."""
+    return frozenset(x for j, x in enumerate(names) if mask >> j & 1)
+
+
+def _facing(rows, stack_mask):
+    """Mask of the rows that contain the stack mask."""
+    out = 0
+    for i, row in enumerate(rows):
+        if row & stack_mask == stack_mask:
+            out |= 1 << i
+    return out
+
+
+def _close(rows, full, stack_mask):
+    """The AND of the rows that contain the stack mask (``full`` when none)."""
+    out = full
+    for row in rows:
+        if row & stack_mask == stack_mask:
+            out &= row
+    return out
 
 
 def orthogonal_stacks(aks, term_subset):
@@ -341,24 +377,29 @@ def build_aks(opca, max_len=3, U=None):
     # b, c, d and the sequence codes are the kit's: evaluated and verified once
     kit = opcamod.derive_sequence_kit(opca, max_len=max_len)
     slots = {name: kit.element(term) for name, term in (("b", kit.b), ("c", kit.c), ("d", kit.d))}
-    d_el = slots["d"]
+    d_el, table = slots["d"], opca.table
 
-    def apply_or_die(f, x, what, *args):
-        """f·x; ``what`` is formatted with ``args`` only when it is undefined."""
-        out = opca.app(f, x)
-        if out is None:
-            raise ConstructionError(f"{what.format(*args)} undefined during aks construction")
-        return out
+    def undefined(what):
+        return ConstructionError(f"{what} undefined during aks construction")
 
     # stacks: the codes of the sequences of length <= max_len, which the kit
-    # check lists, then closed under push = d-application
-    d_row = [(a, apply_or_die(d_el, a, "d·{}", a)) for a in opca.elements]
+    # check lists, then closed under push = d-application; each stack is
+    # pushed by every term once, so push is filled on the way
+    d_row = []
+    for a in opca.elements:
+        da = table.get((d_el, a))
+        if da is None:
+            raise undefined(f"d·{a}")
+        d_row.append((a, da))
     frontier = list(kit.stack_codes)
     seen = set(frontier)
+    push = {}
     while frontier:
         pi = frontier.pop()
         for a, da in d_row:
-            v = apply_or_die(da, pi, "d·{}·{}", a, pi)
+            v = push[(a, pi)] = table.get((da, pi))
+            if v is None:
+                raise undefined(f"d·{a}·{pi}")
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
@@ -376,15 +417,21 @@ def build_aks(opca, max_len=3, U=None):
 
     dot = {}
     for t in opca.elements:
-        dt = apply_or_die(dot_el, t, "dot·{}", t)
+        dt = table.get((dot_el, t))
+        if dt is None:
+            raise undefined(f"dot·{t}")
         for s in opca.elements:
-            dot[(t, s)] = apply_or_die(dt, s, "dot·{}·{}", t, s)
-    push = {(t, pi): apply_or_die(dt, pi, "push {}.{}", t, pi)
-            for t, dt in d_row for pi in stacks}
-    kof = {pi: apply_or_die(kof_el, pi, "kOf({})", pi) for pi in stacks}
+            v = dot[(t, s)] = table.get((dt, s))
+            if v is None:
+                raise undefined(f"dot·{t}·{s}")
+    kof = {}
+    for pi in stacks:
+        v = kof[pi] = table.get((kof_el, pi))
+        if v is None:
+            raise undefined(f"kOf({pi})")
     # None is never in U, so an undefined t·pi is outside the pole
     pole = frozenset((t, pi) for t in opca.elements for pi in stacks
-                     if opca.app(t, pi) in U)
+                     if table.get((t, pi)) in U)
 
     aks = Aks(terms=tuple(opca.elements), stacks=stacks, dot=dot, push=push,
               kof=kof, K=K_el, S=S_el, cc=cc_el, qp=opca.filter, pole=pole,
@@ -397,16 +444,21 @@ def build_aks(opca, max_len=3, U=None):
 # ---------------------------------------------------------------------------
 
 def _closed_masks(aks):
-    """Every closed stack mask (``poset.closed_masks`` of ``Aks.close``), or
-    CapExceeded past ``CLOSED_SET_CAP``.  The list is kept on the structure,
-    so a later call, direct or through ``order_ca``, does not enumerate again.
+    """{closed stack mask: its stack set} for every closed mask of
+    ``Aks.close``, in ``poset.closed_masks`` order, or CapExceeded past
+    ``CLOSED_SET_CAP``.  It is listed once and kept on the structure with
+    each mask's facing terms, so a later call, direct or through
+    ``order_ca``, does not enumerate again, and the mask methods read the
+    table for these sets.
     """
-    masks = aks._closed
-    if masks is None:
-        masks = closed_masks(len(aks.stacks), aks.close, CLOSED_SET_CAP,
-                             f"closed stack sets of {aks.name}")
-        object.__setattr__(aks, "_closed", masks)
-    return masks
+    sets = aks._sets
+    if not sets:  # the full stack set is closed, so a listed table is never empty
+        for mask in closed_masks(len(aks.stacks), aks.close, CLOSED_SET_CAP,
+                                 f"closed stack sets of {aks.name}"):
+            stacks = sets[mask] = _items(aks.stacks, mask)
+            aks._masks[stacks] = mask
+            aks._facing[mask] = _facing(aks.rows, mask)
+    return sets
 
 
 def closed_stack_sets(aks):
@@ -414,22 +466,24 @@ def closed_stack_sets(aks):
 
     Refuses with CapExceeded when there are more than ``CLOSED_SET_CAP``.
     """
-    return [aks.stacks_of(m) for m in _closed_masks(aks)]
+    return list(_closed_masks(aks).values())
 
 
-def _apply_mask(aks, alpha, beta):
-    """alpha·beta on masks.  Every t in |alpha| faces s.pi exactly when s.pi
-    lies in the closure of alpha, so the base is the pre-image of that
-    closure under the push of each s in |beta|."""
-    closed, base = aks.close(alpha), aks.full
-    for s in bits(aks.facing_terms(beta)):
+def _apply_mask(aks, closed, facing):
+    """alpha·beta on masks, from the closure of alpha and the indices of the
+    terms facing beta.  Every t in |alpha| faces s.pi exactly when s.pi lies
+    in the closure of alpha, so the base is the pre-image of that closure
+    under the push of each s in |beta|."""
+    base = aks.full
+    for s in facing:
         base &= aks.pull(s, closed)
     return aks.close(base)
 
 
 def aks_apply(aks, alpha, beta):
     """alpha·beta: close the stacks facing every pair from |alpha| x |beta|."""
-    return aks.stacks_of(_apply_mask(aks, aks.stack_mask(alpha), aks.stack_mask(beta)))
+    return aks.stacks_of(_apply_mask(aks, aks.close(aks.stack_mask(alpha)),
+                                     bits(aks.facing_terms(aks.stack_mask(beta)))))
 
 
 def aks_imp(aks, alpha, beta):
@@ -455,33 +509,29 @@ def order_ca(aks):
     orthogonals of single quasi-proofs, then over the whole filter, then
     the carrier.  Raises ConstructionError when no pair satisfies the laws.
     """
-    masks = _closed_masks(aks)
-    carrier = [aks.stacks_of(m) for m in masks]
-    named = dict(zip(masks, carrier))
-    leq = frozenset((named[a], named[b]) for a in masks for b in masks if not b & ~a)
+    sets = _closed_masks(aks)
+    carrier = list(sets.values())
+    leq = frozenset((a, b) for m, a in sets.items() for n, b in sets.items() if not n & ~m)
+    facing = [(b, bits(aks.facing_terms(m))) for m, b in sets.items()]
     table = {}
-    for alpha in masks:
-        for beta in masks:
-            table[(named[alpha], named[beta])] = named[_apply_mask(aks, alpha, beta)]
+    for alpha, a in sets.items():
+        for b, terms in facing:
+            table[(a, b)] = aks.stacks_of(_apply_mask(aks, alpha, terms))
     qp = aks.term_mask(aks.qp)
-    filt = frozenset(named[alpha] for alpha in masks if aks.facing_terms(alpha) & qp)
+    filt = frozenset(a for m, a in sets.items() if aks.facing_terms(m) & qp)
 
-    candidates = []
-    for q, row in zip(aks.terms, aks.rows):
-        if q in aks.qp and named[row] in filt and named[row] not in candidates:
-            candidates.append(named[row])
-    for alpha in carrier:
-        if alpha in filt and alpha not in candidates:
-            candidates.append(alpha)
-    candidates.extend(alpha for alpha in carrier if alpha not in candidates)
+    # the orthogonals of single quasi-proofs, the filter, the carrier: each once
+    singles = [aks.stacks_of(row) for q, row in zip(aks.terms, aks.rows) if q in aks.qp]
+    candidates = list(dict.fromkeys([*(a for a in singles + carrier if a in filt), *carrier]))
 
-    # the laws do not read the designated k and s, so a draft carries any
-    draft = opcamod.FiniteOpca(elements=tuple(carrier), leq_pairs=leq, table=table,
-                               k=carrier[0], s=carrier[0], filter=filt, name=f"P({aks.name})")
-    ks = opcamod.first_ks(draft, candidates)
+    # the laws read only the carrier, the table and the order
+    ks = opcamod.first_ks(SimpleNamespace(elements=carrier, table=table, leq_pairs=leq),
+                          candidates)
     if ks is None:
         raise ConstructionError(f"no k/s pair for the order-ca of {aks.name}")
-    return OrderCa(aks=aks, opca=draft.replace(**ks))
+    return OrderCa(aks=aks, opca=opcamod.FiniteOpca(
+        elements=tuple(carrier), leq_pairs=leq, table=table, filter=filt,
+        name=f"P({aks.name})", **ks))
 
 
 def check_order_ca(aks):

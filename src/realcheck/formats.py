@@ -4,10 +4,10 @@ Opca files carry elements, leq pairs (closed reflexively and transitively
 on load), an application triple list, designated k and s, and optional
 filter / U / sup fields.  BCO files carry named function graphs; aks files
 carry the full tables.  Loading checks JSON shape only (names are JSON
-strings, a table key or a sup row element given twice is an error);
-carrier membership is checked by the structure constructors, and the sup
-table, which no constructor sees, by ``bco.check_sup_table``.  Errors name
-the file, and the line or the field.
+strings; a table key, a sup row element, or an entry of leq, filter, U, QP
+or pole given twice is an error); carrier membership is checked by the
+structure constructors, and the sup table, which no constructor sees, by
+``bco.check_sup_table``.  Errors name the file, and the line or the field.
 """
 
 from __future__ import annotations
@@ -90,22 +90,34 @@ def _table(rows, path, field):
     return table
 
 
-def _poset_fields(read):
+def _set(entries, path, field):
+    """The frozenset of ``entries`` (names, or pairs as tuples), None for
+    None; an entry given twice is an error."""
+    if entries is None:
+        return None
+    out = frozenset(entries)
+    if len(out) < len(entries):
+        seen = set()
+        for x in entries:
+            if x in seen:
+                raise StructureError(f"entry {x!r} given twice", source=str(path), field=field)
+            seen.add(x)
+    return out
+
+
+def _poset_fields(read, path):
     return {"elements": tuple(read("elements", NAMES)),
-            "leq_pairs": frozenset(map(tuple, read("leq", PAIRS, required=False) or ()))}
-
-
-def _subset(names):
-    return None if names is None else frozenset(names)
+            "leq_pairs": _set([tuple(p) for p in read("leq", PAIRS, required=False) or ()],
+                              path, "leq")}
 
 
 def load_opca(path):
     read = _reader(load_json(path), path)
     opca = opcamod.FiniteOpca(
-        **_poset_fields(read), table=_table(read("app", TRIPLES), path, "app"),
+        **_poset_fields(read, path), table=_table(read("app", TRIPLES), path, "app"),
         k=read("k", str), s=read("s", str),
-        filter=_subset(read("filter", NAMES, required=False)),
-        U=_subset(read("U", NAMES, required=False)), name=str(path))
+        filter=_set(read("filter", NAMES, required=False), path, "filter"),
+        U=_set(read("U", NAMES, required=False), path, "U"), name=str(path))
     rows = read("sup", [(NAMES, str)], required=False)
     if rows is None:
         return opca, None
@@ -123,7 +135,7 @@ def load_bco(path):
     read = _reader(load_json(path), path)
     functions = {fname: _table(graph, path, f"functions.{fname}")
                  for fname, graph in read("functions", {str: PAIRS}).items()}
-    return bcomod.FiniteBco(**_poset_fields(read), functions=functions, name=str(path))
+    return bcomod.FiniteBco(**_poset_fields(read, path), functions=functions, name=str(path))
 
 
 def load_aks(path):
@@ -133,8 +145,9 @@ def load_aks(path):
                       push=_table(read("push", TRIPLES), path, "push"),
                       kof=_table(read("kOf", PAIRS), path, "kOf"),
                       K=read("K", str), S=read("S", str), cc=read("cc", str),
-                      qp=frozenset(read("QP", NAMES)),
-                      pole=frozenset(map(tuple, read("pole", PAIRS))), name=str(path))
+                      qp=_set(read("QP", NAMES), path, "QP"),
+                      pole=_set([tuple(p) for p in read("pole", PAIRS)], path, "pole"),
+                      name=str(path))
 
 
 def load_map(path):

@@ -105,15 +105,19 @@ class FiniteOpca(Poset):
 # ---------------------------------------------------------------------------
 
 def k_law(opca, k):
-    """First counterexample to "k·x·y defined and <= x" for candidate k, else None."""
-    els = opca.elements
+    """First counterexample to "k·x·y defined and <= x" for candidate k, else None.
+
+    The laws read only ``opca.elements``, ``opca.table`` and ``opca.leq_pairs``
+    (closed), so ``opca`` may be any record with those three.
+    """
+    els, app, leq = opca.elements, opca.table.get, opca.leq_pairs
     for x in els:
-        kx = opca.app(k, x)
+        kx = app((k, x))
         if kx is None:
             return (k, x)
         for y in els:
-            kxy = opca.app(kx, y)
-            if kxy is None or not opca.leq(kxy, x):
+            kxy = app((kx, y))
+            if kxy is None or (kxy, x) not in leq:
                 return (k, x, y)
     return None
 
@@ -121,31 +125,32 @@ def k_law(opca, k):
 def s_law(opca, s):
     """First counterexample to "s·x·y defined, and s·x·y·z defined and
     <= (x·z)·(y·z) whenever the latter is" for candidate s, else None."""
-    els = opca.elements
+    els, app, leq = opca.elements, opca.table.get, opca.leq_pairs
     for x in els:
-        sx = opca.app(s, x)
+        sx = app((s, x))
         if sx is None:
             return (s, x)
         for y in els:
-            sxy = opca.app(sx, y)
+            sxy = app((sx, y))
             if sxy is None:
                 return (s, x, y)
             for z in els:
-                xz = opca.app(x, z)
-                yz = opca.app(y, z)
+                xz = app((x, z))
+                yz = app((y, z))
                 if xz is None or yz is None:
                     continue
-                rhs = opca.app(xz, yz)
+                rhs = app((xz, yz))
                 if rhs is None:
                     continue
-                sxyz = opca.app(sxy, z)
-                if sxyz is None or not opca.leq(sxyz, rhs):
+                sxyz = app((sxy, z))
+                if sxyz is None or (sxyz, rhs) not in leq:
                     return (s, x, y, z)
     return None
 
 
 def first_ks(opca, candidates):
-    """{"k": k, "s": s}, each the first of ``candidates`` obeying its law, or None."""
+    """{"k": k, "s": s}, each the first of ``candidates`` obeying its law, or
+    None; ``opca`` as for ``k_law``."""
     k = next((c for c in candidates if k_law(opca, c) is None), None)
     s = next((c for c in candidates if s_law(opca, c) is None), None)
     return None if k is None or s is None else {"k": k, "s": s}

@@ -5,7 +5,7 @@ import pytest
 from realcheck import aks as aksmod
 from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
                            build_aks, cc_element, check_aks, check_kr,
-                           check_order_ca, closed_stack_sets,
+                           check_order_ca, closed_stack_sets, order_ca,
                            orthogonal_stacks, orthogonal_terms,
                            tv_least_of_aks)
 from realcheck.errors import CapExceeded, StructureError
@@ -200,6 +200,54 @@ def test_the_pole_rules_pull_each_pre_image_once(monkeypatch):
     assert 0 < len(runs) <= len(aks.terms) * len(aks.stacks)
     runs.clear()
     assert check_aks(aks).passed and runs == []
+
+
+def most_closed_sets_case():
+    """A fresh structure of the sweep case with the most closed stack sets."""
+    opca = max(admissible_cases(5),
+               key=lambda o: len(closed_stack_sets(build_aks(o, max_len=3, U=o.U).aks)))
+    return build_aks(opca, max_len=3, U=opca.U).aks
+
+
+def counting(monkeypatch, name, seen):
+    """Record the last argument of each call of ``aksmod.<name>``."""
+    raw = getattr(aksmod, name)
+    monkeypatch.setattr(aksmod, name, lambda *args: seen.append(args[-1]) or raw(*args))
+
+
+def test_the_order_ca_reads_each_closed_set_once(monkeypatch):
+    # Closing each alpha again, or scanning beta's facing terms per pair,
+    # would run the raw loops for each of the 64 pairs here.
+    aks = most_closed_sets_case()
+    listed, scans, closures, listing_closures = [], [], [], []
+    enumerate_closed = aksmod.closed_masks
+
+    def listing(*args):
+        listed.extend(enumerate_closed(*args))
+        listing_closures.extend(closures)
+        closures.clear()
+        return list(listed)
+
+    monkeypatch.setattr(aksmod, "closed_masks", listing)
+    counting(monkeypatch, "_facing", scans)
+    counting(monkeypatch, "_close", closures)
+    assert len(order_ca(aks).opca.elements) == len(listed) == 8
+    assert len(scans) == len(set(scans)) <= len(listed)
+    assert listing_closures and not set(closures) & set(listed)
+
+
+def test_implication_on_closed_sets_converts_nothing(monkeypatch):
+    aks, cold = most_closed_sets_case(), most_closed_sets_case()
+    sets = closed_stack_sets(aks)
+    conversions = []
+    counting(monkeypatch, "_mask", conversions)
+    counting(monkeypatch, "_items", conversions)
+    for _ in range(2):
+        pierce = [aks_imp(aks, aks_imp(aks, aks_imp(aks, a, b), a), a) for a in sets for b in sets]
+        assert conversions == [] and len(pierce) == 64
+    # with no table listed, both arguments and the result are converted
+    assert aks_imp(cold, sets[1], sets[-1]) == aks_imp(aks, sets[1], sets[-1])
+    assert len(conversions) == 3
 
 
 # -- the forcing condition -----------------------------------------------------------------

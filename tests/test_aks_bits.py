@@ -2,14 +2,22 @@
 
 The reference routines below scan (term, stack) pairs through ``in_pole``,
 as the definitions read: orthogonals, closure, every closed set by closing
-every subset, application, implication, (Kr), the Streicher preorder and the
-five pole rules with their first counterexamples.  They are compared with
-the library on random structures (random tables and poles, so the rules
-mostly fail), on every fixture and on every benchmark Krivine structure.
+every subset, application, implication, (Kr), the Streicher preorder, the
+order-ca with its k and s, and the five pole rules with their first
+counterexamples.  They are compared with the library on random structures
+(random tables and poles, so the rules mostly fail), on every fixture and on
+every benchmark Krivine structure.
+
+The mask routes that the closed-set table replaced are kept below as well,
+reading the rows and the push table directly: application closing alpha and
+scanning beta's facing terms per call, implication converting between
+frozensets and masks per call, and the order-ca built as a draft and again
+with its k and s.  The library must match them with and without the table.
 """
 
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +25,10 @@ from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
                            build_aks, cc_element, check_aks, check_kr,
                            closed_stack_sets, order_ca, orthogonal_stacks,
                            orthogonal_terms)
-from realcheck.errors import ConstructionError
+from realcheck.errors import ConstructionError, StructureError
 from realcheck.formats import aks_to_dict, load_aks, load_opca
+from realcheck.opca import FiniteOpca, first_ks, k_law, s_law
+from realcheck.poset import bits, closed_masks
 from realcheck.tripos import Predicate, streicher_leq
 
 from conftest import FIXTURES
@@ -112,24 +122,37 @@ def pole_rule_verdicts(aks):
 
 
 def order_ca_view(aks):
-    """The order-ca's carrier, table, filter and order; None without a k/s pair."""
+    """The order-ca's carrier, table, filter, order, k and s; None without a
+    k/s pair."""
     try:
         oca = order_ca(aks).opca
     except ConstructionError:
         return None
-    return list(oca.elements), oca.table, oca.filter, oca.leq_pairs
+    return list(oca.elements), oca.table, oca.filter, oca.leq_pairs, oca.k, oca.s
 
 
 def ref_order_ca_view(aks, carrier):
-    return (carrier, {(a, b): ref_apply(aks, a, b) for a in carrier for b in carrier},
-            frozenset(a for a in carrier if ref_orthogonal_terms(aks, a) & aks.qp),
-            frozenset((a, b) for a in carrier for b in carrier if b <= a))
+    """k and s are the first candidates obeying their laws: the orthogonals
+    of single quasi-proofs in the filter, then the filter, then the carrier."""
+    table = {(a, b): ref_apply(aks, a, b) for a in carrier for b in carrier}
+    filt = frozenset(a for a in carrier if ref_orthogonal_terms(aks, a) & aks.qp)
+    leq = frozenset((a, b) for a in carrier for b in carrier if b <= a)
+    singles = [ref_orthogonal_stacks(aks, {q}) for q in aks.terms if q in aks.qp]
+    candidates = []
+    for alpha in [a for a in singles + carrier if a in filt] + carrier:
+        if alpha not in candidates:
+            candidates.append(alpha)
+    laws = FiniteOpca(tuple(carrier), leq, table, carrier[0], carrier[0])
+    k = next((c for c in candidates if k_law(laws, c) is None), None)
+    s = next((c for c in candidates if s_law(laws, c) is None), None)
+    return None if k is None or s is None else (carrier, table, filt, leq, k, s)
 
 
 def kernel_readers(aks, subsets):
     """(routine, its reference value) for each routine that reads the push
-    kernel (``Aks.pull``, ``Aks.push_image``); apply, imp and the Streicher
-    preorder over ``subsets``, the order-ca when it has at most 16 elements."""
+    kernel (``Aks.pull``, ``Aks.push_image``) or the closed-set table; apply,
+    imp and the Streicher preorder over ``subsets``, the order-ca when it has
+    at most 16 elements."""
     pairs = list(product(subsets, repeat=2))
     predicates = [(Predicate(("i",), {"i": alpha}), Predicate(("i",), {"i": beta}))
                   for alpha, beta in pairs]
@@ -137,6 +160,8 @@ def kernel_readers(aks, subsets):
         predicates.append((Predicate(("i", "j"), {"i": subsets[0], "j": subsets[-1]}),
                            Predicate(("i", "j"), {"i": subsets[-1], "j": subsets[0]})))
     readers = [
+        (closed_stack_sets, ref_closed_stack_sets(aks)),
+        (cc_element, ref_orthogonal_stacks(aks, {aks.cc})),
         (pole_rule_verdicts,
          {check: ("pass" if ce is None else "fail", ce)
           for check, ce in ref_pole_rules(aks).items()}),
@@ -168,18 +193,173 @@ def assert_matches_reference(aks, subsets):
     for n in range(len(aks.terms) + 1):
         for ts in (frozenset(aks.terms[:n]), frozenset(aks.terms[n:])):
             assert orthogonal_stacks(aks, ts) == ref_orthogonal_stacks(aks, ts)
-    assert cc_element(aks) == ref_orthogonal_stacks(aks, {aks.cc})
-    assert closed_stack_sets(aks) == ref_closed_stack_sets(aks)
     readers = kernel_readers(aks, subsets)
     for k, (routine, expected) in enumerate(readers):
         copy = cold_copy(aks)
         before = shown(copy, aks)
         got = routine(copy)
-        assert got == expected or routine is order_ca_view and got is None, routine
+        assert got == expected, routine
         for other, _ in readers[k + 1:] + readers[:k]:
             other(copy)
         assert routine(copy) == got, routine
         assert shown(copy, aks) == before
+
+
+# -- the mask routes before the closed-set table ---------------------------------------
+
+
+def scan_mask(aks, stacks):
+    return sum(1 << aks.stack_index[pi] for pi in stacks)
+
+
+def scan_stacks(aks, mask):
+    return frozenset(pi for j, pi in enumerate(aks.stacks) if mask >> j & 1)
+
+
+def scan_facing_terms(aks, mask):
+    return sum(1 << i for i, row in enumerate(aks.rows) if row & mask == mask)
+
+
+def scan_close(aks, mask):
+    out = aks.full
+    for row in aks.rows:
+        if row & mask == mask:
+            out &= row
+    return out
+
+
+def scan_pull(aks, t, mask):
+    return sum(1 << j for j, k in enumerate(aks.push_index[t]) if mask >> k & 1)
+
+
+def scan_image(aks, term_mask, stack_mask):
+    return scan_mask(aks, {aks.app_push(aks.terms[i], aks.stacks[j])
+                           for i in bits(term_mask) for j in bits(stack_mask)})
+
+
+def old_apply_mask(aks, alpha, beta):
+    closed, base = scan_close(aks, alpha), aks.full
+    for s in bits(scan_facing_terms(aks, beta)):
+        base &= scan_pull(aks, s, closed)
+    return scan_close(aks, base)
+
+
+def old_aks_apply(aks, alpha, beta):
+    return scan_stacks(aks, old_apply_mask(aks, scan_mask(aks, alpha), scan_mask(aks, beta)))
+
+
+def old_aks_imp(aks, alpha, beta):
+    return scan_stacks(aks, scan_close(aks, scan_image(
+        aks, scan_facing_terms(aks, scan_mask(aks, alpha)), scan_mask(aks, beta))))
+
+
+def old_order_ca(aks):
+    """The order-ca as it was built: a draft, then again with k and s."""
+    masks = closed_masks(len(aks.stacks), lambda m: scan_close(aks, m), 1 << 12, "closed sets")
+    carrier = [scan_stacks(aks, m) for m in masks]
+    named = dict(zip(masks, carrier))
+    leq = frozenset((named[a], named[b]) for a in masks for b in masks if not b & ~a)
+    table = {(named[a], named[b]): named[old_apply_mask(aks, a, b)]
+             for a in masks for b in masks}
+    qp = aks.term_mask(aks.qp)
+    filt = frozenset(named[a] for a in masks if scan_facing_terms(aks, a) & qp)
+    candidates = []
+    for q, row in zip(aks.terms, aks.rows):
+        if q in aks.qp and named[row] in filt and named[row] not in candidates:
+            candidates.append(named[row])
+    for alpha in carrier:
+        if alpha in filt and alpha not in candidates:
+            candidates.append(alpha)
+    candidates.extend(alpha for alpha in carrier if alpha not in candidates)
+    draft = FiniteOpca(elements=tuple(carrier), leq_pairs=leq, table=table,
+                       k=carrier[0], s=carrier[0], filter=filt, name=f"P({aks.name})")
+    ks = first_ks(draft, candidates)
+    return None if ks is None else draft.replace(**ks)
+
+
+def opca_view(opca):
+    return None if opca is None else (opca.elements, opca.leq_pairs, opca.table, opca.k,
+                                      opca.s, opca.filter, opca.U, opca.name)
+
+
+def order_ca_or_none(aks):
+    try:
+        return order_ca(aks).opca
+    except ConstructionError:
+        return None
+
+
+def table_routes(aks, subsets):
+    """Each routine that reads the closed-set table, over ``subsets``, in
+    this order: on a cold structure all but the last two run without it."""
+    pairs = list(product(subsets, repeat=2))
+    out = {"apply": [aks_apply(aks, a, b) for a, b in pairs],
+           "imp": [aks_imp(aks, a, b) for a, b in pairs],
+           "cc": cc_element(aks),
+           "streicher": [streicher_leq(Predicate(("i",), {"i": a}),
+                                       Predicate(("i",), {"i": b}), aks) for a, b in pairs]}
+    out["closed"] = closed_stack_sets(aks)
+    out["order_ca"] = opca_view(order_ca_or_none(aks))
+    return out
+
+
+def old_table_routes(aks, subsets):
+    pairs = list(product(subsets, repeat=2))
+    return {"apply": [old_aks_apply(aks, a, b) for a, b in pairs],
+            "imp": [old_aks_imp(aks, a, b) for a, b in pairs],
+            "cc": scan_stacks(aks, aks.rows[aks.term_index[aks.cc]]),
+            "streicher": [ref_streicher_leq(Predicate(("i",), {"i": a}),
+                                            Predicate(("i",), {"i": b}), aks)
+                          for a, b in pairs],
+            "closed": [scan_stacks(aks, m) for m in closed_masks(
+                len(aks.stacks), lambda m: scan_close(aks, m), 1 << 12, "closed sets")],
+            "order_ca": opca_view(old_order_ca(aks))}
+
+
+def test_the_closed_set_table_matches_the_mask_routes_it_replaced():
+    # on the 48 sweep cases, the five raw aks fixtures and the five built
+    # ones; over every closed set and, per closed set, the set without its
+    # lowest stack (not closed unless empty or still closed), on a structure
+    # with no table, then again once the table is listed
+    workloads, _ = perfbench_modules()
+    subjects = fixture_structures()
+    subjects += [build_aks(opca, max_len=3, U=opca.U).aks for opca in workloads.krivine_cases()]
+    unclosed = 0
+    for aks in subjects:
+        closed = ref_closed_stack_sets(aks)
+        trimmed = [frozenset(sorted(c, key=aks.stacks.index)[1:]) for c in closed if c]
+        subsets = closed + [t for t in trimmed if t not in closed]
+        unclosed += len(subsets) - len(closed)
+        want = old_table_routes(aks, subsets)
+        copy = cold_copy(aks)
+        for _ in range(2):  # the second time, the table is listed
+            assert table_routes(copy, subsets) == want, aks.name
+    assert unclosed > 0
+
+
+def test_imp_and_the_streicher_preorder_refuse_a_stray_stack_and_answer_any_set():
+    # every stack set, closed or not, frozen or not, with the closed-set
+    # table listed and without it
+    for aks in fixture_structures():
+        subsets = [frozenset(c) for r in range(len(aks.stacks) + 1)
+                   for c in combinations(aks.stacks, r)]
+        top, stray = frozenset(aks.stacks), frozenset({"nope"})
+        for listed in (False, True):
+            copy = cold_copy(aks)
+            if listed:
+                closed_stack_sets(copy)
+            for alpha, beta in product(subsets, repeat=2):
+                want = ref_imp(aks, alpha, beta)
+                assert aks_imp(copy, alpha, beta) == want
+                assert aks_imp(copy, set(alpha), sorted(beta)) == want
+                phi, psi = Predicate(("i",), {"i": alpha}), Predicate(("i",), {"i": beta})
+                assert streicher_leq(phi, psi, copy) == ref_streicher_leq(phi, psi, aks)
+            for alpha, beta in ((stray, top), (top, stray), (top | stray, top)):
+                with pytest.raises(StructureError, match="stack 'nope' outside the carrier"):
+                    aks_imp(copy, alpha, beta)
+                with pytest.raises(StructureError, match="stack 'nope' outside the carrier"):
+                    streicher_leq(Predicate(("i",), {"i": alpha}),
+                                  Predicate(("i",), {"i": beta}), copy)
 
 
 @st.composite
@@ -222,6 +402,8 @@ def fixture_structures():
     for n in ("l2", "l3", "m3", "diamond"):  # the opca fixtures with a filter and U
         opca, _ = load_opca(FIXTURES / f"{n}.json")
         out.append(build_aks(opca).aks)
+    vee, _ = load_opca(FIXTURES / "vee.json")  # no U: its largest one avoiding the filter
+    out.append(build_aks(vee, U={"0", "b"}).aks)
     return out
 
 
@@ -229,7 +411,7 @@ def test_bit_layer_matches_the_reference_on_fixtures_and_benchmark_cases():
     workloads, _ = perfbench_modules()
     subjects = fixture_structures()
     subjects += [build_aks(opca, max_len=3, U=opca.U).aks for opca in workloads.krivine_cases()]
-    assert len(subjects) == 9 + 48
+    assert len(subjects) == 10 + 48
     for aks in subjects:
         assert_matches_reference(aks, ref_closed_stack_sets(aks))
 

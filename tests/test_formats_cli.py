@@ -627,6 +627,21 @@ def test_check_density_map_keys_must_be_the_source_carrier(capsys, tmp_path, map
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, fixture, field", [
+    ("check-aks", "aks_mid0.json", "QP"), ("check-aks", "aks_mid0.json", "pole"),
+    ("check-opca", "l3.json", "filter"), ("check-opca", "l3.json", "leq"),
+    ("check-opca", "l3.json", "U"), ("check-bco", "bco_l3.json", "leq"),
+])
+def test_an_entry_given_twice_in_a_set_valued_field_is_an_input_error(capsys, tmp_path,
+                                                                      command, fixture, field):
+    first = json.loads((FIXTURES / fixture).read_text())[field][0]
+    path = write(tmp_path, fixture, appended(fixture, field, first))
+    code, out, err = run(capsys, command, path)
+    shown = repr(first if isinstance(first, str) else tuple(first))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: field {field!r}: entry {shown} given twice\n"
+
+
 def test_duplicate_json_object_key_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "twice.json"
     path.write_text('{"map": {"0": "0", "1": "1", "0": "1"}}')
