@@ -56,8 +56,7 @@ class Aks(Frozen):
     same before and after they fill.
     """
 
-    _fields = ("terms", "stacks", "dot", "push", "kof", "K", "S", "cc", "qp", "pole", "name",
-               "term_set", "stack_set")
+    _fields = ("terms", "stacks", "dot", "push", "kof", "K", "S", "cc", "qp", "pole", "name")
 
     def __init__(self, terms, stacks, dot, push, kof, K, S, cc, qp, pole, name="aks"):
         set_field(self, "terms", terms)
@@ -101,7 +100,6 @@ class Aks(Frozen):
         # the closed masks, once listed: _sets (mask -> stacks, in list
         # order), _masks (stacks -> mask) and _facing (mask -> facing terms)
         for attr, value in (
-                ("term_set", term_set), ("stack_set", stack_set),
                 ("term_index", ti), ("stack_index", si),
                 ("rows", tuple(rows)),
                 ("push_index", tuple(tuple(push_flat[i * n:(i + 1) * n]) for i in range(m))),
@@ -111,15 +109,6 @@ class Aks(Frozen):
                 ("_pulls", tuple({} for _ in self.terms)), ("_images", {}),
                 ("_sets", {}), ("_masks", {}), ("_facing", {})):
             set_field(self, attr, value)
-
-    def in_pole(self, t, pi):
-        return (t, pi) in self.pole
-
-    def app_dot(self, t, s):
-        return self.dot[(t, s)]
-
-    def app_push(self, t, pi):
-        return self.push[(t, pi)]
 
     # -- masks over term and stack indices ------------------------------
 
@@ -136,9 +125,6 @@ class Aks(Frozen):
     def stacks_of(self, mask):
         out = self._sets.get(mask)
         return _items(self.stacks, mask) if out is None else out
-
-    def terms_of(self, mask):
-        return _items(self.terms, mask)
 
     def facing_stacks(self, term_mask):
         """Stacks facing every term of the mask: an AND of rows."""
@@ -240,7 +226,7 @@ def orthogonal_stacks(aks, term_subset):
 
 def orthogonal_terms(aks, stack_subset):
     """All terms facing every stack of the subset inside the pole."""
-    return aks.terms_of(aks.facing_terms(aks.stack_mask(stack_subset)))
+    return _items(aks.terms, aks.facing_terms(aks.stack_mask(stack_subset)))
 
 
 def biorthogonal_closure(aks, subset):
@@ -288,7 +274,7 @@ def check_aks(aks):
     ordered_qp = [t for t in aks.terms if t in aks.qp]
     rep.verdict("aks.qp_dot_closed",
                 next(((t, s) for t in ordered_qp for s in ordered_qp
-                      if aks.app_dot(t, s) not in aks.qp), None))
+                      if aks.dot[(t, s)] not in aks.qp), None))
     T, P, rows, pull = aks.terms, aks.stacks, aks.rows, aks.pull
     dot, kof = aks.dot_index, aks.kof_index
     ix = range(len(T))

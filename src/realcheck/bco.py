@@ -112,12 +112,12 @@ def check_bco(bco):
 
 class BcoMorphism(Frozen):
     _fields = ("source", "target", "mapping", "name")
+    name = "morphism"
 
-    def __init__(self, source, target, mapping, name="morphism"):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "mapping", mapping)
-        set_field(self, "name", name)
+    def __init__(self, *args, **kwargs):
+        """Binds the fields as ``Frozen`` does; the mapping is total into the target."""
+        super().__init__(*args, **kwargs)
+        source, target, mapping, name = self._values()
         for a in source.elements:
             if a not in mapping:
                 raise StructureError(f"morphism not total at {a!r}", source=name)
@@ -328,15 +328,15 @@ def tv_least(x):
 class PseudoDAlgebra(Frozen):
     """A filtered opca with a candidate sup map on its downsets."""
 
-    _fields = ("host", "sup", "name")
+    _fields = ("host", "sup", "name")  # sup: frozenset downset -> element
+    name = "alg"
 
-    def __init__(self, host, sup, name="alg"):
-        set_field(self, "host", host)
-        set_field(self, "sup", sup)  # frozenset downset -> element
-        set_field(self, "name", name)
-        if host.filter is None:
-            raise StructureError("pseudo-sup-algebra host needs a filter", source=name)
-        check_sup_table(host, sup, name)
+    def __init__(self, *args, **kwargs):
+        """Binds the fields as ``Frozen`` does; the host needs a filter."""
+        super().__init__(*args, **kwargs)
+        if self.host.filter is None:
+            raise StructureError("pseudo-sup-algebra host needs a filter", source=self.name)
+        check_sup_table(self.host, self.sup, self.name)
 
     def value(self, alpha):
         try:

@@ -242,8 +242,11 @@ def skk_element(opca):
 # each carrier item a in front (u becomes (p·a)·u), so a length has at most
 # |A|+1 inner values and (|A|+1)^2 pairs per n, and the whole check makes
 # O(max_len^2·|A|^3) table reads.  Each state keeps the first sequence in
-# product order that reaches it, and the first failing sequence of a length
-# is the smallest of those kept by failing states.
+# product order that reaches it, and a failing state the message of its
+# check.  Whether a check passes reads only its state, so every failing state
+# of a length's least failing sequence is first reached by that sequence:
+# the least (sequence, check order) among the failing states names it and
+# the first check it fails.
 
 def seq_term(items):
     """Coded sequence as a term; items are terms (typically Const leaves)."""
@@ -266,21 +269,12 @@ class SequenceKit(Frozen):
     product order); it stays None on a kit that was not checked.
     """
 
-    _fields = ("opca", "max_len", "p", "p0", "p1", "b", "c", "d", "t")
+    _fields = ("opca", "max_len", "p0", "b", "c", "d", "t")
+    stack_codes = None
 
     def __init__(self, opca, max_len):
         program = termsmod._kit_program(max_len)
-        _, b, c, d, t = program.roots[:5]
-        set_field(self, "opca", opca)
-        set_field(self, "max_len", max_len)
-        set_field(self, "p", termsmod.PAIR)
-        set_field(self, "p0", termsmod.FST)
-        set_field(self, "p1", termsmod.SND)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-        set_field(self, "d", d)
-        set_field(self, "t", t)
-        set_field(self, "stack_codes", None)
+        super().__init__(opca, max_len, termsmod.FST, *program.roots[1:5])
         values = program.run(opca)
         # id -> (term, value); the entry pins the term, so its id stays unique
         closed = {id(term): (term, value) for term, value in zip(program.roots, values)}
@@ -299,9 +293,6 @@ class SequenceKit(Frozen):
             [self._numerals[n]] = termsmod.compile_terms((termsmod.numeral(n),)).run(self.opca)
         return self._numerals[n]
 
-    def seq_term(self, elements):
-        return seq_term([termsmod.Const(e) for e in elements])
-
     def seq_value(self, elements):
         items = tuple(elements)
         value = self._code(items)
@@ -310,7 +301,8 @@ class SequenceKit(Frozen):
         return value
 
     def _code(self, items):
-        """The value of ``seq_term(items)``: (p·n)·inner(items), or None.
+        """The value of ``seq_term`` over the items as ``Const`` leaves:
+        (p·n)·inner(items), or None.
 
         Like the term route, every item's carrier membership is checked
         first (the first item outside is a ValueError), then p·n and the
@@ -475,22 +467,16 @@ def _verify_kit(kit):
             rests = [{(v, v): seq for v, seq in grown.items()}, *grown_pairs[length - 1:]]
         head = heads[length]
         codes.append({u: table.get((head, u)) for u in inner})
-        failing = [seq for u, seq in inner.items() if coded(u, seq)]
+        # (sequence, check order, message) per failing state
+        failing = [(seq, 0, m) for u, seq in inner.items() if (m := coded(u, seq))]
         for n in range(length):
-            failing += [seq for (x, u), seq in items[n].items() if indexed(n, x, u, seq)]
-            failing += [seq for (v, u), seq in rests[n].items() if dropped(n, v, u, seq)]
+            failing += [(seq, 2 * n + 1, m) for (x, u), seq in items[n].items()
+                        if (m := indexed(n, x, u, seq))]
+            failing += [(seq, 2 * n + 2, m) for (v, u), seq in rests[n].items()
+                        if (m := dropped(n, v, u, seq))]
         if failing:
             rank = {a: i for i, a in enumerate(elements)}
-            seq = min(failing, key=lambda s: [rank[e] for e in s])
-            suffixes = [kit._numeral(0)]  # inner values of seq[length:], ..., seq[0:]
-            for e in reversed(seq):
-                suffixes.append(table.get((pa[e], suffixes[-1])))
-            u = suffixes[-1]
-            raise ConstructionError(coded(u, seq) or next(
-                message for n in range(length)
-                for message in (indexed(n, seq[n], u, seq),
-                                dropped(n, suffixes[length - n], u, seq))
-                if message))
+            raise ConstructionError(min(failing, key=lambda f: ([rank[e] for e in f[0]], f[1]))[2])
     for a in elements:
         ta = opca.app(t_el, a)
         if ta is None or not opca.leq(ta, kit._code((a,))):

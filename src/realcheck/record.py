@@ -3,8 +3,9 @@ immutability.
 
 Each record class lists its shown fields in ``_fields``.  ``Frozen``
 records refuse assignment and deletion; ``Frozen.__init__`` binds its
-arguments to those fields, and a record that checks or derives fields, or
-is built in bulk, writes its own with ``set_field`` (``object.__setattr__``).
+arguments to those fields, and a record that checks them calls it first.
+Only records that derive fields or are built in bulk write their own with
+``set_field`` (``object.__setattr__``).
 ``Value`` records (and the mutable classes that take ``Value.__eq__``)
 compare equal field by field, between instances of the same class.
 """

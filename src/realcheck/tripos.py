@@ -12,7 +12,7 @@ predicates matches it across the Krivine-structure construction.
 from __future__ import annotations
 
 from .errors import InvariantViolation, StructureError
-from .record import Frozen, Value, set_field
+from .record import Frozen, Value
 
 __all__ = [
     "Predicate", "predicate_leq", "arrow_U",
@@ -23,11 +23,11 @@ __all__ = [
 class Predicate(Frozen):
     _fields = ("index", "assign")
 
-    def __init__(self, index, assign):
-        set_field(self, "index", index)
-        set_field(self, "assign", assign)
-        for i in index:
-            if i not in assign:
+    def __init__(self, *args, **kwargs):
+        """Binds the fields as ``Frozen`` does; ``assign`` must hold every index."""
+        super().__init__(*args, **kwargs)
+        for i in self.index:
+            if i not in self.assign:
                 raise StructureError(f"predicate not total at index {i!r}")
 
     def __call__(self, i):

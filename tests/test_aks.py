@@ -287,8 +287,7 @@ def test_kr_agrees_with_least_truth_value_on_fixtures():
 def test_double_constant_discards_the_top_of_the_stack():
     for base, U in ((L2, {"0"}), (L3, {"0"})):
         aks = build_aks(base, U=U).aks
-        kprime = aks.app_dot(
-            aks.K, aks.app_dot(aks.app_dot(aks.S, aks.K), aks.K))
+        kprime = aks.dot[(aks.K, aks.dot[(aks.dot[(aks.S, aks.K)], aks.K)])]
         for (t, pi) in aks.pole:
             for s in aks.terms:
-                assert aks.in_pole(kprime, aks.app_push(s, aks.app_push(t, pi)))
+                assert (kprime, aks.push[(s, aks.push[(t, pi)])]) in aks.pole

@@ -1,7 +1,7 @@
 """The bit-row orthogonality layer against the frozenset definitions.
 
-The reference routines below scan (term, stack) pairs through ``in_pole``,
-as the definitions read: orthogonals, closure, every closed set by closing
+The reference routines below scan (term, stack) pairs of the pole, as the
+definitions read: orthogonals, closure, every closed set by closing
 every subset, application, implication, (Kr), the Streicher preorder, the
 order-ca with its k and s, and the five pole rules with their first
 counterexamples.  They are compared with the library on random structures
@@ -39,12 +39,12 @@ from test_golden import perfbench_modules
 
 def ref_orthogonal_stacks(aks, term_subset):
     return frozenset(pi for pi in aks.stacks
-                     if all(aks.in_pole(t, pi) for t in term_subset))
+                     if all((t, pi) in aks.pole for t in term_subset))
 
 
 def ref_orthogonal_terms(aks, stack_subset):
     return frozenset(t for t in aks.terms
-                     if all(aks.in_pole(t, pi) for pi in stack_subset))
+                     if all((t, pi) in aks.pole for pi in stack_subset))
 
 
 def ref_closure(aks, subset):
@@ -63,26 +63,26 @@ def ref_apply(aks, alpha, beta):
     ta = ref_orthogonal_terms(aks, alpha)
     tb = ref_orthogonal_terms(aks, beta)
     base = frozenset(pi for pi in aks.stacks
-                     if all(aks.in_pole(t, aks.app_push(s, pi)) for t in ta for s in tb))
+                     if all((t, aks.push[(s, pi)]) in aks.pole for t in ta for s in tb))
     return ref_closure(aks, base)
 
 
 def ref_imp(aks, alpha, beta):
     ta = ref_orthogonal_terms(aks, alpha)
-    return ref_closure(aks, frozenset(aks.app_push(t, pi) for t in ta for pi in beta))
+    return ref_closure(aks, frozenset(aks.push[(t, pi)] for t in ta for pi in beta))
 
 
 def ref_kr(aks):
     everywhere = ref_orthogonal_terms(aks, frozenset(aks.stacks))
     return next((a for a in aks.terms if a in aks.qp
-                 and all(aks.in_pole(a, aks.app_push(t, aks.app_push(s, pi)))
-                         and aks.in_pole(a, aks.app_push(s, aks.app_push(t, pi)))
+                 and all((a, aks.push[(t, aks.push[(s, pi)])]) in aks.pole
+                         and (a, aks.push[(s, aks.push[(t, pi)])]) in aks.pole
                          for s in everywhere for t in aks.terms for pi in aks.stacks)), None)
 
 
 def ref_streicher_leq(phi, psi, aks):
     return next((t for t in aks.terms if t in aks.qp
-                 and all(aks.in_pole(t, aks.app_push(u, pi))
+                 and all((t, aks.push[(u, pi)]) in aks.pole
                          for i in phi.index
                          for u in ref_orthogonal_terms(aks, phi(i))
                          for pi in psi(i))), None)
@@ -90,7 +90,17 @@ def ref_streicher_leq(phi, psi, aks):
 
 def ref_pole_rules(aks):
     """Check name -> first counterexample (None when the rule holds)."""
-    T, P, pole, push, dot = aks.terms, aks.stacks, aks.in_pole, aks.app_push, aks.app_dot
+    T, P = aks.terms, aks.stacks
+
+    def pole(t, pi):
+        return (t, pi) in aks.pole
+
+    def push(t, pi):
+        return aks.push[(t, pi)]
+
+    def dot(t, s):
+        return aks.dot[(t, s)]
+
     return {
         "aks.s1_dot": next(((t, s, pi) for t in T for s in T for pi in P
                             if pole(t, push(s, pi)) and not pole(dot(t, s), pi)), None),
@@ -233,7 +243,7 @@ def scan_pull(aks, t, mask):
 
 
 def scan_image(aks, term_mask, stack_mask):
-    return scan_mask(aks, {aks.app_push(aks.terms[i], aks.stacks[j])
+    return scan_mask(aks, {aks.push[(aks.terms[i], aks.stacks[j])]
                            for i in bits(term_mask) for j in bits(stack_mask)})
 
 

@@ -182,6 +182,11 @@ def term_route(opca, term):
     return ("undefined",) if value is None else ("value", value)
 
 
+def const_seq(elements):
+    """The sequence term of the elements as ``Const`` leaves."""
+    return seq_term([Const(e) for e in elements])
+
+
 def kit_route(call, *args):
     try:
         return ("value", call(*args))
@@ -205,7 +210,7 @@ def test_folded_codes_match_term_evaluation_on_any_table(opca, data):
         if isinstance(call, int):
             assert kit_route(kit.numeral_value, call) == term_route(opca, numeral(call))
         else:
-            assert kit_route(kit.seq_value, call) == term_route(opca, kit.seq_term(call))
+            assert kit_route(kit.seq_value, call) == term_route(opca, const_seq(call))
 
 
 def test_an_item_outside_the_carrier_is_refused_before_the_fold():
@@ -221,7 +226,7 @@ def test_an_item_outside_the_carrier_is_refused_before_the_fold():
     for seq in ((OUTSIDE,), ("a", OUTSIDE)):
         with pytest.raises(ValueError, match=f"constant '{OUTSIDE}' outside the carrier"):
             kit.seq_value(seq)
-        assert term_route(pinned, kit.seq_term(seq)) == \
+        assert term_route(pinned, const_seq(seq)) == \
             ("outside", f"constant '{OUTSIDE}' outside the carrier")
 
 
@@ -323,7 +328,7 @@ def reference_verify_kit(kit):
     def code_of(seq):
         if seq not in code_cache:
             code_cache[seq] = evaluated(
-                kit.seq_term(seq), lambda: f"sequence code for {list(seq)!r} undefined")
+                const_seq(seq), lambda: f"sequence code for {list(seq)!r} undefined")
         return code_cache[seq]
 
     def apply2(f, x, y, what):

@@ -121,8 +121,8 @@ PINNED_REPRS = [
      "_index={0: 0}, functions={'f': {0: 0}}, name='bco', origin_opca=None)"),
     (OrderCa(TINY_AKS, ONE),
      "OrderCa(aks=Aks(terms=(0,), stacks=(1,), dot={(0, 0): 0}, push={(0, 1): 1}, kof={1: 0}, "
-     "K=0, S=0, cc=0, qp=frozenset({0}), pole=frozenset({(0, 1)}), name='aks', "
-     "term_set=frozenset({0}), stack_set=frozenset({1})), opca=FiniteOpca(elements=(0,), "
+     "K=0, S=0, cc=0, qp=frozenset({0}), pole=frozenset({(0, 1)}), name='aks'), "
+     "opca=FiniteOpca(elements=(0,), "
      "leq_pairs=frozenset({(0, 0)}), element_set=frozenset({0}), _index={0: 0}, "
      "table={(0, 0): 0}, k=0, s=0, filter=None, U=None, name='opca'))"),
     (BooleanVerdict(True, None, True),
