@@ -351,6 +351,9 @@ def build_aks(opca, max_len=3, U=None):
     coded sequences of length <= max_len (closed under push, which applies
     the list-extension combinator d).  The distinguished terms are the
     stack-decomposing combinators built from the sequence kit.
+
+    Only the pole reads U; the rest, the frame (``_frame``), is kept on the
+    checked kit and shared by every U (a 5-element kit with it: 16.5 KB).
     """
     U = frozenset(U) if U is not None else opca.U
     if opca.filter is None or U is None:
@@ -360,8 +363,24 @@ def build_aks(opca, max_len=3, U=None):
     if U & opca.filter:
         raise StructureError("U meets the filter", source=opca.name, field="U")
 
-    # b, c, d and the sequence codes are the kit's: evaluated and verified once
     kit = opcamod.derive_sequence_kit(opca, max_len=max_len)
+    if kit._frame is None:
+        set_field(kit, "_frame", _frame(kit))
+    stacks, dot, push, kof, K_el, S_el, cc_el = kit._frame
+    # None is never in U, so an undefined t·pi is outside the pole
+    pole = frozenset((t, pi) for t in opca.elements for pi in stacks
+                     if opca.table.get((t, pi)) in U)
+
+    aks = Aks(terms=tuple(opca.elements), stacks=stacks, dot=dot, push=push,
+              kof=kof, K=K_el, S=S_el, cc=cc_el, qp=opca.filter, pole=pole,
+              name=f"K({opca.name},U={sorted(map(str, U))})")
+    return BuiltAks(aks=aks, opca=opca, kit=kit)
+
+
+def _frame(kit):
+    """(stacks, dot, push, kOf, K, S, cc) over the kit's U-free opca."""
+    opca = kit.opca
+    # b, c, d and the sequence codes are the kit's: evaluated and verified once
     slots = {name: kit.element(term) for name, term in (("b", kit.b), ("c", kit.c), ("d", kit.d))}
     d_el, table = slots["d"], opca.table
 
@@ -415,14 +434,7 @@ def build_aks(opca, max_len=3, U=None):
         v = kof[pi] = table.get((kof_el, pi))
         if v is None:
             raise undefined(f"kOf({pi})")
-    # None is never in U, so an undefined t·pi is outside the pole
-    pole = frozenset((t, pi) for t in opca.elements for pi in stacks
-                     if table.get((t, pi)) in U)
-
-    aks = Aks(terms=tuple(opca.elements), stacks=stacks, dot=dot, push=push,
-              kof=kof, K=K_el, S=S_el, cc=cc_el, qp=opca.filter, pole=pole,
-              name=f"K({opca.name},U={sorted(map(str, U))})")
-    return BuiltAks(aks=aks, opca=opca, kit=kit)
+    return stacks, dot, push, kof, K_el, S_el, cc_el
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ The groups:
 - the BCO views (``opca_to_bco``) of ``enumerate_lattices(3)``, ``VEE`` and
   L3 with the filter {m, 1} (``L3mf`` of the ``morphism_scan`` benchmark).
 
-It is run by hand, not collected by pytest (the name does not start with
-``test_``):
+It is not collected by pytest (the name does not start with ``test_``); CI
+runs it as its own job, and it exits 1 when any group's product-only count
+is above 0:
 
     PYTHONPATH=src python tests/sweep_meet_candidates.py
 """
 
+import sys
 from itertools import combinations, product
 from time import perf_counter
 
@@ -108,12 +110,15 @@ def main():
     groups.append(("opca views: enumerate_lattices(3), VEE, L3mf",
                    lambda: map(opca_to_bco, views)))
     print(f"{'group':48} {'bcos':>6} {'top':>6} {'meets':>6} {'product-only':>12} {'s':>7}")
+    product_only = 0
     for name, bcos in groups:
         start = perf_counter()
         row = counts(bcos())
+        product_only += row[3]
         print(f"{name:48} {row[0]:6} {row[1]:6} {row[2]:6} {row[3]:12} "
               f"{perf_counter() - start:7.1f}")
+    return 1 if product_only else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

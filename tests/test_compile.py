@@ -1,5 +1,6 @@
 """Compiled closed terms against the recursive term walk (``test_terms.walk``)."""
 
+import random
 import subprocess
 import sys
 
@@ -9,14 +10,15 @@ from hypothesis import strategies as st
 
 from realcheck import aks as aksmod
 from realcheck import bco as bcomod
-from realcheck.aks import build_aks
+from realcheck import opca as opcamod
+from realcheck.aks import Aks, build_aks, check_aks
 from realcheck.errors import ConstructionError, StructureError
 from realcheck.lattices import L2
 from realcheck.opca import FiniteOpca, derive_sequence_kit
 from realcheck.terms import App, Const, K, S, Var, app, compile_closed, compile_terms, lam
 
 from conftest import CHILD_ENV
-from test_golden import PERFBENCH
+from test_golden import PERFBENCH, perfbench_modules
 from test_opca import LATTICES, kit_opcas, partial_opcas
 from test_terms import walk
 
@@ -222,10 +224,13 @@ PINNED = [
 @pytest.mark.parametrize("spec, max_len, message", PINNED,
                          ids=["dot", "numeral 2", "kOf", "K", "S", "cc"])
 def test_undefined_terms_keep_their_messages(spec, max_len, message):
+    # a failing frame is not kept: the second call fails the same way
     opca = opca_of(*spec)
-    with pytest.raises(ConstructionError) as exc:
-        build_aks(opca, max_len=max_len, U=frozenset())
-    assert str(exc.value) == message
+    for _ in range(2):
+        with pytest.raises(ConstructionError) as exc:
+            build_aks(opca, max_len=max_len, U=frozenset())
+        assert str(exc.value) == message
+    assert derive_sequence_kit(opca, max_len=max_len)._frame is None
     assert built(lambda: reference_build_aks(opca, max_len, frozenset())) == \
         ("ConstructionError", message)
 
@@ -244,6 +249,32 @@ def test_build_aks_matches_the_term_walk(case, max_len):
     opca, U = case
     assert built(lambda: build_aks(opca, max_len=max_len, U=U)) == \
         built(lambda: reference_build_aks(opca, max_len, U))
+
+
+def reference_aks(opca):
+    """The ``Aks`` of ``reference_build_aks`` at max_len 3, named as ``build_aks`` names it."""
+    stacks, dot, push, kof, K_el, S_el, cc_el, pole = reference_build_aks(opca, 3, opca.U)
+    return Aks(terms=tuple(opca.elements), stacks=stacks, dot=dot, push=push, kof=kof,
+               K=K_el, S=S_el, cc=cc_el, qp=opca.filter, pole=pole,
+               name=f"K({opca.name},U={sorted(map(str, opca.U))})")
+
+
+def test_frames_never_carry_a_first_callers_u():
+    # whichever U of a base comes first builds the frame that its other U share
+    workloads, _ = perfbench_modules()
+    cases = workloads.krivine_cases()
+    want = [(a._values(), check_aks(a).records) for a in map(reference_aks, cases)]
+    shuffled = list(range(len(cases)))
+    random.Random(7).shuffle(shuffled)
+    for order in (range(len(cases)), range(len(cases))[::-1], shuffled):
+        opcamod._checked_kit.cache_clear()
+        built_in_order = {i: build_aks(cases[i], max_len=3, U=cases[i].U) for i in order}
+        for i, (fields, records) in enumerate(want):
+            got = built_in_order[i].aks
+            assert got._values() == fields and check_aks(got).records == records, cases[i].name
+        builds = built_in_order.values()
+        assert len({id(b.kit._frame) for b in builds}) < len(cases)
+        assert all(b.aks.dot is b.kit._frame[1] for b in builds)
 
 
 # -- closed terms are compiled once per process -------------------------------------

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -530,6 +532,18 @@ def test_kit_memo_stays_at_its_bound():
         derive_sequence_kit(semilattice_opca((bottom, top), {(bottom, top)}), max_len=1)
     info = opcamod._checked_kit.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (KIT_MEMO_SIZE + 3,) + (KIT_MEMO_SIZE,) * 2
+
+
+def test_an_evicted_kit_takes_its_frame_with_it():
+    base = L2.replace(U=frozenset({"0"}))
+    kit = weakref.ref(build_aks(base, max_len=1).kit)
+    assert kit()._frame is not None
+    for i in range(KIT_MEMO_SIZE):
+        bottom, top = f"0.{i}", f"1.{i}"
+        derive_sequence_kit(semilattice_opca((bottom, top), {(bottom, top)}), max_len=1)
+    gc.collect()
+    assert kit() is None
+    assert derive_sequence_kit(base, max_len=1)._frame is None
 
 
 @pytest.mark.parametrize("max_len", [-1, 1.5, "2", None, True])
