@@ -97,8 +97,8 @@ class Aks(Frozen):
             rows[i] |= 1 << j
         m, n = len(self.terms), len(self.stacks)
         # full: every stack; _pulls and _images: the push kernel's memos;
-        # the closed masks, once listed: _sets (mask -> stacks, in list
-        # order), _masks (stacks -> mask) and _facing (mask -> facing terms)
+        # the closed masks, once listed: _closed (mask -> (stacks, facing
+        # terms), in list order) and _masks (stacks -> mask)
         for attr, value in (
                 ("term_index", ti), ("stack_index", si),
                 ("rows", tuple(rows)),
@@ -107,7 +107,7 @@ class Aks(Frozen):
                 ("kof_index", kof_index),
                 ("full", (1 << n) - 1),
                 ("_pulls", tuple({} for _ in self.terms)), ("_images", {}),
-                ("_sets", {}), ("_masks", {}), ("_facing", {})):
+                ("_closed", {}), ("_masks", {})):
             set_field(self, attr, value)
 
     # -- masks over term and stack indices ------------------------------
@@ -123,8 +123,8 @@ class Aks(Frozen):
         return _mask(self.stack_index, stacks, "stack", self.name)
 
     def stacks_of(self, mask):
-        out = self._sets.get(mask)
-        return _items(self.stacks, mask) if out is None else out
+        out = self._closed.get(mask)
+        return _items(self.stacks, mask) if out is None else out[0]
 
     def facing_stacks(self, term_mask):
         """Stacks facing every term of the mask: an AND of rows."""
@@ -136,12 +136,12 @@ class Aks(Frozen):
 
     def facing_terms(self, stack_mask):
         """Terms facing every stack of the mask."""
-        out = self._facing.get(stack_mask)
-        return _facing(self.rows, stack_mask) if out is None else out
+        out = self._closed.get(stack_mask)
+        return _facing(self.rows, stack_mask) if out is None else out[1]
 
     def close(self, stack_mask):
         """The biorthogonal closure: the AND of the rows that contain the mask."""
-        if stack_mask in self._facing:
+        if stack_mask in self._closed:
             return stack_mask
         return _close(self.rows, self.full, stack_mask)
 
@@ -359,8 +359,8 @@ def build_aks(opca, max_len=3, U=None):
     if opca.filter is None or U is None:
         raise StructureError("build_aks needs a filter and a downset U", source=opca.name)
     if U is not opca.U:  # opca.U was checked when opca was built; replace checks U
-        opca.replace(U=U)
-    if U & opca.filter:
+        opca = opca.replace(U=U)
+    if opca.U & opca.filter:
         raise StructureError("U meets the filter", source=opca.name, field="U")
 
     kit = opcamod.derive_sequence_kit(opca, max_len=max_len)
@@ -368,8 +368,9 @@ def build_aks(opca, max_len=3, U=None):
         set_field(kit, "_frame", _frame(kit))
     stacks, dot, push, kof, K_el, S_el, cc_el = kit._frame
     # None is never in U, so an undefined t·pi is outside the pole
+    table, U = opca.table, opca.U
     pole = frozenset((t, pi) for t in opca.elements for pi in stacks
-                     if opca.table.get((t, pi)) in U)
+                     if table.get((t, pi)) in U)
 
     aks = Aks(terms=tuple(opca.elements), stacks=stacks, dot=dot, push=push,
               kof=kof, K=K_el, S=S_el, cc=cc_el, qp=opca.filter, pole=pole,
@@ -389,13 +390,9 @@ def _frame(kit):
 
     # stacks: the codes of the sequences of length <= max_len, which the kit
     # check lists, then closed under push = d-application; each stack is
-    # pushed by every term once, so push is filled on the way
-    d_row = []
-    for a in opca.elements:
-        da = table.get((d_el, a))
-        if da is None:
-            raise undefined(f"d·{a}")
-        d_row.append((a, da))
+    # pushed by every term once, so push is filled on the way.  Every d·a is
+    # defined: the kit check reads d·a·code for the empty sequence.
+    d_row = [(a, table[d_el, a]) for a in opca.elements]
     frontier = list(kit.stack_codes)
     seen = set(frontier)
     push = {}
@@ -442,21 +439,20 @@ def _frame(kit):
 # ---------------------------------------------------------------------------
 
 def _closed_masks(aks):
-    """{closed stack mask: its stack set} for every closed mask of
-    ``Aks.close``, in ``poset.closed_masks`` order, or CapExceeded past
-    ``CLOSED_SET_CAP``.  It is listed once and kept on the structure with
-    each mask's facing terms, so a later call, direct or through
-    ``order_ca``, does not enumerate again, and the mask methods read the
-    table for these sets.
+    """{closed stack mask: (its stack set, the mask of its facing terms)}
+    for every closed mask of ``Aks.close``, in ``poset.closed_masks`` order,
+    or CapExceeded past ``CLOSED_SET_CAP``.  It is listed once and kept on
+    the structure, so a later call, direct or through ``order_ca``, does
+    not enumerate again, and the mask methods read the table for these sets.
     """
-    sets = aks._sets
-    if not sets:  # the full stack set is closed, so a listed table is never empty
+    table = aks._closed
+    if not table:  # the full stack set is closed, so a listed table is never empty
         for mask in closed_masks(len(aks.stacks), aks.close, CLOSED_SET_CAP,
                                  f"closed stack sets of {aks.name}"):
-            stacks = sets[mask] = _items(aks.stacks, mask)
+            stacks = _items(aks.stacks, mask)
+            table[mask] = (stacks, _facing(aks.rows, mask))
             aks._masks[stacks] = mask
-            aks._facing[mask] = _facing(aks.rows, mask)
-    return sets
+    return table
 
 
 def closed_stack_sets(aks):
@@ -464,7 +460,7 @@ def closed_stack_sets(aks):
 
     Refuses with CapExceeded when there are more than ``CLOSED_SET_CAP``.
     """
-    return list(_closed_masks(aks).values())
+    return [stacks for stacks, _ in _closed_masks(aks).values()]
 
 
 def _apply_mask(aks, closed, facing):
@@ -507,16 +503,17 @@ def order_ca(aks):
     orthogonals of single quasi-proofs, then over the whole filter, then
     the carrier.  Raises ConstructionError when no pair satisfies the laws.
     """
-    sets = _closed_masks(aks)
-    carrier = list(sets.values())
-    leq = frozenset((a, b) for m, a in sets.items() for n, b in sets.items() if not n & ~m)
-    facing = [(b, bits(aks.facing_terms(m))) for m, b in sets.items()]
+    closed = _closed_masks(aks)
+    carrier = [a for a, _ in closed.values()]
+    leq = frozenset((a, b) for m, (a, _) in closed.items()
+                    for n, (b, _) in closed.items() if not n & ~m)
+    facing = [(b, bits(terms)) for b, terms in closed.values()]
     table = {}
-    for alpha, a in sets.items():
+    for alpha, (a, _) in closed.items():
         for b, terms in facing:
             table[(a, b)] = aks.stacks_of(_apply_mask(aks, alpha, terms))
     qp = aks.term_mask(aks.qp)
-    filt = frozenset(a for m, a in sets.items() if aks.facing_terms(m) & qp)
+    filt = frozenset(a for a, terms in closed.values() if terms & qp)
 
     # the orthogonals of single quasi-proofs, the filter, the carrier: each once
     singles = [aks.stacks_of(row) for q, row in zip(aks.terms, aks.rows) if q in aks.qp]
@@ -533,14 +530,16 @@ def order_ca(aks):
 
 
 def check_order_ca(aks):
-    """Verify the induced structure is a filtered opca (axioms + filter)."""
+    """Verify the induced structure is a filtered opca (axioms + filter).
+
+    The filter is upward closed by construction: beta above alpha in reverse
+    inclusion is a subset of alpha, so a quasi-proof facing alpha faces beta.
+    """
     oca = order_ca(aks)
     opca = oca.opca
     rep = opcamod.check_opca_axioms(opca)
     rep.extend(opcamod.check_filter(opca, opca.filter))
-    rep.verdict("orderca.filter_upward_closed",
-                next(((a, b) for a in opca.ordered(opca.filter) for b in opca.elements
-                      if opca.leq(a, b) and b not in opca.filter), None))
+    rep.verdict("orderca.filter_upward_closed")
     return oca, rep
 
 

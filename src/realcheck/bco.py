@@ -650,6 +650,15 @@ def _bounded(host, low):
     return tuple(sorted(map(str, host.upper(low))))
 
 
+def _inf_clause_failure(host, i, inf, low):
+    """(a,) for the first a of upper(low) in carrier order that i·inf[low] is
+    not below, else None: i maps the infimum at the closed downset low below
+    every element low bounds."""
+    got = host.app(i, inf[low])
+    return next(((a,) for a in host.ordered(host.upper(low))
+                 if got is None or not host.leq(got, a)), None)
+
+
 def check_implicative(kit, mode="pre-implicative"):
     """Clause-by-clause verdicts for pre-implicative or ioca structure.
 
@@ -690,12 +699,10 @@ def check_implicative(kit, mode="pre-implicative"):
                           or not host.leq(kit.imp_of(b, a), kit.imp_of(b, a2))), None))
 
     def inf_failure(low):
-        """(a,) when i·inf[low] is not below some a in upper(low), ("i'", b)
-        when i'·b is not below inf[low] for some b in low, else None."""
+        """``_inf_clause_failure`` for i, else ("i'", b) when i'·b is not
+        below inf[low] for some b in low, else None."""
         inf_v = kit.inf[low]
-        got = host.app(kit.i, inf_v)
-        return next(((a,) for a in host.ordered(host.upper(low))
-                     if got is None or not host.leq(got, a)), None) \
+        return _inf_clause_failure(host, kit.i, kit.inf, low) \
             or next((("i'", b) for b in host.ordered(low)
                      if (ib := host.app(kit.i_prime, b)) is None or not host.leq(ib, inf_v)),
                     None)
@@ -904,11 +911,8 @@ def implication_from_sup(alg, report, v):
 
     e = _value_or_fail(host, r"\x. u (h4 x)", {"u": u, "h4": h4}, "e")
 
-    def inf_clause_holds(cand):  # in L = lower(upper(L)): below what L bounds
-        return all(host.app(cand, inf[low]) in low for low in inf)
-
     i = g2_skk
-    if not inf_clause_holds(i):
+    if any(_inf_clause_failure(host, i, inf, low) for low in inf):
         i = _value_or_fail(host, r"\x. g4 (u (g2 x))", {"g4": g4, "u": u, "g2": g2_skk},
                            "i (strengthened)")
     return ImplicativeKit(host=host, inf=inf, imp=imp,

@@ -56,8 +56,7 @@ def arrow_U(alpha, opca):
 
 class BooleanVerdict(Value):
     _fields = ("holds",
-               "realizer",  # a downset witness from the filter of D(A,A'), or None
-               "via_double_negation")  # the other formulation, asserted equal
+               "realizer")  # first element of A' realizing (psi -> U) <= (phi -> U), or None
 
 
 def _d_predicate_leq(phi, psi, opca):
@@ -77,7 +76,8 @@ def boolean_leq(phi, psi, opca):
 
     Computes both equivalent forms — (psi -> U) <= (phi -> U), and
     phi <= ((psi -> U) -> U) — asserts they agree, and returns the
-    contravariant form's verdict with its realizer.
+    contravariant form's verdict with its realizer (so the double-negation
+    form holds exactly when ``holds`` does).
     """
     if opca.filter is None or opca.U is None:
         raise StructureError("boolean_leq needs a filter and U on the opca", source=opca.name)
@@ -89,9 +89,7 @@ def boolean_leq(phi, psi, opca):
         raise InvariantViolation(
             f"Booleanization forms disagree on {opca.name}: "
             f"contravariant={contravariant!r} double-negation={double_neg!r}")
-    return BooleanVerdict(holds=contravariant is not None,
-                          realizer=contravariant,
-                          via_double_negation=double_neg is not None)
+    return BooleanVerdict(holds=contravariant is not None, realizer=contravariant)
 
 
 def first_unstable(opca):

@@ -11,8 +11,10 @@ from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
 from realcheck.errors import CapExceeded, StructureError
 from realcheck.formats import load_aks, load_opca
 from realcheck.lattices import DIAMOND, L2, L3, chain
+from realcheck.opca import k_law, s_law
 
 from conftest import FIXTURES
+from test_golden import perfbench_modules
 from test_lattices import admissible_cases
 
 
@@ -76,6 +78,15 @@ def test_built_fixtures_pass_the_pole_rules():
         built = build_aks(base, U=U)
         rep = check_aks(built.aks)
         assert rep.passed, (base.name, sorted(U), rep.render_text())
+
+
+def test_build_aks_returns_the_opca_with_the_given_u():
+    built = build_aks(L3, U={"0"})
+    assert L3.U is None and built.opca.U == frozenset({"0"})
+    assert built.opca.table == L3.table and built.opca.name == L3.name
+    assert built.aks.name == "K(L3,U=['0'])" and built.kit.opca.U is None
+    with_u = L3.replace(U=frozenset({"0", "m"}))
+    assert build_aks(with_u).opca is with_u
 
 
 def test_preconditions_reported_before_construction():
@@ -156,6 +167,30 @@ def test_filter_upward_closed_in_reverse_inclusion():
         for beta in oca.opca.elements:
             if oca.opca.leq(alpha, beta):
                 assert beta in oca.opca.filter
+
+
+def sweep_and_fixture_order_cas():
+    """(aks, its order-ca) for the 48 krivine_sweep structures and the aks fixtures."""
+    workloads, _ = perfbench_modules()
+    structures = [build_aks(case, max_len=3, U=case.U).aks for case in workloads.krivine_cases()]
+    structures += [load_aks(path) for path in sorted(FIXTURES.glob("aks_*.json"))]
+    assert len(structures) == 48 + 5
+    return [(aks, order_ca(aks).opca) for aks in structures]
+
+
+def test_order_ca_filters_are_upward_closed():
+    # check_order_ca reports orderca.filter_upward_closed without a scan
+    for aks, opca in sweep_and_fixture_order_cas():
+        assert not [(a, b) for a in opca.filter for b in opca.elements
+                    if opca.leq(a, b) and b not in opca.filter], aks.name
+
+
+def test_the_full_stack_set_obeys_both_order_ca_laws():
+    # it is the least closed set, and alpha·beta is full whenever alpha is,
+    # so order_ca always finds a k/s pair
+    for aks, opca in sweep_and_fixture_order_cas():
+        full = frozenset(aks.stacks)
+        assert k_law(opca, full) is None and s_law(opca, full) is None, aks.name
 
 
 def test_seventeen_stacks_get_an_answer():

@@ -14,8 +14,8 @@ from realcheck.bco import (BcoMorphism, FiniteBco, ImplicativeKit,
                            downset_monad, downset_opca, find_right_adjoint,
                            find_top, implication_from_sup, internal_meets,
                            join_sup, morphism_leq,
-                           opca_to_bco, sup_from_implication, truth_values,
-                           tv_least)
+                           opca_to_bco, product_bco, sup_from_implication,
+                           truth_values, tv_least)
 from realcheck.errors import CapExceeded, ConstructionError, StructureError
 from realcheck.lattices import DIAMOND, L2, L3, M3, N5, VEE
 from realcheck.opca import check_opca_axioms, skk_element
@@ -578,6 +578,79 @@ def test_derived_sup_fails_loudly_on_broken_kit():
                             e_prime=kit.e_prime, name="broken")
     with pytest.raises(ConstructionError):
         sup_from_implication(broken)
+
+
+def without(opca, key):
+    """``opca`` with the table entry at ``key`` deleted."""
+    table = dict(opca.table)
+    del table[key]
+    return opca.replace(table=table)
+
+
+L2_ALL = L2.replace(filter=frozenset({"0", "1"}))
+
+# Heyting kits on L2 with one change each, and the refusal of
+# sup_from_implication each reaches (found by changing the constants, one
+# table entry, or one imp or inf entry of the Heyting kits on lattices of
+# up to four elements)
+BROKEN_L2_KITS = [
+    (L2_ALL, {("0", "0"): None}, {}, "0", "eta undefined in L2"),
+    (L2, {}, {}, "0", "derived combinator eta lands outside the filter"),
+    (L2, {}, {("0", "1"): "0"}, "1", "derivation fact (b) fails at ('0', '1', '0', 'monotone')"),
+    (L2, {("0", "0"): None}, {}, "1", "derivation fact (d) fails at ('0', [], '0')"),
+    # 0·1 is undefined, so fact (d) skips f = 0 on the downsets holding 1
+    (L2, {("0", "1"): None}, {}, "1", "derived sup breaks the uniform bound condition"),
+]
+
+
+@pytest.mark.parametrize("host, table, imp, constant, message", BROKEN_L2_KITS,
+                         ids=["undefined", "outside", "fact b", "fact d", "bound"])
+def test_derived_sup_names_each_refusal(host, table, imp, constant, message):
+    for key in table:
+        host = without(host, key)
+    kit = heyting_kit(L2)
+    broken = ImplicativeKit(host, kit.inf, {**kit.imp, **imp}, i=constant, i_prime=constant,
+                            e=constant, e_prime=constant, name="broken")
+    with pytest.raises(ConstructionError) as exc:
+        sup_from_implication(broken)
+    assert str(exc.value) == message
+
+
+def test_implication_from_sup_strengthens_an_i_that_misses_an_infimum():
+    # sup {0} = a: the clause-2 witness for s·k·k does not map inf[{0}] into
+    # {0}.  {1, a, b} is not closed under application (a·b = 0), and the
+    # strengthened i, the value of <x> g4 (u (g2 x)), is 0, outside it.
+    host = DIAMOND.replace(filter=frozenset({"1", "a", "b"}))
+    alg = PseudoDAlgebra(host, {**join_sup(host), frozenset({"0"}): "a"})
+    report = check_pseudo_d_algebra(alg)
+    kit = implication_from_sup(alg, report, check_star(alg))
+    g2_skk = report.record("sup.image_g2").witnesses["g2"][skk_element(host)]
+    low = frozenset({"0"})
+    assert host.app(g2_skk, kit.inf[low]) not in low
+    assert kit.i == "0" and all(host.app(kit.i, kit.inf[low]) in low for low in kit.inf)
+    assert check_implicative(kit).record("implicative.inf_witnessed").counterexample == \
+        ("i", "0", "outside the filter")
+
+
+def test_a_meet_map_with_witnesses_must_also_be_a_morphism():
+    # on 0 < 1, 0 < 2 the poset meet has unit and counit witnesses, but f1
+    # does not track (f0, f1), and no other candidate has the witnesses
+    bco = FiniteBco((0, 1, 2), frozenset({(0, 1), (0, 2)}),
+                    {"f0": {0: 0, 1: 1, 2: 1}, "f1": {0: 0, 1: 1, 2: 2}})
+    meets = {(a, b): bco.meet(a, b) for a in bco.elements for b in bco.elements}
+    els = bco.elements
+    assert bco.track([(a, meets[(a, a)]) for a in els]) == "f1"
+    assert bco.track([(meets[(a, b)], a) for a in els for b in els]) == "f1"
+    assert bco.track([(meets[(a, b)], b) for a in els for b in els]) == "f1"
+    rep = check_bco_morphism(BcoMorphism(product_bco(bco, bco), bco, meets))
+    assert rep.record("morphism.function_tracking").counterexample == ("(f0,f1)",)
+    assert internal_meets(bco) is None
+
+
+def test_scans_that_find_nothing():
+    assert find_right_adjoint({"0": "1", "1": "1"}, L2, L2) is None
+    dens = check_density({"0": "1", "a": "0", "b": "0"}, VEE, L2)
+    assert dens.cd is None and dens.simple == ("1", {"1": "a"}) and not dens.agree
 
 
 # -- enumeration caps ------------------------------------------------------------------

@@ -19,7 +19,8 @@ from realcheck.terms import App, Const, K, S, Var, app, compile_closed, compile_
 
 from conftest import CHILD_ENV
 from test_golden import PERFBENCH, perfbench_modules
-from test_opca import LATTICES, kit_opcas, partial_opcas
+from test_opca import (LATTICES, assert_kit_check_matches_the_reference, kit_opcas,
+                       partial_opcas)
 from test_terms import walk
 
 # -- compiled programs against the walk ---------------------------------------------
@@ -198,7 +199,10 @@ def opca_of(rows, k, s, leq, filt):
 # Structures on which, with U empty, the kit check passes and one
 # distinguished term or numeral comes out undefined (found by a random
 # search that deletes or redirects the first table entries each term
-# reads), with the messages.
+# reads), or one entry of push, dot or kOf does (found by deleting, from a
+# random total table on a chain whose kit check passes, one entry that the
+# frame reads and the kit check does not), with the messages.
+CHAIN = "ab ac ad bc bd cd"
 PINNED = [
     (("aad aba acc add bac bcc bdc caa cbb ccb cda daa dba dcb dda", "d", "c",
       "ab ad bc bd cd", "abcd"), 0,
@@ -218,11 +222,20 @@ PINNED = [
     (("aab aba aca ada bac bbc bca bdd cba cca dab dbc dca ddc", "b", "a", "ab ac bc cd", "abcd"),
      1, "kit term undefined: S (S (K (b c)) (S K K))"
      " (S (S (K a) (S (K a) (S (K (c a)) (S K K)))) (S (K (c a)) (S K K)))"),
+    (("aad abb acc ada baa bbb bcd bdd cab cbc cca cdb dbd dcc ddd", "b", "a", CHAIN, "abcd"),
+     0, "d·c·a undefined during aks construction"),
+    (("aad abb acd adb baa bbd bca bdd cab cbd ccc cdd dab dba ddb", "a", "c", CHAIN, "abcd"),
+     0, "dot·c undefined during aks construction"),
+    (("aac abc acc add bba bcc bdc cab cba ccc cdb daa dbc dca dda", "c", "c", CHAIN, "c"),
+     0, "dot·a·a undefined during aks construction"),
+    (("aab abd acb adb baa bba bcd bdc cab ccd cdc daa dbd dca dda", "d", "c", CHAIN, "abcd"),
+     0, "kOf(b) undefined during aks construction"),
 ]
 
 
 @pytest.mark.parametrize("spec, max_len, message", PINNED,
-                         ids=["dot", "numeral 2", "kOf", "K", "S", "cc"])
+                         ids=["dot", "numeral 2", "kOf", "K", "S", "cc",
+                              "push", "dot row", "dot entry", "kOf entry"])
 def test_undefined_terms_keep_their_messages(spec, max_len, message):
     # a failing frame is not kept: the second call fails the same way
     opca = opca_of(*spec)
@@ -233,6 +246,31 @@ def test_undefined_terms_keep_their_messages(spec, max_len, message):
     assert derive_sequence_kit(opca, max_len=max_len)._frame is None
     assert built(lambda: reference_build_aks(opca, max_len, frozenset())) == \
         ("ConstructionError", message)
+
+
+@given(kit_opcas(partial_opcas() | st.sampled_from(LATTICES)),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=200, deadline=None)
+def test_a_passing_kit_check_defines_every_d_a(opca, max_len):
+    # so the frame of build_aks reads each d·a without a refusal
+    try:
+        kit = derive_sequence_kit(opca, max_len=max_len)
+    except ConstructionError:
+        return
+    d_el = kit.element(kit.d)
+    assert all((d_el, a) in opca.table for a in opca.elements)
+
+
+def test_an_undefined_empty_sequence_code_is_named():
+    # PAIR is d and the numeral 0 is a, and no kit term or numeral reads
+    # d·a, which is undefined, so the code (p·0)·nil of [] is (found by
+    # deleting p·0 from random total tables on a chain whose kit check passed)
+    opca = opca_of("aad abd acd add bad bbb bca bdb cab cbc ccc cda dbc dcb dda",
+                   "c", "b", CHAIN, "abcd")
+    with pytest.raises(ConstructionError) as exc:
+        derive_sequence_kit(opca, max_len=0)
+    assert str(exc.value) == "sequence code for [] undefined"
+    assert_kit_check_matches_the_reference(opca, 0)
 
 
 @st.composite

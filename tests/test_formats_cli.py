@@ -352,6 +352,20 @@ def test_check_tripos_answers_the_round_trip_on_the_cube(capsys, tmp_path):
     assert elapsed < 1.0
 
 
+def test_check_tripos_reports_a_round_trip_that_breaks(capsys, tmp_path):
+    # with m·1 = 1 the table breaks the k law, yet the joins pass as a
+    # sup-algebra and their implicative kit passes; the sup derived back from
+    # that kit breaks clause 4, and the round trip fails with its message
+    app = [row if row[:2] != ["m", "1"] else ["m", "1", "1"] for row in variant("l3.json")["app"]]
+    path = write(tmp_path, "l3.json", variant("l3.json", app=app))
+    code, out, err = run(capsys, "--format", "machine", "check-tripos", path)
+    records = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert code == 1, err
+    assert records["implicative.inf_witnessed"]["verdict"] == "pass"
+    assert records["tripos.roundtrip_sup"]["counterexample"] == \
+        ["derived sup breaks sup.principal_h4"]
+
+
 def test_check_tripos_answers_the_round_trip_on_a_long_chain(capsys, tmp_path):
     # the 17-element chain has 2^17 subsets but 17 closed downsets, one per
     # infimum the implicative kit reads
@@ -527,6 +541,7 @@ def appended(fixture, field, *rows):
 AKS_TERM = variant("aks_mid0.json")["terms"][0]
 L3_JOIN_SUP = [[[], "0"], [["0"], "0"], [["0", "m"], "m"], [["0", "m", "1"], "1"]]
 BCO = {"elements": ["a"], "leq": [], "functions": {"f": [["a", "a"]]}}
+L2_WITHOUT_FILTER = {k: v for k, v in variant("l2.json").items() if k != "filter"}
 
 # (argv with "FILE" standing for the written payload, payload, field named)
 MALFORMED = {
@@ -582,6 +597,37 @@ MALFORMED = {
                        "terms"),
     "build-aks-U-outside-carrier": (["build-aks", str(FIXTURES / "l3.json"), "--U", "zz"],
                                     None, "U"),
+    "aks-terms-empty": (["check-aks", "FILE"], variant("aks_mid0.json", terms=[]), None),
+    "aks-pole-outside-carrier": (["check-aks", "FILE"],
+                                 appended("aks_mid0.json", "pole", ["zz", "p0"]), "pole"),
+    "aks-qp-outside-carrier": (["check-aks", "FILE"], appended("aks_mid0.json", "QP", "zz"),
+                               "QP"),
+    "aks-K-outside-carrier": (["check-aks", "FILE"], variant("aks_mid0.json", K="zz"), "K"),
+    "aks-dot-not-total": (["check-aks", "FILE"],
+                          variant("aks_mid0.json", dot=variant("aks_mid0.json")["dot"][1:]),
+                          "dot"),
+    "opca-elements-empty": (["check-opca", "FILE"],
+                            {"elements": [], "leq": [], "app": [], "k": "1", "s": "1"}, None),
+    "opca-k-outside-carrier": (["check-opca", "FILE"], variant("l2.json", k="zz"), "k"),
+    "bco-function-escapes-carrier": (["check-bco", "FILE"],
+                                     dict(BCO, functions={"f": [["a", "zz"]]}), "functions"),
+    "check-filter-without-filter": (["check-filter", "FILE"], L2_WITHOUT_FILTER, None),
+    "check-tripos-without-filter": (["check-tripos", "FILE"], L2_WITHOUT_FILTER, None),
+}
+
+# the refusal each of these cases reaches, where the field does not tell it
+MALFORMED_MESSAGES = {
+    "build-aks-U-outside-carrier": "subset escapes carrier",
+    "aks-terms-empty": "aks needs nonempty terms and stacks",
+    "aks-pole-outside-carrier": "pole entry outside carrier",
+    "aks-qp-outside-carrier": "QP escapes terms",
+    "aks-K-outside-carrier": "distinguished term outside carrier",
+    "aks-dot-not-total": "dot not total at ('t0', 't0')",
+    "opca-elements-empty": "empty carrier",
+    "opca-k-outside-carrier": "designated k='zz' outside carrier",
+    "bco-function-escapes-carrier": "function 'f' escapes carrier",
+    "check-filter-without-filter": "no filter in file and none given",
+    "check-tripos-without-filter": "check-tripos needs a filtered opca",
 }
 
 
@@ -594,8 +640,7 @@ def test_malformed_input_exits_two_naming_file_and_field(capsys, tmp_path, case)
     assert err.startswith(f"input error: {path}: "), err
     if field is not None:
         assert f"field {field!r}" in err, err
-    if case == "build-aks-U-outside-carrier":
-        assert "subset escapes carrier" in err
+    assert MALFORMED_MESSAGES.get(case, "") in err, err
 
 
 def test_sup_row_that_is_not_a_downset_is_an_input_error(capsys, tmp_path):

@@ -137,6 +137,21 @@ def test_s_law_on_convergent_probes():
         assert lhs(n) == rhs(n)
 
 
+@pytest.mark.parametrize("v", [0, 1])
+def test_s_law_where_a_c_reads_b_c(v):
+    # a·c answers "read more" at [0] and v at [0, v], and b·c(0) = v, so
+    # (a·c)·(b·c) at 0 reads b·c(0) and answers it: each v gives its own value
+    k, s = k2_basis()
+    read_more = encode_seq([encode_seq([0])])
+    answers = {encode_seq([encode_seq([0, u])]): u + 2 for u in (0, 1)}
+    alpha = elem(lambda x: 1 if x == read_more else answers.get(x, 1), "alpha")
+    beta = elem(lambda x: v + 1 if x == encode_seq([0]) else 1, "beta")
+    gamma = from_expr("n")
+    lhs = apply_many(FUEL, s, alpha, beta, gamma)
+    rhs = apply_many(FUEL, apply_many(FUEL, alpha, gamma), apply_many(FUEL, beta, gamma))
+    assert lhs(0) == rhs(0) == v
+
+
 def test_s_law_vacuous_when_rhs_diverges():
     k, s = k2_basis()
     zero = from_expr("0")

@@ -170,6 +170,15 @@ def test_closure_is_reflexive_and_transitive():
     assert chain(5).leq("c0", "c4")
 
 
+@given(preorders())
+@settings(max_examples=200, deadline=None)
+def test_every_poset_order_is_reflexive_and_transitive(poset):
+    # check_opca_axioms reports order.reflexive and order.transitive unscanned
+    leq, els = poset.leq_pairs, poset.elements
+    assert all((a, a) in leq for a in els)
+    assert all((a, c) in leq for a, b in leq for b2, c in leq if b == b2)
+
+
 def test_least_and_greatest_follow_carrier_order():
     l3 = STANDARD_OPCAS[1]
     assert l3.least(l3.element_set) == "0" and l3.greatest(l3.element_set) == "1"

@@ -26,8 +26,7 @@ def test_arguments_bind_to_fields_by_position_and_keyword():
     mixed = InternalMeets("t", "g", meet={}, counit_witnesses=("g1", "g2"), unit_witness="u")
     assert list(vars(mixed)) == list(InternalMeets._fields)  # stored in field order
     assert mixed._values() == ("t", "g", {}, "u", ("g1", "g2"))
-    assert BooleanVerdict(True, realizer=None, via_double_negation=True) \
-        == BooleanVerdict(True, None, True)
+    assert BooleanVerdict(True, realizer=None) == BooleanVerdict(True, None)
 
 
 def test_a_field_left_out_takes_the_class_default():

@@ -48,7 +48,7 @@ def frozen_records():
         (check_density(identity, L2, L2), "cd"), (kit, "imp"),
         (sup_from_implication(kit), "star"), (built.aks, "pole"), (built, "aks"),
         (order_ca(built.aks), "opca"), (Predicate((0,), {0: "1"}), "assign"),
-        (BooleanVerdict(True, None, True), "holds"), (DiscreteReport(True, {}, None), "witness"),
+        (BooleanVerdict(True, None), "holds"), (DiscreteReport(True, {}, None), "witness"),
     ]
 
 
@@ -88,12 +88,11 @@ def test_value_records_compare_field_by_field():
          DensityWitnesses(None, (0, {1: 2}))),
         (DiscreteReport(False, None, (0, 1)), DiscreteReport(False, None, (0, 1)),
          DiscreteReport(False, None, (0, 2))),
-        (BooleanVerdict(True, "r", True), BooleanVerdict(True, "r", True),
-         BooleanVerdict(False, "r", True)),
+        (BooleanVerdict(True, "r"), BooleanVerdict(True, "r"), BooleanVerdict(False, "r")),
     ]
     for left, same, other in pairs:
         assert left is not same and left == same and left != other
-    assert hash(BooleanVerdict(True, "r", True)) == hash(BooleanVerdict(True, "r", True))
+    assert hash(BooleanVerdict(True, "r")) == hash(BooleanVerdict(True, "r"))
     with pytest.raises(TypeError):  # mutable, so unhashable
         hash(CheckRecord("s", "c", "pass"))
     # structures compare by identity
@@ -125,8 +124,7 @@ PINNED_REPRS = [
      "opca=FiniteOpca(elements=(0,), "
      "leq_pairs=frozenset({(0, 0)}), element_set=frozenset({0}), _index={0: 0}, "
      "table={(0, 0): 0}, k=0, s=0, filter=None, U=None, name='opca'))"),
-    (BooleanVerdict(True, None, True),
-     "BooleanVerdict(holds=True, realizer=None, via_double_negation=True)"),
+    (BooleanVerdict(True, None), "BooleanVerdict(holds=True, realizer=None)"),
     (Predicate((0,), {0: 1}), "Predicate(index=(0,), assign={0: 1})"),
     (DiscreteReport(False, None, (0, 1)),
      "DiscreteReport(discrete=False, prefixes=None, witness=(0, 1))"),
