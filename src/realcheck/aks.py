@@ -13,9 +13,12 @@ sets come from ``poset.closed_masks``, which also lists downsets; once
 listed they stay on the structure as a table of masks, stack sets and
 facing terms (the intents and extents of the pole's formal concepts), which
 the order-ca, implication, cc and the Streicher preorder read.  Every
-question about t.pi in the pole goes through push on masks, one kernel on
-the structure (``Aks.pull``, ``Aks.push_image``) that keeps each pre-image
-and image it computes.
+question about t.pi in the pole goes through push on masks, one kernel
+(``Aks.pull``, ``Aks.push_image``) that keeps each pre-image and image it
+computes.  Those memos and the tables' indices read neither U nor the
+pole, so they live on the structure's frame (``_Frame``), not per
+structure: ``build_aks`` keeps one frame on each checked kit for every U of
+that base, and a structure constructed directly builds its own.
 """
 
 from __future__ import annotations
@@ -47,68 +50,33 @@ class Aks(Frozen):
     ``dot_index[i][k]`` and ``kof_index[j]`` are the tables in indices.  The mask methods below
     work on these; the module functions keep the frozenset interface.
 
-    Outside its fields the structure keeps the memos of push on masks
-    (``pull`` per term and mask, ``push_image`` per pair of masks) and, once
+    Everything but QP, the pole and the name is the structure's frame
+    (``_Frame``): the carriers, the tables and their indices, and the memos
+    of push on masks (``pull`` per term and mask, ``push_image`` per pair of
+    masks).  A structure from ``build_aks`` shares the frame kept on its
+    checked kit with every other U of that base; one constructed directly
+    builds a frame of its own.  Outside its fields the structure keeps, once
     ``closed_stack_sets`` or ``order_ca`` has listed them, the closed masks
     with their stack sets and facing terms.  The mask methods read that
-    table for a closed set and scan the rows for any other.  Each is a pure
-    function of the fields, so equality, ``repr`` and the saved form are the
-    same before and after they fill.
+    table for a closed set and scan the rows for any other.  Each memo is a
+    pure function of the fields, so equality, ``repr`` and the saved form are
+    the same before and after they fill.
     """
 
     _fields = ("terms", "stacks", "dot", "push", "kof", "K", "S", "cc", "qp", "pole", "name")
 
     def __init__(self, terms, stacks, dot, push, kof, K, S, cc, qp, pole, name="aks"):
-        set_field(self, "terms", terms)
-        set_field(self, "stacks", stacks)
-        set_field(self, "dot", dot)  # (t, s) -> term, total
-        set_field(self, "push", push)  # (t, pi) -> stack, total
-        set_field(self, "kof", kof)  # pi -> term, total
-        set_field(self, "K", K)
-        set_field(self, "S", S)
-        set_field(self, "cc", cc)
-        set_field(self, "qp", qp)
-        set_field(self, "pole", pole)  # of (term, stack)
-        set_field(self, "name", name)
-        term_set, stack_set = frozenset(self.terms), frozenset(self.stacks)
-        if not term_set or not stack_set:
-            raise StructureError("aks needs nonempty terms and stacks", source=self.name)
-        for where, names, unique in (("terms", self.terms, term_set),
-                                     ("stacks", self.stacks, stack_set)):
-            if len(names) != len(unique):
-                raise StructureError(f"duplicate {where}", source=self.name, field=where)
-        ti = {t: i for i, t in enumerate(self.terms)}
-        si = {pi: j for j, pi in enumerate(self.stacks)}
-        dot_flat = _indices(self.dot, list(product(self.terms, self.terms)), ti, "dot", name)
-        push_flat = _indices(self.push, list(product(self.terms, self.stacks)), si, "push", name)
-        kof_index = tuple(_indices(self.kof, self.stacks, ti, "kOf", name))
-        for x, where in ((self.K, "K"), (self.S, "S"), (self.cc, "cc")):
-            if x not in term_set:
-                raise StructureError("distinguished term outside carrier",
-                                     source=self.name, field=where)
-        if not self.qp <= term_set:
-            raise StructureError("QP escapes terms", source=self.name, field="QP")
-        rows = [0] * len(self.terms)
-        for (t, pi) in self.pole:
+        frame = _Frame(terms, stacks, dot, push, kof, K, S, cc, name)
+        if not qp <= frozenset(terms):
+            raise StructureError("QP escapes terms", source=name, field="QP")
+        ti, si = frame.term_index, frame.stack_index
+        rows = [0] * len(terms)
+        for (t, pi) in pole:
             i, j = ti.get(t), si.get(pi)
             if i is None or j is None:
-                raise StructureError("pole entry outside carrier",
-                                     source=self.name, field="pole")
+                raise StructureError("pole entry outside carrier", source=name, field="pole")
             rows[i] |= 1 << j
-        m, n = len(self.terms), len(self.stacks)
-        # full: every stack; _pulls and _images: the push kernel's memos;
-        # the closed masks, once listed: _closed (mask -> (stacks, facing
-        # terms), in list order) and _masks (stacks -> mask)
-        for attr, value in (
-                ("term_index", ti), ("stack_index", si),
-                ("rows", tuple(rows)),
-                ("push_index", tuple(tuple(push_flat[i * n:(i + 1) * n]) for i in range(m))),
-                ("dot_index", tuple(tuple(dot_flat[i * m:(i + 1) * m]) for i in range(m))),
-                ("kof_index", kof_index),
-                ("full", (1 << n) - 1),
-                ("_pulls", tuple({} for _ in self.terms)), ("_images", {}),
-                ("_closed", {}), ("_masks", {})):
-            set_field(self, attr, value)
+        _bind(self, frame, qp, pole, tuple(rows), name)
 
     # -- masks over term and stack indices ------------------------------
 
@@ -167,6 +135,57 @@ class Aks(Frozen):
         if out is None:
             out = self._images[key] = _image(self.push_index, term_mask, stack_mask)
         return out
+
+
+class _Frame:
+    """The part of a Krivine structure that QP, the pole and the name do not
+    touch: the carriers, dot, push, kOf, K, S and cc, their indices, and
+    the memos of the push kernel (``_pulls`` per term, ``_images``), which
+    read only ``push_index``.  Building it checks the fields it holds, in
+    the order and with the texts that ``Aks`` reports; ``name`` only names
+    the structure in those errors.
+    """
+
+    __slots__ = ("terms", "stacks", "dot", "push", "kof", "K", "S", "cc",
+                 "term_index", "stack_index", "push_index", "dot_index", "kof_index",
+                 "full", "_pulls", "_images")
+
+    def __init__(self, terms, stacks, dot, push, kof, K, S, cc, name):
+        term_set, stack_set = frozenset(terms), frozenset(stacks)
+        if not term_set or not stack_set:
+            raise StructureError("aks needs nonempty terms and stacks", source=name)
+        for where, names, unique in (("terms", terms, term_set), ("stacks", stacks, stack_set)):
+            if len(names) != len(unique):
+                raise StructureError(f"duplicate {where}", source=name, field=where)
+        ti = {t: i for i, t in enumerate(terms)}
+        si = {pi: j for j, pi in enumerate(stacks)}
+        dot_flat = _indices(dot, list(product(terms, terms)), ti, "dot", name)
+        push_flat = _indices(push, list(product(terms, stacks)), si, "push", name)
+        kof_index = tuple(_indices(kof, stacks, ti, "kOf", name))
+        for x, where in ((K, "K"), (S, "S"), (cc, "cc")):
+            if x not in term_set:
+                raise StructureError("distinguished term outside carrier",
+                                     source=name, field=where)
+        m, n = len(terms), len(stacks)
+        self.terms, self.stacks, self.dot, self.push, self.kof = terms, stacks, dot, push, kof
+        self.K, self.S, self.cc = K, S, cc
+        self.term_index, self.stack_index, self.kof_index = ti, si, kof_index
+        self.push_index = tuple(tuple(push_flat[i * n:(i + 1) * n]) for i in range(m))
+        self.dot_index = tuple(tuple(dot_flat[i * m:(i + 1) * m]) for i in range(m))
+        self.full = (1 << n) - 1  # every stack
+        self._pulls, self._images = tuple({} for _ in terms), {}
+
+
+def _bind(aks, frame, qp, pole, rows, name):
+    """Bind ``aks`` over the frame: the frame's fields, indices and push
+    memos are shared; QP, the pole, its rows and the name are its own, and
+    so is the table of closed masks, empty until listed (``_closed``: mask
+    -> (stacks, facing terms), in list order; ``_masks``: stacks -> mask)."""
+    for attr in _Frame.__slots__:
+        set_field(aks, attr, getattr(frame, attr))
+    for attr, value in (("qp", qp), ("pole", pole), ("name", name), ("rows", rows),
+                        ("_closed", {}), ("_masks", {})):
+        set_field(aks, attr, value)
 
 
 def _indices(table, keys, index, where, name):
@@ -352,8 +371,9 @@ def build_aks(opca, max_len=3, U=None):
     the list-extension combinator d).  The distinguished terms are the
     stack-decomposing combinators built from the sequence kit.
 
-    Only the pole reads U; the rest, the frame (``_frame``), is kept on the
-    checked kit and shared by every U (a 5-element kit with it: 16.5 KB).
+    Only the pole reads U.  The rest, the frame (``_frame``) with its
+    indices and push memos, is kept on the checked kit and shared by every U
+    of the base; per U this builds the pole and its rows.
     """
     U = frozenset(U) if U is not None else opca.U
     if opca.filter is None or U is None:
@@ -364,22 +384,29 @@ def build_aks(opca, max_len=3, U=None):
         raise StructureError("U meets the filter", source=opca.name, field="U")
 
     kit = opcamod.derive_sequence_kit(opca, max_len=max_len)
-    if kit._frame is None:
-        set_field(kit, "_frame", _frame(kit))
-    stacks, dot, push, kof, K_el, S_el, cc_el = kit._frame
+    frame = kit._frame
+    if frame is None:
+        frame = _frame(kit)
+        set_field(kit, "_frame", frame)
     # None is never in U, so an undefined t·pi is outside the pole
-    table, U = opca.table, opca.U
-    pole = frozenset((t, pi) for t in opca.elements for pi in stacks
-                     if table.get((t, pi)) in U)
-
-    aks = Aks(terms=tuple(opca.elements), stacks=stacks, dot=dot, push=push,
-              kof=kof, K=K_el, S=S_el, cc=cc_el, qp=opca.filter, pole=pole,
-              name=f"K({opca.name},U={sorted(map(str, U))})")
+    table, U, stacks = opca.table, opca.U, frame.stacks
+    pole, rows = [], []
+    for t in frame.terms:
+        row = 0
+        for j, pi in enumerate(stacks):
+            if table.get((t, pi)) in U:
+                pole.append((t, pi))
+                row |= 1 << j
+        rows.append(row)
+    aks = Aks.__new__(Aks)
+    _bind(aks, frame, opca.filter, frozenset(pole), tuple(rows),
+          f"K({opca.name},U={sorted(map(str, U))})")
     return BuiltAks(aks=aks, opca=opca, kit=kit)
 
 
 def _frame(kit):
-    """(stacks, dot, push, kOf, K, S, cc) over the kit's U-free opca."""
+    """The ``_Frame`` of the kit's U-free opca: its stacks, dot, push, kOf,
+    K, S and cc, with their indices and empty push memos."""
     opca = kit.opca
     # b, c, d and the sequence codes are the kit's: evaluated and verified once
     slots = {name: kit.element(term) for name, term in (("b", kit.b), ("c", kit.c), ("d", kit.d))}
@@ -431,7 +458,7 @@ def _frame(kit):
         v = kof[pi] = table.get((kof_el, pi))
         if v is None:
             raise undefined(f"kOf({pi})")
-    return stacks, dot, push, kof, K_el, S_el, cc_el
+    return _Frame(tuple(opca.elements), stacks, dot, push, kof, K_el, S_el, cc_el, opca.name)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +528,7 @@ def order_ca(aks):
 
     Order is reverse inclusion; k and s are searched first among the
     orthogonals of single quasi-proofs, then over the whole filter, then
-    the carrier.  Raises ConstructionError when no pair satisfies the laws.
+    the carrier.
     """
     closed = _closed_masks(aks)
     carrier = [a for a, _ in closed.values()]
@@ -519,11 +546,10 @@ def order_ca(aks):
     singles = [aks.stacks_of(row) for q, row in zip(aks.terms, aks.rows) if q in aks.qp]
     candidates = list(dict.fromkeys([*(a for a in singles + carrier if a in filt), *carrier]))
 
-    # the laws read only the carrier, the table and the order
+    # the laws read only the carrier, the table and the order; the full stack
+    # set, least in reverse inclusion, obeys both, so some pair is found
     ks = opcamod.first_ks(SimpleNamespace(elements=carrier, table=table, leq_pairs=leq),
                           candidates)
-    if ks is None:
-        raise ConstructionError(f"no k/s pair for the order-ca of {aks.name}")
     return OrderCa(aks=aks, opca=opcamod.FiniteOpca(
         elements=tuple(carrier), leq_pairs=leq, table=table, filter=filt,
         name=f"P({aks.name})", **ks))

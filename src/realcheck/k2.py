@@ -489,16 +489,14 @@ def _eval_ast(node, env):
         return int(_eval_ast(node[1], env) < _eval_ast(node[2], env))
     if kind == "le":
         return int(_eval_ast(node[1], env) <= _eval_ast(node[2], env))
-    if kind == "mu":
-        _, var, bound_ast, body = node
-        bound = _eval_ast(bound_ast, env)
-        inner = dict(env)
-        for candidate in range(bound):
-            inner[var] = candidate
-            if _eval_ast(body, inner) > 0:
-                return candidate
-        return bound
-    raise StructureError(f"bad AST node {node!r}")
+    _, var, bound_ast, body = node  # "mu", the last kind parse_generator builds
+    bound = _eval_ast(bound_ast, env)
+    inner = dict(env)
+    for candidate in range(bound):
+        inner[var] = candidate
+        if _eval_ast(body, inner) > 0:
+            return candidate
+    return bound
 
 
 def from_expr(src):

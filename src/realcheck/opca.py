@@ -353,8 +353,9 @@ def derive_sequence_kit(opca, max_len=3):
     later call on equal ones returns the same kit, whose ``opca`` is built
     from those fields alone, without U and with the default name.  A failing
     check is not kept: it is made again, with the same error, on every call.
-    ``build_aks`` keeps its U-free frame on the checked kit, so the two are
-    evicted together (5 elements: 11 KB, with the frame 16.5 KB, tracemalloc).
+    ``build_aks`` keeps its U-free frame, with its indices and push memos,
+    on the checked kit, so the two are evicted together (5 elements: 11 KB;
+    with the frame after a sweep of every U, 21-23 KB, tracemalloc).
     """
     if opca.filter is None:
         raise StructureError("sequence kit needs a filtered opca", source=opca.name)
@@ -368,7 +369,8 @@ def derive_sequence_kit(opca, max_len=3):
 
 
 # Most checked kits, and so ``build_aks`` frames, kept per process.  A 5-element
-# kit holds 16.5 KB with its memo key and frame; a sweep over the U of one table needs one.
+# kit holds 21-23 KB with its memo key and its frame's push memos after a sweep of
+# every U; a sweep over the U of one table needs one.
 KIT_MEMO_SIZE = 64
 
 

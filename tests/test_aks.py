@@ -1,17 +1,19 @@
+import gc
+import random
 from itertools import combinations
 
 import pytest
 
-from realcheck import aks as aksmod
+from realcheck import aks as aksmod, opca as opcamod
 from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
                            build_aks, cc_element, check_aks, check_kr,
                            check_order_ca, closed_stack_sets, order_ca,
                            orthogonal_stacks, orthogonal_terms,
                            tv_least_of_aks)
 from realcheck.errors import CapExceeded, StructureError
-from realcheck.formats import load_aks, load_opca
-from realcheck.lattices import DIAMOND, L2, L3, chain
-from realcheck.opca import k_law, s_law
+from realcheck.formats import aks_to_dict, load_aks, load_opca, save_aks
+from realcheck.lattices import DIAMOND, L2, L3, chain, semilattice_opca
+from realcheck.opca import KIT_MEMO_SIZE, SequenceKit, derive_sequence_kit, k_law, s_law
 
 from conftest import FIXTURES
 from test_golden import perfbench_modules
@@ -225,6 +227,8 @@ def test_the_pole_rules_pull_each_pre_image_once(monkeypatch):
     # every six-element case has 6 terms and 6 stacks; this is the one with
     # the most pole pairs.  Pulling at every use, (S3) for each (t, s, u),
     # takes 348 to 383 raw runs per case; the kernel one per (term, mask).
+    # The memos are the frame's, shared by every U of the base: start from none.
+    opcamod._checked_kit.cache_clear()
     aks = max((build_aks(opca, max_len=3, U=opca.U).aks for opca in admissible_cases(6, 6)),
               key=lambda aks: len(aks.pole))
     assert (len(aks.terms), len(aks.stacks), len(aks.pole)) == (6, 6, 35)
@@ -326,3 +330,84 @@ def test_double_constant_discards_the_top_of_the_stack():
         for (t, pi) in aks.pole:
             for s in aks.terms:
                 assert (kprime, aks.push[(s, aks.push[(t, pi)])]) in aks.pole
+
+
+# -- the frame every U of a base shares ------------------------------------------------
+
+def answers(aks):
+    """Every answer the structure gives: its fields, repr, saved form, pole
+    records, closed sets, order-ca, (Kr), cc and the Pierce sets."""
+    sets = closed_stack_sets(aks)
+    oca = order_ca(aks).opca
+    return {"fields": aks._values(), "repr": repr(aks), "saved": aks_to_dict(aks),
+            "records": check_aks(aks).records, "sets": sets,
+            "order_ca": (list(oca.elements), oca.table, oca.filter, oca.leq_pairs,
+                         oca.k, oca.s, oca.name),
+            "kr": check_kr(aks), "cc": cc_element(aks),
+            "pierce": [aks_imp(aks, aks_imp(aks, aks_imp(aks, a, b), a), a)
+                       for a in sets for b in sets]}
+
+
+def fresh(aks):
+    """The same structure through the public constructor, with a frame of its own."""
+    return Aks(**{name: getattr(aks, name) for name in Aks._fields})
+
+
+def assert_memos_are_raw(frame):
+    for t, memo in enumerate(frame._pulls):
+        for mask, out in memo.items():
+            assert out == aksmod._pull(frame.push_index[t], mask)
+    for (term_mask, stack_mask), out in frame._images.items():
+        assert out == aksmod._image(frame.push_index, term_mask, stack_mask)
+
+
+def test_no_answer_leaks_from_one_u_to_another():
+    # every U of a base shares its frame's push memos; in any order of
+    # building, a structure answers as one with a frame of its own does
+    cases = admissible_cases(5)
+    for seed in (1, 2, 3):
+        order = random.Random(seed).sample(cases, len(cases))
+        opcamod._checked_kit.cache_clear()
+        frames = {}
+        for opca in order:
+            for _ in range(2):
+                built = build_aks(opca, max_len=3, U=opca.U)
+                assert answers(built.aks) == answers(fresh(built.aks)), (seed, opca.name)
+                frames[id(built.kit._frame)] = built.kit._frame
+        assert len(frames) == 10  # one per base
+        for frame in frames.values():
+            assert_memos_are_raw(frame)
+
+
+def kit_frame_memos():
+    """The ids of the push memos of every kit frame alive."""
+    return {id(memo) for kit in gc.get_objects()
+            if isinstance(kit, SequenceKit) and kit._frame is not None
+            for memo in (kit._frame._images, *kit._frame._pulls)}
+
+
+def test_loaded_and_constructed_structures_keep_their_own_memos(tmp_path):
+    built = build_aks(DIAMOND, U={"0"})
+    save_aks(tmp_path / "k.json", built.aks)
+    frame, want = built.kit._frame, answers(built.aks)
+    for aks in (load_aks(tmp_path / "k.json"), fresh(built.aks)):
+        assert not {id(aks._images), *map(id, aks._pulls)} & kit_frame_memos()
+        before = (len(frame._images), [len(memo) for memo in frame._pulls])
+        got = answers(aks)
+        for key in ("saved", "sets", "kr", "cc", "pierce"):  # the others name the structure
+            assert got[key] == want[key]
+        assert [r._values()[1:] for r in got["records"]] == \
+            [r._values()[1:] for r in want["records"]]
+        assert (len(frame._images), [len(memo) for memo in frame._pulls]) == before
+
+
+def test_a_kit_built_again_after_eviction_gets_a_fresh_frame():
+    first = build_aks(DIAMOND, U={"0"})
+    want = answers(first.aks)
+    for i in range(KIT_MEMO_SIZE):
+        bottom, top = f"0.{i}", f"1.{i}"
+        derive_sequence_kit(semilattice_opca((bottom, top), {(bottom, top)}), max_len=1)
+    again = build_aks(DIAMOND, U={"0"})
+    assert again.kit is not first.kit and again.kit._frame is not first.kit._frame
+    assert not again.aks._images and not any(again.aks._pulls)
+    assert answers(again.aks) == want

@@ -312,7 +312,8 @@ def test_frames_never_carry_a_first_callers_u():
             assert got._values() == fields and check_aks(got).records == records, cases[i].name
         builds = built_in_order.values()
         assert len({id(b.kit._frame) for b in builds}) < len(cases)
-        assert all(b.aks.dot is b.kit._frame[1] for b in builds)
+        assert all(b.aks.dot is b.kit._frame.dot and b.aks._pulls is b.kit._frame._pulls
+                   for b in builds)
 
 
 # -- closed terms are compiled once per process -------------------------------------

@@ -247,9 +247,11 @@ def test_no_module_but_aks_reads_the_pole_rows(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_the_push_kernel_runs_push_on_masks(path):
     # the pole rules, the order-ca table, implication, (Kr) and the Streicher
-    # preorder go through Aks.pull and Aks.push_image, which keep what they find
+    # preorder go through Aks.pull and Aks.push_image, which keep what they find;
+    # the frame that all structures over a base share builds push_index
     expected = [("Aks.pull", "_pull"), ("Aks.pull", "push_index"),
-                ("Aks.push_image", "_image"), ("Aks.push_image", "push_index")]
+                ("Aks.push_image", "_image"), ("Aks.push_image", "push_index"),
+                ("_Frame.__init__", "push_index")]
     assert push_reads(path.read_text(encoding="utf-8")) == \
         (expected if path.name == "aks.py" else [])
 
