@@ -3,9 +3,11 @@
 A BCO is a finite poset with a list of named partial endofunctions subject
 to three clauses: downward-closed monotone domains, a total sub-identity,
 and composition closure up to <=.  Ordered pcas with a filter give the
-canonical examples (functions are left-application by filter elements).
-``FiniteBco`` extends the poset core in ``poset.py``; every search for a
-function in F below a list of pairs goes through its ``track``.
+canonical examples (functions are left-application by filter elements):
+``opca_to_bco`` builds an opca's view once and keeps it on the opca, so
+every check of that opca shares one immutable view and the downsets it
+lists.  ``FiniteBco`` extends the poset core in ``poset.py``; every search
+for a function in F below a list of pairs goes through its ``track``.
 
 On top of that this module provides: morphisms and their preorder, the
 downset construction with unit/multiplication, internal finite meets and
@@ -74,14 +76,18 @@ class FiniteBco(Poset):
 
 
 def opca_to_bco(opca):
-    """BCO view: functions are b |-> a·b for a in the filter."""
+    """BCO view: functions are b |-> a·b for a in the filter.  It is built on
+    the first call and kept on the opca; later calls share that one view."""
     if opca.filter is None:
         raise StructureError("opca has no filter", source=opca.name)
-    functions = {f"ap[{a}]": {b: opca.app(a, b) for b in opca.elements
-                              if opca.app(a, b) is not None}
-                 for a in opca.ordered(opca.filter)}
-    return FiniteBco(elements=opca.elements, leq_pairs=opca.leq_pairs,
-                     functions=functions, name=f"bco({opca.name})", origin_opca=opca)
+    if opca._bco_view is None:
+        functions = {f"ap[{a}]": {b: opca.app(a, b) for b in opca.elements
+                                  if opca.app(a, b) is not None}
+                     for a in opca.ordered(opca.filter)}
+        set_field(opca, "_bco_view", FiniteBco(
+            elements=opca.elements, leq_pairs=opca.leq_pairs, functions=functions,
+            name=f"bco({opca.name})", origin_opca=opca))
+    return opca._bco_view
 
 
 def check_bco(bco):

@@ -63,6 +63,7 @@ class FiniteOpca(Poset):
         if self.U is not None and not self.is_downward_closed(self.U):
             raise StructureError("U is not downward closed", source=self.name, field="U")
         set_field(self, "table", dict(table))
+        set_field(self, "_bco_view", None)  # bco.opca_to_bco of this opca, once asked for
 
     def app(self, a, b):
         return self.table.get((a, b))

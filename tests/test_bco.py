@@ -17,10 +17,11 @@ from realcheck.bco import (BcoMorphism, FiniteBco, ImplicativeKit,
                            opca_to_bco, product_bco, sup_from_implication,
                            truth_values, tv_least)
 from realcheck.errors import CapExceeded, ConstructionError, StructureError
-from realcheck.lattices import DIAMOND, L2, L3, M3, N5, VEE
+from realcheck.formats import load_opca
+from realcheck.lattices import DIAMOND, L2, L3, M3, N5, VEE, enumerate_lattices
 from realcheck.opca import check_opca_axioms, skk_element
 
-from conftest import CHILD_ENV, STANDARD_OPCAS
+from conftest import CHILD_ENV, FIXTURES, STANDARD_OPCAS
 
 
 def implication_of(alg):
@@ -76,6 +77,70 @@ def test_composition_closure_fails_when_composite_missing():
                                "up": {"0": "1", "1": "1"}})
     # up∘up = up, id∘f = f: closure holds here, so this one passes
     assert check_bco(bco).passed
+
+
+# -- the view kept on its opca ----------------------------------------------------
+
+def reference_view(opca):
+    """The BCO view built afresh from the opca's fields, as ``opca_to_bco``
+    built it on every call before the view was kept."""
+    if opca.filter is None:
+        raise StructureError("opca has no filter", source=opca.name)
+    return FiniteBco(elements=opca.elements, leq_pairs=opca.leq_pairs,
+                     functions={f"ap[{a}]": {b: c for b in opca.elements
+                                             if (c := opca.app(a, b)) is not None}
+                                for a in opca.ordered(opca.filter)},
+                     name=f"bco({opca.name})", origin_opca=opca)
+
+
+L3MF = L3.replace(filter=frozenset({"m", "1"}), name="L3mf")
+FILTERED_FILES = ("l2.json", "l3.json", "vee.json", "diamond.json", "m3.json")
+VIEW_OPCAS = (*enumerate_lattices(3), L3MF, *STANDARD_OPCAS,  # VEE is standard
+              *(load_opca(FIXTURES / name)[0] for name in FILTERED_FILES))
+
+
+@pytest.mark.parametrize("opca", VIEW_OPCAS, ids=lambda o: o.name.rpartition("/")[2])
+def test_each_opca_keeps_one_view_equal_to_a_fresh_one(opca):
+    view = opca_to_bco(opca)
+    assert opca_to_bco(opca) is view
+    ref = reference_view(opca)
+    assert view.elements == ref.elements and view.leq_pairs == ref.leq_pairs
+    assert list(view.functions.items()) == list(ref.functions.items())  # filter order
+    assert [list(t) for t in view.functions.values()] == [list(t) for t in ref.functions.values()]
+    assert view.name == ref.name == f"bco({opca.name})"
+    assert view.origin_opca is opca
+    other = opca.replace()
+    other_view = opca_to_bco(other)
+    assert other_view is not view and other_view.origin_opca is other
+    assert other_view.functions == view.functions
+
+
+def test_an_opca_without_a_filter_is_refused_on_every_call_and_keeps_no_view():
+    bare = L2.replace(filter=None)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(StructureError) as exc:
+            opca_to_bco(bare)
+        messages.append(str(exc.value))
+        assert bare._bco_view is None
+    assert messages == [f"{L2.name}: opca has no filter"] * 2
+
+
+def test_applicative_records_agree_with_freshly_built_views(monkeypatch):
+    small = (*enumerate_lattices(2), L2)
+
+    def records(fmap, src, dst):
+        rep = check_applicative_morphism(fmap, src, dst)
+        return [(x.check, x.verdict, x.witnesses, x.counterexample) for x in rep.records]
+
+    maps = [(dict(zip(src.elements, values)), src, dst) for src in small for dst in small
+            for values in product(dst.elements, repeat=len(src.elements))]
+    kept = [records(*m) for m in maps]
+    assert [records(*m) for m in maps] == kept  # second round: every view is a kept one
+    fresh = []
+    monkeypatch.setattr("realcheck.bco.opca_to_bco", lambda o: fresh.append(o) or reference_view(o))
+    assert [records(*m) for m in maps] == kept
+    assert len(maps) == 23 and len(fresh) == 2 * 23
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -150,7 +215,7 @@ def test_monad_laws_on_fixtures():
 def test_downset_cap_refusal(monkeypatch):
     monkeypatch.setattr("realcheck.poset.DOWNSET_CAP", 3)
     with pytest.raises(CapExceeded) as exc:
-        downset_bco(opca_to_bco(L3))
+        downset_bco(opca_to_bco(L3.replace()))  # a new view, whose downsets are not listed yet
     assert str(exc.value) == "downsets of bco(L3): 4 items exceeds cap 3"
 
 

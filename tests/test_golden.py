@@ -50,11 +50,9 @@ def test_cli_replays_golden_machine_output(capsys, tmp_path, monkeypatch):
     assert mismatches == []
 
 
-def test_krivine_sweep_matches_the_oracles_and_golden_digests():
-    # every item of the benchmark's krivine_sweep, in-process and in setup order
-    workloads, canon = perfbench_modules()
-    golden = workloads.load_digests()["krivine_sweep"]
-    items = [item for group in workloads.krivine_setup(0, None) for item in group]
+def replay(items, golden, canon):
+    """{item id: problems} of the benchmark items that fail their oracles or
+    whose witness digest differs from the golden one, run in-process in order."""
     problems = {}
     for item in items:
         result = item.run(None)
@@ -64,8 +62,35 @@ def test_krivine_sweep_matches_the_oracles_and_golden_digests():
             bad.append(f"witness digest {got} != golden {golden[item.id]}")
         if bad:
             problems[item.id] = bad
+    return problems
+
+
+def test_krivine_sweep_matches_the_oracles_and_golden_digests():
+    # every item of the benchmark's krivine_sweep, in-process and in setup order
+    workloads, canon = perfbench_modules()
+    golden = workloads.load_digests()["krivine_sweep"]
+    items = [item for group in workloads.krivine_setup(0, None) for item in group]
     assert len(items) == len(golden) == 48
-    assert problems == {}
+    assert replay(items, golden, canon) == {}
+
+
+def test_morphism_scan_matches_the_oracles_and_golden_digests():
+    # the benchmark's morphism_scan items, in-process and in setup order: every
+    # map with a fixture of fewer than 3 elements at either end, and every 7th
+    # of the maps between two 3-element fixtures
+    workloads, canon = perfbench_modules()
+    golden = workloads.load_digests()["morphism_scan"]
+    fixtures = workloads.morphism_fixtures()
+    items = [item for group in workloads.morphism_setup(0, None) for item in group]
+    assert len(items) == len(golden) == 314
+    sizes = {f.name: len(f.elements) for f in fixtures}
+    wide = [item.id for item in items
+            if all(sizes[name] == 3 for name in item.id.partition("/")[0].split("->"))]
+    assert len(wide) == 243
+    skipped = set(wide) - set(wide[::7])
+    chosen = [item for item in items if item.id not in skipped]
+    assert len(chosen) == 71 + 35
+    assert replay(chosen, golden, canon) == {}
 
 
 def test_benchmark_selftest_passes():

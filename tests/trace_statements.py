@@ -8,8 +8,9 @@ and writes its lines to a temporary file when it exits.
 
 A statement is an ``ast`` statement (or ``except`` clause) with bytecode
 on its lines: a simple statement spans all its lines, a compound one its
-header (from the first decorator to the line before its body).  It has
-run when a traced line falls in its span.  The script prints the
+header (from the first decorator to the line before its body).  The
+spans are read before the tests start.  A statement has run when a traced
+line falls in its span.  The script prints the
 statements that never run, in-process or in a child, then those that run
 only in a child, with a count per module for each list, and the
 statements that never run in-process.
@@ -105,14 +106,21 @@ def statements(path):
     return sorted(found)
 
 
-def unrun(hits):
-    """{module file name: [(line, source line)]} of the statements with no
-    line in ``hits``."""
+def sources():
+    """{path: (statements, source lines)} for every module of ``src``, read
+    once before the tests run, so an edit made during the run cannot shift
+    the lines that the traced line numbers are matched against."""
+    return {path: (statements(path), path.read_text().splitlines())
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def unrun(hits, modules):
+    """{module file name: [(line, source line)]} of the statements of
+    ``modules`` (as ``sources`` gives them) with no line in ``hits``."""
     out = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path, (spans, text) in modules.items():
         run = hits.get(str(path), set())
-        text = path.read_text().splitlines()
-        missed = [(n, text[n - 1].strip()) for n, span in statements(path)
+        missed = [(n, text[n - 1].strip()) for n, span in spans
                   if not run.intersection(span)]
         if missed:
             out[path.name] = missed
@@ -129,6 +137,7 @@ def show(title, missed):
 
 
 def main(argv):
+    modules = sources()
     inside = {}
     with tempfile.TemporaryDirectory() as boot, tempfile.TemporaryDirectory() as out:
         pathlib.Path(boot, "sitecustomize.py").write_text(
@@ -155,8 +164,8 @@ def main(argv):
                 children.setdefault(path, set()).add(int(line))
     everywhere = {path: inside.get(path, set()) | children.get(path, set())
                   for path in {*inside, *children}}
-    never = unrun(everywhere)
-    in_process = unrun(inside)
+    never = unrun(everywhere, modules)
+    in_process = unrun(inside, modules)
     show("statements that never run", never)
     show("statements that run only in a child process", {
         name: [row for row in rows if row not in never.get(name, ())]
