@@ -662,7 +662,7 @@ def _inf_clause_failure(host, i, inf, low):
     every element low bounds."""
     got = host.app(i, inf[low])
     return next(((a,) for a in host.ordered(host.upper(low))
-                 if got is None or not host.leq(got, a)), None)
+                 if not host.leq(got, a)), None)
 
 
 def check_implicative(kit, mode="pre-implicative"):
@@ -710,8 +710,7 @@ def check_implicative(kit, mode="pre-implicative"):
         inf_v = kit.inf[low]
         return _inf_clause_failure(host, kit.i, kit.inf, low) \
             or next((("i'", b) for b in host.ordered(low)
-                     if (ib := host.app(kit.i_prime, b)) is None or not host.leq(ib, inf_v)),
-                    None)
+                     if not host.leq(host.app(kit.i_prime, b), inf_v)), None)
 
     rep.verdict("implicative.inf_witnessed",
                 outside_filter(("i", kit.i), ("i'", kit.i_prime))
@@ -721,12 +720,10 @@ def check_implicative(kit, mode="pre-implicative"):
     def imp_failure(a, b, c):
         ab = host.app(a, b)
         if ab is not None and host.leq(ab, c):
-            got = host.app(kit.e, a)
-            if got is None or not host.leq(got, kit.imp_of(b, c)):
+            if not host.leq(host.app(kit.e, a), kit.imp_of(b, c)):
                 return (a, b, c, "e")
         if host.leq(a, kit.imp_of(b, c)):
-            eab = host.app_app(kit.e_prime, a, b)
-            if eab is None or not host.leq(eab, c):
+            if not host.leq(host.app_app(kit.e_prime, a, b), c):
                 return (a, b, c, "e'")
         return None
 
@@ -863,11 +860,9 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
             if not host.leq(b, b2):
                 continue
             for c in host.elements:
-                got = host.app(xi, kit.imp_of(b2, c))
-                if got is None or not host.leq(got, kit.imp_of(b, c)):
+                if not host.leq(host.app(xi, kit.imp_of(b2, c)), kit.imp_of(b, c)):
                     fail("b", (b, b2, c, "antitone"))
-                got = host.app(xi, kit.imp_of(c, b))
-                if got is None or not host.leq(got, kit.imp_of(c, b2)):
+                if not host.leq(host.app(xi, kit.imp_of(c, b)), kit.imp_of(c, b2)):
                     fail("b", (b, b2, c, "monotone"))
 
     # (d) P turns a pointwise bound into a bound on the sup
@@ -877,8 +872,7 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
             if prods is None:
                 continue
             for b in host.ordered(host.upper(prods)):
-                got = host.app_app(P, f, sup[alpha])
-                if got is None or not host.leq(got, b):
+                if not host.leq(host.app_app(P, f, sup[alpha]), b):
                     fail("d", (f, sorted(map(str, alpha)), b))
 
 

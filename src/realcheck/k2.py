@@ -19,7 +19,10 @@ A dialogue hands alpha its query as a tuple, whose first item (the
 position) may itself be a query tuple.  The code is built only where a
 number is read: by an opaque element (a user function or a generator
 expression) and by a prefix oracle asked at a query.  The k/s basis and
-applications read the items as they are, so s folds no growing prefix.
+applications read the items as they are, so s folds no growing prefix.  A
+dialogue that asks k or s directly learns which position refused it and
+reads up to there before asking again: one round per position read, where
+an opaque element takes a round per prefix length.
 """
 
 from __future__ import annotations
@@ -139,17 +142,25 @@ class _ItemReader(K2Element):
 def _dialogue(alpha, beta, n, fuel=None):
     """Round N asks alpha about [n, beta(0), ..., beta(N-1)] until it answers
     k+1, giving k; None after round ``fuel``.  Unfuelled, as in the s basis,
-    it ends because queried positions grow and prefix oracles abort."""
+    it ends because queried positions grow and prefix oracles abort.  A basis
+    element asked directly also names the position its refusal read; every
+    round up to that position refuses alike, so those rounds only read beta.
+    """
     query = [n]
     length = 0
-    while fuel is None or length <= fuel:
-        v = alpha(tuple(query))
+    h = alpha.h if type(alpha) is _Basis else None
+    while True:
+        if h is None:
+            v, last = alpha(tuple(query)), length
+        else:
+            v, last = _assoc_read(h, tuple(query))
         if v > 0:
             return v - 1
-        if length != fuel:
+        while length <= last:
+            if length == fuel:
+                return None
             query.append(beta(length))
-        length += 1
-    return None
+            length += 1
 
 
 def k2_apply(alpha, beta, n, fuel):
@@ -188,24 +199,23 @@ def apply_many(fuel, *elems):
 # ---------------------------------------------------------------------------
 
 class _NeedMore(Exception):
-    __slots__ = ("token",)
+    __slots__ = ("token", "position")
 
-    def __init__(self, token):
+    def __init__(self, token, position):
         self.token = token
+        self.position = position
 
 
-def _assoc_value(h, x):
-    """Value at x of the element associated to the oracle computation h.
+def _assoc_read(h, x):
+    """Value at the query tuple x = [n, prefix...] of the element associated
+    to the oracle computation h, and the position whose read refused.
 
-    x is [n, prefix...], as a query tuple or its code; h runs with an oracle
-    giving the prefix and raising beyond it, in which case the answer is 0
-    ("read more"); a completed run answers result+1.  Aborts raised by
-    *outer* oracles propagate, which is what nests the construction soundly.
+    h runs with an oracle giving the prefix and raising beyond it, in which
+    case the answer is 0 ("read more"); a completed run answers result+1.
+    Aborts raised by *outer* oracles propagate, which is what nests the
+    construction soundly.  h is deterministic, so every prefix too short to
+    reach the refused position refuses there as well.
     """
-    if isinstance(x, int):
-        x = decode_seq(x)
-    if not x:
-        return 0
     bound = len(x) - 1
     token = object()
 
@@ -213,28 +223,43 @@ def _assoc_value(h, x):
         i = _code(i)
         if i < bound:
             return x[i + 1]
-        raise _NeedMore(token)
+        raise _NeedMore(token, i)
 
     try:
-        return h(oracle, x[0]) + 1
+        return h(oracle, x[0]) + 1, None
     except _NeedMore as e:
         if e.token is token:
-            return 0
+            return 0, e.position
         raise
+
+
+def _assoc_value(h, x):
+    """``_assoc_read``'s value, at a query tuple or its code."""
+    if isinstance(x, int):
+        x = decode_seq(x)
+    return _assoc_read(h, x)[0] if x else 0
+
+
+class _Basis(_ItemReader):
+    """k or s: the element associated to the oracle computation ``h``."""
+
+    def __init__(self, h, name):
+        _ItemReader.__init__(self, lambda x: _assoc_value(self.h, x), recursive=True, name=name)
+        self.h = h
 
 
 def k2_basis():
     """Recursive-tagged k and s with k·a·b ~ a and s·a·b·c ~ (a·c)·(b·c).
 
     Prefix agreement with the right-hand sides holds wherever those
-    converge; the s dialogues are expensive by nature (they must read the
-    first argument up to sequence-code positions), so law checks probe
-    where the simulated application converges quickly.
+    converge.  An s dialogue reads its first argument up to sequence-code
+    positions, but asks s once per position it reads, not once per prefix
+    length; law checks probe where the simulated application converges.
     """
     def k_outer(a_or, n1):
         return _assoc_value(lambda b_or, n: a_or(n), n1)
 
-    k = _ItemReader(lambda x: _assoc_value(k_outer, x), recursive=True, name="k")
+    k = _Basis(k_outer, "k")
 
     def s_level1(a_or, n1):
         def s_level2(b_or, n2):
@@ -251,7 +276,7 @@ def k2_basis():
 
         return _assoc_value(s_level2, n1)
 
-    s = _ItemReader(lambda x: _assoc_value(s_level1, x), recursive=True, name="s")
+    s = _Basis(s_level1, "s")
     return k, s
 
 

@@ -178,7 +178,7 @@ def check_opca_axioms(opca, search_ks=False):
                 next(((a, b, a2, b2) for (a, b), ab in opca.table.items()
                       for a2 in els if opca.leq(a2, a)
                       for b2 in els if opca.leq(b2, b)
-                      if (ab2 := opca.app(a2, b2)) is None or not opca.leq(ab2, ab)), None))
+                      if not opca.leq(opca.app(a2, b2), ab)), None))
 
     rep.verdict("k.law", k_law(opca, opca.k))
     rep.verdict("s.law", s_law(opca, opca.s))
@@ -482,8 +482,7 @@ def _verify_kit(kit):
             rank = {a: i for i, a in enumerate(elements)}
             raise ConstructionError(min(failing, key=lambda f: ([rank[e] for e in f[0]], f[1]))[2])
     for a in elements:
-        ta = opca.app(t_el, a)
-        if ta is None or not opca.leq(ta, kit._code((a,))):
+        if not opca.leq(opca.app(t_el, a), kit._code((a,))):
             raise ConstructionError(f"clause (iv) fails at {a!r}")
     return tuple(dict.fromkeys(code for level in codes for code in level.values()))
 

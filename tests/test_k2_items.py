@@ -208,6 +208,41 @@ def test_named_trees_match_the_reference_at_larger_fuel(tree):
     assert change == reference
 
 
+# -- rounds of s's own computation ----------------------------------------------------
+
+def counting_s():
+    """s from the basis, and a list noting each run of its level-1 computation."""
+    _, s = k2_basis()
+    runs, level1 = [], s.h
+
+    def counted(a_or, n1):
+        runs.append(n1)
+        return level1(a_or, n1)
+
+    s.h = counted
+    return s, runs
+
+
+# s·a·b·c at n; a dialogue asking s at every prefix length runs it 1,598 and 437 times
+S_PROBES = {
+    "s-law": ((("expr", "2 + eq(n, 8)"), ("expr", "1 + eq(n, 4)"), ("expr", "n + 1")), 9),
+    "table": ((("table", (2, 3, 4, 5)), ("table", (1, 2, 3)), ("table", (0, 2))), 6),
+}
+
+
+@pytest.mark.parametrize("name", S_PROBES)
+def test_a_dialogue_asks_s_once_per_position_it_reads(name):
+    (a, b, c), n = S_PROBES[name]
+    s, runs = counting_s()
+    tree = ("app", ("app", ("app", ("s",), a), b), c)
+    value = build(tree, (None, s), lambda fn, name: K2Element(fn, name=name),
+                  k2.apply_elem, FUEL, [])(n)
+    assert len(runs) <= 4
+    # a answers at once, so the s law holds: the reference's (a·c)·(b·c)
+    rhs = ("app", ("app", a, c), ("app", b, c))
+    assert value == build(rhs, ref_basis(), RefElement, ref_apply, FUEL, [])(n)
+
+
 # -- what gets encoded -------------------------------------------------------------------
 
 @pytest.fixture

@@ -162,6 +162,15 @@ def test_opca_downsets_refuse_above_the_cap():
         antichain.downsets()
 
 
+@pytest.mark.parametrize("poset", list(posets_under_test()),
+                         ids=lambda p: p.name if p.name != "poset" else str(p.elements))
+def test_an_undefined_application_is_below_and_above_nothing(poset):
+    # the checks read leq(app(a, b), c) with no None guard of their own
+    for x in poset.elements:
+        assert not poset.leq(None, x) and not poset.leq(x, None)
+    assert not poset.leq(None, None)
+
+
 def test_closure_is_reflexive_and_transitive():
     closed = reflexive_transitive_closure(("a", "b", "c", "d"),
                                           {("a", "b"), ("b", "c"), ("c", "a")})
