@@ -17,8 +17,8 @@ question about t.pi in the pole goes through push on masks, one kernel
 (``Aks.pull``, ``Aks.push_image``) that keeps each pre-image and image it
 computes.  Those memos and the tables' indices read neither U nor the
 pole, so they live on the structure's frame (``_Frame``), not per
-structure: ``build_aks`` keeps one frame on each checked kit for every U of
-that base, and a structure constructed directly builds its own.
+structure: ``build_aks`` keeps one frame on the kit its opca keeps for
+every U of that base, and a structure constructed directly builds its own.
 """
 
 from __future__ import annotations
@@ -372,8 +372,8 @@ def build_aks(opca, max_len=3, U=None):
     stack-decomposing combinators built from the sequence kit.
 
     Only the pole reads U.  The rest, the frame (``_frame``) with its
-    indices and push memos, is kept on the checked kit and shared by every U
-    of the base; per U this builds the pole and its rows.
+    indices and push memos, is kept on the checked kit that the opca shares
+    with its copies ``replace(U=...)``; per U this builds the pole and rows.
     """
     U = frozenset(U) if U is not None else opca.U
     if opca.filter is None or U is None:
@@ -405,8 +405,8 @@ def build_aks(opca, max_len=3, U=None):
 
 
 def _frame(kit):
-    """The ``_Frame`` of the kit's U-free opca: its stacks, dot, push, kOf,
-    K, S and cc, with their indices and empty push memos."""
+    """The ``_Frame`` of the kit's opca, built without its U: the stacks, dot,
+    push, kOf, K, S and cc, with their indices and empty push memos."""
     opca = kit.opca
     # b, c, d and the sequence codes are the kit's: evaluated and verified once
     slots = {name: kit.element(term) for name, term in (("b", kit.b), ("c", kit.c), ("d", kit.d))}

@@ -13,8 +13,6 @@ reducibility search.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import terms as termsmod
 from .errors import CapExceeded, ConstructionError, StructureError
 from .poset import Poset
@@ -64,6 +62,7 @@ class FiniteOpca(Poset):
             raise StructureError("U is not downward closed", source=self.name, field="U")
         set_field(self, "table", dict(table))
         set_field(self, "_bco_view", None)  # bco.opca_to_bco of this opca, once asked for
+        set_field(self, "_kits", {})  # max_len -> checked SequenceKit
 
     def app(self, a, b):
         return self.table.get((a, b))
@@ -98,7 +97,10 @@ class FiniteOpca(Poset):
         data = dict(elements=self.elements, leq_pairs=self.leq_pairs, table=self.table,
                     k=self.k, s=self.s, filter=self.filter, U=self.U, name=self.name)
         data.update(kw)
-        return FiniteOpca(**data)
+        out = FiniteOpca(**data)
+        if kw.keys() <= {"U", "name"}:  # no kit reads U or the name
+            set_field(out, "_kits", self._kits)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,8 @@ class SequenceKit(Frozen):
     these values when asked.  ``stack_codes`` is filled by the check in
     ``derive_sequence_kit``: the codes of the carrier sequences of length
     <= max_len, each once, in order of first appearance (by length, then
-    product order); it stays None on a kit that was not checked.
+    product order); it stays None on a kit that was not checked.  A checked
+    kit is kept on ``opca``, the variant that first derived it.
     """
 
     _fields = ("opca", "max_len", "p0", "b", "c", "d", "t")
@@ -349,14 +352,13 @@ def derive_sequence_kit(opca, max_len=3):
     above ``KIT_LEN_CAP``.  A checked kit carries ``stack_codes``.
 
     The kit reads the carrier in order, the order, the table, k, s and the
-    filter, never U or the name.  So each checked kit is kept for the process
-    (the last ``KIT_MEMO_SIZE`` used) against those and ``max_len``, and a
-    later call on equal ones returns the same kit, whose ``opca`` is built
-    from those fields alone, without U and with the default name.  A failing
-    check is not kept: it is made again, with the same error, on every call.
-    ``build_aks`` keeps its U-free frame, with its indices and push memos,
-    on the checked kit, so the two are evicted together (5 elements: 11 KB;
-    with the frame after a sweep of every U, 21-23 KB, tracemalloc).
+    filter, never U or the name.  So each checked kit is kept on the opca
+    (``FiniteOpca._kits``), which shares it with its U and name variants, and
+    a later call on any of them returns the same kit, whose ``opca`` is the
+    one that first derived it.  A failing check is not kept: it is made
+    again, with the same error, on every call.  ``build_aks`` keeps its
+    frame, with its indices and push memos, on the checked kit, for every U
+    of the base.
     """
     if opca.filter is None:
         raise StructureError("sequence kit needs a filtered opca", source=opca.name)
@@ -365,24 +367,11 @@ def derive_sequence_kit(opca, max_len=3):
                              source=opca.name)
     if max_len > KIT_LEN_CAP:
         raise CapExceeded("sequence kit max_len", max_len, KIT_LEN_CAP)
-    return _checked_kit(tuple(opca.elements), opca.leq_pairs, frozenset(opca.table.items()),
-                        opca.k, opca.s, frozenset(opca.filter), max_len)
-
-
-# Most checked kits, and so ``build_aks`` frames, kept per process.  A 5-element
-# kit holds 21-23 KB with its memo key and its frame's push memos after a sweep of
-# every U; a sweep over the U of one table needs one.
-KIT_MEMO_SIZE = 64
-
-
-@lru_cache(maxsize=KIT_MEMO_SIZE)
-def _checked_kit(elements, leq_pairs, table_items, k, s, filter, max_len):
-    """The kit of the U-free opca these fields make, checked over its table."""
-    given = dict(table_items)
-    table = {(a, b): given[a, b] for a in elements for b in elements if (a, b) in given}
-    opca = FiniteOpca(elements, leq_pairs, table, k, s, filter)
-    kit = SequenceKit(opca, max_len)
-    set_field(kit, "stack_codes", _verify_kit(kit))
+    kit = opca._kits.get(max_len)
+    if kit is None:
+        kit = SequenceKit(opca, max_len)
+        set_field(kit, "stack_codes", _verify_kit(kit))
+        opca._kits[max_len] = kit
     return kit
 
 

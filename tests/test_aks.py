@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from realcheck import aks as aksmod, opca as opcamod
+from realcheck import aks as aksmod
 from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
                            build_aks, cc_element, check_aks, check_kr,
                            check_order_ca, closed_stack_sets, order_ca,
@@ -13,7 +13,7 @@ from realcheck.aks import (Aks, aks_apply, aks_imp, biorthogonal_closure,
 from realcheck.errors import CapExceeded, StructureError
 from realcheck.formats import aks_to_dict, load_aks, load_opca, save_aks
 from realcheck.lattices import DIAMOND, L2, L3, chain, semilattice_opca
-from realcheck.opca import KIT_MEMO_SIZE, SequenceKit, derive_sequence_kit, k_law, s_law
+from realcheck.opca import SequenceKit, derive_sequence_kit, k_law, s_law
 
 from conftest import FIXTURES
 from test_golden import perfbench_modules
@@ -86,9 +86,11 @@ def test_build_aks_returns_the_opca_with_the_given_u():
     built = build_aks(L3, U={"0"})
     assert L3.U is None and built.opca.U == frozenset({"0"})
     assert built.opca.table == L3.table and built.opca.name == L3.name
-    assert built.aks.name == "K(L3,U=['0'])" and built.kit.opca.U is None
+    assert built.aks.name == "K(L3,U=['0'])"
     with_u = L3.replace(U=frozenset({"0", "m"}))
     assert build_aks(with_u).opca is with_u
+    # the kit, and with it the frame, is the one of every U of the base
+    assert build_aks(with_u).kit is built.kit is derive_sequence_kit(L3)
 
 
 def test_preconditions_reported_before_construction():
@@ -227,8 +229,8 @@ def test_the_pole_rules_pull_each_pre_image_once(monkeypatch):
     # every six-element case has 6 terms and 6 stacks; this is the one with
     # the most pole pairs.  Pulling at every use, (S3) for each (t, s, u),
     # takes 348 to 383 raw runs per case; the kernel one per (term, mask).
-    # The memos are the frame's, shared by every U of the base: start from none.
-    opcamod._checked_kit.cache_clear()
+    # The memos are the frame's, shared by every U of the base; the cases are
+    # built here, so they start from none.
     aks = max((build_aks(opca, max_len=3, U=opca.U).aks for opca in admissible_cases(6, 6)),
               key=lambda aks: len(aks.pole))
     assert (len(aks.terms), len(aks.stacks), len(aks.pole)) == (6, 6, 35)
@@ -364,10 +366,9 @@ def assert_memos_are_raw(frame):
 def test_no_answer_leaks_from_one_u_to_another():
     # every U of a base shares its frame's push memos; in any order of
     # building, a structure answers as one with a frame of its own does
-    cases = admissible_cases(5)
     for seed in (1, 2, 3):
+        cases = admissible_cases(5)  # new opcas, so new kits and frames
         order = random.Random(seed).sample(cases, len(cases))
-        opcamod._checked_kit.cache_clear()
         frames = {}
         for opca in order:
             for _ in range(2):
@@ -401,13 +402,16 @@ def test_loaded_and_constructed_structures_keep_their_own_memos(tmp_path):
         assert (len(frame._images), [len(memo) for memo in frame._pulls]) == before
 
 
-def test_a_kit_built_again_after_eviction_gets_a_fresh_frame():
-    first = build_aks(DIAMOND, U={"0"})
-    want = answers(first.aks)
-    for i in range(KIT_MEMO_SIZE):
-        bottom, top = f"0.{i}", f"1.{i}"
-        derive_sequence_kit(semilattice_opca((bottom, top), {(bottom, top)}), max_len=1)
-    again = build_aks(DIAMOND, U={"0"})
-    assert again.kit is not first.kit and again.kit._frame is not first.kit._frame
-    assert not again.aks._images and not any(again.aks._pulls)
-    assert answers(again.aks) == want
+@pytest.mark.parametrize("first, second", [((0, 1), (False, True)), ((False, True), (0, 1))],
+                         ids=["ints first", "bools first"])
+def test_equal_carriers_of_other_types_keep_their_own_kits(tmp_path, first, second):
+    # 0 == False and 1 == True, so the two chains have equal fields; in either
+    # order, each structure holds its own chain's items and saves them as such
+    for items in (first, second):
+        built = build_aks(semilattice_opca(items, {items}), U={items[0]})
+        aks = built.aks
+        assert {type(x) for x in (*aks.terms, *aks.stacks, aks.K, aks.S, aks.cc)} == \
+            {type(items[0])}
+        save_aks(tmp_path / "k.json", aks)
+        saved = (tmp_path / "k.json").read_text(encoding="utf-8")
+        assert ("true" in saved and "false" in saved) == (type(items[0]) is bool)

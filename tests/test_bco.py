@@ -654,26 +654,29 @@ def without(opca, key):
 
 L2_ALL = L2.replace(filter=frozenset({"0", "1"}))
 
-# Heyting kits on L2 with one change each, and the refusal of
+# Heyting kits on L2 and L3 with one change each, and the refusal of
 # sup_from_implication each reaches (found by changing the constants, one
 # table entry, or one imp or inf entry of the Heyting kits on lattices of
 # up to four elements)
-BROKEN_L2_KITS = [
+BROKEN_KITS = [
     (L2_ALL, {("0", "0"): None}, {}, "0", "eta undefined in L2"),
     (L2, {}, {}, "0", "derived combinator eta lands outside the filter"),
     (L2, {}, {("0", "1"): "0"}, "1", "derivation fact (b) fails at ('0', '1', '0', 'monotone')"),
+    # xi·(m => 1) = 1 is not below 0 => 1 = 0, although 0 <= m
+    (L3, {}, {("0", "1"): "0"}, "1", "derivation fact (b) fails at ('0', 'm', '1', 'antitone')"),
     (L2, {("0", "0"): None}, {}, "1", "derivation fact (d) fails at ('0', [], '0')"),
     # 0·1 is undefined, so fact (d) skips f = 0 on the downsets holding 1
     (L2, {("0", "1"): None}, {}, "1", "derived sup breaks the uniform bound condition"),
 ]
 
 
-@pytest.mark.parametrize("host, table, imp, constant, message", BROKEN_L2_KITS,
-                         ids=["undefined", "outside", "fact b", "fact d", "bound"])
+@pytest.mark.parametrize("host, table, imp, constant, message", BROKEN_KITS,
+                         ids=["undefined", "outside", "fact b", "fact b antitone", "fact d",
+                              "bound"])
 def test_derived_sup_names_each_refusal(host, table, imp, constant, message):
+    kit = heyting_kit(host)  # of the host before its table changes
     for key in table:
         host = without(host, key)
-    kit = heyting_kit(L2)
     broken = ImplicativeKit(host, kit.inf, {**kit.imp, **imp}, i=constant, i_prime=constant,
                             e=constant, e_prime=constant, name="broken")
     with pytest.raises(ConstructionError) as exc:

@@ -1,5 +1,3 @@
-import gc
-import weakref
 from itertools import product
 
 import pytest
@@ -8,14 +6,14 @@ from hypothesis import strategies as st
 
 import realcheck
 from realcheck.errors import CapExceeded, ConstructionError, StructureError
-from realcheck.lattices import DIAMOND, L2, L3, VEE, chain, enumerate_lattices, semilattice_opca
+from realcheck.lattices import DIAMOND, L2, L3, VEE, chain, enumerate_lattices
 from realcheck import aks as aksmod
 from realcheck import bco as bcomod
 from realcheck import opca as opcamod
 from realcheck import terms
 from realcheck.formats import load_opca
 from realcheck.aks import build_aks
-from realcheck.opca import (KIT_LEN_CAP, KIT_MEMO_SIZE, FiniteOpca, SequenceKit,
+from realcheck.opca import (KIT_LEN_CAP, FiniteOpca, SequenceKit,
                             check_filter, check_opca_axioms, derive_sequence_kit,
                             seq_term, skk_element, turing_leq)
 from realcheck.terms import PAIR, Const, _kit_program, _kit_terms, app, numeral, reduce_term
@@ -243,8 +241,9 @@ def test_a_long_sequence_gets_a_value_or_a_refusal():
 
 
 def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
+    # closed terms are built and compiled once per process, a kit once per opca
+    build_aks(load_opca(str(FIXTURES / "l3.json"))[0], max_len=3)
     opca, _ = load_opca(str(FIXTURES / "l3.json"))
-    build_aks(opca, max_len=3)  # closed terms are built and compiled once per process
     calls = []
 
     def counting(fn):
@@ -257,7 +256,6 @@ def test_seq_value_builds_and_evaluates_no_terms(monkeypatch):
         for module in (realcheck, terms, opcamod, aksmod, bcomod):
             if getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counting(fn))
-    opcamod._checked_kit.cache_clear()  # so the counted build checks the kit again
     built = build_aks(opca, max_len=3)
     # the kit and the five distinguished terms run as compiled programs
     assert calls == []
@@ -465,7 +463,7 @@ def test_build_aks_folds_no_sequence(monkeypatch):
 
 
 
-# -- the per-process kit memo ----------------------------------------------------
+# -- the kits kept on the opca ----------------------------------------------------
 
 def kit_outcome(kit_of, opca, max_len):
     """The error message of the kit that ``kit_of(opca, max_len)`` builds and
@@ -478,10 +476,17 @@ def kit_outcome(kit_of, opca, max_len):
 
 
 def fresh_kit(opca, max_len):
-    """A kit checked by ``_verify_kit`` on a new ``SequenceKit``, past the memo."""
+    """A kit checked by ``_verify_kit`` on a new ``SequenceKit``, past the
+    kits kept on the opca."""
     kit = SequenceKit(opca, max_len)
     object.__setattr__(kit, "stack_codes", opcamod._verify_kit(kit))
     return kit
+
+
+def without_kits(opca):
+    """An equal opca with no kit kept: a ``replace`` that sets a field the
+    kit reads starts empty."""
+    return opca.replace(filter=opca.filter)
 
 
 # a total preorder: every element is below every other (found by a random search)
@@ -502,16 +507,21 @@ def test_kit_memo_keys_on_everything_the_kit_reads(other, other_len):
     calls = [(KEYED, 1), (other, other_len)]
     assert kit_outcome(fresh_kit, *calls[0]) != kit_outcome(fresh_kit, *calls[1])
     for ordered in (calls, calls[::-1]):
-        opcamod._checked_kit.cache_clear()
-        for call in ordered:
-            assert kit_outcome(derive_sequence_kit, *call) == kit_outcome(fresh_kit, *call)
+        new = {}  # each opca without kits, once per order
+        for opca, max_len in ordered:
+            opca = new.setdefault(id(opca), without_kits(opca))
+            assert kit_outcome(derive_sequence_kit, opca, max_len) == \
+                kit_outcome(fresh_kit, opca, max_len)
 
 
-def test_kit_is_shared_without_the_first_callers_u_and_name():
-    kit = derive_sequence_kit(L3.replace(U=frozenset({"0"}), name="first"), max_len=2)
-    assert derive_sequence_kit(L3.replace(name="second"), max_len=2) is kit
-    assert kit.opca.U is None and kit.opca.name not in ("first", "second", L3.name)
-    assert kit.opca.table == L3.table and kit.opca.filter == L3.filter
+def test_kit_is_shared_by_the_u_and_name_variants_of_an_opca():
+    base = without_kits(L3)
+    first = base.replace(U=frozenset({"0"}), name="first")
+    kit = derive_sequence_kit(first, max_len=2)
+    assert derive_sequence_kit(base.replace(name="second"), max_len=2) is kit
+    assert derive_sequence_kit(base, max_len=2) is kit and kit.opca is first
+    assert derive_sequence_kit(base, max_len=1) is not kit
+    assert derive_sequence_kit(without_kits(base), max_len=2) is not kit
 
 
 def test_failing_kit_check_is_made_again_with_the_same_error():
@@ -522,45 +532,26 @@ def test_failing_kit_check_is_made_again_with_the_same_error():
             derive_sequence_kit(opca, max_len=2)
         messages.append(str(err.value))
     assert messages == [kit_outcome(fresh_kit, opca, 2)[1]] * 2
-    info = opcamod._checked_kit.cache_info()
-    assert (info.misses, info.currsize) == (2, 0)
-
-
-def test_kit_memo_stays_at_its_bound():
-    for i in range(KIT_MEMO_SIZE + 3):
-        bottom, top = f"0.{i}", f"1.{i}"
-        derive_sequence_kit(semilattice_opca((bottom, top), {(bottom, top)}), max_len=1)
-    info = opcamod._checked_kit.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (KIT_MEMO_SIZE + 3,) + (KIT_MEMO_SIZE,) * 2
-
-
-def test_an_evicted_kit_takes_its_frame_with_it():
-    base = L2.replace(U=frozenset({"0"}))
-    kit = weakref.ref(build_aks(base, max_len=1).kit)
-    assert kit()._frame is not None
-    for i in range(KIT_MEMO_SIZE):
-        bottom, top = f"0.{i}", f"1.{i}"
-        derive_sequence_kit(semilattice_opca((bottom, top), {(bottom, top)}), max_len=1)
-    gc.collect()
-    assert kit() is None
-    assert derive_sequence_kit(base, max_len=1)._frame is None
+    assert opca._kits == {}
 
 
 @pytest.mark.parametrize("max_len", [-1, 1.5, "2", None, True])
 def test_kit_refuses_a_max_len_that_is_not_a_non_negative_int(max_len):
+    opca = without_kits(L2)
     with pytest.raises(StructureError, match=f"got {max_len!r}$"):
-        derive_sequence_kit(L2, max_len)
+        derive_sequence_kit(opca, max_len)
     with pytest.raises(StructureError, match=f"got {max_len!r}$"):
-        build_aks(L2.replace(U=frozenset({"0"})), max_len=max_len)
-    assert opcamod._checked_kit.cache_info().misses == 0
+        build_aks(opca.replace(U=frozenset({"0"})), max_len=max_len)
+    assert opca._kits == {}
 
 
 def test_kit_refusals_come_before_the_memo():
+    unfiltered, opca = L2.replace(filter=None), without_kits(L2)
     with pytest.raises(StructureError):
-        derive_sequence_kit(L2.replace(filter=None))
+        derive_sequence_kit(unfiltered)
     with pytest.raises(CapExceeded):
-        derive_sequence_kit(L2, KIT_LEN_CAP + 1)
-    assert opcamod._checked_kit.cache_info().misses == 0
+        derive_sequence_kit(opca, KIT_LEN_CAP + 1)
+    assert unfiltered._kits == opca._kits == {}
 
 # -- term-model spot checks ----------------------------------------------------
 

@@ -12,8 +12,12 @@ but ``parse_term``'s descent, which ``_MAX_DEPTH`` bounds.  Each derived
 value has one producer too: the truth values' top comes from ``find_top``
 alone, the (k, s) search from ``opca.first_ks``, a given U of ``build_aks``
 is checked by the opca constructor, and the kit terms are cached only as
-``_kit_program``'s roots.  ``Poset.lower`` and ``Poset.upper`` own the
-bounds of a subset: no module but ``poset.py`` writes one out as
+``_kit_program``'s roots.  ``functools`` memoises only ``compile_closed``
+and ``_kit_program`` of ``terms``, whose arguments hold no structure, so
+no process-wide cache keyed by a structure's contents comes back: what is
+derived from a structure is kept on it.  ``Poset.lower`` and
+``Poset.upper`` own the bounds of a subset: no module but ``poset.py``
+writes one out as
 ``all(... .leq(...) for ...)``, and none lists every subset of a collection
 but ``lattices._lattice_orders``, whose candidate orders are the subsets of
 their free pairs.
@@ -112,6 +116,14 @@ def subset_enumerations(source):
             or isinstance(node, ast.Call) and called_name(node) == "combinations"]
 
 
+def memo_uses(source):
+    """(scope, name) for every ``lru_cache`` or ``cache``, bare or as an
+    attribute, outside the imports."""
+    return [(scope, name) for scope, node in scoped_nodes(ast.parse(source))
+            if (name := node.id if isinstance(node, ast.Name) else
+                getattr(node, "attr", None)) in ("lru_cache", "cache")]
+
+
 def calls(name):
     """(scope, called name) for every call in the module ``name``."""
     path = next(p for p in SOURCES if p.name == name)
@@ -196,6 +208,15 @@ class Program:
 '''
     assert self_calls(recursive) == ["free_vars", "free_vars", "term_str.go", "term_str.go",
                                      "Program.values"]
+    memoised = '''
+import functools
+from functools import lru_cache
+
+@functools.cache
+def _checked_kit(elements, table):
+    return lru_cache(maxsize=8)(build)(elements)
+'''
+    assert memo_uses(memoised) == [("_checked_kit", "lru_cache"), ("_checked_kit", "cache")]
 
 
 def test_the_checks_find_bounds_and_subsets_written_out_again():
@@ -254,6 +275,13 @@ def test_only_the_push_kernel_runs_push_on_masks(path):
                 ("_Frame.__init__", "push_index")]
     assert push_reads(path.read_text(encoding="utf-8")) == \
         (expected if path.name == "aks.py" else [])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_structure_free_functions_are_memoised(path):
+    expected = ([("compile_closed", "lru_cache"), ("_kit_program", "lru_cache")]
+                if path.name == "terms.py" else [])
+    assert memo_uses(path.read_text(encoding="utf-8")) == expected
 
 
 def test_the_cli_builds_no_predicate():
