@@ -70,8 +70,7 @@ class FiniteBco(Poset):
         return self.functions[fname].get(a)
 
     def track(self, pairs):
-        """First function name f with f(x) defined and <= y for every (x, y)
-        in ``pairs``, else None."""
+        """``tracker`` over the function names in insertion order."""
         return self.tracker(self.functions, self.apply, pairs)
 
 
@@ -258,7 +257,7 @@ def _meet_candidates(bco):
     host = bco.origin_opca
     if host is not None:
         [p] = termsmod.compile_closed(r"\x y z. z x y").run(host)  # PAIR; None: no p·a·b
-        table = {(a, b): host.app_app(p, a, b) for a in bco.elements for b in bco.elements}
+        table = {(a, b): host.app_app(p, (a, b)) for a in bco.elements for b in bco.elements}
         if None not in table.values():
             candidates.append(table)
     meets = {(a, b): bco.meet(a, b) for a in bco.elements for b in bco.elements}
@@ -393,8 +392,7 @@ def check_pseudo_d_algebra(alg, witnesses=None):
     def search(check, key, pairs, missing):
         if key in witnesses and witnesses[key] not in host.filter:
             return rep.verdict(check, (key, witnesses[key], "outside the filter"))
-        pool = [witnesses[key]] if key in witnesses else filt
-        return rep.found(check, key, host.tracker(pool, host.app, pairs), missing)
+        return rep.found(check, key, host.track(pairs, witnesses.get(key)), missing)
 
     # clause 1: u(sup alpha) <= sup alpha' for alpha <= alpha'
     search("sup.monotone_u", "u", [(alg.value(a), alg.value(b))
@@ -406,10 +404,10 @@ def check_pseudo_d_algebra(alg, witnesses=None):
     if stray is not None:
         rep.verdict("sup.image_g2", ("g2", *stray, "outside the filter"))
     else:
-        rep.per_key("sup.image_g2", "g2", witness_per_key(filt, lambda fel: host.tracker(
-            [g2[fel]] if "g2" in witnesses else filt, host.app,
+        rep.per_key("sup.image_g2", "g2", witness_per_key(filt, lambda fel: host.track(
             [(alg.value(alpha), alg.value(host.downward_closure(prods))) for alpha in downs
-             if (prods := host.products((fel,), alpha)) is not None])))
+             if (prods := host.products((fel,), alpha)) is not None],
+            g2[fel] if "g2" in witnesses else None)))
 
     # clause 3: flattening both ways over families of downsets
     families = downsets_of_poset(downs, lambda a, b: a <= b,
@@ -434,7 +432,6 @@ def check_star(alg, v=None):
     None; a ``v`` outside the filter is None.
     """
     host = alg.host
-    pool = host.ordered(host.filter if v is None else host.filter & {v})
     pairs = []
     for alpha in host.downsets():
         sup = alg.value(alpha)
@@ -442,7 +439,7 @@ def check_star(alg, v=None):
             prods = host.products(alpha, (b,))
             if prods is not None:
                 pairs += [((sup, b), c) for c in host.ordered(host.upper(prods))]
-    return host.tracker(pool, lambda cand, xb: host.app_app(cand, *xb), pairs)
+    return host.track(pairs, v, twice=True)
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +490,17 @@ def check_applicative_morphism(fmap, src, dst, crosscheck=True):
     if src.filter is None or dst.filter is None:
         raise StructureError("applicative morphisms need filtered opcas")
     rep = Report(_check_map(fmap, src, dst))
-    dst_filter = dst.ordered(dst.filter)
     rep.per_key("applicative.filter_up", None, witness_per_key(
         src.ordered(src.filter),
-        lambda a: next((b for b in dst_filter if dst.leq(b, fmap[a])), None)))
+        lambda a: next((b for b in dst.ordered(dst.filter) if dst.leq(b, fmap[a])), None)))
 
     # Tracking is required over all defined applications, not only filter
     # functions: the appl=fpp and sup-characterization equivalences need r
     # at arbitrary first arguments (and fail otherwise, e.g. on M3 joins).
     rep.found("applicative.app_tracking", "r",
-              dst.tracker(dst_filter, lambda c, xy: dst.app_app(c, *xy),
-                          [((fmap[a1], fmap[a]), fmap[a1a])
-                           for a1 in src.elements for a in src.elements
-                           if (a1a := src.app(a1, a)) is not None]),
+              dst.track([((fmap[a1], fmap[a]), fmap[a1a])
+                         for a1 in src.elements for a in src.elements
+                         if (a1a := src.app(a1, a)) is not None], twice=True),
               "no tracking r")
     rep.found("applicative.order_tracking", "u",
               dst.track([(fmap[x], fmap[y]) for (x, y) in src.leq_pairs]),
@@ -723,7 +718,7 @@ def check_implicative(kit, mode="pre-implicative"):
             if not host.leq(host.app(kit.e, a), kit.imp_of(b, c)):
                 return (a, b, c, "e")
         if host.leq(a, kit.imp_of(b, c)):
-            if not host.leq(host.app_app(kit.e_prime, a, b), c):
+            if not host.leq(host.app_app(kit.e_prime, (a, b)), c):
                 return (a, b, c, "e'")
         return None
 
@@ -872,7 +867,7 @@ def _verify_derivation_facts(kit, sup, combinators, downs):
             if prods is None:
                 continue
             for b in host.ordered(host.upper(prods)):
-                if not host.leq(host.app_app(P, f, sup[alpha]), b):
+                if not host.leq(host.app_app(P, (f, sup[alpha])), b):
                     fail("d", (f, sorted(map(str, alpha)), b))
 
 

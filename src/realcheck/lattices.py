@@ -95,11 +95,17 @@ def _lattice_orders(n):
             yield up
 
 
-def _canonical(up):
-    """The least up-rows of the inner elements over their relabellings; an
-    isomorphism of these lattices fixes the bottom and the top."""
-    return min(tuple(sum(1 << k for k, q in enumerate(perm) if up[p] >> q & 1) for p in perm)
-               for perm in permutations(range(1, len(up) - 1)))
+def _canonical(n):
+    """The key of up-rows on 0..n-1: their least inner rows over relabellings
+    of the inner elements (an isomorphism fixes the bottom and the top), each
+    by a bit map built once: entry m is row m, bit q moved to q's index in perm."""
+    maps = []
+    for perm in permutations(range(1, n - 1)):
+        relabel = [0]
+        for q in range(n):
+            relabel += [r | (1 << perm.index(q) if 0 < q < n - 1 else 0) for r in relabel]
+        maps.append((perm, relabel))
+    return lambda up: min(tuple(relabel[up[p]] for p in perm) for perm, relabel in maps)
 
 
 def enumerate_lattices(max_n=5):
@@ -115,9 +121,9 @@ def enumerate_lattices(max_n=5):
     out = []
     for n in range(1, max_n + 1):
         names = tuple(f"e{i}" for i in range(n))
-        seen = set()
+        seen, canonical = set(), _canonical(n)
         for up in _lattice_orders(n):
-            key = _canonical(up)
+            key = canonical(up)
             if key not in seen:
                 seen.add(key)
                 covers = {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)

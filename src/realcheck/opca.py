@@ -67,10 +67,10 @@ class FiniteOpca(Poset):
     def app(self, a, b):
         return self.table.get((a, b))
 
-    def app_app(self, a, b, c):
-        """(a·b)·c, or None when either application is undefined."""
-        ab = self.table.get((a, b))
-        return None if ab is None else self.table.get((ab, c))
+    def app_app(self, a, bc):
+        """(a·b)·c for bc = (b, c), or None when either application is undefined."""
+        ab = self.table.get((a, bc[0]))
+        return None if ab is None else self.table.get((ab, bc[1]))
 
     def products(self, left, right):
         """Every a·b for a in ``left`` and b in ``right``, or None when one is
@@ -84,11 +84,12 @@ class FiniteOpca(Poset):
         return frozenset(a for a in self.elements
                          if all(table.get((a, b)) in beta for b in alpha))
 
-    def track(self, pairs):
+    def track(self, pairs, pin=None, twice=False):
         """``tracker`` over the filter in carrier order, applying by the table."""
         if self.filter is None:
             raise StructureError("opca has no filter", source=self.name)
-        return self.tracker(self.ordered(self.filter), self.app, pairs)
+        apply = self.app_app if twice else self.app  # (g·x1)·x2 for x = (x1, x2), or g·x
+        return self.tracker(self.ordered(self.filter), apply, pairs, pin)
 
     def eval(self, term, env=None):
         return termsmod.eval_in_opca(term, env, self)

@@ -6,7 +6,10 @@ greatest elements, meets and the tracker search ("first candidate g with
 g(x) defined and <= y for every pair (x, y)"); ``witness_per_key`` runs a
 search per key.  ``FiniteOpca`` and ``FiniteBco`` extend it.  The order
 may be a preorder: nothing here assumes antisymmetry.  The downsets and
-the closed stack sets of ``aks.py`` both come from ``closed_masks``.
+the closed stack sets of ``aks.py`` both come from ``closed_masks``.  The
+tracker ANDs realizer masks: bit i of ``_masks[apply.__name__][(x, y)]``
+is set when the i-th g of the pool that ``track`` fixes has apply(g, x)
+defined and <= y.  Each is filled on first read and kept with the structure.
 """
 
 from __future__ import annotations
@@ -107,6 +110,7 @@ class Poset(Frozen):
         set_field(self, "element_set", element_set)
         set_field(self, "_index", {e: i for i, e in enumerate(elements)})
         set_field(self, "_downsets", None)
+        set_field(self, "_masks", {})  # realizer masks, see the module docstring
 
     def leq(self, a, b):
         return (a, b) in self.leq_pairs
@@ -162,13 +166,22 @@ class Poset(Frozen):
         """The greatest element below both, first in carrier order, or None."""
         return self.greatest(self.down(a) & self.down(b))
 
-    def tracker(self, candidates, apply, pairs):
-        """First g in ``candidates`` with apply(g, x) defined (not None) and
-        <= y for every (x, y) in ``pairs``, else None.  ``pairs`` is iterated
-        once per candidate."""
-        leq = self.leq_pairs
-        for g in candidates:
-            if all((gx := apply(g, x)) is not None and (gx, y) in leq for x, y in pairs):
+    def tracker(self, pool, apply, pairs, pin=None):
+        """The tracker search over ``pool`` (only ``pin``, if given), or None."""
+        masks = self._masks.setdefault(apply.__name__, {})
+        found = -1
+        for pair in pairs:
+            if (mask := masks.get(pair)) is None:
+                x, y = pair
+                mask = 0
+                for i, g in enumerate(pool):
+                    if (gx := apply(g, x)) is not None and (gx, y) in self.leq_pairs:
+                        mask |= 1 << i
+                masks[pair] = mask
+            if not (found := found & mask):
+                return None
+        for i, g in enumerate(pool):
+            if found >> i & 1 and pin in (None, g):
                 return g
         return None
 

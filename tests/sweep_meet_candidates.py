@@ -16,13 +16,19 @@ The groups:
 - the BCO views (``opca_to_bco``) of ``enumerate_lattices(3)``, ``VEE`` and
   L3 with the filter {m, 1} (``L3mf`` of the ``morphism_scan`` benchmark).
 
+While it runs, every ``FiniteBco.track`` call (so every unit, counit and
+morphism pair list the meet search builds, and the top and BCO-check
+searches) is checked against ``reference_tracker``, the scan that the
+realizer masks replaced; the first difference is printed and ends the run.
+
 It is not collected by pytest (the name does not start with ``test_``); CI
-runs it as its own job, and it exits 1 when any group's product-only count
-is above 0:
+runs it as its own job, and it exits 1 on a tracking difference or when any
+group's product-only count is above 0:
 
     PYTHONPATH=src python tests/sweep_meet_candidates.py
 """
 
+import pathlib
 import sys
 from itertools import combinations, product
 from time import perf_counter
@@ -31,6 +37,10 @@ from realcheck import bco as bcomod
 from realcheck.bco import FiniteBco, check_bco, find_top, internal_meets, opca_to_bco
 from realcheck.lattices import L3, VEE, enumerate_lattices
 from realcheck.poset import Poset, reflexive_transitive_closure
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+
+from test_poset import reference_tracker  # noqa: E402
 
 
 def labelled_posets(n):
@@ -88,6 +98,21 @@ def named_meets_found(bco):
         bcomod._meet_candidates = search
 
 
+def checked_track(track, compared):
+    """``FiniteBco.track`` that also runs ``reference_tracker`` on the same
+    pairs, counts the call in ``compared[0]`` and exits 1 when they differ."""
+    def run(bco, pairs):
+        got = track(bco, pairs)
+        want = reference_tracker(bco, bco.functions, bco.apply, pairs)
+        if got != want:
+            print(f"{bco.name}: track gives {got!r}, the reference scan {want!r}, "
+                  f"on {pairs!r}")
+            sys.exit(1)
+        compared[0] += 1
+        return got
+    return run
+
+
 def counts(bcos):
     """[BCOs, with a top, with internal meets, meets found by the product part only]."""
     out = [0, 0, 0, 0]
@@ -110,13 +135,15 @@ def main():
     groups.append(("opca views: enumerate_lattices(3), VEE, L3mf",
                    lambda: map(opca_to_bco, views)))
     print(f"{'group':48} {'bcos':>6} {'top':>6} {'meets':>6} {'product-only':>12} {'s':>7}")
-    product_only = 0
+    product_only, compared = 0, [0]
+    FiniteBco.track = checked_track(FiniteBco.track, compared)
     for name, bcos in groups:
         start = perf_counter()
         row = counts(bcos())
         product_only += row[3]
         print(f"{name:48} {row[0]:6} {row[1]:6} {row[2]:6} {row[3]:12} "
               f"{perf_counter() - start:7.1f}")
+    print(f"track calls equal to the reference scan: {compared[0]}")
     return 1 if product_only else 0
 
 

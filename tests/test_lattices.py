@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from realcheck import lattices as latticesmod
 from realcheck.aks import build_aks, check_aks, check_kr, tv_least_of_aks
 from realcheck.errors import CapExceeded
 from realcheck.lattices import LATTICE_SIZE_CAP, enumerate_lattices, semilattice_opca
@@ -66,6 +67,22 @@ def reference_lattices(max_n):
             out.append(semilattice_opca(names, covers,
                                         name=f"lattice{n}_{len(seen) - 1}"))
     return out
+
+
+def reference_inner_key(up):
+    """Reference for ``lattices._canonical``: the least up-rows of the inner
+    elements over their relabellings, each row re-encoded bit by bit for
+    every permutation."""
+    return min(tuple(sum(1 << k for k, q in enumerate(perm) if up[p] >> q & 1) for p in perm)
+               for perm in permutations(range(1, len(up) - 1)))
+
+
+@pytest.mark.parametrize("n", range(1, LATTICE_SIZE_CAP + 1))
+def test_canonical_keys_match_the_row_by_row_reference(n):
+    canonical = latticesmod._canonical(n)
+    orders = list(latticesmod._lattice_orders(n))
+    assert orders
+    assert [canonical(up) for up in orders] == [reference_inner_key(up) for up in orders]
 
 
 def fields(opca):

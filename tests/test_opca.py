@@ -332,7 +332,7 @@ def reference_verify_kit(kit):
         return code_cache[seq]
 
     def apply2(f, x, y, what):
-        fxy = opca.app_app(f, x, y)
+        fxy = opca.app_app(f, (x, y))
         if fxy is None:
             raise ConstructionError(f"{what} undefined")
         return fxy

@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from realcheck.bco import FiniteBco, opca_to_bco
 from realcheck.errors import CapExceeded, StructureError
 from realcheck.formats import load_opca
-from realcheck.lattices import chain, enumerate_lattices
+from realcheck.lattices import L3, VEE, chain, enumerate_lattices, semilattice_opca
 from realcheck.opca import FiniteOpca
 from realcheck.poset import Poset, downsets_of_poset, reflexive_transitive_closure
 
@@ -235,3 +236,147 @@ def test_a_caller_cannot_change_the_kept_downsets():
     downs = opca.downsets()
     downs.clear()
     assert len(opca.downsets()) == 4
+
+
+# -- tracking: the realizer masks against the scan they replaced ----------
+
+def reference_tracker(poset, candidates, apply, pairs):
+    """Reference for ``Poset.tracker``: the scan it replaced.  First g in
+    ``candidates`` with apply(g, x) defined (not None) and <= y for every
+    (x, y) in ``pairs``, else None.  ``pairs`` is iterated once per candidate."""
+    leq = poset.leq_pairs
+    for g in candidates:
+        if all((gx := apply(g, x)) is not None and (gx, y) in leq for x, y in pairs):
+            return g
+    return None
+
+
+def reference_track(structure, pairs, pin=None, twice=False):
+    """What ``track`` searched before the masks: a BCO's functions in insertion
+    order; an opca's filter (only ``pin``, if given) in carrier order, by g·x,
+    or by (g·x1)·x2 for x = (x1, x2) when ``twice``."""
+    if isinstance(structure, FiniteBco):
+        return reference_tracker(structure, structure.functions, structure.apply, pairs)
+    pool = structure.ordered(structure.filter if pin is None else structure.filter & {pin})
+    apply = structure.app_app if twice else structure.app
+    return reference_tracker(structure, pool, apply, pairs)
+
+
+@st.composite
+def tracking_structures(draw):
+    """A relation on 1-4 elements closed to a preorder (so ties occur), with a
+    BCO of at most three partial functions and an opca with a partial table and
+    a filter that may be empty, both on that preorder."""
+    els = tuple(f"x{i}" for i in range(draw(st.integers(1, 4))))
+    el = st.sampled_from(els)
+    leq = frozenset(draw(st.sets(st.tuples(el, el), max_size=2 * len(els))))
+    functions = draw(st.lists(st.dictionaries(el, el), max_size=3))
+    bco = FiniteBco(els, leq, {f"f{i}": f for i, f in enumerate(functions)})
+    opca = FiniteOpca(els, leq, draw(st.dictionaries(st.tuples(el, el), el)),
+                      k=els[0], s=els[0], filter=draw(st.frozensets(el)))
+    return bco, opca
+
+
+@given(tracking_structures(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_track_finds_the_first_witness_of_the_reference_scan(structures, data):
+    bco, opca = structures
+    el = st.sampled_from(bco.elements)
+    for _ in range(data.draw(st.integers(1, 8))):  # later calls read earlier masks
+        kind = data.draw(st.sampled_from(["bco", "opca", "twice"]))
+        x = st.tuples(el, el) if kind == "twice" else el
+        pairs = data.draw(st.lists(st.tuples(x, el), max_size=5))
+        if kind == "bco":
+            assert bco.track(pairs) == reference_track(bco, pairs)
+        else:
+            pin, twice = data.draw(st.none() | el), kind == "twice"
+            assert opca.track(pairs, pin, twice) == reference_track(opca, pairs, pin, twice)
+
+
+def test_structures_with_equal_fields_keep_their_own_masks():
+    # the chains on 0 < 1 and on False < True compare equal field by field
+    ints = semilattice_opca((0, 1), {(0, 1)}, name="chain")
+    bools = semilattice_opca((False, True), {(False, True)}, name="chain")
+    assert ints.elements == bools.elements and ints.table == bools.table
+    assert ints.track([(1, 1)]) == 1 and opca_to_bco(ints).track([(1, 1)]) == "ap[1]"
+    assert ints._masks and bools._masks == {} and opca_to_bco(bools)._masks == {}
+    assert bools.track([(True, True)]) is True
+    assert opca_to_bco(bools).track([(True, True)]) == "ap[True]"
+
+
+@pytest.mark.parametrize("l3_first", [True, False], ids=["L3 first", "L3mf first"])
+def test_a_filter_replace_starts_with_empty_masks(l3_first):
+    l3 = semilattice_opca(("0", "m", "1"), {("0", "m"), ("m", "1")}, name="L3")
+    if l3_first:
+        assert l3.track([("1", "m")]) is None  # the filter is {1}, and 1·1 = 1
+    l3mf = l3.replace(filter=frozenset({"m", "1"}), name="L3mf")
+    assert l3mf._masks == {}
+    assert l3mf.track([("1", "m")]) == "m"  # m·1 = m
+    assert l3.track([("1", "m")]) is None
+
+
+def test_u_and_name_variants_track_as_their_base():
+    base = semilattice_opca(("0", "m", "1"), {("0", "m"), ("m", "1")},
+                            filter={"m", "1"}, name="L3mf")
+    pair_lists = [[(x, y)] for x in base.elements for y in base.elements]
+    want = [reference_track(base, p) for p in pair_lists]
+    assert set(want) == {None, "m"}  # m·x <= x, so "1" is never first
+    variants = [base.replace(U=frozenset({"0"})), base.replace(name="other"),
+                base.replace(U=frozenset({"0", "m"}), name="other")]
+    assert [variants[0].track(p) for p in pair_lists] == want  # before the base tracks
+    assert [base.track(p) for p in pair_lists] == want
+    for variant in variants:
+        assert [variant.track(p) for p in pair_lists] == want
+
+
+@pytest.mark.parametrize("twice_first", [False, True], ids=["g·x first", "(g·x1)·x2 first"])
+def test_the_two_applications_of_an_opca_keep_their_own_masks(twice_first):
+    # the pair ("a", "b") is an element too, so both applications see one key
+    ab = ("a", "b")
+    opca = FiniteOpca(elements=("g", "h", "a", "b", ab, "lo", "hi"),
+                      leq_pairs=frozenset({("lo", "hi")}),
+                      table={("g", ab): "lo", ("g", "a"): "h", ("h", "b"): "hi"},
+                      k="g", s="g", filter=frozenset({"g"}))
+    calls = [(False, "g"), (True, None)]  # g·(a, b) = lo, (g·a)·b = hi, not below lo
+    for twice, want in reversed(calls) if twice_first else calls:
+        assert opca.track([(ab, "lo")], twice=twice) == want
+
+
+def tracking_views():
+    """New opcas (the morphism fixtures of the benchmark) and their BCO views."""
+    opcas = [*enumerate_lattices(3), VEE.replace(name="vee"),
+             L3.replace(filter=frozenset({"m", "1"}), name="L3mf")]
+    return [view for opca in opcas for view in (opca, opca_to_bco(opca))]
+
+
+def tracking_calls(views):
+    """(view index, pairs, pin, twice) for single pairs, the unit and top pair
+    lists of the meet search, and for opcas pinned and two-argument tracking."""
+    out = []
+    for i, view in enumerate(views):
+        els = view.elements
+        lists = [[(x, y)] for x in els for y in els] + [[(a, a) for a in els]]
+        lists += [[(a, top) for a in els] for top in els]
+        out += [(i, pairs, None, False) for pairs in lists]
+        if isinstance(view, FiniteOpca):
+            out += [(i, pairs, pin, False) for pairs in lists for pin in view.elements]
+            out += [(i, [((a, b), c)], None, True) for a in els for b in els for c in els]
+            out += [(i, [((a, b), a) for a in els for b in els], pin, True) for pin in els]
+    return out
+
+
+def run_calls(views, calls):
+    return [views[i].track(pairs) if isinstance(views[i], FiniteBco)
+            else views[i].track(pairs, pin, twice) for i, pairs, pin, twice in calls]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_order_of_tracking_calls_changes_no_answer(seed):
+    views = tracking_views()
+    calls = tracking_calls(views)
+    want = [reference_track(views[i], pairs, pin, twice) for i, pairs, pin, twice in calls]
+    assert run_calls(views, calls) == want
+    order = list(range(len(calls)))
+    random.Random(seed).shuffle(order)
+    shuffled = dict(zip(order, run_calls(tracking_views(), [calls[j] for j in order])))
+    assert [shuffled[j] for j in range(len(calls))] == want

@@ -1,6 +1,7 @@
 """Each witness search has one owner: a check that no module writes one out again.
 
-``FiniteBco.track`` is the only search of a structure's function set,
+``FiniteBco.track`` is the only search of a structure's function set, and
+it and ``FiniteOpca.track`` the only callers of ``Poset.tracker``,
 ``Aks`` itself the only reader of its pole rows, ``Aks.pull`` and
 ``Aks.push_image`` the only readers of its push table in indices and the
 only callers of the raw pre-image and image loops, ``tripos.first_unstable``
@@ -257,6 +258,13 @@ def test_no_module_lists_every_subset(path):
 def test_only_finite_bco_track_searches_a_function_set(path):
     expected = ["FiniteBco.track"] if path.name == "bco.py" else []
     assert function_set_searches(path.read_text(encoding="utf-8")) == expected
+
+
+def test_only_the_track_methods_call_the_tracker():
+    # the realizer masks of an application are kept for one pool, which
+    # FiniteBco.track (the functions) and FiniteOpca.track (the filter) fix
+    assert {scope for path in SOURCES for scope, name in calls(path.name)
+            if name == "tracker"} == {"FiniteBco.track", "FiniteOpca.track"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "aks.py"],
